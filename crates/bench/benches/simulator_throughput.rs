@@ -26,13 +26,6 @@
 //! off (`MetaPath::Charge`, every memory op charging tag traffic), so
 //! metadata-walk skipping can never silently regress.
 //!
-//! Set `HB_OPT_GATE=<ratio>` to gate the **static bounds-check
-//! optimizer**: a check-dense loop fleet must run at least `<ratio>`×
-//! faster on the engine with `HB_OPT` on than off (CI pins `1.15`), and
-//! the telemetry counters must show checks actually elided, hoisted, and
-//! coalesced — the win has to come from proved-redundant checks, not
-//! noise.
-//!
 //! Set `HB_TRACE_GATE=<ratio>` to gate the **tracing overhead**: an
 //! identical engine fleet with the `HB_TRACE` JSONL sink installed must
 //! stay within `<ratio>`× of the untraced baseline (CI pins `1.1` —
@@ -50,9 +43,7 @@
 //! least `<ratio>`× faster under `HierPath::Event` (residency-proof
 //! filter + branchless way-scan) than under the `HierPath::Walk`
 //! reference (CI pins `1.2`), with the telemetry counters proving the
-//! residency filter actually answered lookups. Independent of any gate,
-//! `sampled_error_report` asserts the `HierPath::Sampled` 1-in-8
-//! set-sampled estimate stays within 5% of the exact fleet stall total.
+//! residency filter actually answered lookups.
 
 use std::time::{Duration, Instant};
 
@@ -61,7 +52,7 @@ use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 use hardbound_bench::scale_from_env;
 use hardbound_compiler::Mode;
 use hardbound_core::{HierPath, Machine, MachineConfig, MetaPath, PointerEncoding};
-use hardbound_exec::{batch, CorpusService, Engine, Job, OptConfig};
+use hardbound_exec::{batch, CorpusService, Engine, Job};
 use hardbound_isa::{BinOp, CmpOp, FuncId, FunctionBuilder, Program, Reg};
 use hardbound_runtime::{build_machine, compile, env_parse, machine_config};
 use hardbound_workloads::{all, by_name, Scale};
@@ -231,50 +222,6 @@ fn meta_fast_path_report() {
     }
 }
 
-/// A check-dense self-loop: the body is almost entirely word loads off a
-/// loop-invariant bounded pointer whose accesses straddle a page boundary
-/// — the one access shape whose region probe the machine cannot memoize,
-/// so the per-access check work (pointer test, bounds compare, slow
-/// region probe) is real per-µop cost, while the loads themselves keep
-/// hitting the same cache blocks. Hoisting replaces every in-loop check
-/// with one widened loop-top guard; the rotating window feeds redundancy
-/// elimination, and a run of adjacent stores in `main`'s straight-line
-/// prologue feeds the coalescing pass. The loop lives in its own
-/// function so the whole body is a single self-loop superblock.
-fn check_dense_loop(loads: i32, iters: i32) -> Program {
-    use hardbound_isa::{layout, FuncId, Width};
-    let mut main = FunctionBuilder::new("main", 0);
-    // Bounded pointer two bytes shy of a page boundary: every word load
-    // off it straddles the page.
-    main.li(Reg::A0, layout::SW_SHADOW_BASE + 4092);
-    main.setbound_imm(Reg::A0, Reg::A0, 16);
-    main.addi(Reg::A0, Reg::A0, 2);
-    // Adjacent-field stores: the coalescing pass's shape.
-    main.li(Reg::A1, layout::HEAP_BASE + 512);
-    main.setbound_imm(Reg::A1, Reg::A1, 16);
-    main.store(Width::Word, Reg::A2, Reg::A1, 0);
-    main.store(Width::Word, Reg::A2, Reg::A1, 4);
-    main.store(Width::Word, Reg::A2, Reg::A1, 8);
-    main.li(Reg::A2, 0);
-    main.call(FuncId(1));
-    main.li(Reg::A0, 0);
-    main.halt();
-    let mut f = FunctionBuilder::new("checks", 0);
-    let head = f.bind_label();
-    for k in 0..loads {
-        f.load(
-            Width::Word,
-            Reg::temp(0),
-            Reg::A0,
-            [-1, 0, 1][k as usize % 3],
-        );
-    }
-    f.addi(Reg::A2, Reg::A2, 1);
-    f.branch(CmpOp::Lt, Reg::A2, iters, head);
-    f.ret();
-    Program::with_entry(vec![main.finish(), f.finish()])
-}
-
 /// The hierarchy fast-path comparison (and optional CI gate): engine runs
 /// of an irregular-gather fleet, `HierPath::Event` vs `HierPath::Walk`.
 /// The gather's hot region (data + index arrays) is sized to the L1 — and
@@ -341,128 +288,6 @@ fn hier_fast_report() {
         assert!(
             speedup >= required,
             "hierarchy fast-path gate: irregular-gather speedup {speedup:.2}x \
-             below the required {required:.2}x"
-        );
-        println!("  gate: {speedup:.2}x >= {required:.2}x — ok");
-    }
-}
-
-/// The sampled-hierarchy error bound: the Olden fleet runs exact
-/// (`HierPath::Event`) and 1-in-8 set-sampled (`HierPath::Sampled`), and
-/// the sampled estimate of the fleet's total stall cycles must land
-/// within 5% of the exact total. Always asserted — the approximate mode's
-/// documented contract, not an opt-in gate. Access counts must stay
-/// exact: sampling estimates *stalls*, never event counts.
-fn sampled_error_report() {
-    let scale = scale_from_env();
-    let programs: Vec<Program> = all(scale)
-        .iter()
-        .map(|w| compile(&w.source, Mode::HardBound).expect("compiles"))
-        .collect();
-    let fleet = |path: HierPath| -> Vec<_> {
-        programs
-            .iter()
-            .map(|p| {
-                let cfg =
-                    machine_config(Mode::HardBound, PointerEncoding::Intern4).with_hier_path(path);
-                let out = Engine::new(Machine::new(p.clone(), cfg)).run();
-                assert!(out.is_success(), "{:?}", out.trap);
-                out
-            })
-            .collect()
-    };
-    let exact = fleet(HierPath::Event);
-    let sampled = fleet(HierPath::sampled(8));
-    let stalls = |outs: &[hardbound_core::RunOutcome]| -> u64 {
-        outs.iter()
-            .map(|o| o.stats.hierarchy.total_stall_cycles())
-            .sum()
-    };
-    for (e, s) in exact.iter().zip(&sampled) {
-        assert_eq!(
-            (
-                e.stats.hierarchy.data_accesses,
-                e.stats.hierarchy.tag_accesses,
-                e.stats.hierarchy.shadow_accesses,
-            ),
-            (
-                s.stats.hierarchy.data_accesses,
-                s.stats.hierarchy.tag_accesses,
-                s.stats.hierarchy.shadow_accesses,
-            ),
-            "sampling must keep access counts exact"
-        );
-    }
-    let (exact_stalls, sampled_stalls) = (stalls(&exact), stalls(&sampled));
-    let error = (sampled_stalls as f64 - exact_stalls as f64).abs() / exact_stalls as f64;
-    println!("\nsampled hierarchy error ({scale:?} fleet, 1-in-8 sets):");
-    println!(
-        "  {:<24} exact {exact_stalls:>12} stalls  sampled {sampled_stalls:>12}  error {:>5.2}%",
-        "fleet stall total",
-        100.0 * error
-    );
-    assert!(
-        error < 0.05,
-        "sampled hierarchy error bound: 1-in-8 estimate off by {:.2}% (>5%) \
-         ({sampled_stalls} vs {exact_stalls} exact stall cycles)",
-        100.0 * error
-    );
-    println!("  bound: {:.2}% < 5.00% — ok", 100.0 * error);
-}
-
-/// The static bounds-check optimizer comparison (and optional CI gate):
-/// the same engine fleet with the optimizer off vs on, over check-dense
-/// loops built so redundancy elimination, hoisting, and coalescing all
-/// fire. Gated via `HB_OPT_GATE=<ratio>` (CI pins `1.15`); independent of
-/// the gate, the telemetry counters must show checks actually elided,
-/// hoisted, and coalesced — the speedup has to come from proved-redundant
-/// checks, not measurement noise.
-fn opt_speedup_report() {
-    let gate = env_parse::<f64>("HB_OPT_GATE").unwrap_or_else(|e| panic!("{e}"));
-    let scale = scale_from_env();
-    let iters = match scale {
-        Scale::Smoke => 20_000,
-        Scale::Full => 120_000,
-    };
-    let programs: Vec<Program> = [20, 40, 60]
-        .into_iter()
-        .map(|loads| check_dense_loop(loads, iters))
-        .collect();
-    let run = |opt: OptConfig| {
-        for p in &programs {
-            let cfg = machine_config(Mode::HardBound, PointerEncoding::Intern4);
-            let out = Engine::with_opt(Machine::new(p.clone(), cfg), opt).run();
-            assert!(out.is_success(), "{:?}", out.trap);
-        }
-    };
-    let before = hardbound_telemetry::global().snapshot();
-    let (plain, optimized) = compare(5, || run(OptConfig::OFF), || run(OptConfig::ON));
-    let after = hardbound_telemetry::global().snapshot();
-    let delta = |name: &str| after.counter(name) - before.counter(name);
-    let (emitted, elided, hoisted, coalesced) = (
-        delta("hb_checks_emitted"),
-        delta("hb_checks_elided"),
-        delta("hb_checks_hoisted"),
-        delta("hb_checks_coalesced"),
-    );
-    let speedup = plain.as_secs_f64() / optimized.as_secs_f64();
-    println!("\nstatic check optimizer ({scale:?} iterations, engine):");
-    println!(
-        "  {:<24} off {plain:>10.2?}  on {optimized:>10.2?}  speedup {speedup:>5.2}x",
-        "check-dense loop fleet"
-    );
-    println!(
-        "  checks: {emitted} emitted, {elided} elided, {hoisted} hoisted, {coalesced} coalesced"
-    );
-    assert!(
-        elided > 0 && hoisted > 0 && coalesced > 0,
-        "the check-dense fleet must drive every pass: \
-         {emitted} emitted, {elided} elided, {hoisted} hoisted, {coalesced} coalesced"
-    );
-    if let Some(required) = gate {
-        assert!(
-            speedup >= required,
-            "opt gate: check-dense fleet speedup {speedup:.2}x \
              below the required {required:.2}x"
         );
         println!("  gate: {speedup:.2}x >= {required:.2}x — ok");
@@ -867,8 +692,6 @@ fn main() {
     engine_speedup_report();
     meta_fast_path_report();
     hier_fast_report();
-    sampled_error_report();
-    opt_speedup_report();
     service_warm_cold_report();
     persist_warm_report();
     trace_overhead_report();

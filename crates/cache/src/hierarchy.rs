@@ -3,8 +3,7 @@ use crate::set_assoc::{Cache, CacheStats, FastPathStats};
 /// Which lookup machinery drives the simulated hierarchy. Mirrors
 /// `MetaPath` one layer down: `Event` and `Walk` are *exact* twins —
 /// observation-identical stats, stalls and victims, differenced by the
-/// proptests — while `Sampled` is explicitly approximate and is excluded
-/// from every identity path (result store, wire protocol).
+/// proptests.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum HierPath {
     /// Event-driven fast path (default): residency-proof filters answer
@@ -15,34 +14,6 @@ pub enum HierPath {
     /// exactness oracle for `Event`, and the escape hatch
     /// (`HB_HIER_FAST=0`) when debugging the fast path itself.
     Walk,
-    /// Approximate set-sampled simulation: only accesses whose block
-    /// hashes into the 1-in-`period` sample are simulated, each
-    /// contributing `period`× its stall. Access *counts* stay exact;
-    /// stalls and per-structure hit/miss counters are estimates for
-    /// capacity-planning sweeps, never for figures of record.
-    Sampled {
-        /// Sampling period K (power of two, ≥ 2): 1-in-K blocks simulate.
-        period: u32,
-    },
-}
-
-impl HierPath {
-    /// A `Sampled` path with period `k`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `k` is a power of two and ≥ 2.
-    #[must_use]
-    pub fn sampled(k: u32) -> HierPath {
-        assert!(k.is_power_of_two() && k >= 2, "sample period {k} invalid");
-        HierPath::Sampled { period: k }
-    }
-
-    /// Whether this path produces approximate (non-identity) results.
-    #[must_use]
-    pub fn is_sampled(&self) -> bool {
-        matches!(self, HierPath::Sampled { .. })
-    }
 }
 
 /// What kind of access is being made, for stall attribution.
@@ -262,9 +233,8 @@ impl HierarchyStats {
     }
 }
 
-/// Aggregate fast-path/sampling counters across the whole hierarchy —
-/// the numbers behind `hb_hier_fastpath_{hits,misses}` and
-/// `hb_hier_sampled_sets`. Kept apart from [`HierarchyStats`]: these
+/// Aggregate fast-path counters across the whole hierarchy — the numbers
+/// behind `hb_hier_fastpath_{hits,misses}`. Kept apart from [`HierarchyStats`]: these
 /// describe *how* the simulation ran, not what it observed, and the
 /// Event ≡ Walk identity suites must be free to compare observations
 /// between twins whose machinery legitimately differs.
@@ -275,9 +245,6 @@ pub struct HierFastStats {
     pub fastpath_hits: u64,
     /// Accesses that fell through a filter to the full way-scan.
     pub fastpath_misses: u64,
-    /// Accesses simulated by the `Sampled` path (each standing in for
-    /// `period` accesses' worth of stall).
-    pub sampled_sets: u64,
 }
 
 /// The simulated memory system: L1 data cache, tag metadata cache, shared
@@ -285,12 +252,6 @@ pub struct HierFastStats {
 #[derive(Clone, Debug)]
 pub struct Hierarchy {
     cfg: HierarchyConfig,
-    path: HierPath,
-    /// `period - 1` for `Sampled`; an access is in the sample iff the low
-    /// bits of its block index are all zero under this mask. Zero (every
-    /// access sampled) outside `Sampled` mode, but unused there.
-    sample_mask: u64,
-    sampled_sets: u64,
     l1d: Cache,
     tag_cache: Cache,
     l2: Cache,
@@ -316,77 +277,22 @@ impl Hierarchy {
             dtlb: Cache::with_sets(cfg.tlb_entries / cfg.tlb_ways as u64, cfg.tlb_ways, 4096),
             tag_tlb: Cache::with_sets(cfg.tlb_entries / cfg.tlb_ways as u64, cfg.tlb_ways, 4096),
             stats: HierarchyStats::default(),
-            path,
-            sample_mask: 0,
-            sampled_sets: 0,
             cfg,
         };
-        match path {
-            HierPath::Event => {}
-            HierPath::Walk => {
-                h.l1d.set_walk();
-                h.tag_cache.set_walk();
-                h.l2.set_walk();
-                h.dtlb.set_walk();
-                h.tag_tlb.set_walk();
-            }
-            HierPath::Sampled { period } => {
-                assert!(
-                    period.is_power_of_two() && period >= 2,
-                    "sample period {period} invalid"
-                );
-                h.sample_mask = u64::from(period) - 1;
-            }
+        if path == HierPath::Walk {
+            h.l1d.set_walk();
+            h.tag_cache.set_walk();
+            h.l2.set_walk();
+            h.dtlb.set_walk();
+            h.tag_tlb.set_walk();
         }
         h
-    }
-
-    /// The active lookup path.
-    #[must_use]
-    pub fn path(&self) -> HierPath {
-        self.path
-    }
-
-    /// Whether the block containing `addr` is in the 1-in-K sample.
-    ///
-    /// Keyed on the block index's **low bits** — which are exactly the
-    /// set-index bits of the block-grained structures (`set = block &
-    /// set_mask`, and `period` never exceeds a set count). A sampled set
-    /// therefore receives its *complete* access stream, with full
-    /// intra-set contention, while unsampled sets receive nothing: this
-    /// is what makes set sampling near-unbiased. A hashed or per-access
-    /// sample would thin every set's stream instead, systematically
-    /// under-simulating conflict misses and biasing stalls low. The known
-    /// residual limitation is the classic one: a stream strided by a
-    /// multiple of `period` blocks lands all-or-nothing in the sample.
-    #[inline]
-    fn in_sample(&self, addr: u64) -> bool {
-        (addr / self.cfg.block_bytes) & self.sample_mask == 0
     }
 
     /// Performs one access of `class` at conceptual address `addr`,
     /// returning the stall cycles it incurs. Loads and stores are charged
     /// identically (write-allocate, penalties dominated by the fill).
-    ///
-    /// On the `Sampled` path only 1-in-K blocks are simulated; a sampled
-    /// access contributes K× its stall (to the return value and the class
-    /// stall counters alike) and an unsampled access contributes zero
-    /// stall and no structure traffic. Class access *counts* stay exact.
     pub fn access(&mut self, class: AccessClass, addr: u64) -> u64 {
-        let mut scale = 1;
-        if let HierPath::Sampled { period } = self.path {
-            if self.in_sample(addr) {
-                self.sampled_sets += 1;
-                scale = u64::from(period);
-            } else {
-                match class {
-                    AccessClass::Data => self.stats.data_accesses += 1,
-                    AccessClass::Tag => self.stats.tag_accesses += 1,
-                    AccessClass::Shadow => self.stats.shadow_accesses += 1,
-                }
-                return 0;
-            }
-        }
         let mut stall = 0;
         match class {
             AccessClass::Data | AccessClass::Shadow => {
@@ -412,7 +318,6 @@ impl Hierarchy {
                 }
             }
         }
-        stall *= scale;
         match class {
             AccessClass::Data => {
                 self.stats.data_accesses += 1;
@@ -445,25 +350,19 @@ impl Hierarchy {
     /// Charges a data access that is a proven repeat of the previous data
     /// access's block (with no intervening dTLB/L1 traffic): both
     /// first-level structures hit, zero stall, identical statistics to the
-    /// full [`Hierarchy::access`] walk. On the `Sampled` path only the
-    /// (exact) class access counter moves, matching what `access` does for
-    /// out-of-sample traffic.
+    /// full [`Hierarchy::access`] walk.
     #[inline]
     pub fn note_data_repeat(&mut self) {
-        if !self.path.is_sampled() {
-            self.dtlb.note_hit();
-            self.l1d.note_hit();
-        }
+        self.dtlb.note_hit();
+        self.l1d.note_hit();
         self.stats.data_accesses += 1;
     }
 
     /// [`Hierarchy::note_data_repeat`] for the tag-metadata structures.
     #[inline]
     pub fn note_tag_repeat(&mut self) {
-        if !self.path.is_sampled() {
-            self.tag_tlb.note_hit();
-            self.tag_cache.note_hit();
-        }
+        self.tag_tlb.note_hit();
+        self.tag_cache.note_hit();
         self.stats.tag_accesses += 1;
     }
 
@@ -497,8 +396,8 @@ impl Hierarchy {
         self.dtlb.stats()
     }
 
-    /// Aggregate residency-filter and sampling counters over every
-    /// structure in the hierarchy.
+    /// Aggregate residency-filter counters over every structure in the
+    /// hierarchy.
     #[must_use]
     pub fn fast_stats(&self) -> HierFastStats {
         let mut f = FastPathStats::default();
@@ -510,7 +409,6 @@ impl Hierarchy {
         HierFastStats {
             fastpath_hits: f.fastpath_hits,
             fastpath_misses: f.fastpath_misses,
-            sampled_sets: self.sampled_sets,
         }
     }
 
@@ -675,41 +573,6 @@ mod tests {
         assert!(err.contains("387 entries do not divide"), "{err}");
         assert!(err.contains("384"), "{err}");
         assert!(HierarchyConfig::default().validate().is_ok());
-    }
-
-    #[test]
-    fn sampled_path_keeps_counts_exact_and_estimates_stalls() {
-        let mut exact = Hierarchy::new(HierarchyConfig::default());
-        let mut sampled = Hierarchy::with_path(HierarchyConfig::default(), HierPath::sampled(8));
-        let mut x = 0x5eed_5eedu64;
-        for _ in 0..40_000u64 {
-            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-            let data = (x >> 16) & 0x1F_FFFF;
-            exact.access(AccessClass::Data, data);
-            sampled.access(AccessClass::Data, data);
-            let tag = 0x3_0000_0000 + (data >> 5);
-            exact.access(AccessClass::Tag, tag);
-            sampled.access(AccessClass::Tag, tag);
-        }
-        let e = exact.stats();
-        let s = sampled.stats();
-        // Access counts are exact by contract.
-        assert_eq!(e.data_accesses, s.data_accesses);
-        assert_eq!(e.tag_accesses, s.tag_accesses);
-        // Roughly 1-in-8 accesses actually simulated.
-        let f = sampled.fast_stats();
-        assert!(f.sampled_sets > 0);
-        assert!(f.sampled_sets < 80_000 / 4, "{}", f.sampled_sets);
-        // Scaled stalls land near the exact totals on this uniform
-        // stream (the bench report measures the real corpus at < 5%;
-        // this unit test only pins the scaling is wired at all).
-        let exact_total = e.total_stall_cycles() as f64;
-        let est_total = s.total_stall_cycles() as f64;
-        let rel = (est_total - exact_total).abs() / exact_total;
-        assert!(
-            rel < 0.25,
-            "relative error {rel} (est {est_total} vs {exact_total})"
-        );
     }
 
     #[test]

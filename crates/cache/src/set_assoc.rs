@@ -3,8 +3,7 @@
 /// Every ratio the simulator renders (miss ratios, hit ratios, page and
 /// compression fractions) routes through this one helper so a structure
 /// that was never touched — an untouched tag cache under malloc-only
-/// mode, or an unsampled structure under `HierPath::Sampled` — renders
-/// `0.0` everywhere instead of `NaN`.
+/// mode, say — renders `0.0` everywhere instead of `NaN`.
 #[must_use]
 pub fn checked_ratio(num: u64, den: u64) -> f64 {
     if den == 0 {

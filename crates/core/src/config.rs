@@ -147,9 +147,7 @@ pub struct MachineConfig {
     pub meta_path: MetaPath,
     /// Memory-hierarchy lookup machinery (see [`HierPath`]). `Event` and
     /// `Walk` are exact twins and deliberately share a stable fingerprint
-    /// (like two builds of the same hardware); `Sampled` is approximate
-    /// and therefore excluded from the result store and the wire protocol
-    /// rather than fingerprinted.
+    /// (like two builds of the same hardware).
     pub hier_path: HierPath,
 }
 
@@ -262,9 +260,5 @@ mod tests {
         assert_eq!(c.fuel, 1000);
         assert_eq!(c.meta_path, MetaPath::Walk);
         assert_eq!(c.hier_path, HierPath::Walk);
-        assert_eq!(
-            MachineConfig::default().with_hier_path(HierPath::sampled(8)),
-            MachineConfig::default().with_hier_path(HierPath::Sampled { period: 8 })
-        );
     }
 }

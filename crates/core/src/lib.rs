@@ -750,37 +750,6 @@ mod tests {
     }
 
     #[test]
-    fn sampled_hier_keeps_outcome_shape_but_estimates_stalls() {
-        let build = || {
-            let mut f = FunctionBuilder::new("sampled", 0);
-            f.li(Reg::A0, HEAP);
-            f.setbound_imm(Reg::A0, Reg::A0, 4096);
-            for i in 0..64 {
-                f.store(Width::Word, Reg::ZERO, Reg::A0, i * 64);
-            }
-            f.li(Reg::A0, 0);
-            f.halt();
-            single(f)
-        };
-        let exact = run_program(build(), MachineConfig::default());
-        let mut sampled_m = Machine::new(
-            build(),
-            MachineConfig::default().with_hier_path(HierPath::sampled(8)),
-        );
-        let sampled = sampled_m.run();
-        assert!(sampled.is_success());
-        // Architectural results and access counts are exact; stall cycles
-        // (and therefore `stats`) may differ — that's the contract.
-        assert_eq!(sampled.exit_code, exact.exit_code);
-        assert_eq!(sampled.stats.uops, exact.stats.uops);
-        assert_eq!(
-            sampled.stats.hierarchy.data_accesses,
-            exact.stats.hierarchy.data_accesses
-        );
-        assert!(sampled_m.hier_fast_stats().sampled_sets > 0);
-    }
-
-    #[test]
     fn object_table_hook_is_invoked() {
         struct Recording(Vec<(u32, u32)>);
         impl ObjectTable for Recording {

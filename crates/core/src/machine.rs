@@ -285,7 +285,7 @@ impl Machine {
         &self.stats
     }
 
-    /// Aggregate residency-filter and sampling counters of the simulated
+    /// Aggregate residency-filter counters of the simulated
     /// hierarchy — machinery telemetry (`hb_hier_fastpath_*`), not part of
     /// any observational identity.
     #[must_use]
@@ -704,9 +704,7 @@ impl Machine {
     }
 
     /// Everything a load does *after* its checks pass: hierarchy charges,
-    /// tag/shadow traffic, the memory read and the register write. Shared
-    /// verbatim between the checked path ([`Machine::exec_load_g`]) and the
-    /// optimizer's check-elided path, so the two cannot drift.
+    /// tag/shadow traffic, the memory read and the register write.
     fn load_body<const HB: bool>(&mut self, ea: u32, width: Width, rd: Reg) {
         self.stats.loads += 1;
         // "This tag metadata is needed by every memory operation" (§4.2) —
@@ -876,149 +874,6 @@ impl Machine {
                 }
             }
         }
-    }
-
-    /// Replays exactly the statistics [`Machine::implicit_check`] would
-    /// have charged for a check the optimizer elided: the check itself is
-    /// proven redundant, but the paper's accounting (one bounds check per
-    /// pointer-mediated access, plus the §5.4 check-µop ablation) must stay
-    /// byte-identical to the unoptimized machine.
-    #[inline]
-    fn elided_check_stats(&mut self, meta: Meta) {
-        let Some(hb) = self.cfg.hardbound else {
-            return;
-        };
-        if !meta.is_pointer() {
-            // MallocOnly pass-through: the original check charged nothing.
-            return;
-        }
-        self.stats.bounds_checks += 1;
-        if hb.check_uop
-            && !hb.encoding.is_compressible(meta.base, meta)
-            && !self.is_region_meta(meta)
-        {
-            self.stats.check_uops += 1;
-            self.stats.uops += 1;
-        }
-    }
-
-    /// `HB_OPT_AUDIT`: re-derives the decision of the elided implicit check
-    /// and region probe without touching stats or memos, and panics if the
-    /// unoptimized machine would have trapped here — an elided check is a
-    /// *proof*, so any divergence is an optimizer bug, not a program bug.
-    fn audit_elided(&self, fpc: Pc, ea: u32, width: u32, meta: Meta, is_store: bool) {
-        if let Some(hb) = self.cfg.hardbound {
-            if !meta.is_pointer() {
-                assert!(
-                    hb.mode != SafetyMode::Full,
-                    "HB_OPT_AUDIT divergence: elided check at {fpc:?} (ea={ea:#x}, width={width}, \
-                     is_store={is_store}) would have trapped NonPointerDereference"
-                );
-            } else {
-                assert!(
-                    meta.check(ea, width),
-                    "HB_OPT_AUDIT divergence: elided check at {fpc:?} (ea={ea:#x}, width={width}, \
-                     base={:#x}, bound={:#x}, is_store={is_store}) would have trapped \
-                     BoundsViolation",
-                    meta.base,
-                    meta.bound
-                );
-            }
-        }
-        assert!(
-            self.region_ok_slow(ea, width),
-            "HB_OPT_AUDIT divergence: elided region probe at {fpc:?} (ea={ea:#x}, width={width}, \
-             is_store={is_store}) would have trapped WildAddress"
-        );
-    }
-
-    /// HardBound load whose implicit check and region probe were statically
-    /// elided: replays the check's statistics (unless the caller batches
-    /// them — see [`Machine::elided_stats_static`]), optionally audits the
-    /// elision, then runs the ordinary post-check load body.
-    #[inline]
-    fn exec_load_hb_elided(
-        &mut self,
-        fpc: Pc,
-        width: Width,
-        rd: Reg,
-        addr: Reg,
-        offset: i32,
-        audit: bool,
-        stats: bool,
-    ) {
-        let ea = self.r(addr).wrapping_add(offset as u32);
-        if self.flight.is_some() {
-            self.note_flight(fpc, ea, width.bytes(), false);
-        }
-        let meta = self.m(addr);
-        if audit {
-            self.audit_elided(fpc, ea, width.bytes(), meta, false);
-        }
-        if stats {
-            self.elided_check_stats(meta);
-        }
-        self.load_body::<true>(ea, width, rd);
-    }
-
-    /// Check-elided HardBound store (dual of
-    /// [`Machine::exec_load_hb_elided`]).
-    #[inline]
-    fn exec_store_hb_elided(
-        &mut self,
-        fpc: Pc,
-        width: Width,
-        src: Reg,
-        addr: Reg,
-        offset: i32,
-        audit: bool,
-        stats: bool,
-    ) {
-        let ea = self.r(addr).wrapping_add(offset as u32);
-        if self.flight.is_some() {
-            self.note_flight(fpc, ea, width.bytes(), true);
-        }
-        let meta = self.m(addr);
-        if audit {
-            self.audit_elided(fpc, ea, width.bytes(), meta, true);
-        }
-        if stats {
-            self.elided_check_stats(meta);
-        }
-        self.store_body::<true>(ea, width, src);
-    }
-
-    /// Whether an elided access's replayed statistics are a *static*
-    /// constant — exactly one `bounds_checks` bump, nothing else — so a
-    /// dispatcher may skip the per-access replay and add the count of a
-    /// whole run of elided µops at once ([`ExecState::bump_elided_checks`]).
-    ///
-    /// True only under full-safety HardBound without the §5.4 check-µop
-    /// ablation: in `Full` mode every elided access provably dereferences a
-    /// pointer (its dominating check or guard passed, and a non-pointer
-    /// would have trapped there), and with `check_uop` off the replay's
-    /// only effect is the `bounds_checks` increment. `MallocOnly` elisions
-    /// may cover non-pointer accesses (which charge nothing), and
-    /// `check_uop` accounting depends on each access's metadata, so both
-    /// fall back to the per-access replay.
-    #[inline]
-    #[must_use]
-    pub fn elided_stats_static(&self) -> bool {
-        self.cfg
-            .hardbound
-            .is_some_and(|hb| hb.mode == SafetyMode::Full && !hb.check_uop)
-    }
-
-    /// The optimizer's widened range check: whether `addr` currently holds
-    /// a genuine pointer whose bounds (and the machine's address regions)
-    /// admit the whole window `[r(addr)+lo_off, r(addr)+lo_off+span)`.
-    /// Charges nothing — a guard is pure speculation-control; failing it
-    /// merely re-runs the original, fully-checked µops.
-    #[inline]
-    fn guard_ok(&mut self, addr: Reg, lo_off: i32, span: u32) -> bool {
-        let ea = self.r(addr).wrapping_add(lo_off as u32);
-        let meta = self.m(addr);
-        meta.is_pointer() && meta.check(ea, span) && self.region_ok(ea, span)
     }
 
     /// Performs the calling sequence: saves the caller's `sp`/`fp`, carves
@@ -1470,67 +1325,6 @@ impl ExecState<'_> {
         offset: i32,
     ) -> Result<(), Trap> {
         self.m.exec_store_g::<true>(fpc, width, src, addr, offset)
-    }
-
-    /// HardBound load whose implicit check the optimizer statically elided
-    /// (covered by a dominating check or a passed guard). Never traps;
-    /// replays the check's statistics exactly. With `audit` set the
-    /// original check is re-derived shadow-side and any would-have-trapped
-    /// divergence panics (`HB_OPT_AUDIT`).
-    /// With `stats` false the per-access statistics replay is skipped; the
-    /// dispatcher owns the accounting and must
-    /// [`ExecState::bump_elided_checks`] instead — sound only when
-    /// [`Machine::elided_stats_static`] holds.
-    #[inline]
-    pub fn load_hb_elided(
-        &mut self,
-        fpc: Pc,
-        width: Width,
-        rd: Reg,
-        addr: Reg,
-        offset: i32,
-        audit: bool,
-        stats: bool,
-    ) {
-        self.m
-            .exec_load_hb_elided(fpc, width, rd, addr, offset, audit, stats);
-    }
-
-    /// Check-elided HardBound store (dual of
-    /// [`ExecState::load_hb_elided`]).
-    #[inline]
-    pub fn store_hb_elided(
-        &mut self,
-        fpc: Pc,
-        width: Width,
-        src: Reg,
-        addr: Reg,
-        offset: i32,
-        audit: bool,
-        stats: bool,
-    ) {
-        self.m
-            .exec_store_hb_elided(fpc, width, src, addr, offset, audit, stats);
-    }
-
-    /// Batched form of the elided-check statistics replay: credits `n`
-    /// elided accesses in one step. Only correct when
-    /// [`Machine::elided_stats_static`] holds (full-safety HardBound, no
-    /// check-µop ablation), where each elided access charges exactly one
-    /// `bounds_checks`.
-    #[inline]
-    pub fn bump_elided_checks(&mut self, n: u64) {
-        self.m.stats.bounds_checks += n;
-    }
-
-    /// The optimizer's widened range check: `true` iff `addr` holds a
-    /// pointer whose bounds and the machine's address regions admit all of
-    /// `[r(addr)+lo_off, r(addr)+lo_off+span)`. Charges no statistics and
-    /// retires no µop.
-    #[inline]
-    #[must_use]
-    pub fn guard_check(&mut self, addr: Reg, lo_off: i32, span: u32) -> bool {
-        self.m.guard_ok(addr, lo_off, span)
     }
 
     /// Performs the calling sequence into `callee`. The return address is

@@ -125,25 +125,6 @@ impl ProgramId {
         cfg.meta_path.stable_hash(&mut h);
         ProgramId(h.value())
     }
-
-    /// Fingerprints `program` under `cfg` *and* the optimizer setting. The
-    /// bounds-check elimination passes rewrite decoded bytes, so optimized
-    /// and unoptimized decodes of one image must not alias in a shared
-    /// cache. With the optimizer off this is exactly [`ProgramId::of`] —
-    /// every identity computed before the optimizer existed (including
-    /// persisted result-store keys) is unchanged.
-    #[must_use]
-    pub fn of_opt(program: &Program, cfg: &MachineConfig, opt: crate::opt::OptConfig) -> ProgramId {
-        let base = ProgramId::of(program, cfg);
-        if !opt.enabled {
-            return base;
-        }
-        let mut h = Fnv64::default();
-        h.mix_u64(base.0);
-        // An arbitrary fixed tag naming "optimizer pipeline v1".
-        h.mix_u64(0x4842_4f50_5431_0001);
-        ProgramId(h.value())
-    }
 }
 
 /// A decoded basic block.
@@ -156,18 +137,11 @@ pub struct Block {
     pub func: FuncId,
     /// Entry instruction index within the function.
     pub entry: u32,
-    /// Pre-decoded µops; one per instruction, terminator last. See
-    /// [`DecodedBlock::uops`] for the guarded two-stream layout.
+    /// Pre-decoded µops; one per instruction, terminator last.
     pub uops: Box<[Uop]>,
     /// Instruction ranges this block covers (own function's hull plus the
     /// full body of every inlined leaf callee).
     pub spans: Box<[CodeSpan]>,
-    /// `0` for an ordinary block; otherwise the index where the appended
-    /// original copy begins (see [`DecodedBlock::fallback`]).
-    pub fallback: u32,
-    /// Elided-access count per guard-free segment (see
-    /// [`DecodedBlock::elided_counts`]).
-    pub elided_counts: Box<[u32]>,
 }
 
 /// Counters describing the cache's behaviour over its lifetime.
@@ -504,8 +478,6 @@ impl SharedBlockCache {
                 entry,
                 uops: decoded.uops,
                 spans: decoded.spans,
-                fallback: decoded.fallback,
-                elided_counts: decoded.elided_counts,
             },
             seg: Segment::Probation,
             prev: NONE,
@@ -678,8 +650,6 @@ mod tests {
         DecodedBlock {
             uops: vec![Uop::Nop, Uop::Ret].into_boxed_slice(),
             spans: spans.to_vec().into_boxed_slice(),
-            fallback: 0,
-            elided_counts: Box::default(),
         }
     }
 

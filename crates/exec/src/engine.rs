@@ -19,8 +19,7 @@ use hardbound_telemetry::{
     trace, BlockKey, BlockStat, Counter, Field, Histogram, SpanId, SpanTimer,
 };
 
-use crate::block::{Block, BlockCacheStats, ProgramId, SharedBlockCache};
-use crate::opt::{self, OptConfig};
+use crate::block::{BlockCacheStats, ProgramId, SharedBlockCache};
 use crate::uop::{decode_block, Uop};
 
 /// The global `hb_decode_us` histogram handle, resolved once — the decode
@@ -30,30 +29,6 @@ fn decode_us_hist() -> &'static Histogram {
     H.get_or_init(|| hardbound_telemetry::global().histogram("hb_decode_us"))
 }
 
-/// Global optimizer metric handles, resolved once (same rationale as
-/// [`decode_us_hist`]).
-struct OptMetrics {
-    emitted: Counter,
-    elided: Counter,
-    hoisted: Counter,
-    coalesced: Counter,
-    opt_us: Histogram,
-}
-
-fn opt_metrics() -> &'static OptMetrics {
-    static M: OnceLock<OptMetrics> = OnceLock::new();
-    M.get_or_init(|| {
-        let reg = hardbound_telemetry::global();
-        OptMetrics {
-            emitted: reg.counter("hb_checks_emitted"),
-            elided: reg.counter("hb_checks_elided"),
-            hoisted: reg.counter("hb_checks_hoisted"),
-            coalesced: reg.counter("hb_checks_coalesced"),
-            opt_us: reg.histogram("hb_opt_us"),
-        }
-    })
-}
-
 /// Global memory-hierarchy metric handles, resolved once (same rationale
 /// as [`decode_us_hist`]). `hb_hier_us` records the wall time of each
 /// [`Engine::run`] — the window over which that run's fast-path counters
@@ -61,7 +36,6 @@ fn opt_metrics() -> &'static OptMetrics {
 struct HierMetrics {
     fastpath_hits: Counter,
     fastpath_misses: Counter,
-    sampled_sets: Counter,
     hier_us: Histogram,
 }
 
@@ -72,7 +46,6 @@ fn hier_metrics() -> &'static HierMetrics {
         HierMetrics {
             fastpath_hits: reg.counter("hb_hier_fastpath_hits"),
             fastpath_misses: reg.counter("hb_hier_fastpath_misses"),
-            sampled_sets: reg.counter("hb_hier_sampled_sets"),
             hier_us: reg.histogram("hb_hier_us"),
         }
     })
@@ -91,9 +64,9 @@ fn profiling_default() -> bool {
 }
 
 /// Per-superblock retire counters accumulated while profiling. The static
-/// check mix of the block (`static_elided` / `static_taken`) is computed
-/// once on first execution and credited per retire, so the per-dispatch
-/// cost of profiling is four counter bumps behind one indexed load.
+/// check count of the block (`static_taken`) is computed once on first
+/// execution and credited per retire, so the per-dispatch cost of
+/// profiling is three counter bumps behind one indexed load.
 #[derive(Clone, Default)]
 struct ProfCell {
     /// Identity of the block this cell is counting (`execs == 0` marks an
@@ -102,9 +75,7 @@ struct ProfCell {
     entry: u32,
     execs: u64,
     cycles: u64,
-    elided: u64,
     taken: u64,
-    static_elided: u64,
     static_taken: u64,
 }
 
@@ -171,11 +142,6 @@ pub struct Engine<'c> {
     /// Dense handle of this machine's program in the bound cache.
     prog: u32,
     pid: ProgramId,
-    opt: OptConfig,
-    /// Whether elided-check statistics are credited per completed segment
-    /// instead of per access ([`Machine::elided_stats_static`], and never
-    /// under audit, whose shadow checks want the per-access path).
-    batch_stats: bool,
     blocks_executed: u64,
     fast_uops: u64,
     stepped_insts: u64,
@@ -188,21 +154,10 @@ pub struct Engine<'c> {
 }
 
 impl Engine<'static> {
-    /// Wraps `machine` with its own default-capacity block cache. The
-    /// optimizer configuration is taken from the environment
-    /// ([`OptConfig::from_env`]).
+    /// Wraps `machine` with its own default-capacity block cache.
     #[must_use]
     pub fn new(machine: Machine) -> Engine<'static> {
         Engine::with_block_capacity(machine, SharedBlockCache::DEFAULT_CAPACITY)
-    }
-
-    /// Wraps `machine` with its own default-capacity block cache and an
-    /// explicit optimizer configuration (differential tests pin the opt
-    /// and audit legs this way, independent of the environment).
-    #[must_use]
-    pub fn with_opt(machine: Machine, opt: OptConfig) -> Engine<'static> {
-        let cache = Box::new(SharedBlockCache::new(SharedBlockCache::DEFAULT_CAPACITY));
-        Engine::bind(machine, CacheBinding::Owned(cache), opt)
     }
 
     /// Wraps `machine` with its own block cache holding at most `capacity`
@@ -210,7 +165,7 @@ impl Engine<'static> {
     #[must_use]
     pub fn with_block_capacity(machine: Machine, capacity: usize) -> Engine<'static> {
         let cache = Box::new(SharedBlockCache::new(capacity));
-        Engine::bind(machine, CacheBinding::Owned(cache), OptConfig::from_env())
+        Engine::bind(machine, CacheBinding::Owned(cache))
     }
 }
 
@@ -222,33 +177,17 @@ impl<'c> Engine<'c> {
     /// engine bound to it.
     #[must_use]
     pub fn with_shared_cache(machine: Machine, cache: &'c mut SharedBlockCache) -> Engine<'c> {
-        Engine::bind(machine, CacheBinding::Shared(cache), OptConfig::from_env())
+        Engine::bind(machine, CacheBinding::Shared(cache))
     }
 
-    /// [`Engine::with_shared_cache`] with an explicit optimizer
-    /// configuration. Optimized blocks are cached under a distinct
-    /// [`ProgramId`] ([`ProgramId::of_opt`]), so optimized and unoptimized
-    /// engines can share one cache without ever handing each other blocks.
-    #[must_use]
-    pub fn with_shared_cache_opt(
-        machine: Machine,
-        cache: &'c mut SharedBlockCache,
-        opt: OptConfig,
-    ) -> Engine<'c> {
-        Engine::bind(machine, CacheBinding::Shared(cache), opt)
-    }
-
-    fn bind(machine: Machine, mut cache: CacheBinding<'c>, opt: OptConfig) -> Engine<'c> {
-        let pid = ProgramId::of_opt(machine.program(), machine.config(), opt);
+    fn bind(machine: Machine, mut cache: CacheBinding<'c>) -> Engine<'c> {
+        let pid = ProgramId::of(machine.program(), machine.config());
         let prog = cache.get_mut().register(pid, machine.program());
-        let batch_stats = !opt.audit && machine.elided_stats_static();
         Engine {
             machine,
             cache,
             prog,
             pid,
-            opt,
-            batch_stats,
             blocks_executed: 0,
             fast_uops: 0,
             stepped_insts: 0,
@@ -322,8 +261,6 @@ impl<'c> Engine<'c> {
             .add(fast.fastpath_hits - fast_before.fastpath_hits);
         m.fastpath_misses
             .add(fast.fastpath_misses - fast_before.fastpath_misses);
-        m.sampled_sets
-            .add(fast.sampled_sets - fast_before.sampled_sets);
         m.hier_us
             .record(run_start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
         outcome
@@ -382,21 +319,8 @@ impl<'c> Engine<'c> {
         let timer =
             trace::enabled().then(|| SpanTimer::start(trace::new_trace(), SpanId::NONE, "decode"));
         let started = Instant::now();
-        let mut decoded = decode_block(self.machine.program(), func, pc, self.machine.config());
+        let decoded = decode_block(self.machine.program(), func, pc, self.machine.config());
         decode_us_hist().record_duration(started.elapsed());
-        if self.opt.enabled {
-            let opt_started = Instant::now();
-            let (optimized, ostats) = opt::optimize(&decoded, pc);
-            let m = opt_metrics();
-            m.opt_us.record_duration(opt_started.elapsed());
-            m.emitted.add(ostats.emitted);
-            m.elided.add(ostats.elided);
-            m.hoisted.add(ostats.hoisted);
-            m.coalesced.add(ostats.coalesced);
-            if let Some(b) = optimized {
-                decoded = b;
-            }
-        }
         if let Some(t) = timer {
             t.emit(vec![
                 ("func".to_owned(), Field::from(u64::from(func.0))),
@@ -418,63 +342,24 @@ impl<'c> Engine<'c> {
             blocks_executed,
             fast_uops,
             stepped_insts,
-            opt,
-            batch_stats,
             ..
         } = self;
         *blocks_executed += 1;
-        let block = cache.get().block(id);
-        if block.fallback != 0 {
-            // Guarded (optimizer-rewritten) block: a failed guard may
-            // divert into the appended original copy, so dispatch carries
-            // its own retired-µop accounting.
-            return match (opt.audit, *batch_stats) {
-                (true, _) => {
-                    exec_guarded::<true, false>(machine, block, func, fast_uops, stepped_insts)
-                }
-                (false, true) => {
-                    exec_guarded::<false, true>(machine, block, func, fast_uops, stepped_insts)
-                }
-                (false, false) => {
-                    exec_guarded::<false, false>(machine, block, func, fast_uops, stepped_insts)
-                }
-            };
-        }
-        let uops = &block.uops;
+        let uops = &cache.get().block(id).uops;
         let n = uops.len();
-        let audit = opt.audit;
         let mut st = machine.exec_state();
 
-        // Straight-line µops: everything but the terminator. The audit and
-        // batch flags pick a whole-loop instantiation so the per-µop path
-        // tests nothing.
-        let r = match (audit, *batch_stats) {
-            (true, _) => exec_run::<true, false>(&mut st, &uops[..n - 1], func),
-            (false, true) => exec_run::<false, true>(&mut st, &uops[..n - 1], func),
-            (false, false) => exec_run::<false, false>(&mut st, &uops[..n - 1], func),
-        };
-        match r {
-            Ok(()) => {
-                if *batch_stats {
-                    if let Some(&c) = block.elided_counts.first() {
-                        st.bump_elided_checks(u64::from(c));
-                    }
-                }
+        // Straight-line µops: everything but the terminator.
+        if let Err((i, t)) = exec_run(&mut st, &uops[..n - 1], func) {
+            // Mirror the interpreter: the trapping µop retires and the pc
+            // is left pre-advanced past it.
+            st.retire_uops(i as u64 + 1);
+            *fast_uops += i as u64 + 1;
+            if let Some(pc) = trap_pc(&t) {
+                st.set_pc(pc.func, pc.index + 1);
             }
-            Err((i, t)) => {
-                if *batch_stats {
-                    st.bump_elided_checks(elided_in(&uops[..i]));
-                }
-                // Mirror the interpreter: the trapping µop retires and the
-                // pc is left pre-advanced past it.
-                st.retire_uops(i as u64 + 1);
-                *fast_uops += i as u64 + 1;
-                if let Some(pc) = trap_pc(&t) {
-                    st.set_pc(pc.func, pc.index + 1);
-                }
-                st.set_trap(t);
-                return false;
-            }
+            st.set_trap(t);
+            return false;
         }
 
         match uops[n - 1] {
@@ -551,10 +436,10 @@ impl<'c> Engine<'c> {
 
     /// Credits one dispatch of the block at `(func, entry)` to the
     /// profiler: one execution, the µops the machine retired across the
-    /// dispatch (guarded fallback paths and `Step` interpreter escapes
-    /// included — the delta is read from the machine's own retire counter,
-    /// so attribution follows wherever dispatch actually went), and the
-    /// block's static elided/taken check mix.
+    /// dispatch (`Step` interpreter escapes included — the delta is read
+    /// from the machine's own retire counter, so attribution follows
+    /// wherever dispatch actually went), and the block's static check
+    /// count.
     fn note_block_profile(&mut self, func: FuncId, entry: u32, id: usize, uops_before: u64) {
         let uops_after = self.machine.exec_state().uops();
         let Some(prof) = self.profile.as_mut() else {
@@ -574,7 +459,6 @@ impl<'c> Engine<'c> {
             let block = self.cache.get().block(id);
             cell.func = func.0;
             cell.entry = entry;
-            cell.static_elided = elided_in(&block.uops);
             cell.static_taken = block
                 .uops
                 .iter()
@@ -583,7 +467,6 @@ impl<'c> Engine<'c> {
         }
         cell.execs += 1;
         cell.cycles += uops_after - uops_before;
-        cell.elided += cell.static_elided;
         cell.taken += cell.static_taken;
     }
 
@@ -617,7 +500,6 @@ impl<'c> Engine<'c> {
                     name,
                     execs: cell.execs,
                     cycles: cell.cycles,
-                    elided: cell.elided,
                     taken: cell.taken,
                 },
             );
@@ -656,198 +538,16 @@ pub fn run_program(program: Program, cfg: MachineConfig) -> RunOutcome {
     Engine::new(Machine::new(program, cfg)).run()
 }
 
-/// Dispatches one guarded block: `uops[..fallback]` is the optimized
-/// stream, `uops[fallback..]` the verbatim original, and a failed
-/// [`Uop::Guard`] jumps from the former into the latter. Both streams are
-/// terminated, so whichever one dispatch ends on, the last µop of its
-/// slice is the terminator.
-///
-/// Dispatch runs guard-free *segments* with the same tight slice loop as
-/// [`Engine::exec_block`]'s fast path: each [`Uop::Guard`] carries the
-/// index of the next guard (`next`), so the only per-segment work beyond
-/// straight dispatch is the guard check itself — hoisted guards sit at
-/// index 0, and the scan below finds the first mid-stream guard without
-/// touching the hot per-µop path. A failed guard swaps the original copy
-/// in as the final (guard-free) segment.
-///
-/// Retired-µop accounting is explicit here: guards retire nothing (they
-/// exist only in the optimized stream), every other µop retires exactly
-/// one, which keeps `ExecStats::uops` — and therefore fuel and the
-/// `OutOfFuel` edge — bit-identical to the interpreter whichever stream
-/// finishes the block.
-fn exec_guarded<const AUDIT: bool, const BATCH: bool>(
-    machine: &mut Machine,
-    block: &Block,
-    func: FuncId,
-    fast_uops: &mut u64,
-    stepped_insts: &mut u64,
-) -> bool {
-    let uops = &block.uops;
-    let fallback = block.fallback as usize;
-    let mut st = machine.exec_state();
-    let mut retired: u64 = 0;
-    // The slice being dispatched: the optimized stream first; a failed
-    // guard swaps in the original copy. `seg_end` is the current
-    // guard-free segment's end: the next guard, or `end - 1` (terminator).
-    let (mut start, mut end) = (0usize, fallback);
-    let mut seg_end = uops[..fallback - 1]
-        .iter()
-        .position(|u| matches!(u, Uop::Guard { .. }))
-        .unwrap_or(fallback - 1);
-    // Segment ordinal into `block.elided_counts` (batched statistics);
-    // `usize::MAX` once diverted — the original copy replays its checks
-    // (and their statistics) in full.
-    let mut seg = 0usize;
-    let mut seg_base = 0u64;
-    let term = loop {
-        for &u in &uops[start..seg_end] {
-            match exec_straight::<AUDIT, BATCH>(&mut st, u, func) {
-                Ok(()) => retired += 1,
-                Err(t) => {
-                    if BATCH && seg != usize::MAX {
-                        // Credit the partial segment: every elided access
-                        // before the trapping µop executed.
-                        let done = (retired - seg_base) as usize;
-                        st.bump_elided_checks(elided_in(&uops[start..start + done]));
-                    }
-                    // Mirror the interpreter: the trapping µop retires and
-                    // the pc is left pre-advanced past it.
-                    st.retire_uops(retired + 1);
-                    *fast_uops += retired + 1;
-                    if let Some(pc) = trap_pc(&t) {
-                        st.set_pc(pc.func, pc.index + 1);
-                    }
-                    st.set_trap(t);
-                    return false;
-                }
-            }
-        }
-        if BATCH && seg != usize::MAX {
-            st.bump_elided_checks(u64::from(block.elided_counts[seg]));
-        }
-        if seg_end == end - 1 {
-            break uops[end - 1];
-        }
-        let Uop::Guard {
-            addr,
-            lo_off,
-            span,
-            resume,
-            next,
-        } = uops[seg_end]
-        else {
-            unreachable!("segment ends on a non-guard µop {:?}", uops[seg_end])
-        };
-        // Pass: fall through to the µops the guard protects. Fail: divert
-        // to the original copy of the first protected µop — never a trap,
-        // so a widened window can only send execution down the
-        // fully-checked path.
-        seg_base = retired;
-        if st.guard_check(addr, lo_off, span) {
-            seg += 1;
-            start = seg_end + 1;
-            seg_end = next as usize;
-        } else {
-            seg = usize::MAX;
-            start = resume as usize;
-            end = uops.len();
-            seg_end = end - 1;
-        }
-    };
-    match term {
-        Uop::BranchRR {
-            op,
-            rs1,
-            rs2,
-            target,
-            fall,
-        } => {
-            st.retire_uops(retired + 1);
-            *fast_uops += retired + 1;
-            let taken = op.eval(st.reg(rs1), st.reg(rs2));
-            st.set_pc(func, if taken { target } else { fall });
-            true
-        }
-        Uop::BranchRI {
-            op,
-            rs1,
-            imm,
-            target,
-            fall,
-        } => {
-            st.retire_uops(retired + 1);
-            *fast_uops += retired + 1;
-            let taken = op.eval(st.reg(rs1), imm);
-            st.set_pc(func, if taken { target } else { fall });
-            true
-        }
-        Uop::Jump { target } => {
-            st.retire_uops(retired + 1);
-            *fast_uops += retired + 1;
-            st.set_pc(func, target);
-            true
-        }
-        Uop::Fall { target } => {
-            st.retire_uops(retired);
-            *fast_uops += retired;
-            st.set_pc(func, target);
-            true
-        }
-        Uop::Call { func: callee, ret } => {
-            st.retire_uops(retired + 1);
-            *fast_uops += retired + 1;
-            st.set_pc(func, ret);
-            if let Err(t) = st.call(callee) {
-                st.set_trap(t);
-                false
-            } else {
-                true
-            }
-        }
-        Uop::Ret => {
-            st.retire_uops(retired + 1);
-            *fast_uops += retired + 1;
-            !st.ret()
-        }
-        Uop::Step { idx } => {
-            st.retire_uops(retired);
-            *fast_uops += retired;
-            st.set_pc(func, idx);
-            drop(st);
-            *stepped_insts += 1;
-            if let Err(t) = machine.step() {
-                machine.exec_state().set_trap(t);
-            }
-            false
-        }
-        u => unreachable!("non-terminator {u:?} at stream end"),
-    }
-}
-
-/// Runs a guard-free straight-line slice to completion; on a trap,
-/// returns the trapping µop's index alongside the trap. Outlined on
-/// purpose: each instantiation carries a full copy of the
-/// [`exec_straight`] match, and inlining all three into `exec_block`
-/// measurably slows the dispatch-bound fleet (one call per block is
-/// noise; a 3× larger dispatch body is not).
+/// Runs a straight-line slice to completion; on a trap, returns the
+/// trapping µop's index alongside the trap. Outlined on purpose: the
+/// [`exec_straight`] match is large, and keeping it out of `exec_block`
+/// keeps the block-transition path small (one call per block is noise).
 #[inline(never)]
-fn exec_run<const AUDIT: bool, const BATCH: bool>(
-    st: &mut ExecState<'_>,
-    uops: &[Uop],
-    func: FuncId,
-) -> Result<(), (usize, Trap)> {
+fn exec_run(st: &mut ExecState<'_>, uops: &[Uop], func: FuncId) -> Result<(), (usize, Trap)> {
     for (i, &u) in uops.iter().enumerate() {
-        exec_straight::<AUDIT, BATCH>(st, u, func).map_err(|t| (i, t))?;
+        exec_straight(st, u, func).map_err(|t| (i, t))?;
     }
     Ok(())
-}
-
-/// Elided accesses in `uops` — the cold re-scan that reconstructs batched
-/// statistics when a trap cuts a segment short.
-fn elided_in(uops: &[Uop]) -> u64 {
-    uops.iter()
-        .filter(|u| matches!(u, Uop::LoadHbElided { .. } | Uop::StoreHbElided { .. }))
-        .count() as u64
 }
 
 /// The faulting position of a trap raised by a straight-line µop.
@@ -861,21 +561,9 @@ fn trap_pc(t: &Trap) -> Option<Pc> {
     }
 }
 
-/// Executes one straight-line (non-terminator) µop. `AUDIT` is the
-/// optimizer's shadow-check mode: elided accesses re-run their eliminated
-/// check and panic on divergence. `BATCH` makes elided accesses skip their
-/// per-access statistics replay — the dispatcher credits whole segments
-/// instead (sound only when [`Machine::elided_stats_static`] holds; never
-/// combined with `AUDIT`). Both are const parameters so the hot
-/// instantiations carry no per-µop tests at all.
-///
-/// [`Machine::elided_stats_static`]: hardbound_core::Machine::elided_stats_static
+/// Executes one straight-line (non-terminator) µop.
 #[inline(always)]
-fn exec_straight<const AUDIT: bool, const BATCH: bool>(
-    st: &mut ExecState<'_>,
-    u: Uop,
-    func: FuncId,
-) -> Result<(), Trap> {
+fn exec_straight(st: &mut ExecState<'_>, u: Uop, func: FuncId) -> Result<(), Trap> {
     match u {
         Uop::Li { rd, imm } => st.set_reg(rd, imm, Meta::NONE),
         Uop::Mov { rd, rs } => st.set_reg(rd, st.reg(rs), st.reg_meta(rs)),
@@ -968,20 +656,6 @@ fn exec_straight<const AUDIT: bool, const BATCH: bool>(
             offset,
             pc,
         } => st.store_hb(pc, width, src, addr, offset)?,
-        Uop::LoadHbElided {
-            width,
-            rd,
-            addr,
-            offset,
-            pc,
-        } => st.load_hb_elided(pc, width, rd, addr, offset, AUDIT, !BATCH),
-        Uop::StoreHbElided {
-            width,
-            src,
-            addr,
-            offset,
-            pc,
-        } => st.store_hb_elided(pc, width, src, addr, offset, AUDIT, !BATCH),
         Uop::SetBoundRR { rd, rs, size, pc } => {
             st.count_setbound();
             let value = st.reg(rs);
@@ -1105,6 +779,17 @@ mod tests {
         assert!(s.cache.decoded <= 4, "few static blocks: {s:?}");
         assert!(s.blocks_executed > 100);
         assert!(s.fast_uops > 300);
+    }
+
+    #[test]
+    fn program_id_is_the_plain_program_fingerprint() {
+        let mut f = FunctionBuilder::new("main", 0);
+        f.li(Reg::A0, 0);
+        f.halt();
+        let program = Program::with_entry(vec![f.finish()]);
+        let cfg = MachineConfig::default();
+        let pid = ProgramId::of(&program, &cfg);
+        assert_eq!(Engine::new(Machine::new(program, cfg)).program_id(), pid);
     }
 
     #[test]
@@ -1289,64 +974,6 @@ mod tests {
             s.cache.decoded <= 4,
             "no whole-flush redecode storms: {s:?}"
         );
-    }
-
-    #[test]
-    fn optimizer_preserves_behaviour_on_a_check_dense_loop() {
-        // Hoisting fires (self-loop, invariant base) and the guard passes
-        // every iteration: the optimized run must still match the
-        // interpreter on every observable, stats included.
-        let build = || {
-            let mut f = FunctionBuilder::new("optloop", 0);
-            f.li(Reg::A0, 0);
-            f.li(Reg::T0, hardbound_isa::layout::HEAP_BASE);
-            f.setbound_imm(Reg::A1, Reg::T0, 64);
-            let head = f.bind_label();
-            f.load(Width::Word, Reg::A2, Reg::A1, 0);
-            f.load(Width::Word, Reg::A3, Reg::A1, 4);
-            f.addi(Reg::A0, Reg::A0, 1);
-            let done = f.new_label();
-            f.branch(CmpOp::Ge, Reg::A0, 50, done);
-            f.jump(head);
-            f.bind(done);
-            f.li(Reg::A0, 0);
-            f.halt();
-            Program::with_entry(vec![f.finish()])
-        };
-        let interp = Machine::new(build(), MachineConfig::default()).run();
-        for opt in [OptConfig::ON, OptConfig::AUDIT] {
-            let mut e = Engine::with_opt(Machine::new(build(), MachineConfig::default()), opt);
-            let out = e.run();
-            assert_eq!(out, interp, "opt {opt:?} diverged");
-        }
-    }
-
-    #[test]
-    fn failed_guard_falls_back_and_traps_where_the_original_would() {
-        // The widened window [0,16) exceeds the 8-byte object, so the
-        // guard fails every time; the fallback path must run the original
-        // checks and trap at the second load's pc, exactly like the
-        // interpreter.
-        let build = || {
-            let mut f = FunctionBuilder::new("optfail", 0);
-            f.li(Reg::A0, hardbound_isa::layout::HEAP_BASE);
-            f.setbound_imm(Reg::A1, Reg::A0, 8);
-            f.load(Width::Word, Reg::A2, Reg::A1, 0);
-            f.load(Width::Word, Reg::A3, Reg::A1, 12); // out of bounds
-            f.halt();
-            Program::with_entry(vec![f.finish()])
-        };
-        let interp = Machine::new(build(), MachineConfig::default()).run();
-        assert!(
-            matches!(interp.trap, Some(Trap::BoundsViolation { .. })),
-            "{:?}",
-            interp.trap
-        );
-        for opt in [OptConfig::ON, OptConfig::AUDIT] {
-            let mut e = Engine::with_opt(Machine::new(build(), MachineConfig::default()), opt);
-            let out = e.run();
-            assert_eq!(out, interp, "opt {opt:?} diverged");
-        }
     }
 
     #[test]

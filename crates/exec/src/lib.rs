@@ -10,9 +10,8 @@
 //! then executes cached blocks in a tight dispatch loop:
 //!
 //! 1. [`uop`] pre-decodes instructions into configuration-resolved
-//!    micro-operations; with `HB_OPT` set, the static bounds-check
-//!    optimizer ([`ir`] + [`opt`]) then proves checks redundant at decode
-//!    time and deletes, hoists, or coalesces them,
+//!    micro-operations, materializing every bounds check the hardware
+//!    performs (none is ever elided: the simulated counts are exact),
 //! 2. [`block`] caches decoded blocks in a [`SharedBlockCache`] keyed by
 //!    `(`[`ProgramId`]`, entry PC)` — one segmented-LRU cache serving any
 //!    number of machines and programs, with eviction and program-scoped
@@ -57,15 +56,12 @@
 pub mod batch;
 pub mod block;
 pub mod engine;
-pub mod ir;
-pub mod opt;
 pub mod service;
 mod slru;
 pub mod uop;
 
 pub use block::{Block, BlockCacheStats, Fnv64, ProgramId, SharedBlockCache};
 pub use engine::{run_program, Engine, EngineStats};
-pub use opt::{optimize, OptConfig, OptStats};
 pub use service::{
     config_fingerprint, CorpusService, Job, ResultStore, ResultStoreStats, ServiceStats, StoreKey,
 };

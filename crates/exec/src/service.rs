@@ -459,17 +459,9 @@ impl CorpusService {
         let mut first_of: HashMap<(ProgramId, u64), usize> = HashMap::new();
         let mut replay_of: Vec<Option<usize>> = vec![None; jobs.len()];
         for (i, &key) in keys.iter().enumerate() {
-            // Approximate-mode jobs (`HierPath::Sampled`) are excluded from
-            // every identity path: their stall estimates share a stable
-            // fingerprint with the exact twins (the fingerprint deliberately
-            // covers only simulated-hardware fields), so replaying an exact
-            // outcome for them — or worse, storing an estimate where an
-            // exact run would later replay it — would corrupt the store's
-            // byte-identity contract. They always execute, and never insert.
-            let identity = self.result_cache && !jobs[i].config.hier_path.is_sampled();
-            match identity.then(|| self.store.lookup(key)).flatten() {
+            match self.result_cache.then(|| self.store.lookup(key)).flatten() {
                 Some(out) => results[i] = Some(out),
-                None if identity => match first_of.get(&key) {
+                None if self.result_cache => match first_of.get(&key) {
                     // A duplicate of a cell already executing in this
                     // batch: replay its outcome instead of re-simulating.
                     // The store lookup above counted it as a miss;
@@ -511,7 +503,7 @@ impl CorpusService {
             t.emit(vec![("jobs".to_owned(), Field::from(jobs.len() as u64))]);
         }
         for (&i, out) in missing.iter().zip(fresh) {
-            if self.result_cache && !jobs[i].config.hier_path.is_sampled() {
+            if self.result_cache {
                 self.store.insert(keys[i], out.clone());
             }
             results[i] = Some(out);
@@ -671,39 +663,6 @@ mod tests {
             s.cache.hits > 0,
             "the shared decode cache still serves the second run: {s:?}"
         );
-    }
-
-    #[test]
-    fn sampled_jobs_bypass_the_result_store_entirely() {
-        use hardbound_core::HierPath;
-        let mut svc = CorpusService::new(2);
-        let exact = job(10, 1_000_000);
-        let mut sampled = exact.clone();
-        sampled.config = sampled.config.clone().with_hier_path(HierPath::sampled(8));
-        // The exact and sampled configs deliberately share a fingerprint…
-        assert_eq!(exact.key(), sampled.key());
-
-        // …so a sampled run right after an exact one must not replay the
-        // exact outcome (it executes), and must not overwrite the store.
-        let exact_out = svc.run_one(&exact, build);
-        let before = svc.stats().store;
-        let sampled_out = svc.run_one(&sampled, build);
-        let after = svc.stats().store;
-        assert_eq!(after.hits, before.hits, "sampled job never replays");
-        assert_eq!(after.stored, before.stored, "sampled job never stores");
-        assert_eq!(sampled_out.exit_code, exact_out.exit_code);
-
-        // A cold store stays cold across a sampled batch, including
-        // intra-batch duplicates — both execute.
-        let mut cold = CorpusService::new(2);
-        let outs = cold.run_batch(&[sampled.clone(), sampled.clone()], build);
-        assert_eq!(outs[0], outs[1]);
-        assert_eq!(cold.stats().store_len, 0);
-        assert_eq!(cold.stats().store.hits, 0);
-
-        // And the exact cell is still replayable afterwards.
-        let replay = svc.run_one(&exact, build);
-        assert_eq!(replay, exact_out, "exact entry undisturbed");
     }
 
     #[test]

@@ -181,60 +181,6 @@ pub enum Uop {
         /// Own position (trap pc).
         pc: Pc,
     },
-    /// A HardBound load whose bounds check and region probe the optimizer
-    /// proved redundant (covered by a dominating check or a passed
-    /// [`Uop::Guard`] on the same pointer value). Executes the load and
-    /// replays every statistic the full check would have charged, but skips
-    /// the compare itself.
-    LoadHbElided {
-        /// Access width.
-        width: Width,
-        /// Destination.
-        rd: Reg,
-        /// Address register.
-        addr: Reg,
-        /// Constant byte offset.
-        offset: i32,
-        /// Own position (trap pc; kept so `HB_OPT_AUDIT` can name the site).
-        pc: Pc,
-    },
-    /// A HardBound store with an optimizer-elided check (dual of
-    /// [`Uop::LoadHbElided`]).
-    StoreHbElided {
-        /// Access width.
-        width: Width,
-        /// Value register.
-        src: Reg,
-        /// Address register.
-        addr: Reg,
-        /// Constant byte offset.
-        offset: i32,
-        /// Own position (trap pc).
-        pc: Pc,
-    },
-    /// A widened range check inserted by the coalescing/hoisting passes:
-    /// passes iff `addr`'s sidecar metadata is a pointer whose bounds (and
-    /// the machine's address regions) admit the whole window
-    /// `[r(addr)+lo_off, r(addr)+lo_off+span)`. Retires **no** µop, charges
-    /// **no** statistics, and never traps: on failure the block diverts to
-    /// index `resume` in the appended original-copy region, where unmodified
-    /// µops re-run every check and trap exactly where the unoptimized block
-    /// would have.
-    Guard {
-        /// Address register the guarded group indexes off.
-        addr: Reg,
-        /// Lowest byte offset covered, relative to `r(addr)`.
-        lo_off: i32,
-        /// Window size in bytes (covers `[lo_off, lo_off + span)`).
-        span: u32,
-        /// Fallback µop index (into the original-copy region) on failure.
-        resume: u32,
-        /// Index of the next [`Uop::Guard`] in the optimized stream, or of
-        /// the stream's terminator if this is the last one. Dispatch runs
-        /// `[here + 1, next)` as a plain straight-line segment, so guards
-        /// cost nothing per covered µop.
-        next: u32,
-    },
     /// `setbound` with the size in a register.
     SetBoundRR {
         /// Destination.
@@ -558,26 +504,10 @@ impl CodeSpan {
 /// A decoded superblock: the µop array plus the code ranges it covers.
 #[derive(Clone, Debug)]
 pub struct DecodedBlock {
-    /// Pre-decoded µops; one per instruction, terminator last. When
-    /// `fallback != 0` the array holds **two** terminated streams: the
-    /// optimized stream in `uops[..fallback]` and a verbatim copy of the
-    /// original block in `uops[fallback..]`, which failed [`Uop::Guard`]s
-    /// divert into.
+    /// Pre-decoded µops; one per instruction, terminator last.
     pub uops: Box<[Uop]>,
     /// Covered instruction ranges, one (hull) span per involved function.
     pub spans: Box<[CodeSpan]>,
-    /// `0` for an ordinary block; otherwise the index where the appended
-    /// original copy begins (guarded blocks only — index 0 is always inside
-    /// the optimized stream, so 0 is unambiguous as "no fallback").
-    pub fallback: u32,
-    /// Elided-access count per guard-free segment of the optimized stream
-    /// (one entry when `fallback == 0`, `guards + 1` entries otherwise;
-    /// empty for unoptimized blocks). When the machine's elided statistics
-    /// are static ([`Machine::elided_stats_static`]), dispatch credits a
-    /// whole completed segment in one bump instead of replaying per access.
-    ///
-    /// [`Machine::elided_stats_static`]: hardbound_core::Machine::elided_stats_static
-    pub elided_counts: Box<[u32]>,
 }
 
 /// Extends the hull span of `func` (or opens one) to cover `[lo, hi)`.
@@ -693,8 +623,6 @@ pub fn decode_block(
     DecodedBlock {
         uops: uops.into_boxed_slice(),
         spans: spans.into_boxed_slice(),
-        fallback: 0,
-        elided_counts: Box::default(),
     }
 }
 

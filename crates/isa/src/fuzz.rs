@@ -212,11 +212,11 @@ pub fn insts(seed: u64, n: usize) -> Vec<Inst> {
 /// re-loads, and a strided array walk through a rewritten cursor.
 ///
 /// Where [`insts`] produces unstructured instruction soup (good at
-/// straight-line redundancy, terrible at loops), this family is shaped so
-/// the bounds-check optimizer's hoisting and coalescing passes actually
-/// fire — while the randomized object sizes, field counts, strides, and
-/// trip counts make some walks run off their array's bound mid-loop, which
-/// pins trap-site identity under optimization. The result is a complete,
+/// straight-line redundancy, terrible at loops), this family keeps the
+/// same bounds checks hot inside one self-loop superblock — while the
+/// randomized object sizes, field counts, strides, and trip counts make
+/// some walks run off their array's bound mid-loop, which pins trap-site
+/// identity inside cached blocks. The result is a complete,
 /// structurally valid function body (branch targets in range, `Halt`
 /// last); everything is a pure function of `seed`.
 #[must_use]
@@ -259,9 +259,9 @@ pub fn loop_insts(seed: u64) -> Vec<Inst> {
         },
     ];
     let head = insts.len() as u32;
-    // Adjacent struct fields off the invariant base: coalescing fodder in
-    // a straight block, hoisting fodder once the back edge makes the
-    // decoded superblock a self-loop.
+    // Adjacent struct fields off the invariant base, re-checked every
+    // iteration once the back edge makes the decoded superblock a
+    // self-loop.
     for field in 0..2 + rng.below(3) {
         insts.push(Inst::Load {
             width: Width::Word,
@@ -276,8 +276,8 @@ pub fn loop_insts(seed: u64) -> Vec<Inst> {
             rs2: Operand::Reg(tmp),
         });
     }
-    // Sometimes store back to a just-checked field: a subset window for
-    // redundant-check elimination.
+    // Sometimes store back to a just-checked field: a subset of an
+    // earlier check's window.
     if rng.below(2) == 0 {
         insts.push(Inst::Store {
             width: Width::Word,
@@ -286,7 +286,7 @@ pub fn loop_insts(seed: u64) -> Vec<Inst> {
             offset: 0,
         });
     }
-    // The strided walk; a repeated load is pure RCE fodder.
+    // The strided walk, sometimes with a repeated load.
     insts.push(Inst::Load {
         width: Width::Word,
         rd: tmp,
@@ -315,7 +315,7 @@ pub fn loop_insts(seed: u64) -> Vec<Inst> {
         rs2: Operand::Imm(1),
     });
     // Some (trips, stride) draws walk past the array bound mid-loop and
-    // must trap there — optimized and unoptimized alike.
+    // must trap there — on every execution path alike.
     let trips = 3 + rng.below(6) as i32; // 3..=8
     insts.push(Inst::Branch {
         op: CmpOp::Lt,

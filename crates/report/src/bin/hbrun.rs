@@ -5,7 +5,7 @@
 //! cargo run -p hardbound-report --bin hbrun -- program.cb \
 //!     [--mode baseline|malloc-only|hardbound|softbound|objtable] \
 //!     [--encoding extern-4|intern-4|intern-11] [--stats] [--metrics] \
-//!     [--disasm] [--engine|--interp] [--opt|--no-opt] [--profile]
+//!     [--disasm] [--engine|--interp] [--profile]
 //! ```
 //!
 //! Inputs ending in `.s` are treated as assembly listings in the
@@ -44,7 +44,7 @@ use std::process::ExitCode;
 
 use hardbound_compiler::Mode;
 use hardbound_core::{checked_ratio, MetaPath, PointerEncoding};
-use hardbound_exec::{Engine, OptConfig};
+use hardbound_exec::Engine;
 use hardbound_isa::Program;
 use hardbound_runtime::{
     build_machine_with_config, compile, compile_cache_stats, engine_default, env_flag,
@@ -111,28 +111,19 @@ fn parse_args() -> Result<Args, String> {
             "--stats" => stats = true,
             "--metrics" => metrics = true,
             "--disasm" => disasm = true,
-            // Same env plumbing as --opt: engines read HB_PROF once at
-            // construction, and nothing constructs one before argument
-            // parsing finishes.
+            // Engines read HB_PROF once at construction, and nothing
+            // constructs one before argument parsing finishes.
             "--profile" => {
                 profile = true;
                 std::env::set_var("HB_PROF", "1");
             }
             "--engine" => engine = true,
             "--interp" => engine = false,
-            // The optimizer rides the same env plumbing every other layer
-            // reads (`OptConfig::from_env` at engine construction), so the
-            // flags just pin the variables before anything resolves them.
-            "--opt" => std::env::set_var("HB_OPT", "1"),
-            "--no-opt" => {
-                std::env::set_var("HB_OPT", "0");
-                std::env::set_var("HB_OPT_AUDIT", "0");
-            }
             "--help" | "-h" => {
                 return Err(
                     "usage: hbrun FILE.{cb,s} [FILE.{cb,s} ...] [--mode M] [--encoding E] \
-                     [--stats] [--metrics] [--disasm] [--engine|--interp] [--opt|--no-opt] \
-                     [--profile] [--meta summary|walk|charge]"
+                     [--stats] [--metrics] [--disasm] [--engine|--interp] [--profile] \
+                     [--meta summary|walk|charge]"
                         .to_owned(),
                 )
             }
@@ -316,38 +307,21 @@ fn main() -> ExitCode {
         );
         if args.engine {
             // Hierarchy lookup-machinery activity, read back from the
-            // process registry (the engine records residency-filter and
-            // sampling counters there after each run).
+            // process registry (the engine records residency-filter
+            // counters there after each run).
             let (fast_hits, fast_misses) = (
                 registry.counter("hb_hier_fastpath_hits"),
                 registry.counter("hb_hier_fastpath_misses"),
             );
             eprintln!(
-                "hier fast path:  {} proofs, {} scans ({:.1}% proved){}",
+                "hier fast path:  {} proofs, {} scans ({:.1}% proved)",
                 fast_hits,
                 fast_misses,
                 100.0 * checked_ratio(fast_hits, fast_hits + fast_misses),
-                match registry.counter("hb_hier_sampled_sets") {
-                    0 => String::new(),
-                    n => format!(", {n} sampled sets [APPROXIMATE]"),
-                }
             );
         }
         let cc = compile_cache_stats();
         eprintln!("compile cache:   {} hits, {} misses", cc.hits, cc.misses);
-        let opt = OptConfig::from_env();
-        if opt.enabled {
-            // Decode-time optimizer activity, read back from the process
-            // registry (the engine records there as it optimizes blocks).
-            eprintln!(
-                "opt checks:      {} emitted, {} elided, {} hoisted, {} coalesced{}",
-                registry.counter("hb_checks_emitted"),
-                registry.counter("hb_checks_elided"),
-                registry.counter("hb_checks_hoisted"),
-                registry.counter("hb_checks_coalesced"),
-                if opt.audit { " [audited]" } else { "" }
-            );
-        }
         if through_service {
             let remote = remote_stats();
             if remote.round_trips > 0 {

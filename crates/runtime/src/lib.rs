@@ -62,22 +62,37 @@ use hardbound_serve::{
 };
 use hardbound_telemetry::{trace, Counter, Field, Histogram, SpanId, SpanTimer, TraceCtx};
 
-/// Parses one `HB_*` boolean flag value: `0`, `false` (any case) and the
-/// empty string mean *off*; anything else means *on*. This is the one
-/// shared definition every flag-shaped environment variable routes
-/// through, so `HB_INTERP=FALSE` and `HB_INTERP=false` can never drift
-/// apart again.
-#[must_use]
-pub fn parse_flag(value: &str) -> bool {
-    let v = value.trim();
-    !(v.is_empty() || v == "0" || v.eq_ignore_ascii_case("false"))
+/// Parses the value of the boolean `HB_*` flag `name`: `on`, `1` and
+/// `true` mean on; `off`, `0` and `false` mean off (any case, surrounding
+/// whitespace ignored); the empty string means unset (`Ok(None)`). This is
+/// the one shared definition every flag-shaped environment variable
+/// routes through.
+///
+/// # Errors
+///
+/// Any other spelling is rejected with a diagnostic naming the variable
+/// and quoting the value — `HB_META_FAST=no` must not silently read as on.
+pub fn parse_flag(name: &str, value: &str) -> Result<Option<bool>, String> {
+    match value.trim().to_ascii_lowercase().as_str() {
+        "" => Ok(None),
+        "on" | "1" | "true" => Ok(Some(true)),
+        "off" | "0" | "false" => Ok(Some(false)),
+        _ => Err(format!(
+            "{name} must be one of on/off/1/0/true/false, got `{value}`"
+        )),
+    }
 }
 
-/// Reads the environment flag `name`: `None` when unset, otherwise
-/// [`parse_flag`] of its value.
+/// Reads the environment flag `name`: `None` when unset or empty,
+/// otherwise [`parse_flag`] of its value.
+///
+/// # Panics
+///
+/// Panics with [`parse_flag`]'s diagnostic on an unrecognized value.
 #[must_use]
 pub fn env_flag(name: &str) -> Option<bool> {
-    std::env::var(name).ok().map(|v| parse_flag(&v))
+    let value = std::env::var(name).ok()?;
+    parse_flag(name, &value).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Reads and parses the environment variable `name` as a `T`: `Ok(None)`
@@ -258,22 +273,10 @@ pub fn meta_path_default() -> MetaPath {
     }
 }
 
-/// The default [`HierPath`], from the environment:
-///
-/// * `HB_HIER_SAMPLE=K` (power of two ≥ 2) selects the explicitly
-///   *approximate* 1-in-K set-sampled hierarchy — capacity-planning
-///   sweeps only; never stored, never shipped to a server;
-/// * otherwise `HB_HIER_FAST` (default on) selects the exact event-driven
-///   fast path, and `HB_HIER_FAST=0` the exact reference walk.
-///
-/// # Panics
-///
-/// Panics when `HB_HIER_SAMPLE` is set to anything but a power of two ≥ 2.
+/// The default [`HierPath`]: the exact event-driven fast path, unless
+/// `HB_HIER_FAST=0` selects the exact reference walk.
 #[must_use]
 pub fn hier_path_default() -> HierPath {
-    if let Some(k) = env_parse::<u32>("HB_HIER_SAMPLE").unwrap_or_else(|e| panic!("{e}")) {
-        return HierPath::sampled(k);
-    }
     if env_flag("HB_HIER_FAST").unwrap_or(true) {
         HierPath::Event
     } else {
@@ -417,8 +420,8 @@ pub fn compile_and_run(
 }
 
 /// Whether the block execution engine is the default execution path.
-/// Setting `HB_INTERP=1` (any value except `0`, `false` in any case, or
-/// empty — see [`parse_flag`]) in the environment is the global `--interp`
+/// Setting `HB_INTERP=1` (or `on`/`true` in any case — see
+/// [`parse_flag`]) in the environment is the global `--interp`
 /// escape hatch: every driver that runs through [`run_machine`] falls back
 /// to the one-µop-per-step interpreter.
 #[must_use]
@@ -686,17 +689,6 @@ pub fn run_jobs(jobs: Vec<SimJob>) -> Vec<RunOutcome> {
         });
     }
     if let Some(addrs) = serve_addrs() {
-        // The wire codec deliberately does not express `hier_path`:
-        // `Sampled` is approximate and shares a stable fingerprint with its
-        // exact twins, so shipping such a job would silently run `Event` on
-        // the server and hand back an exact outcome the caller believes is
-        // sampled (or worse, a warm-store replay). Fail loudly instead.
-        assert!(
-            !jobs.iter().any(|j| j.config.hier_path.is_sampled()),
-            "HierPath::Sampled cannot run through HB_SERVE_ADDR: the wire \
-             protocol deliberately does not express approximate hierarchy \
-             modes. Unset HB_HIER_SAMPLE (or HB_SERVE_ADDR) for this grid."
-        );
         return run_jobs_remote_to(&addrs, &jobs);
     }
     let jobs: Vec<Job<Mode>> = jobs
@@ -1035,14 +1027,26 @@ mod tests {
 
     #[test]
     fn flag_parsing_is_case_insensitive_and_matches_the_docs() {
-        // "any value except `0`, `false`, or empty" — in any case, with
-        // surrounding whitespace tolerated. `HB_INTERP=FALSE` used to
-        // enable the interpreter because the comparison was case-sensitive.
-        for off in ["", "0", "false", "FALSE", "False", " false ", " 0 "] {
-            assert!(!parse_flag(off), "`{off}` must read as off");
+        // on/off/1/0/true/false in any case, with surrounding whitespace
+        // tolerated. `HB_INTERP=FALSE` used to enable the interpreter
+        // because the comparison was case-sensitive.
+        for off in [
+            "0", "false", "FALSE", "False", " false ", " 0 ", "off", "OFF",
+        ] {
+            assert_eq!(parse_flag("HB_X", off), Ok(Some(false)), "`{off}`");
         }
-        for on in ["1", "true", "TRUE", "yes", "on", "2", "x"] {
-            assert!(parse_flag(on), "`{on}` must read as on");
+        for on in ["1", "true", "TRUE", "on", "On", " on "] {
+            assert_eq!(parse_flag("HB_X", on), Ok(Some(true)), "`{on}`");
+        }
+        for unset in ["", "  "] {
+            assert_eq!(parse_flag("HB_X", unset), Ok(None), "`{unset}`");
+        }
+        // Anything else is an error naming the variable and quoting the
+        // value, so a misspelled flag can never silently flip a layer.
+        for bad in ["no", "yes", "2", "x", "enable", "of", "-1", "0x1"] {
+            let err = parse_flag("HB_META_FAST", bad).expect_err(bad);
+            assert!(err.contains("HB_META_FAST"), "{err}");
+            assert!(err.contains(&format!("`{bad}`")), "{err}");
         }
     }
 

@@ -2129,7 +2129,6 @@ mod tests {
                         name: "seeded".into(),
                         execs: 1,
                         cycles: 5,
-                        elided: 0,
                         taken: 0,
                     },
                 );

@@ -2,7 +2,7 @@
 //!
 //! The block engine attributes retire work to the superblock it executed
 //! (see `exec::Engine`): exec count, retired-µop cycles, and bounds checks
-//! elided/taken. Those per-block counters land here as a [`Profile`] —
+//! taken. Those per-block counters land here as a [`Profile`] —
 //! a map keyed by `(program fingerprint, function, entry index)`, which is
 //! stable across processes because the program fingerprint is the same
 //! pinned serialization the result store and wire protocol use. That
@@ -44,8 +44,6 @@ pub struct BlockStat {
     /// executing it (check and metadata µops included). Hierarchy stall
     /// cycles are accounted globally in `ExecStats`, not per block.
     pub cycles: u64,
-    /// Bounds checks elided by the static bounds-check optimizer.
-    pub elided: u64,
     /// Bounds checks actually performed.
     pub taken: u64,
 }
@@ -57,7 +55,6 @@ impl BlockStat {
         }
         self.execs += other.execs;
         self.cycles += other.cycles;
-        self.elided += other.elided;
         self.taken += other.taken;
     }
 }
@@ -132,8 +129,8 @@ impl Profile {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "{:>5}  {:>24}  {:>12}  {:>14}  {:>6}  {:>10}  {:>10}",
-            "rank", "block", "execs", "cycles", "cyc%", "elided", "taken"
+            "{:>5}  {:>24}  {:>12}  {:>14}  {:>6}  {:>10}",
+            "rank", "block", "execs", "cycles", "cyc%", "taken"
         );
         let rows = self.ranked();
         let shown = if limit == 0 { rows.len() } else { limit };
@@ -141,13 +138,12 @@ impl Profile {
             let label = format!("{}@{}", s.name, key.entry);
             let _ = writeln!(
                 out,
-                "{:>5}  {:>24}  {:>12}  {:>14}  {:>5.1}%  {:>10}  {:>10}",
+                "{:>5}  {:>24}  {:>12}  {:>14}  {:>5.1}%  {:>10}",
                 rank + 1,
                 label,
                 s.execs,
                 s.cycles,
                 100.0 * s.cycles as f64 / total as f64,
-                s.elided,
                 s.taken
             );
         }
@@ -171,19 +167,19 @@ impl Profile {
     }
 
     /// Serializes to the parseable line form that crosses the `hbserve`
-    /// wire: a `hbprof 1` header, then one
-    /// `prog func entry execs cycles elided taken name` line per block
+    /// wire: a `hbprof 2` header, then one
+    /// `prog func entry execs cycles taken name` line per block
     /// (name last so it may contain spaces). Inverse of
     /// [`Profile::from_text`].
     #[must_use]
     pub fn to_text(&self) -> String {
         use std::fmt::Write as _;
-        let mut out = String::from("hbprof 1\n");
+        let mut out = String::from("hbprof 2\n");
         for (key, s) in &self.blocks {
             let _ = writeln!(
                 out,
-                "{:016x} {} {} {} {} {} {} {}",
-                key.prog, key.func, key.entry, s.execs, s.cycles, s.elided, s.taken, s.name
+                "{:016x} {} {} {} {} {} {}",
+                key.prog, key.func, key.entry, s.execs, s.cycles, s.taken, s.name
             );
         }
         out
@@ -193,7 +189,7 @@ impl Profile {
     pub fn from_text(text: &str) -> Result<Profile, String> {
         let mut lines = text.lines();
         match lines.next() {
-            Some("hbprof 1") => {}
+            Some("hbprof 2") => {}
             other => return Err(format!("bad profile header: {other:?}")),
         }
         let mut p = Profile::new();
@@ -201,7 +197,7 @@ impl Profile {
             if line.is_empty() {
                 continue;
             }
-            let mut parts = line.splitn(8, ' ');
+            let mut parts = line.splitn(7, ' ');
             let mut field = |what: &str| {
                 parts
                     .next()
@@ -216,7 +212,6 @@ impl Profile {
             let entry = num(field("entry")?, "entry")? as u32;
             let execs = num(field("execs")?, "execs")?;
             let cycles = num(field("cycles")?, "cycles")?;
-            let elided = num(field("elided")?, "elided")?;
             let taken = num(field("taken")?, "taken")?;
             let name = field("name")?.to_string();
             p.record(
@@ -225,7 +220,6 @@ impl Profile {
                     name,
                     execs,
                     cycles,
-                    elided,
                     taken,
                 },
             );
@@ -278,12 +272,11 @@ pub fn global() -> &'static SharedProfile {
 mod tests {
     use super::*;
 
-    fn stat(name: &str, execs: u64, cycles: u64, elided: u64, taken: u64) -> BlockStat {
+    fn stat(name: &str, execs: u64, cycles: u64, taken: u64) -> BlockStat {
         BlockStat {
             name: name.into(),
             execs,
             cycles,
-            elided,
             taken,
         }
     }
@@ -297,13 +290,10 @@ mod tests {
         let mut shards = Vec::new();
         for i in 0..3u64 {
             let mut p = Profile::new();
-            p.record(
-                key(0xabc, 0, 0),
-                &stat("main", i + 1, 10 * (i + 1), i, 2 * i),
-            );
-            p.record(key(0xabc, 1, 4), &stat("loop", 5, 50, 0, 5));
+            p.record(key(0xabc, 0, 0), &stat("main", i + 1, 10 * (i + 1), 2 * i));
+            p.record(key(0xabc, 1, 4), &stat("loop", 5, 50, 5));
             if i == 2 {
-                p.record(key(0xdef, 0, 0), &stat("other", 7, 7, 1, 1));
+                p.record(key(0xdef, 0, 0), &stat("other", 7, 7, 1));
             }
             shards.push(p);
         }
@@ -314,7 +304,7 @@ mod tests {
         let per_shard: u64 = shards.iter().map(Profile::total_execs).sum();
         assert_eq!(merged.total_execs(), per_shard);
         let m = &merged.blocks[&key(0xabc, 0, 0)];
-        assert_eq!((m.execs, m.cycles, m.elided, m.taken), (6, 60, 3, 6));
+        assert_eq!((m.execs, m.cycles, m.taken), (6, 60, 6));
         assert_eq!(merged.blocks[&key(0xabc, 1, 4)].execs, 15);
         assert_eq!(merged.blocks[&key(0xdef, 0, 0)].execs, 7);
     }
@@ -322,20 +312,20 @@ mod tests {
     #[test]
     fn text_round_trips() {
         let mut p = Profile::new();
-        p.record(key(0x1234, 0, 0), &stat("main", 3, 41, 2, 9));
-        p.record(key(0x1234, 2, 17), &stat("hot loop", 100, 9000, 64, 36));
+        p.record(key(0x1234, 0, 0), &stat("main", 3, 41, 9));
+        p.record(key(0x1234, 2, 17), &stat("hot loop", 100, 9000, 36));
         let round = Profile::from_text(&p.to_text()).unwrap();
         assert_eq!(round, p);
-        assert_eq!(Profile::from_text("hbprof 1\n").unwrap(), Profile::new());
-        assert!(Profile::from_text("hbprof 2\n").is_err());
-        assert!(Profile::from_text("hbprof 1\n1234 0 0 3\n").is_err());
+        assert_eq!(Profile::from_text("hbprof 2\n").unwrap(), Profile::new());
+        assert!(Profile::from_text("hbprof 1\n").is_err());
+        assert!(Profile::from_text("hbprof 2\n1234 0 0 3\n").is_err());
     }
 
     #[test]
     fn table_ranks_by_cycles_and_folded_is_deterministic() {
         let mut p = Profile::new();
-        p.record(key(1, 0, 0), &stat("cold", 1, 10, 0, 1));
-        p.record(key(1, 1, 8), &stat("hot", 90, 990, 3, 7));
+        p.record(key(1, 0, 0), &stat("cold", 1, 10, 1));
+        p.record(key(1, 1, 8), &stat("hot", 90, 990, 7));
         let table = p.render_table(0);
         let hot_at = table.find("hot@8").unwrap();
         let cold_at = table.find("cold@0").unwrap();
@@ -349,7 +339,7 @@ mod tests {
     fn shared_profile_accumulates() {
         let shared = SharedProfile::new();
         let mut p = Profile::new();
-        p.record(key(9, 0, 0), &stat("f", 2, 20, 0, 0));
+        p.record(key(9, 0, 0), &stat("f", 2, 20, 0));
         shared.add(&p);
         shared.add(&p);
         assert_eq!(shared.snapshot().total_execs(), 4);

@@ -354,7 +354,7 @@ fn open_sink(path: &Path) -> std::io::Result<()> {
 static PANIC_FLUSH: Once = Once::new();
 
 /// Chains a panic hook that flushes the JSONL sink before unwinding
-/// proceeds, so a trap-path assert or `HB_OPT_AUDIT` panic cannot strand
+/// proceeds, so a trap-path assert or any other panic cannot strand
 /// the final spans in the `BufWriter`. Installed once, only after a sink
 /// exists — a process that never traces keeps the stock hook.
 fn install_panic_flush() {

@@ -4,7 +4,10 @@
 //! the same program counters, and the same `ExecStats` down to every
 //! counter (µops, bounds checks, stall cycles, distinct pages) — across
 //! **all 15 mode × encoding configurations**, over benign programs, the
-//! violation corpus, compiled workloads, and sanitized fuzz programs.
+//! violation corpus, compiled workloads, sanitized fuzz programs, and the
+//! loop-heavy `isa::fuzz` family. The **full** corpus (every pair, both
+//! sources) runs under the paper's default configuration, and generated
+//! pointer-soup programs (straight-line and looped) run as properties.
 //!
 //! The same four-way matrix additionally pins the **metadata fast path**:
 //! each program runs under `MetaPath::Summary` (per-page counters) and
@@ -20,10 +23,12 @@
 
 use hardbound::compiler::Mode;
 use hardbound::core::{HierPath, Machine, MachineConfig, MetaPath, PointerEncoding, RunOutcome};
-use hardbound::exec::{Engine, OptConfig};
-use hardbound::isa::{fuzz, FuncId, Function, Inst, Program, SysCall};
+use hardbound::exec::Engine;
+use hardbound::isa::{fuzz, layout, FuncId, Function, FunctionBuilder, Inst, Program, Reg};
+use hardbound::isa::{SysCall, Width};
 use hardbound::runtime::{build_machine, build_machine_with_config, compile, machine_config};
 use hardbound::workloads::{by_name, Scale};
+use proptest::prelude::*;
 
 const ALL_MODES: [Mode; 5] = [
     Mode::Baseline,
@@ -48,12 +53,16 @@ fn assert_identical(label: &str, interp: &RunOutcome, engine: &RunOutcome) {
     assert_eq!(engine.stats, interp.stats, "{label}: ExecStats");
 }
 
-/// Compiles `source` under `mode` and runs it eight ways — interpreter,
-/// engine, engine+opt, and engine+opt+audit, each under the summary fast
-/// path and the unsummarized walk — asserting all outcomes identical. The
-/// audit leg re-executes every check the optimizer eliminated and panics
-/// on a would-have-trapped divergence, so "identical" here means *proved*
-/// identical, not merely observed.
+/// Interpreter vs engine on one prebuilt machine configuration.
+fn check_program(label: &str, program: &Program, cfg: &MachineConfig) {
+    let interp = Machine::new(program.clone(), cfg.clone()).run();
+    let engine = Engine::new(Machine::new(program.clone(), cfg.clone())).run();
+    assert_identical(label, &interp, &engine);
+}
+
+/// Compiles `source` under `mode` and runs it six ways — interpreter and
+/// engine, each under the summary fast path, the unsummarized walk, and
+/// the reference hierarchy walk — asserting all outcomes identical.
 fn differential_cb(label: &str, source: &str, mode: Mode, encoding: PointerEncoding) {
     let program = compile(source, mode)
         .unwrap_or_else(|e| panic!("{label}: compile failed under {mode}: {e}"));
@@ -90,12 +99,6 @@ fn differential_cb(label: &str, source: &str, mode: Mode, encoding: PointerEncod
         &engine,
         &engine_hier,
     );
-    for (opt, leg) in [(OptConfig::ON, "opt"), (OptConfig::AUDIT, "opt+audit")] {
-        let opt_run = Engine::with_opt(build(MetaPath::Summary), opt).run();
-        assert_identical(&format!("{label}/engine+{leg}"), &interp, &opt_run);
-        let opt_walk = Engine::with_opt(build(MetaPath::Walk), opt).run();
-        assert_identical(&format!("{label}/engine+{leg}/walk"), &interp, &opt_walk);
-    }
 }
 
 const BENIGN: &[(&str, &str)] = &[
@@ -162,11 +165,15 @@ fn benign_programs_agree_on_all_15_configurations() {
 
 #[test]
 fn violation_corpus_sample_agrees_on_all_15_configurations() {
+    // Two interleaved strides (every 41st and every 37th case): 15 cases
+    // spanning every dimension.
     let cases: Vec<_> = hardbound::violations::corpus()
         .into_iter()
-        .step_by(41) // 8 cases spanning every dimension
+        .enumerate()
+        .filter(|(i, _)| i % 41 == 0 || i % 37 == 0)
+        .map(|(_, case)| case)
         .collect();
-    assert!(cases.len() >= 7);
+    assert!(cases.len() >= 14);
     for case in &cases {
         for (mode, encoding) in all_configs() {
             differential_cb(
@@ -180,9 +187,25 @@ fn violation_corpus_sample_agrees_on_all_15_configurations() {
     }
 }
 
+/// The **full** violation corpus — all pairs, both sources — under the
+/// paper's default configuration: the bad programs must trap at the same
+/// instruction with the same trap kind, and the ok programs must stay
+/// clean with identical statistics.
+#[test]
+fn full_violation_corpus_agrees_under_hardbound() {
+    let cfg = machine_config(Mode::HardBound, PointerEncoding::Intern4);
+    for case in hardbound::violations::corpus() {
+        for (source, flavor) in [(&case.bad_source, "bad"), (&case.ok_source, "ok")] {
+            let program = compile(source, Mode::HardBound)
+                .unwrap_or_else(|e| panic!("{}-{flavor}: compile failed: {e}", case.id));
+            check_program(&format!("{}-{flavor}", case.id), &program, &cfg);
+        }
+    }
+}
+
 #[test]
 fn workloads_agree_on_all_15_configurations() {
-    for bench in ["treeadd", "health"] {
+    for bench in ["treeadd", "health", "power"] {
         let w = by_name(bench, Scale::Smoke).expect("workload exists");
         for (mode, encoding) in all_configs() {
             differential_cb(bench, &w.source, mode, encoding);
@@ -249,8 +272,6 @@ fn fuzz_programs_agree_across_modes_and_encodings() {
             let engine = Engine::new(Machine::new(program.clone(), cfg.clone())).run();
             let engine_walk = Engine::new(Machine::new(program.clone(), walk_cfg)).run();
             let engine_hier = Engine::new(Machine::new(program.clone(), hier_cfg)).run();
-            let audited =
-                Engine::with_opt(Machine::new(program.clone(), cfg), OptConfig::AUDIT).run();
             let label = format!("fuzz-{seed}/{mode}/{encoding}");
             assert_identical(&label, &interp, &engine);
             assert_identical(&format!("{label}/summary-vs-walk"), &engine, &engine_walk);
@@ -259,7 +280,33 @@ fn fuzz_programs_agree_across_modes_and_encodings() {
                 &engine,
                 &engine_hier,
             );
-            assert_identical(&format!("{label}/opt+audit"), &interp, &audited);
+        }
+    }
+}
+
+/// Builds a runnable program from the loop-heavy fuzz family.
+fn loop_family_program(seed: u64) -> Program {
+    let main = Function {
+        name: "main".into(),
+        insts: fuzz::loop_insts(seed),
+        frame_size: 0,
+        num_args: 0,
+    };
+    let program = Program::with_entry(vec![main]);
+    program.validate().expect("loop family programs validate");
+    program
+}
+
+/// The loop-heavy family across the full matrix: self-loops over bounded
+/// arrays, where some seeds walk off their array mid-loop, pinning
+/// trap-site identity inside hot superblocks.
+#[test]
+fn loop_family_agrees_across_modes_and_encodings() {
+    for seed in 0..64 {
+        let program = loop_family_program(seed);
+        for (mode, encoding) in all_configs() {
+            let cfg = machine_config(mode, encoding).with_fuel(100_000);
+            check_program(&format!("loop-{seed}/{mode}/{encoding}"), &program, &cfg);
         }
     }
 }
@@ -295,5 +342,139 @@ fn fuel_edge_agrees_at_every_limit() {
         let interp = Machine::new(program.clone(), cfg.clone()).run();
         let engine = Engine::new(Machine::new(program.clone(), cfg)).run();
         assert_identical(&format!("fuel={fuel}"), &interp, &engine);
+    }
+}
+
+/// Registers the pointer-soup property programs point through.
+const PTRS: [Reg; 3] = [Reg::A0, Reg::A1, Reg::A6];
+
+/// One generated pointer operation for the property sweep.
+#[derive(Clone, Copy, Debug)]
+enum POp {
+    /// Re-derive pointer `p`: fresh base and (small) bounds — some
+    /// offsets/sizes leave later fixed-offset accesses out of bounds.
+    Rebase {
+        p: usize,
+        off: u32,
+        size: u32,
+    },
+    /// `p += delta` (constant-offset pointer chains).
+    Advance {
+        p: usize,
+        delta: i32,
+    },
+    /// `dst = src` (aliased pointers share their bounds).
+    Alias {
+        dst: usize,
+        src: usize,
+    },
+    Load {
+        p: usize,
+        off: i32,
+        byte: bool,
+    },
+    Store {
+        p: usize,
+        off: i32,
+        byte: bool,
+    },
+}
+
+fn pop() -> impl Strategy<Value = POp> {
+    let p = 0usize..PTRS.len();
+    // Offsets reach past the 16..=64-byte objects often enough that the
+    // violation path is well traveled.
+    let off = -8i32..72;
+    prop_oneof![
+        (p.clone(), 0u32..256, 16u32..64).prop_map(|(p, off, size)| POp::Rebase { p, off, size }),
+        (p.clone(), -16i32..32).prop_map(|(p, delta)| POp::Advance { p, delta }),
+        (p.clone(), 0usize..PTRS.len()).prop_map(|(dst, src)| POp::Alias { dst, src }),
+        (p.clone(), off.clone(), any::<bool>()).prop_map(|(p, off, byte)| POp::Load {
+            p,
+            off,
+            byte
+        }),
+        (p.clone(), off.clone(), any::<bool>()).prop_map(|(p, off, byte)| POp::Load {
+            p,
+            off,
+            byte
+        }),
+        (p, off, any::<bool>()).prop_map(|(p, off, byte)| POp::Store { p, off, byte }),
+    ]
+}
+
+/// Lowers the ops, optionally wrapped in a counted loop (the loop flavour
+/// re-runs the same checks every iteration from one hot superblock).
+fn build_pop_program(ops: &[POp], loop_trips: Option<u32>) -> Program {
+    let mut f = FunctionBuilder::new("gen", 0);
+    for (i, &r) in PTRS.iter().enumerate() {
+        f.li(r, layout::HEAP_BASE + 64 * i as u32);
+        f.setbound_imm(r, r, 48);
+    }
+    let head = loop_trips.map(|_| {
+        f.li(Reg::T2, 0);
+        f.bind_label()
+    });
+    for &op in ops {
+        match op {
+            POp::Rebase { p, off, size } => {
+                f.li(PTRS[p], layout::HEAP_BASE + off);
+                f.setbound_imm(PTRS[p], PTRS[p], size as i32);
+            }
+            POp::Advance { p, delta } => f.addi(PTRS[p], PTRS[p], delta),
+            POp::Alias { dst, src } => f.mov(PTRS[dst], PTRS[src]),
+            POp::Load { p, off, byte } => {
+                let w = if byte { Width::Byte } else { Width::Word };
+                f.load(w, Reg::T0, PTRS[p], off);
+            }
+            POp::Store { p, off, byte } => {
+                let w = if byte { Width::Byte } else { Width::Word };
+                f.store(w, Reg::T0, PTRS[p], off);
+            }
+        }
+    }
+    if let (Some(head), Some(trips)) = (head, loop_trips) {
+        f.addi(Reg::T2, Reg::T2, 1);
+        f.branch(hardbound::isa::CmpOp::Lt, Reg::T2, trips as i32, head);
+    }
+    f.li(Reg::A0, 0);
+    f.halt();
+    Program::with_entry(vec![f.finish()])
+}
+
+/// Property legs run the default HardBound configuration plus the two
+/// non-default corners that change check-µop accounting the most.
+fn prop_configs() -> [MachineConfig; 3] {
+    [
+        machine_config(Mode::HardBound, PointerEncoding::Intern4),
+        machine_config(Mode::HardBound, PointerEncoding::Extern4).with_meta_path(MetaPath::Walk),
+        machine_config(Mode::MallocOnly, PointerEncoding::Intern11),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Straight-line pointer soup: aliasing, chain arithmetic, rebasing,
+    /// and plenty of traps.
+    #[test]
+    fn straight_line_programs_agree(ops in prop::collection::vec(pop(), 1..40)) {
+        let program = build_pop_program(&ops, None);
+        for (i, cfg) in prop_configs().into_iter().enumerate() {
+            check_program(&format!("straight/cfg{i}"), &program, &cfg.with_fuel(200_000));
+        }
+    }
+
+    /// The same soup inside a counted loop: a trap may strike on any
+    /// iteration of a cached superblock.
+    #[test]
+    fn looped_programs_agree(
+        ops in prop::collection::vec(pop(), 1..24),
+        trips in 1u32..6,
+    ) {
+        let program = build_pop_program(&ops, Some(trips));
+        for (i, cfg) in prop_configs().into_iter().enumerate() {
+            check_program(&format!("loop/cfg{i}"), &program, &cfg.with_fuel(200_000));
+        }
     }
 }
