@@ -52,7 +52,7 @@ mod objtable;
 mod stats;
 mod trap;
 
-pub use config::{HardboundConfig, MachineConfig, MetaPath, SafetyMode};
+pub use config::{parse_flag, HardboundConfig, MachineConfig, MetaPath, SafetyMode};
 pub use encoding::{
     intern4_compress, intern4_decompress, intern_eligible, Intern4Word, PointerEncoding,
 };

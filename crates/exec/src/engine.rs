@@ -51,14 +51,21 @@ fn hier_metrics() -> &'static HierMetrics {
     })
 }
 
-/// Whether `HB_PROF` enables the hot-spot profiler by default (read once;
-/// [`Engine::set_profiling`] overrides per engine, which is what tests use
-/// to exercise both states inside one process).
+/// Whether `HB_PROF` enables the hot-spot profiler by default (read once,
+/// through [`hardbound_core::parse_flag`]; [`Engine::set_profiling`]
+/// overrides per engine, which is what tests use to exercise both states
+/// inside one process).
+///
+/// # Panics
+///
+/// Panics with `parse_flag`'s diagnostic on a value it does not accept,
+/// so a misspelling such as `HB_PROF=yes` never silently reads as off.
 fn profiling_default() -> bool {
     static ON: OnceLock<bool> = OnceLock::new();
     *ON.get_or_init(|| {
-        std::env::var("HB_PROF")
-            .map(|v| matches!(v.trim(), "1" | "true" | "on" | "yes"))
+        let value = std::env::var("HB_PROF").unwrap_or_default();
+        hardbound_core::parse_flag("HB_PROF", &value)
+            .unwrap_or_else(|e| panic!("{e}"))
             .unwrap_or(false)
     })
 }

@@ -161,3 +161,20 @@ fn mixing_listing_and_cb_inputs_is_rejected() {
     let _ = std::fs::remove_file(cb);
     let _ = std::fs::remove_file(s);
 }
+
+#[test]
+fn rejects_an_unrecognized_hb_prof_value() {
+    // `HB_PROF` takes the shared flag grammar: a value outside
+    // on/off/1/0/true/false (any case) is a loud error, never "off".
+    let cb = write_temp("prof.cb", COUNTDOWN_CB);
+    let out = Command::new(env!("CARGO_BIN_EXE_hbrun"))
+        .arg(cb.to_str().unwrap())
+        .env("HB_PROF", "maybe")
+        .output()
+        .expect("hbrun spawns");
+    assert!(!out.status.success(), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("HB_PROF"), "stderr: {stderr}");
+    assert!(stderr.contains("`maybe`"), "stderr: {stderr}");
+    let _ = std::fs::remove_file(cb);
+}

@@ -50,6 +50,7 @@ use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 use hardbound_compiler::{compile_program, CompileError, Mode, Options};
+pub use hardbound_core::parse_flag;
 use hardbound_core::{
     BoundsOrigin, Fnv64, HardboundConfig, HierPath, Machine, MachineConfig, MetaPath,
     PointerEncoding, RunOutcome, ViolationReport,
@@ -61,27 +62,6 @@ use hardbound_serve::{
     Client, PersistStats, PersistentService, ServeError, ShardRing, StoreLogStats, WireJob,
 };
 use hardbound_telemetry::{trace, Counter, Field, Histogram, SpanId, SpanTimer, TraceCtx};
-
-/// Parses the value of the boolean `HB_*` flag `name`: `on`, `1` and
-/// `true` mean on; `off`, `0` and `false` mean off (any case, surrounding
-/// whitespace ignored); the empty string means unset (`Ok(None)`). This is
-/// the one shared definition every flag-shaped environment variable
-/// routes through.
-///
-/// # Errors
-///
-/// Any other spelling is rejected with a diagnostic naming the variable
-/// and quoting the value — `HB_META_FAST=no` must not silently read as on.
-pub fn parse_flag(name: &str, value: &str) -> Result<Option<bool>, String> {
-    match value.trim().to_ascii_lowercase().as_str() {
-        "" => Ok(None),
-        "on" | "1" | "true" => Ok(Some(true)),
-        "off" | "0" | "false" => Ok(Some(false)),
-        _ => Err(format!(
-            "{name} must be one of on/off/1/0/true/false, got `{value}`"
-        )),
-    }
-}
 
 /// Reads the environment flag `name`: `None` when unset or empty,
 /// otherwise [`parse_flag`] of its value.
@@ -720,12 +700,13 @@ pub fn run_jobs(jobs: Vec<SimJob>) -> Vec<RunOutcome> {
 /// reconnect-and-resubmit of the still-missing cells.
 const ATTEMPTS_PER_SHARD: usize = 2;
 
-/// One submission attempt against `addr`: connect, submit over the v2
-/// ticket flow, stream into `out`. On a mid-stream failure the slots
-/// filled so far stay filled — the caller resubmits only the rest.
+/// One submission attempt against `addr`: connect (checking the protocol
+/// version), submit, and watch the ticket into `out`. On a mid-stream
+/// failure the slots filled so far stay filled — the caller resubmits only
+/// the rest.
 ///
 /// With `ctx` present the attempt runs under a `remote_rt` span: the
-/// submission carries the span as the server-side parent (SUBMIT3), the
+/// submission carries the span as the server-side parent, the
 /// returned server spans are re-emitted into the local sink so the grid's
 /// trace is one merged file, and a failed attempt records the error so
 /// the following retry/re-route is attributable to the shard that died.
@@ -745,11 +726,11 @@ fn try_shard_once(
             trace: c.trace,
             parent: t.span(),
         });
-        let (ticket, _traced) = client.submit_traced(sub, sub_ctx)?;
+        let ticket = client.submit(sub, sub_ctx)?;
         m.remote_round_trips.inc();
         m.remote_cells.add(sub.len() as u64);
         let mut spans = Vec::new();
-        let watched = client.watch_into_traced(ticket, out, &mut spans);
+        let watched = client.watch_into(ticket, out, &mut spans);
         for ev in &spans {
             trace::emit(ev);
         }
@@ -829,8 +810,13 @@ fn fetch_group(
                 // and resubmit the holes.
                 Ok(()) => errors.push(format!("{addr}: incomplete result stream")),
                 // A rejection means the submission itself is invalid —
-                // every shard would reject it the same way.
-                Err(e @ (ServeError::Server(_) | ServeError::Oversized { .. })) => {
+                // every shard would reject it the same way. A version
+                // mismatch is a deployment error, never worth a re-route.
+                Err(
+                    e @ (ServeError::Server(_)
+                    | ServeError::Oversized { .. }
+                    | ServeError::VersionMismatch { .. }),
+                ) => {
                     return Err(format!("{addr}: {e}"));
                 }
                 Err(e) => errors.push(format!("{addr}: {e}")),
@@ -936,18 +922,15 @@ pub fn run_jobs_remote_to(addrs: &[String], jobs: &[SimJob]) -> Vec<RunOutcome> 
 /// Scrapes and merges the hot-spot profiles of every reachable shard in
 /// `addrs` into one cluster-wide [`hardbound_telemetry::Profile`]. Merging
 /// is exact summation key-by-key, so the merged block counts equal the
-/// sums of the per-shard counts. Unreachable shards and pre-profile
-/// servers (which answer `ERR "unknown request kind"`) contribute an
-/// empty profile — the same degradation path the result fetchers use for
-/// a killed shard; their addresses come back in the second element.
+/// sums of the per-shard counts. Unreachable shards contribute an empty
+/// profile — the same degradation path the result fetchers use for a
+/// killed shard; their addresses come back in the second element.
 #[must_use]
 pub fn cluster_profile(addrs: &[String]) -> (hardbound_telemetry::Profile, Vec<String>) {
     let mut merged = hardbound_telemetry::Profile::new();
     let mut skipped = Vec::new();
     for addr in addrs {
-        let scraped = Client::connect(addr)
-            .map_err(ServeError::from)
-            .and_then(|mut c| c.profile());
+        let scraped = Client::connect(addr).and_then(|mut c| c.profile());
         match scraped {
             Ok(p) => merged.merge(&p),
             Err(_) => skipped.push(addr.clone()),

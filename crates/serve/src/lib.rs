@@ -25,8 +25,10 @@
 //!   request/response protocol with work-queue semantics: clients submit
 //!   cell grids, the server dedups against the store and drains misses
 //!   through the lock-free `exec::batch` scheduler, and results stream
-//!   back in chunks. Protocol v2 adds a deduplicated listing table and a
-//!   ticket/watch flow. `hbserve` (in `hardbound-report`) is the binary;
+//!   back in chunks. One `SUBMIT` frame (a deduplicated listing table plus
+//!   an optional trace context) answers with a ticket the client watches
+//!   from any connection, and every connection starts with a `HELLO`
+//!   version check. `hbserve` (in `hardbound-report`) is the binary;
 //!   `hardbound_runtime::run_jobs` is the transparent client
 //!   (`HB_SERVE_ADDR`).
 //! * [`shard`] — consistent-hash routing for the **hbserve cluster**: a
@@ -47,7 +49,7 @@ pub mod shard;
 pub mod store;
 pub mod wire;
 
-pub use net::{Client, RemoteServerStats, ServeError, Server, TicketStatus, WireJob, MAX_GRID};
+pub use net::{Client, RemoteServerStats, ServeError, Server, WireJob, MAX_GRID, PROTOCOL_VERSION};
 pub use persist::{PersistStats, PersistentService};
 pub use shard::{cell_point, ShardRing, POINTS_PER_SHARD};
 pub use store::{StoreLog, StoreLogStats};

@@ -14,53 +14,44 @@
 //! ## Frames
 //!
 //! Every frame is `length (u32, LE) | kind (u8) | payload`; the length
-//! counts the kind byte plus the payload. Requests:
+//! counts the kind byte plus the payload. Each request has one response
+//! frame, or `ERR` (diagnostic string: the whole request is rejected and
+//! nothing executed):
 //!
-//! | kind | payload |
-//! |---|---|
-//! | `SUBMIT` | job count (u32), then per job: program listing (str), [`MachineConfig`], salt (u64), tag (u64) |
-//! | `SUBMIT2` | listing count (u32), the **deduplicated listing table** (strs), then job count (u32), per job: listing index (u32), [`MachineConfig`], salt (u64), tag (u64) |
-//! | `SUBMIT3` | trace id (u64), parent span id (u64), then a `SUBMIT2` payload — the trace-context flavour of `SUBMIT2` |
-//! | `WATCH` | ticket id (u64) |
-//! | `POLL` | ticket id (u64) |
-//! | `STATS` | empty |
-//! | `METRICS` | empty |
-//! | `PROFILE` | empty |
-//! | `SHUTDOWN` | empty |
+//! | request | payload | response |
+//! |---|---|---|
+//! | `HELLO` | protocol version (u32) | `HELLO`: the server's protocol version (u32) |
+//! | `SUBMIT` | trace id (u64, `0` = untraced), parent span id (u64), listing count (u32), the **deduplicated listing table** (strs), job count (u32), then per job: listing index (u32), [`MachineConfig`], salt (u64), tag (u64) | `TICKET`: ticket id (u64), job count (u32) |
+//! | `WATCH` | ticket id (u64) | `RESULTS` frames (start index u32, count u32, then `count` encoded [`RunOutcome`]s), a `SPANS` frame for traced tickets (span count u32, then encoded trace spans), then `DONE` (total results u32) |
+//! | `STATS` | empty | `STATS`: the 15 [`RemoteServerStats`] counters in field order (u64 each) |
+//! | `METRICS` | empty | `METRICS`: Prometheus-style text (str) |
+//! | `PROFILE` | empty | `PROFILE`: the hot-spot profile in `Profile::to_text` form (str; empty unless the server runs with `HB_PROF` on) |
+//! | `SHUTDOWN` | empty | `DONE` (0) |
 //!
-//! Responses: `RESULTS` (start index u32, count u32, then `count` encoded
-//! [`RunOutcome`]s), `DONE` (total results u32), `TICKET` (ticket id u64,
-//! job count u32), `TICKET_STATUS` (total u32, ready u32, finished u8,
-//! failed u8), `STATS` (counters), `SPANS` (span count u32, then encoded
-//! trace spans — only ever sent while watching a ticket that was submitted
-//! *with* trace context), `METRICS` (Prometheus-style text), `PROFILE`
-//! (the shard's accumulated hot-spot profile in `Profile::to_text` form —
-//! populated when the server runs with `HB_PROF=1`; pre-profile servers
-//! answer `ERR "unknown request kind"` and clients treat that as an empty
-//! profile), and `ERR` (diagnostic string — the whole request is
-//! rejected; nothing executed).
+//! Every payload has a fixed layout and both sides parse it strictly:
+//! short or trailing bytes are errors, never guesses.
 //!
-//! ## Version negotiation
+//! `SUBMIT` enqueues the grid on the server's work queue and answers
+//! `TICKET` at once. Cells reference the listing table, so a mode sweep
+//! over one program ships — and parses — the listing once instead of per
+//! cell. The client collects results with `WATCH` on the same connection
+//! or any later one, so a dropped connection loses nothing the server
+//! already computed; the `WATCH` that drains a ticket consumes it. With a
+//! trace context the server stamps its spans under the submitter's
+//! `TraceId` and ships them back in the `SPANS` frame, so the merged JSONL
+//! reads as one tree.
 //!
-//! `SUBMIT3` carries the client's trace context so shards can stamp
-//! server-side spans under the submitter's `TraceId` and return them with
-//! `WATCH` (as a `SPANS` frame before `DONE`). Interop is by fallback, not
-//! by handshake: an old server answers `SUBMIT3` with `ERR "unknown
-//! request kind"` on a still-open connection, and the client transparently
-//! re-submits via plain `SUBMIT2` (losing only the server-side spans); an
-//! old client never sends `SUBMIT3` and never watches a traced ticket, so
-//! it never sees a `SPANS` frame.
+//! ## Versioning
 //!
-//! `SUBMIT` is the protocol-v1 synchronous flow: the submitting connection
-//! streams `RESULTS` frames until `DONE`. `SUBMIT2` is the v2
-//! **ticket/watch** flow for long corpus grids: cells reference a
-//! deduplicated listing table (a mode sweep over one program ships — and
-//! parses — the listing once instead of per cell), the server enqueues the
-//! grid on its work queue and answers `TICKET` immediately, and the client
-//! collects results with `WATCH` (stream until `DONE`) or `POLL` (one
-//! status frame) — on the same connection or any later one, so a dropped
-//! connection loses nothing the server already computed. A finished ticket
-//! is consumed by the `WATCH` that drains it.
+//! Client and server ship from one workspace and speak one protocol,
+//! [`PROTOCOL_VERSION`]. [`Client::connect`] opens every connection with
+//! `HELLO` and fails with [`ServeError::VersionMismatch`], naming both
+//! versions, when the server answers with another one; there is no
+//! fallback. The server keeps no per-connection state and does not
+//! require `HELLO` before other requests. Any change to a frame layout —
+//! including the [`wire`](crate::wire) encodings frames embed — bumps
+//! [`PROTOCOL_VERSION`]. Retired request kinds are never reused, so a stale
+//! peer cannot misparse a payload.
 //!
 //! Programs travel as their **assembly listing** — the workspace's pinned
 //! program serialization (round-trips through `isa::parse_program`, and
@@ -90,26 +81,27 @@ use crate::wire::{
     WireError, Writer,
 };
 
+/// The one protocol this build speaks (see the module docs' "Versioning").
+pub const PROTOCOL_VERSION: u32 = 3;
+
 /// Request kinds (client → server).
-const REQ_SUBMIT: u8 = 1;
 const REQ_STATS: u8 = 2;
 const REQ_SHUTDOWN: u8 = 3;
-const REQ_SUBMIT2: u8 = 4;
 const REQ_WATCH: u8 = 5;
-const REQ_POLL: u8 = 6;
-const REQ_SUBMIT3: u8 = 7;
 const REQ_METRICS: u8 = 8;
 const REQ_PROFILE: u8 = 9;
+const REQ_HELLO: u8 = 10;
+const REQ_SUBMIT: u8 = 11;
 /// Response kinds (server → client).
 const RESP_RESULTS: u8 = 16;
 const RESP_DONE: u8 = 17;
 const RESP_STATS: u8 = 18;
 const RESP_ERR: u8 = 19;
 const RESP_TICKET: u8 = 20;
-const RESP_TICKET_STATUS: u8 = 21;
 const RESP_SPANS: u8 = 22;
 const RESP_METRICS: u8 = 23;
 const RESP_PROFILE: u8 = 24;
+const RESP_HELLO: u8 = 25;
 
 /// Cells executed (and streamed) per service-lock acquisition: small
 /// enough that results flow back while the tail still runs and that
@@ -119,6 +111,11 @@ const CHUNK: usize = 32;
 /// Sanity cap on one frame (a submission of thousands of cells fits in a
 /// few MB; anything past this is a protocol error, not data).
 const MAX_FRAME: u32 = 1 << 30;
+
+/// Payload bytes a frame read reserves before any arrive; past this the
+/// buffer grows only with the bytes actually received, so a header that
+/// merely *declares* a huge frame commits no memory.
+const FRAME_RESERVE: u64 = 64 << 10;
 
 /// Hard cap on cells per submission. Well beyond any figure grid (a full
 /// pipeline is a few thousand cells), comfortably inside `u32` — the
@@ -171,6 +168,13 @@ pub enum ServeError {
         /// How many cells the caller submitted.
         cells: usize,
     },
+    /// The server speaks another protocol version (checked at connect).
+    VersionMismatch {
+        /// This build's [`PROTOCOL_VERSION`].
+        client: u32,
+        /// The version the server answered `HELLO` with.
+        server: u32,
+    },
 }
 
 impl fmt::Display for ServeError {
@@ -184,6 +188,10 @@ impl fmt::Display for ServeError {
                 f,
                 "grid of {cells} cells exceeds the {MAX_GRID}-cell submission \
                  limit (split the corpus into multiple submissions)"
+            ),
+            ServeError::VersionMismatch { client, server } => write!(
+                f,
+                "protocol version mismatch: client speaks v{client}, server speaks v{server}"
             ),
         }
     }
@@ -212,8 +220,10 @@ fn write_frame(stream: &mut TcpStream, kind: u8, payload: &[u8]) -> io::Result<(
     stream.write_all(&frame)
 }
 
-/// Reads one frame; `Ok(None)` on a clean EOF at a frame boundary.
-fn read_frame(stream: &mut TcpStream) -> Result<Option<(u8, Vec<u8>)>, ServeError> {
+/// Reads one frame; `Ok(None)` on a clean EOF at a frame boundary. The
+/// payload buffer starts at most [`FRAME_RESERVE`] bytes and grows with
+/// the data received, never with the declared length alone.
+fn read_frame(stream: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>, ServeError> {
     let mut len = [0u8; 4];
     match stream.read_exact(&mut len) {
         Ok(()) => {}
@@ -228,8 +238,12 @@ fn read_frame(stream: &mut TcpStream) -> Result<Option<(u8, Vec<u8>)>, ServeErro
     // lands directly at offset 0 — no shift-by-one memmove afterwards.
     let mut kind = [0u8; 1];
     stream.read_exact(&mut kind)?;
-    let mut payload = vec![0u8; len as usize - 1];
-    stream.read_exact(&mut payload)?;
+    let want = u64::from(len - 1);
+    let mut payload = Vec::with_capacity(want.min(FRAME_RESERVE) as usize);
+    stream.take(want).read_to_end(&mut payload)?;
+    if payload.len() as u64 != want {
+        return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
+    }
     Ok(Some((kind[0], payload)))
 }
 
@@ -264,9 +278,7 @@ pub struct RemoteServerStats {
     pub shard_index: u64,
     /// The cluster's shard count; 0 means the server runs unsharded.
     pub shard_count: u64,
-    /// Seconds since the server bound its listener. (This and the fields
-    /// below are 0 when talking to a pre-telemetry server: they ride at
-    /// the end of the `STATS` payload and old servers simply omit them.)
+    /// Seconds since the server bound its listener.
     pub uptime_s: u64,
     /// Tickets currently live and still executing.
     pub tickets_active: u64,
@@ -276,20 +288,6 @@ pub struct RemoteServerStats {
     pub tickets_gcd: u64,
     /// Cells accepted but not yet executed (queue depth).
     pub cells_in_flight: u64,
-}
-
-/// Progress of a ticketed submission, as reported by a `POLL` request.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TicketStatus {
-    /// Cells in the ticket's grid.
-    pub total: u32,
-    /// Cells whose outcomes are ready to stream.
-    pub ready: u32,
-    /// Whether every cell finished.
-    pub finished: bool,
-    /// Whether the executor died before finishing (a server-side panic);
-    /// the ticket's partial results are still watchable up to `ready`.
-    pub failed: bool,
 }
 
 /// Shard identity of a cluster member (`hbserve --shard k/n`): used to
@@ -306,9 +304,9 @@ struct ShardState {
 
 /// One ticketed submission's mutable state; results append in input order
 /// as the executor drains chunks, so `results.len()` is the ready count.
-/// For tickets submitted with trace context (`SUBMIT3`), `trace` holds the
-/// client's context and `spans` buffers the server-side spans that the
-/// draining `WATCH` ships back in a `SPANS` frame.
+/// For tickets submitted with trace context, `trace` holds the client's
+/// context and `spans` buffers the server-side spans that the draining
+/// `WATCH` ships back in a `SPANS` frame.
 #[derive(Debug, Default)]
 struct TicketState {
     results: Vec<RunOutcome>,
@@ -676,11 +674,9 @@ fn handle_conn(mut stream: TcpStream, ctx: &ConnCtx) {
             return;
         }
         let result = match kind {
+            REQ_HELLO => serve_hello(&mut stream, &payload),
             REQ_SUBMIT => serve_submission(&mut stream, ctx, &payload),
-            REQ_SUBMIT2 => serve_submission2(&mut stream, ctx, &payload, None),
-            REQ_SUBMIT3 => serve_submission3(&mut stream, ctx, &payload),
             REQ_WATCH => serve_watch(&mut stream, ctx, &payload),
-            REQ_POLL => serve_poll(&mut stream, ctx, &payload),
             REQ_STATS => serve_stats(&mut stream, ctx),
             REQ_METRICS => serve_metrics(&mut stream, ctx),
             REQ_PROFILE => serve_profile(&mut stream),
@@ -713,6 +709,16 @@ fn reject(stream: &mut TcpStream, msg: &str) -> Result<(), ServeError> {
     Ok(())
 }
 
+/// Answers `HELLO` with this server's [`PROTOCOL_VERSION`]; the client
+/// compares (see the module docs' "Versioning").
+fn serve_hello(stream: &mut TcpStream, payload: &[u8]) -> Result<(), ServeError> {
+    if payload.len() != 4 {
+        return reject(stream, "malformed HELLO payload");
+    }
+    write_frame(stream, RESP_HELLO, &PROTOCOL_VERSION.to_le_bytes())?;
+    Ok(())
+}
+
 fn serve_stats(stream: &mut TcpStream, ctx: &ConnCtx) -> Result<(), ServeError> {
     let stats = ctx
         .svc
@@ -740,8 +746,6 @@ fn serve_stats(stream: &mut TcpStream, ctx: &ConnCtx) -> Result<(), ServeError> 
             }
         }
     }
-    // Telemetry extension (appended so pre-telemetry clients, which stop
-    // reading after the ten original counters, decode unchanged).
     let m = &ctx.metrics;
     w.put_u64(m.uptime_s());
     w.put_u64(
@@ -796,56 +800,16 @@ fn note_ownership(shard: &Option<Arc<ShardState>>, jobs: &[Job<u64>]) {
     shard.foreign.fetch_add(foreign, Ordering::Relaxed);
 }
 
-/// Decodes, validates and executes one protocol-v1 submission, streaming
-/// results in chunk-sized `RESULTS` frames and a final `DONE` on the
-/// submitting connection.
+/// Decodes and validates a `SUBMIT`, enqueues it as a ticket on the work
+/// queue, and answers `TICKET` immediately; a detached executor drains the
+/// grid into the ticket's result buffer.
 fn serve_submission(
     stream: &mut TcpStream,
     ctx: &ConnCtx,
     payload: &[u8],
 ) -> Result<(), ServeError> {
-    let jobs = match decode_submission(payload, &ctx.tag_ok) {
-        Ok(jobs) => jobs,
-        Err(msg) => return reject(stream, &msg),
-    };
-    note_ownership(&ctx.shard, &jobs);
-    ctx.metrics.cells_in_flight.add(jobs.len() as u64);
-    let mut sent = 0u32;
-    for chunk in jobs.chunks(CHUNK) {
-        let t0 = Instant::now();
-        let outs = {
-            let mut svc = ctx.svc.lock().unwrap_or_else(PoisonError::into_inner);
-            svc.run_batch(chunk, |program, config, &tag| {
-                (ctx.build)(program, config, tag)
-            })
-        };
-        ctx.metrics.chunk_us.record_duration(t0.elapsed());
-        ctx.metrics.cells_executed.add(outs.len() as u64);
-        ctx.metrics.cells_in_flight.sub(chunk.len() as u64);
-        let mut w = Writer::new();
-        w.put_u32(sent);
-        w.put_u32(outs.len() as u32);
-        for out in &outs {
-            encode_outcome(&mut w, out);
-        }
-        write_frame(stream, RESP_RESULTS, &w.into_bytes())?;
-        sent += outs.len() as u32;
-    }
-    write_frame(stream, RESP_DONE, &sent.to_le_bytes())?;
-    Ok(())
-}
-
-/// Decodes and validates a protocol-v2 submission, enqueues it as a
-/// ticket on the work queue, and answers `TICKET` immediately; a detached
-/// executor drains the grid into the ticket's result buffer.
-fn serve_submission2(
-    stream: &mut TcpStream,
-    ctx: &ConnCtx,
-    payload: &[u8],
-    trace_ctx: Option<TraceCtx>,
-) -> Result<(), ServeError> {
-    let jobs = match decode_submission2(payload, &ctx.tag_ok) {
-        Ok(jobs) => jobs,
+    let (trace_ctx, jobs) = match decode_submission(payload, &*ctx.tag_ok) {
+        Ok(decoded) => decoded,
         Err(msg) => return reject(stream, &msg),
     };
     note_ownership(&ctx.shard, &jobs);
@@ -874,26 +838,6 @@ fn serve_submission2(
     Ok(())
 }
 
-/// `SUBMIT3` = trace context (trace id, parent span id) + a `SUBMIT2`
-/// payload: the server runs the ticket's spans under the *client's* trace
-/// so the merged JSONL reads as one tree.
-fn serve_submission3(
-    stream: &mut TcpStream,
-    ctx: &ConnCtx,
-    payload: &[u8],
-) -> Result<(), ServeError> {
-    let mut r = Reader::new(payload);
-    let (trace_id, parent) = match (r.get_u64(), r.get_u64()) {
-        (Ok(t), Ok(p)) if t != 0 => (t, p),
-        _ => return reject(stream, "malformed SUBMIT3 trace context"),
-    };
-    let trace_ctx = TraceCtx {
-        trace: TraceId(trace_id),
-        parent: SpanId(parent),
-    };
-    serve_submission2(stream, ctx, &payload[16..], Some(trace_ctx))
-}
-
 /// Marks the ticket failed if the executor dies before finishing (builder
 /// panic), so watchers report an error instead of waiting forever.
 struct FailGuard(TicketSlot);
@@ -910,8 +854,8 @@ impl Drop for FailGuard {
 }
 
 /// The ticket executor: drains the grid in chunks (releasing the service
-/// lock between chunks, exactly like the v1 path) and appends outcomes to
-/// the ticket's buffer in input order. For traced tickets it stamps one
+/// lock between chunks) and appends outcomes to the ticket's buffer in
+/// input order. For traced tickets it stamps one
 /// `ticket_exec` span covering the whole drain plus a `chunk` span per
 /// service-lock acquisition, all keyed by ticket id — buffered on the
 /// ticket (shipped back with `WATCH`) and mirrored to the server's own
@@ -1031,18 +975,14 @@ fn serve_watch(stream: &mut TcpStream, ctx: &ConnCtx, payload: &[u8]) -> Result<
             return reject(stream, "ticket execution failed on the server");
         }
         if finished && sent == total {
-            // Ship the server-side spans ahead of DONE — only for tickets
-            // that were submitted with trace context, so a pre-telemetry
-            // client (which can never have created one) never sees the
-            // SPANS frame kind.
-            let spans = {
-                let st = slot.0.lock().unwrap_or_else(PoisonError::into_inner);
-                if st.trace.is_some() {
-                    st.spans.clone()
-                } else {
-                    Vec::new()
-                }
-            };
+            // Ship the server-side spans ahead of DONE; only traced
+            // tickets record any.
+            let spans = slot
+                .0
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .spans
+                .clone();
             if !spans.is_empty() {
                 let mut w = Writer::new();
                 w.put_u32(spans.len() as u32);
@@ -1066,96 +1006,27 @@ fn remove_ticket(ctx: &ConnCtx, id: u64) {
         .remove(&id);
 }
 
-/// Answers one `TICKET_STATUS` frame for a `POLL` (non-consuming).
-fn serve_poll(stream: &mut TcpStream, ctx: &ConnCtx, payload: &[u8]) -> Result<(), ServeError> {
+/// Decodes a `SUBMIT` payload into its trace context and service jobs,
+/// validating every program, config and tag before anything executes, so
+/// a bad grid comes back as an `ERR` frame, never a worker panic. The
+/// deduplicated listing table parses (and validates) once per distinct
+/// program; cells then reference table entries by index.
+fn decode_submission(
+    payload: &[u8],
+    tag_ok: &TagCheck,
+) -> Result<(Option<TraceCtx>, Vec<Job<u64>>), String> {
     let mut r = Reader::new(payload);
-    let id = match r.get_u64() {
-        Ok(id) if r.is_exhausted() => id,
-        _ => return reject(stream, "malformed POLL payload"),
+    let trace = r.get_u64().map_err(|e| format!("trace id: {e}"))?;
+    let parent = r.get_u64().map_err(|e| format!("parent span: {e}"))?;
+    let trace_ctx = match (trace, parent) {
+        (0, 0) => None,
+        (0, _) => return Err("parent span without a trace id".to_owned()),
+        (trace, parent) => Some(TraceCtx {
+            trace: TraceId(trace),
+            parent: SpanId(parent),
+        }),
     };
-    let slot = {
-        let tickets = ctx.tickets.lock().unwrap_or_else(PoisonError::into_inner);
-        tickets.live.get(&id).cloned()
-    };
-    let Some(slot) = slot else {
-        return reject(stream, &format!("unknown ticket {id}"));
-    };
-    let (total, ready, finished, failed) = {
-        let st = slot.0.lock().unwrap_or_else(PoisonError::into_inner);
-        (st.total, st.results.len(), st.finished, st.failed)
-    };
-    let mut w = Writer::new();
-    w.put_u32(total as u32);
-    w.put_u32(ready as u32);
-    w.put_u8(u8::from(finished));
-    w.put_u8(u8::from(failed));
-    write_frame(stream, RESP_TICKET_STATUS, &w.into_bytes())?;
-    Ok(())
-}
-
-/// Validates one decoded job (program + config + tag) before anything
-/// executes, so rejections come back as `ERR` frames, never worker panics.
-fn validate_job(
-    i: u32,
-    program: &Program,
-    config: &MachineConfig,
-    tag: u64,
-    tag_ok: &Arc<TagCheck>,
-) -> Result<(), String> {
-    program
-        .validate()
-        .map_err(|e| format!("job {i}: invalid program: {e}"))?;
-    // Reject-before-execute covers the config too: geometry the hierarchy
-    // constructors would `assert!` on must come back as an ERR frame, not
-    // a worker panic under the service lock.
-    config
-        .hierarchy
-        .validate()
-        .map_err(|e| format!("job {i}: invalid hierarchy config: {e}"))?;
-    if !tag_ok(tag) {
-        return Err(format!("job {i}: unknown machine-builder tag {tag}"));
-    }
-    Ok(())
-}
-
-/// Decodes a v1 `SUBMIT` payload into service jobs, validating programs
-/// and tags up front (reject-before-execute).
-fn decode_submission(payload: &[u8], tag_ok: &Arc<TagCheck>) -> Result<Vec<Job<u64>>, String> {
-    let mut r = Reader::new(payload);
-    let count = r.get_u32().map_err(|e| e.to_string())?;
-    if count as usize > MAX_GRID {
-        return Err(format!(
-            "grid of {count} cells exceeds the {MAX_GRID}-cell limit"
-        ));
-    }
-    let mut jobs = Vec::with_capacity(count.min(4096) as usize);
-    for i in 0..count {
-        let listing = r.get_str().map_err(|e| format!("job {i}: {e}"))?;
-        let program = hardbound_isa::parse_program(listing)
-            .map_err(|e| format!("job {i}: unparseable program listing: {e}"))?;
-        let config = decode_config(&mut r).map_err(|e| format!("job {i}: {e}"))?;
-        let salt = r.get_u64().map_err(|e| format!("job {i}: {e}"))?;
-        let tag = r.get_u64().map_err(|e| format!("job {i}: {e}"))?;
-        validate_job(i, &program, &config, tag, tag_ok)?;
-        jobs.push(Job {
-            program,
-            config,
-            salt,
-            tag,
-        });
-    }
-    if !r.is_exhausted() {
-        return Err("trailing bytes after the last job".to_owned());
-    }
-    Ok(jobs)
-}
-
-/// Decodes a v2 `SUBMIT2` payload: the deduplicated listing table parses
-/// (and validates) once per distinct program, then cells reference table
-/// entries by index.
-fn decode_submission2(payload: &[u8], tag_ok: &Arc<TagCheck>) -> Result<Vec<Job<u64>>, String> {
-    let mut r = Reader::new(payload);
-    let listings = r.get_u32().map_err(|e| e.to_string())?;
+    let listings = r.get_u32().map_err(|e| format!("listing count: {e}"))?;
     if listings as usize > MAX_GRID {
         return Err(format!(
             "listing table of {listings} entries exceeds the {MAX_GRID}-entry limit"
@@ -1171,7 +1042,7 @@ fn decode_submission2(payload: &[u8], tag_ok: &Arc<TagCheck>) -> Result<Vec<Job<
             .map_err(|e| format!("listing {i}: invalid program: {e}"))?;
         programs.push(program);
     }
-    let count = r.get_u32().map_err(|e| e.to_string())?;
+    let count = r.get_u32().map_err(|e| format!("job count: {e}"))?;
     if count as usize > MAX_GRID {
         return Err(format!(
             "grid of {count} cells exceeds the {MAX_GRID}-cell limit"
@@ -1187,8 +1058,8 @@ fn decode_submission2(payload: &[u8], tag_ok: &Arc<TagCheck>) -> Result<Vec<Job<
         let config = decode_config(&mut r).map_err(|e| format!("job {i}: {e}"))?;
         let salt = r.get_u64().map_err(|e| format!("job {i}: {e}"))?;
         let tag = r.get_u64().map_err(|e| format!("job {i}: {e}"))?;
-        // The program was validated with the table; only config and tag
-        // remain per cell.
+        // Geometry the hierarchy constructors would `assert!` on must come
+        // back as an ERR frame, not a worker panic under the service lock.
         config
             .hierarchy
             .validate()
@@ -1206,14 +1077,14 @@ fn decode_submission2(payload: &[u8], tag_ok: &Arc<TagCheck>) -> Result<Vec<Job<
     if !r.is_exhausted() {
         return Err("trailing bytes after the last job".to_owned());
     }
-    Ok(jobs)
+    Ok((trace_ctx, jobs))
 }
 
-/// Encodes a v2 `SUBMIT2` payload: identical listings collapse into one
-/// table entry referenced by index (a mode×encoding sweep over one
-/// program ships the listing once, not once per cell).
-#[must_use]
-pub fn encode_submission2(jobs: &[WireJob]) -> Vec<u8> {
+/// Encodes a `SUBMIT` payload: the trace context (zeros when untraced),
+/// then the grid, with identical listings collapsed into one table entry
+/// referenced by index (a mode×encoding sweep over one program ships the
+/// listing once, not once per cell).
+fn encode_submission(jobs: &[WireJob], ctx: Option<TraceCtx>) -> Vec<u8> {
     let mut table: Vec<&str> = Vec::new();
     let mut index: HashMap<&str, u32> = HashMap::new();
     for job in jobs {
@@ -1223,6 +1094,8 @@ pub fn encode_submission2(jobs: &[WireJob]) -> Vec<u8> {
         });
     }
     let mut w = Writer::new();
+    w.put_u64(ctx.map_or(0, |c| c.trace.0));
+    w.put_u64(ctx.map_or(0, |c| c.parent.0));
     w.put_u32(table.len() as u32);
     for listing in &table {
         w.put_str(listing);
@@ -1254,7 +1127,26 @@ fn fill_results(results: &mut [Option<RunOutcome>], payload: &[u8]) -> Result<()
         }
         *slot = Some(decode_outcome(&mut r)?);
     }
-    Ok(())
+    expect_end(&r)
+}
+
+/// Rejects bytes left over after a fixed-layout payload.
+fn expect_end(r: &Reader<'_>) -> Result<(), ServeError> {
+    if r.is_exhausted() {
+        Ok(())
+    } else {
+        Err(ServeError::Protocol(
+            "trailing bytes after a fixed-layout payload",
+        ))
+    }
+}
+
+/// The diagnostic carried by an `ERR` payload.
+fn server_error(payload: &[u8]) -> ServeError {
+    match Reader::new(payload).get_str() {
+        Ok(msg) => ServeError::Server(msg.to_owned()),
+        Err(e) => e.into(),
+    }
 }
 
 /// A client connection to an `hbserve` server.
@@ -1264,125 +1156,97 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects to `addr` (the `HB_SERVE_ADDR` value).
+    /// Connects to `addr` (one `HB_SERVE_ADDR` entry) and checks with
+    /// `HELLO` that the server speaks this build's [`PROTOCOL_VERSION`].
     ///
     /// # Errors
     ///
-    /// Propagates connection errors.
-    pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
+    /// [`ServeError::VersionMismatch`] naming both versions when the
+    /// server speaks another protocol; otherwise socket failures,
+    /// malformed frames, or a server rejection.
+    pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, ServeError> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(Client { stream })
+        let mut client = Client { stream };
+        let hello = PROTOCOL_VERSION.to_le_bytes();
+        let payload = client.call(REQ_HELLO, &hello, RESP_HELLO, "expected a HELLO response")?;
+        let mut r = Reader::new(&payload);
+        let server = r.get_u32()?;
+        expect_end(&r)?;
+        if server != PROTOCOL_VERSION {
+            return Err(ServeError::VersionMismatch {
+                client: PROTOCOL_VERSION,
+                server,
+            });
+        }
+        Ok(client)
     }
 
-    /// Submits `jobs` over the v1 synchronous flow and collects the
-    /// streamed outcomes, in input order.
+    /// Sends one request frame and reads its single response: the payload
+    /// when the response kind is `expect`, the server's diagnostic for
+    /// `ERR`, and the protocol violation `what` for anything else.
+    fn call(
+        &mut self,
+        kind: u8,
+        payload: &[u8],
+        expect: u8,
+        what: &'static str,
+    ) -> Result<Vec<u8>, ServeError> {
+        write_frame(&mut self.stream, kind, payload)?;
+        let (got, payload) =
+            read_frame(&mut self.stream)?.ok_or(ServeError::Protocol("server closed"))?;
+        match got {
+            _ if got == expect => Ok(payload),
+            RESP_ERR => Err(server_error(&payload)),
+            _ => Err(ServeError::Protocol(what)),
+        }
+    }
+
+    /// [`Client::call`] for an empty request answered by one string.
+    fn call_str(&mut self, kind: u8, expect: u8, what: &'static str) -> Result<String, ServeError> {
+        let payload = self.call(kind, &[], expect, what)?;
+        let mut r = Reader::new(&payload);
+        let text = r.get_str()?.to_owned();
+        expect_end(&r)?;
+        Ok(text)
+    }
+
+    /// Submits `jobs` and returns the ticket id; collect with
+    /// [`Client::watch_into`] from this connection or any later one. With
+    /// `ctx` the server stamps its spans under `ctx.trace`, with
+    /// `ctx.parent` as their root's parent, and returns them with the
+    /// draining `WATCH`.
     ///
     /// # Errors
     ///
     /// [`ServeError`] on oversized grids (rejected before anything is
     /// sent), socket failures, malformed frames, or a server rejection.
-    pub fn run_jobs(&mut self, jobs: &[WireJob]) -> Result<Vec<RunOutcome>, ServeError> {
+    pub fn submit(&mut self, jobs: &[WireJob], ctx: Option<TraceCtx>) -> Result<u64, ServeError> {
         if jobs.len() > MAX_GRID {
             return Err(ServeError::Oversized { cells: jobs.len() });
         }
-        let mut w = Writer::new();
-        w.put_u32(jobs.len() as u32);
-        for job in jobs {
-            w.put_str(&job.listing);
-            encode_config(&mut w, &job.config);
-            w.put_u64(job.salt);
-            w.put_u64(job.tag);
+        let payload = self.call(
+            REQ_SUBMIT,
+            &encode_submission(jobs, ctx),
+            RESP_TICKET,
+            "expected a TICKET response",
+        )?;
+        let mut r = Reader::new(&payload);
+        let ticket = r.get_u64()?;
+        let count = r.get_u32()? as usize;
+        expect_end(&r)?;
+        if count != jobs.len() {
+            return Err(ServeError::Protocol("ticket covers the wrong cell count"));
         }
-        write_frame(&mut self.stream, REQ_SUBMIT, &w.into_bytes())?;
-
-        let mut results: Vec<Option<RunOutcome>> = vec![None; jobs.len()];
-        self.collect(&mut results, &mut Vec::new())?;
-        results
-            .into_iter()
-            .collect::<Option<Vec<RunOutcome>>>()
-            .ok_or(ServeError::Protocol("server omitted results"))
-    }
-
-    /// Submits `jobs` over the v2 ticket flow (deduplicated listing
-    /// table) and returns the ticket id; collect with [`Client::watch`] /
-    /// [`Client::watch_into`] or check progress with [`Client::poll`] —
-    /// from this connection or any later one.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError`] on oversized grids, socket failures, malformed
-    /// frames, or a server rejection.
-    pub fn submit(&mut self, jobs: &[WireJob]) -> Result<u64, ServeError> {
-        self.submit_traced(jobs, None).map(|(ticket, _)| ticket)
-    }
-
-    /// [`Client::submit`] carrying trace context: the server stamps its
-    /// spans under `ctx.trace` with `ctx.parent` as their root's parent
-    /// and returns them with the draining `WATCH`. Returns the ticket and
-    /// whether the server accepted the context — a pre-telemetry server
-    /// rejects the `SUBMIT3` frame kind, and this method then falls back
-    /// to a plain `SUBMIT2` on the same connection (`false`: results are
-    /// identical, server-side spans are simply absent).
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError`] on oversized grids, socket failures, malformed
-    /// frames, or a server rejection.
-    pub fn submit_traced(
-        &mut self,
-        jobs: &[WireJob],
-        ctx: Option<TraceCtx>,
-    ) -> Result<(u64, bool), ServeError> {
-        if jobs.len() > MAX_GRID {
-            return Err(ServeError::Oversized { cells: jobs.len() });
-        }
-        let encoded = encode_submission2(jobs);
-        if let Some(ctx) = ctx {
-            let mut w = Writer::new();
-            w.put_u64(ctx.trace.0);
-            w.put_u64(ctx.parent.0);
-            let mut payload = w.into_bytes();
-            payload.extend_from_slice(&encoded);
-            write_frame(&mut self.stream, REQ_SUBMIT3, &payload)?;
-            match self.read_ticket(jobs.len()) {
-                Ok(ticket) => return Ok((ticket, true)),
-                // An old server leaves the connection open after rejecting
-                // an unknown frame kind; retry without trace context.
-                Err(ServeError::Server(msg)) if msg.contains("unknown request kind") => {}
-                Err(e) => return Err(e),
-            }
-        }
-        write_frame(&mut self.stream, REQ_SUBMIT2, &encoded)?;
-        self.read_ticket(jobs.len()).map(|ticket| (ticket, false))
-    }
-
-    fn read_ticket(&mut self, cells: usize) -> Result<u64, ServeError> {
-        let (kind, payload) =
-            read_frame(&mut self.stream)?.ok_or(ServeError::Protocol("server closed"))?;
-        match kind {
-            RESP_TICKET => {
-                let mut r = Reader::new(&payload);
-                let ticket = r.get_u64()?;
-                let count = r.get_u32()? as usize;
-                if count != cells {
-                    return Err(ServeError::Protocol("ticket covers the wrong cell count"));
-                }
-                Ok(ticket)
-            }
-            RESP_ERR => {
-                let mut r = Reader::new(&payload);
-                Err(ServeError::Server(r.get_str()?.to_owned()))
-            }
-            _ => Err(ServeError::Protocol("expected a TICKET response")),
-        }
+        Ok(ticket)
     }
 
     /// Streams ticket `ticket`'s outcomes into `results` (one slot per
-    /// submitted cell, `None` = not yet delivered). Already-filled slots
-    /// are kept; a re-delivery for one of them is a protocol error. On a
-    /// mid-stream failure the slots filled so far remain — callers
-    /// reconnect and resubmit only the missing cells.
+    /// submitted cell, `None` = not yet delivered) and its server-side
+    /// trace spans into `spans` (which stays empty for untraced tickets).
+    /// Already-filled slots are kept; a re-delivery for one of them is a
+    /// protocol error. On a mid-stream failure the slots filled so far
+    /// remain — callers reconnect and resubmit only the missing cells.
     ///
     /// # Errors
     ///
@@ -1392,120 +1256,57 @@ impl Client {
         &mut self,
         ticket: u64,
         results: &mut [Option<RunOutcome>],
-    ) -> Result<(), ServeError> {
-        let mut spans = Vec::new();
-        self.watch_into_traced(ticket, results, &mut spans)
-    }
-
-    /// [`Client::watch_into`] that also collects the server-side trace
-    /// spans of a ticket submitted with [`Client::submit_traced`] (the
-    /// `SPANS` frame preceding `DONE`). For untraced tickets `spans`
-    /// stays empty.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Client::watch_into`].
-    pub fn watch_into_traced(
-        &mut self,
-        ticket: u64,
-        results: &mut [Option<RunOutcome>],
         spans: &mut Vec<SpanEvent>,
     ) -> Result<(), ServeError> {
-        let mut w = Writer::new();
-        w.put_u64(ticket);
-        write_frame(&mut self.stream, REQ_WATCH, &w.into_bytes())?;
-        self.collect(results, spans)
+        write_frame(&mut self.stream, REQ_WATCH, &ticket.to_le_bytes())?;
+        loop {
+            let (kind, payload) = read_frame(&mut self.stream)?
+                .ok_or(ServeError::Protocol("server closed mid-submission"))?;
+            let mut r = Reader::new(&payload);
+            match kind {
+                RESP_RESULTS => fill_results(results, &payload)?,
+                RESP_SPANS => {
+                    let count = r.get_u32()?;
+                    for _ in 0..count {
+                        spans.push(decode_span(&mut r)?);
+                    }
+                    expect_end(&r)?;
+                }
+                RESP_DONE => {
+                    r.get_u32()?;
+                    return expect_end(&r);
+                }
+                RESP_ERR => return Err(server_error(&payload)),
+                _ => return Err(ServeError::Protocol("unexpected frame kind")),
+            }
+        }
     }
 
-    /// [`Client::submit`] + [`Client::watch_into`]: the v2 analogue of
-    /// [`Client::run_jobs`].
+    /// [`Client::submit`] + [`Client::watch_into`] for an untraced grid:
+    /// the outcomes in input order.
     ///
     /// # Errors
     ///
     /// [`ServeError`] as for the two halves.
-    pub fn run_jobs_v2(&mut self, jobs: &[WireJob]) -> Result<Vec<RunOutcome>, ServeError> {
-        let ticket = self.submit(jobs)?;
+    pub fn run_jobs(&mut self, jobs: &[WireJob]) -> Result<Vec<RunOutcome>, ServeError> {
+        let ticket = self.submit(jobs, None)?;
         let mut results: Vec<Option<RunOutcome>> = vec![None; jobs.len()];
-        self.watch_into(ticket, &mut results)?;
+        self.watch_into(ticket, &mut results, &mut Vec::new())?;
         results
             .into_iter()
             .collect::<Option<Vec<RunOutcome>>>()
             .ok_or(ServeError::Protocol("server omitted results"))
     }
 
-    /// Consumes `RESULTS` (and `SPANS`) frames into `results`/`spans`
-    /// until `DONE`.
-    fn collect(
-        &mut self,
-        results: &mut [Option<RunOutcome>],
-        spans: &mut Vec<SpanEvent>,
-    ) -> Result<(), ServeError> {
-        loop {
-            let (kind, payload) = read_frame(&mut self.stream)?
-                .ok_or(ServeError::Protocol("server closed mid-submission"))?;
-            match kind {
-                RESP_RESULTS => fill_results(results, &payload)?,
-                RESP_SPANS => {
-                    let mut r = Reader::new(&payload);
-                    let count = r.get_u32()?;
-                    for _ in 0..count {
-                        spans.push(decode_span(&mut r)?);
-                    }
-                }
-                RESP_DONE => return Ok(()),
-                RESP_ERR => {
-                    let mut r = Reader::new(&payload);
-                    return Err(ServeError::Server(r.get_str()?.to_owned()));
-                }
-                _ => return Err(ServeError::Protocol("unexpected frame kind")),
-            }
-        }
-    }
-
-    /// Fetches a ticket's progress without consuming it.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError`] on socket failures, malformed frames, or an unknown
-    /// ticket.
-    pub fn poll(&mut self, ticket: u64) -> Result<TicketStatus, ServeError> {
-        let mut w = Writer::new();
-        w.put_u64(ticket);
-        write_frame(&mut self.stream, REQ_POLL, &w.into_bytes())?;
-        let (kind, payload) =
-            read_frame(&mut self.stream)?.ok_or(ServeError::Protocol("server closed"))?;
-        match kind {
-            RESP_TICKET_STATUS => {
-                let mut r = Reader::new(&payload);
-                Ok(TicketStatus {
-                    total: r.get_u32()?,
-                    ready: r.get_u32()?,
-                    finished: r.get_u8()? != 0,
-                    failed: r.get_u8()? != 0,
-                })
-            }
-            RESP_ERR => {
-                let mut r = Reader::new(&payload);
-                Err(ServeError::Server(r.get_str()?.to_owned()))
-            }
-            _ => Err(ServeError::Protocol("expected a TICKET_STATUS response")),
-        }
-    }
-
     /// Fetches the server's store/log counters.
     ///
     /// # Errors
     ///
-    /// [`ServeError`] on socket failures or malformed frames.
+    /// [`ServeError`] on socket failures or a short or long payload.
     pub fn stats(&mut self) -> Result<RemoteServerStats, ServeError> {
-        write_frame(&mut self.stream, REQ_STATS, &[])?;
-        let (kind, payload) =
-            read_frame(&mut self.stream)?.ok_or(ServeError::Protocol("server closed"))?;
-        if kind != RESP_STATS {
-            return Err(ServeError::Protocol("expected a STATS response"));
-        }
+        let payload = self.call(REQ_STATS, &[], RESP_STATS, "expected a STATS response")?;
         let mut r = Reader::new(&payload);
-        let mut stats = RemoteServerStats {
+        let stats = RemoteServerStats {
             hits: r.get_u64()?,
             misses: r.get_u64()?,
             evicted: r.get_u64()?,
@@ -1516,17 +1317,13 @@ impl Client {
             foreign_cells: r.get_u64()?,
             shard_index: r.get_u64()?,
             shard_count: r.get_u64()?,
-            ..RemoteServerStats::default()
+            uptime_s: r.get_u64()?,
+            tickets_active: r.get_u64()?,
+            tickets_finished: r.get_u64()?,
+            tickets_gcd: r.get_u64()?,
+            cells_in_flight: r.get_u64()?,
         };
-        // The telemetry extension rides at the tail; a pre-telemetry
-        // server's payload simply ends here.
-        if r.remaining() >= 40 {
-            stats.uptime_s = r.get_u64()?;
-            stats.tickets_active = r.get_u64()?;
-            stats.tickets_finished = r.get_u64()?;
-            stats.tickets_gcd = r.get_u64()?;
-            stats.cells_in_flight = r.get_u64()?;
-        }
+        expect_end(&r)?;
         Ok(stats)
     }
 
@@ -1536,49 +1333,21 @@ impl Client {
     /// # Errors
     ///
     /// [`ServeError`] on socket failures, malformed frames, or a server
-    /// rejection (a pre-telemetry server answers `ERR "unknown request
-    /// kind"`).
+    /// rejection.
     pub fn metrics(&mut self) -> Result<String, ServeError> {
-        write_frame(&mut self.stream, REQ_METRICS, &[])?;
-        let (kind, payload) =
-            read_frame(&mut self.stream)?.ok_or(ServeError::Protocol("server closed"))?;
-        match kind {
-            RESP_METRICS => {
-                let mut r = Reader::new(&payload);
-                Ok(r.get_str()?.to_owned())
-            }
-            RESP_ERR => {
-                let mut r = Reader::new(&payload);
-                Err(ServeError::Server(r.get_str()?.to_owned()))
-            }
-            _ => Err(ServeError::Protocol("expected a METRICS response")),
-        }
+        self.call_str(REQ_METRICS, RESP_METRICS, "expected a METRICS response")
     }
 
     /// Fetches the server's accumulated hot-spot profile (non-empty only
-    /// when the server executes with `HB_PROF=1`).
+    /// when the server executes with `HB_PROF` on).
     ///
     /// # Errors
     ///
     /// [`ServeError`] on socket failures, malformed frames, an unparseable
-    /// profile, or a server rejection (a pre-profile server answers `ERR
-    /// "unknown request kind"` — callers merging a cluster treat that
-    /// shard as an empty profile).
+    /// profile, or a server rejection.
     pub fn profile(&mut self) -> Result<hardbound_telemetry::Profile, ServeError> {
-        write_frame(&mut self.stream, REQ_PROFILE, &[])?;
-        let (kind, payload) =
-            read_frame(&mut self.stream)?.ok_or(ServeError::Protocol("server closed"))?;
-        match kind {
-            RESP_PROFILE => {
-                let mut r = Reader::new(&payload);
-                hardbound_telemetry::Profile::from_text(r.get_str()?).map_err(ServeError::Server)
-            }
-            RESP_ERR => {
-                let mut r = Reader::new(&payload);
-                Err(ServeError::Server(r.get_str()?.to_owned()))
-            }
-            _ => Err(ServeError::Protocol("expected a PROFILE response")),
-        }
+        let text = self.call_str(REQ_PROFILE, RESP_PROFILE, "expected a PROFILE response")?;
+        hardbound_telemetry::Profile::from_text(&text).map_err(ServeError::Server)
     }
 
     /// Asks the server to shut down after in-flight connections finish.
@@ -1587,12 +1356,7 @@ impl Client {
     ///
     /// [`ServeError`] on socket failures.
     pub fn shutdown(&mut self) -> Result<(), ServeError> {
-        write_frame(&mut self.stream, REQ_SHUTDOWN, &[])?;
-        let (kind, _) =
-            read_frame(&mut self.stream)?.ok_or(ServeError::Protocol("server closed"))?;
-        if kind != RESP_DONE {
-            return Err(ServeError::Protocol("expected a DONE response"));
-        }
+        self.call(REQ_SHUTDOWN, &[], RESP_DONE, "expected a DONE response")?;
         Ok(())
     }
 }
@@ -1645,6 +1409,139 @@ mod tests {
             .collect()
     }
 
+    /// Binds a scripted fake server: it answers the client's `HELLO` with
+    /// `version`, then hands the connection to `script`.
+    fn fake_server(
+        version: u32,
+        script: impl FnOnce(&mut TcpStream) + Send + 'static,
+    ) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let handle = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let (kind, payload) = read_frame(&mut stream).unwrap().unwrap();
+            assert_eq!(kind, REQ_HELLO);
+            assert_eq!(payload, PROTOCOL_VERSION.to_le_bytes());
+            write_frame(&mut stream, RESP_HELLO, &version.to_le_bytes()).unwrap();
+            script(&mut stream);
+        });
+        (addr, handle)
+    }
+
+    /// Fake-server script step: swallow the `SUBMIT`, answer a ticket for
+    /// `cells` cells, then swallow the `WATCH` that follows.
+    fn fake_ticket(stream: &mut TcpStream, cells: u32) {
+        let (kind, _) = read_frame(stream).unwrap().unwrap();
+        assert_eq!(kind, REQ_SUBMIT);
+        let mut w = Writer::new();
+        w.put_u64(1);
+        w.put_u32(cells);
+        write_frame(stream, RESP_TICKET, &w.into_bytes()).unwrap();
+        let (kind, _) = read_frame(stream).unwrap().unwrap();
+        assert_eq!(kind, REQ_WATCH);
+    }
+
+    fn jobs_over_two_listings(cells: usize) -> Vec<WireJob> {
+        let cfg = MachineConfig::default().with_fuel(1_000_000);
+        (0..cells)
+            .map(|k| {
+                WireJob::new(
+                    &counting_program(5 + (k % 2) as i32),
+                    cfg.clone(),
+                    k as u64,
+                    0,
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn submit_frame_round_trips_cells_and_trace_context() {
+        let jobs = jobs_over_two_listings(5);
+        let traced = TraceCtx {
+            trace: TraceId(7),
+            parent: SpanId(9),
+        };
+        for ctx in [Some(traced), None] {
+            let (got_ctx, decoded) =
+                decode_submission(&encode_submission(&jobs, ctx), &|_| true).unwrap();
+            assert_eq!(got_ctx, ctx);
+            assert_eq!(decoded.len(), jobs.len());
+            for (job, cell) in jobs.iter().zip(&decoded) {
+                assert_eq!(cell.program.disassemble(), job.listing);
+                assert_eq!(cell.config, job.config);
+                assert_eq!((cell.salt, cell.tag), (job.salt, job.tag));
+            }
+        }
+    }
+
+    #[test]
+    fn every_strict_prefix_of_a_submit_frame_is_rejected() {
+        let ctx = TraceCtx {
+            trace: TraceId(7),
+            parent: SpanId(9),
+        };
+        let payload = encode_submission(&jobs_over_two_listings(3), Some(ctx));
+        for n in 0..payload.len() {
+            let err = decode_submission(&payload[..n], &|_| true)
+                .expect_err("a truncated SUBMIT must not decode");
+            assert!(
+                !err.is_empty(),
+                "prefix {n} was rejected without a diagnostic"
+            );
+        }
+    }
+
+    #[test]
+    fn hello_version_mismatch_fails_connect_naming_both_versions() {
+        let (addr, fake) = fake_server(PROTOCOL_VERSION + 1, |_| {});
+        let err = Client::connect(addr).unwrap_err();
+        assert!(
+            matches!(err, ServeError::VersionMismatch { client, server }
+                if client == PROTOCOL_VERSION && server == PROTOCOL_VERSION + 1),
+            "{err}"
+        );
+        let msg = err.to_string();
+        assert!(msg.contains(&format!("v{PROTOCOL_VERSION}")), "{msg}");
+        assert!(msg.contains(&format!("v{}", PROTOCOL_VERSION + 1)), "{msg}");
+        fake.join().unwrap();
+    }
+
+    /// Records the largest buffer a frame read asks its source to fill.
+    struct Recording<R> {
+        inner: R,
+        largest: usize,
+    }
+
+    impl<R: Read> Read for Recording<R> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.largest = self.largest.max(buf.len());
+            self.inner.read(buf)
+        }
+    }
+
+    /// A header declaring a 1 GiB frame followed by 3 payload bytes and EOF
+    /// is an error, and the read never buffers more than `FRAME_RESERVE`.
+    #[test]
+    fn frame_reads_grow_with_received_bytes_not_the_declared_length() {
+        let mut bytes = MAX_FRAME.to_le_bytes().to_vec();
+        bytes.push(REQ_SUBMIT);
+        bytes.extend_from_slice(&[1, 2, 3]);
+        let mut source = Recording {
+            inner: io::Cursor::new(bytes),
+            largest: 0,
+        };
+        assert!(
+            read_frame(&mut source).is_err(),
+            "a short payload is an error"
+        );
+        assert!(
+            source.largest as u64 <= FRAME_RESERVE,
+            "read asked for {} bytes up front",
+            source.largest
+        );
+    }
+
     #[test]
     fn submit_streams_byte_identical_results_and_replays_warm() {
         let (addr, handle) = spawn_server();
@@ -1669,25 +1566,22 @@ mod tests {
     }
 
     #[test]
-    fn ticket_flow_matches_v1_and_dedups_listings() {
+    fn ticket_flow_is_byte_identical_and_dedups_listings() {
         let (addr, handle) = spawn_server();
-        let cfg = MachineConfig::default().with_fuel(1_000_000);
-        // 40 cells over 2 distinct programs: the v2 payload carries 2
-        // listings, the v1 payload 40 copies.
-        let jobs: Vec<WireJob> = (0..40)
-            .map(|k| WireJob::new(&counting_program(5 + (k % 2)), cfg.clone(), k as u64, 0))
-            .collect();
-        let v2 = encode_submission2(&jobs);
+        // 40 cells over 2 distinct programs: the payload carries 2
+        // listings, not 40 copies.
+        let jobs = jobs_over_two_listings(40);
+        let payload = encode_submission(&jobs, None);
         let per_cell_overhead = 4 + 8 + 8 + 256; // index + salt + tag + config upper bound
         assert!(
-            v2.len() < 2 * jobs[0].listing.len() + 40 * per_cell_overhead,
+            payload.len() < 16 + 2 * jobs[0].listing.len() + 40 * per_cell_overhead,
             "the listing table must be deduplicated: {} bytes",
-            v2.len()
+            payload.len()
         );
 
         let expected = expected_outcomes(&jobs);
         let mut client = Client::connect(addr).unwrap();
-        let out = client.run_jobs_v2(&jobs).unwrap();
+        let out = client.run_jobs(&jobs).unwrap();
         assert_eq!(out, expected, "ticketed execution must be byte-identical");
 
         client.shutdown().unwrap();
@@ -1707,27 +1601,22 @@ mod tests {
         // ticket's results must not die with the socket.
         let ticket = {
             let mut submitter = Client::connect(addr).unwrap();
-            submitter.submit(&jobs).unwrap()
+            submitter.submit(&jobs, None).unwrap()
         };
         let mut collector = Client::connect(addr).unwrap();
-        // Poll until finished (never consumes), then watch.
-        let status = loop {
-            let st = collector.poll(ticket).unwrap();
-            assert_eq!(st.total, 37);
-            assert!(!st.failed);
-            if st.finished {
-                break st;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        };
-        assert_eq!(status.ready, 37, "finished tickets hold every outcome");
         let mut results: Vec<Option<RunOutcome>> = vec![None; jobs.len()];
-        collector.watch_into(ticket, &mut results).unwrap();
+        collector
+            .watch_into(ticket, &mut results, &mut Vec::new())
+            .unwrap();
         let results: Vec<RunOutcome> = results.into_iter().map(Option::unwrap).collect();
         assert_eq!(results, expected);
 
         // The watch consumed the ticket.
-        match collector.poll(ticket).unwrap_err() {
+        let mut again: Vec<Option<RunOutcome>> = vec![None; jobs.len()];
+        match collector
+            .watch_into(ticket, &mut again, &mut Vec::new())
+            .unwrap_err()
+        {
             ServeError::Server(msg) => assert!(msg.contains("unknown ticket"), "{msg}"),
             other => panic!("expected unknown-ticket, got {other}"),
         }
@@ -1742,24 +1631,15 @@ mod tests {
         let cfg = MachineConfig::default();
         let mut client = Client::connect(addr).unwrap();
 
+        // Rejected before a ticket is ever allocated.
         let mut bad_tag = vec![WireJob::new(&counting_program(3), cfg.clone(), 0, 99)];
         match client.run_jobs(&bad_tag).unwrap_err() {
-            ServeError::Server(msg) => assert!(msg.contains("tag 99"), "{msg}"),
-            other => panic!("expected a server rejection, got {other}"),
-        }
-        // The v2 path validates identically (rejected before a ticket is
-        // ever allocated).
-        match client.submit(&bad_tag).unwrap_err() {
             ServeError::Server(msg) => assert!(msg.contains("tag 99"), "{msg}"),
             other => panic!("expected a server rejection, got {other}"),
         }
         bad_tag[0].tag = 0;
         bad_tag[0].listing = "frobnicate a0\n".to_owned();
         match client.run_jobs(&bad_tag).unwrap_err() {
-            ServeError::Server(msg) => assert!(msg.contains("unparseable"), "{msg}"),
-            other => panic!("expected a server rejection, got {other}"),
-        }
-        match client.submit(&bad_tag).unwrap_err() {
             ServeError::Server(msg) => assert!(msg.contains("unparseable"), "{msg}"),
             other => panic!("expected a server rejection, got {other}"),
         }
@@ -1778,18 +1658,11 @@ mod tests {
             other => panic!("expected a server rejection, got {other}"),
         }
         // A TLB whose entry count does not divide into its way count used
-        // to silently truncate the TLB; it is now rejected at the wire, on
-        // both protocol versions.
+        // to silently truncate the TLB; it is now rejected at the wire.
         bad_tag[0].config.hierarchy.l1_bytes = 8192;
         bad_tag[0].config.hierarchy.tlb_entries = 387;
         bad_tag[0].config.hierarchy.tlb_ways = 6;
         match client.run_jobs(&bad_tag).unwrap_err() {
-            ServeError::Server(msg) => {
-                assert!(msg.contains("387 entries do not divide"), "{msg}");
-            }
-            other => panic!("expected a server rejection, got {other}"),
-        }
-        match client.submit(&bad_tag).unwrap_err() {
             ServeError::Server(msg) => {
                 assert!(msg.contains("387 entries do not divide"), "{msg}");
             }
@@ -1894,11 +1767,8 @@ mod tests {
             let p = counting_program(3);
             hardbound_exec::Engine::new(Machine::new(p, cfg)).run()
         };
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let fake = std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
-            let _ = read_frame(&mut stream).unwrap(); // swallow the SUBMIT
+        let (addr, fake) = fake_server(PROTOCOL_VERSION, move |stream| {
+            fake_ticket(stream, 2);
             let frame = |start: u32| {
                 let mut w = Writer::new();
                 w.put_u32(start);
@@ -1906,9 +1776,9 @@ mod tests {
                 encode_outcome(&mut w, &outcome);
                 w.into_bytes()
             };
-            write_frame(&mut stream, RESP_RESULTS, &frame(0)).unwrap();
-            write_frame(&mut stream, RESP_RESULTS, &frame(0)).unwrap(); // re-delivery
-            let _ = write_frame(&mut stream, RESP_DONE, &2u32.to_le_bytes());
+            write_frame(stream, RESP_RESULTS, &frame(0)).unwrap();
+            write_frame(stream, RESP_RESULTS, &frame(0)).unwrap(); // re-delivery
+            let _ = write_frame(stream, RESP_DONE, &2u32.to_le_bytes());
         });
         let mut client = Client::connect(addr).unwrap();
         match client.run_jobs(&jobs).unwrap_err() {
@@ -1928,16 +1798,13 @@ mod tests {
             let p = counting_program(3);
             hardbound_exec::Engine::new(Machine::new(p, cfg)).run()
         };
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let fake = std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
-            let _ = read_frame(&mut stream).unwrap();
+        let (addr, fake) = fake_server(PROTOCOL_VERSION, move |stream| {
+            fake_ticket(stream, 1);
             let mut w = Writer::new();
             w.put_u32(u32::MAX); // start far past the grid
             w.put_u32(1);
             encode_outcome(&mut w, &outcome);
-            let _ = write_frame(&mut stream, RESP_RESULTS, &w.into_bytes());
+            let _ = write_frame(stream, RESP_RESULTS, &w.into_bytes());
         });
         let mut client = Client::connect(addr).unwrap();
         match client.run_jobs(&jobs).unwrap_err() {
@@ -1960,15 +1827,12 @@ mod tests {
         let trace = TraceId(hardbound_telemetry::trace::fresh_id());
         let parent = SpanId(hardbound_telemetry::trace::fresh_id());
         let mut client = Client::connect(addr).unwrap();
-        let (ticket, traced) = client
-            .submit_traced(&jobs, Some(TraceCtx { trace, parent }))
+        let ticket = client
+            .submit(&jobs, Some(TraceCtx { trace, parent }))
             .unwrap();
-        assert!(traced, "a telemetry server must accept SUBMIT3");
         let mut results: Vec<Option<RunOutcome>> = vec![None; jobs.len()];
         let mut spans = Vec::new();
-        client
-            .watch_into_traced(ticket, &mut results, &mut spans)
-            .unwrap();
+        client.watch_into(ticket, &mut results, &mut spans).unwrap();
         let results: Vec<RunOutcome> = results.into_iter().map(Option::unwrap).collect();
         assert_eq!(results, expected, "tracing must not perturb results");
 
@@ -2010,51 +1874,13 @@ mod tests {
             .map(|k| WireJob::new(&counting_program(5 + k), cfg.clone(), 0, 0))
             .collect();
         let mut client = Client::connect(addr).unwrap();
-        let ticket = client.submit(&jobs).unwrap();
+        let ticket = client.submit(&jobs, None).unwrap();
         let mut results: Vec<Option<RunOutcome>> = vec![None; jobs.len()];
         let mut spans = Vec::new();
-        client
-            .watch_into_traced(ticket, &mut results, &mut spans)
-            .unwrap();
+        client.watch_into(ticket, &mut results, &mut spans).unwrap();
         assert!(spans.is_empty(), "{spans:?}");
         client.shutdown().unwrap();
         handle.join().unwrap();
-    }
-
-    /// A scripted "old" server that rejects the SUBMIT3 frame kind the
-    /// way the real dispatch loop does — the client must transparently
-    /// fall back to SUBMIT2 on the same connection.
-    #[test]
-    fn submit_traced_falls_back_to_submit2_on_an_old_server() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let fake = std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
-            let (kind, _) = read_frame(&mut stream).unwrap().unwrap();
-            assert_eq!(kind, REQ_SUBMIT3);
-            let mut w = Writer::new();
-            w.put_str("unknown request kind");
-            write_frame(&mut stream, RESP_ERR, &w.into_bytes()).unwrap();
-            let (kind, payload) = read_frame(&mut stream).unwrap().unwrap();
-            assert_eq!(kind, REQ_SUBMIT2, "client must retry without context");
-            let tag_ok: Arc<TagCheck> = Arc::new(|_| true);
-            let jobs = decode_submission2(&payload, &tag_ok).unwrap();
-            let mut w = Writer::new();
-            w.put_u64(77);
-            w.put_u32(jobs.len() as u32);
-            write_frame(&mut stream, RESP_TICKET, &w.into_bytes()).unwrap();
-        });
-        let cfg = MachineConfig::default();
-        let jobs = vec![WireJob::new(&counting_program(3), cfg, 0, 0)];
-        let ctx = TraceCtx {
-            trace: TraceId(1),
-            parent: SpanId(2),
-        };
-        let mut client = Client::connect(addr).unwrap();
-        let (ticket, traced) = client.submit_traced(&jobs, Some(ctx)).unwrap();
-        assert_eq!(ticket, 77);
-        assert!(!traced, "fallback must report the lost trace context");
-        fake.join().unwrap();
     }
 
     #[test]
@@ -2065,8 +1891,8 @@ mod tests {
             .map(|k| WireJob::new(&counting_program(5 + k), cfg.clone(), 0, 0))
             .collect();
         let mut client = Client::connect(addr).unwrap();
-        client.run_jobs_v2(&jobs).unwrap();
-        client.run_jobs_v2(&jobs).unwrap(); // warm replay, still "executed"
+        client.run_jobs(&jobs).unwrap();
+        client.run_jobs(&jobs).unwrap(); // warm replay, still "executed"
 
         let stats = client.stats().unwrap();
         assert_eq!(stats.tickets_finished, 2);
@@ -2110,7 +1936,7 @@ mod tests {
         // scrapers below hammer the server.
         let ticket = {
             let mut c = Client::connect(addr).unwrap();
-            c.submit(&jobs).unwrap()
+            c.submit(&jobs, None).unwrap()
         };
         // Concurrent "engine flush" traffic into the profile accumulator:
         // each flush adds 1 exec / 5 cycles to one block, so any snapshot
@@ -2165,7 +1991,9 @@ mod tests {
         let scrapers: Vec<_> = (0..2).map(|_| scraper(addr)).collect();
         let mut collector = Client::connect(addr).unwrap();
         let mut results: Vec<Option<RunOutcome>> = vec![None; jobs.len()];
-        collector.watch_into(ticket, &mut results).unwrap();
+        collector
+            .watch_into(ticket, &mut results, &mut Vec::new())
+            .unwrap();
         for s in scrapers {
             s.join().unwrap();
         }
@@ -2197,7 +2025,7 @@ mod tests {
             .map(|k| WireJob::new(&counting_program(5 + k), cfg.clone(), 0, 0))
             .collect();
         let mut client = Client::connect(addr).unwrap();
-        client.run_jobs_v2(&jobs).unwrap();
+        client.run_jobs(&jobs).unwrap();
         let stats = client.stats().unwrap();
         assert_eq!(stats.shard_index, 0);
         assert_eq!(stats.shard_count, 3);
