@@ -36,6 +36,8 @@ mod codegen;
 use std::fmt;
 
 use hardbound_isa::Program;
+use hardbound_lang::Hir;
+pub use hardbound_lang::Prelude;
 
 /// Instrumentation strategy (see the crate docs for the mapping to the
 /// paper's schemes).
@@ -151,8 +153,27 @@ impl From<String> for CompileError {
 /// Returns a [`CompileError`] for front-end errors or code-generation
 /// limits (e.g. expressions needing more than the available temporaries).
 pub fn compile_program(source: &str, opts: &Options) -> Result<Program, CompileError> {
-    let hir = hardbound_lang::frontend(source)?;
-    let program = codegen::generate(&hir, opts)?;
+    lower(&hardbound_lang::frontend(source)?, opts)
+}
+
+/// Compiles `user_source` against a library checked once into `prelude`.
+/// The result equals [`compile_program`] of the library source followed by
+/// `user_source`, except that parse errors carry positions in
+/// `user_source`.
+///
+/// # Errors
+///
+/// As for [`compile_program`].
+pub fn compile_with_prelude(
+    prelude: &Prelude,
+    user_source: &str,
+    opts: &Options,
+) -> Result<Program, CompileError> {
+    lower(&prelude.frontend(user_source)?, opts)
+}
+
+fn lower(hir: &Hir, opts: &Options) -> Result<Program, CompileError> {
+    let program = codegen::generate(hir, opts)?;
     debug_assert_eq!(
         program.validate(),
         Ok(()),

@@ -38,7 +38,7 @@ pub mod types;
 pub use parser::{parse, ParseError};
 pub use sema::{
     check, FieldRef, GlobalId, HExpr, HExprKind, HFunc, HGlobal, HLocal, HStmt, Hir, Intrinsic,
-    LocalId, SemaError,
+    LocalId, Prelude, SemaError,
 };
 pub use token::{lex, LexError, Span, Tok};
 
@@ -258,6 +258,73 @@ mod tests {
         );
         assert!(hir_err("int main() { int x; return x.y; }").contains("non-struct"));
         assert!(hir_err("int main() { void v; return 0; }").contains("void"));
+    }
+
+    /// A two-function library standing in for the runtime: `rand_range`
+    /// is checked last, so a stale function context would name it.
+    const LIBRARY: &str = "struct __hdr { int size; struct __hdr *next; };\n\
+         int __heap_ready;\n\
+         void *malloc(int n) { __heap_ready = 1; return 0; }\n\
+         int rand_range(int n) { return n; }";
+
+    #[test]
+    fn prelude_library_needs_no_main() {
+        let prelude = Prelude::new(LIBRARY).expect("a library needs no `main`");
+        let h = prelude
+            .frontend("int main() { struct __hdr *h = malloc(8); return rand_range(3); }")
+            .unwrap();
+        assert_eq!(h.funcs.len(), 3);
+        assert_eq!(h.main, 2);
+    }
+
+    #[test]
+    fn prelude_user_unit_without_main_is_rejected() {
+        let prelude = Prelude::new(LIBRARY).unwrap();
+        assert_eq!(
+            prelude.frontend("int g() { return 1; }").unwrap_err(),
+            "semantic error: program has no `main` function"
+        );
+    }
+
+    #[test]
+    fn prelude_redefinition_names_no_library_function() {
+        let prelude = Prelude::new(LIBRARY).unwrap();
+        assert_eq!(
+            prelude
+                .frontend("int malloc(int n) { return n; } int main() { return 0; }")
+                .unwrap_err(),
+            "semantic error: duplicate function `malloc`"
+        );
+    }
+
+    #[test]
+    fn prelude_shares_library_bodies() {
+        let prelude = Prelude::new(LIBRARY).unwrap();
+        let a = prelude.frontend("int main() { return 1; }").unwrap();
+        let b = prelude.frontend("int main() { return 2; }").unwrap();
+        assert!(std::sync::Arc::ptr_eq(&a.funcs[0], &b.funcs[0]));
+        assert_ne!(a.funcs[2], b.funcs[2]);
+    }
+
+    #[test]
+    fn empty_prelude_equals_whole_unit_check() {
+        let empty = Prelude::new("").unwrap();
+        for (src, accepted) in [
+            ("int main() { return 0; }", true),
+            (
+                "struct s { int x; char c[3]; }; int g = -4; char *p;\n\
+                 int f(struct s *v) { return v->x + g; }\n\
+                 int main() { struct s v; v.x = 1; print_int(g); return f(&v); }",
+                true,
+            ),
+            ("int main() { char *s = \"hi\"; return s[0]; }", true),
+            ("int main() { return x; }", false),
+            ("int g() { return 1; }", false),
+        ] {
+            let whole = frontend(src);
+            assert_eq!(whole.is_ok(), accepted, "{src}: {whole:?}");
+            assert_eq!(whole, empty.frontend(src), "{src}");
+        }
     }
 
     #[test]

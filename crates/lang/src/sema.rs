@@ -3,6 +3,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::ast::{self, BinaryOp, Expr, Stmt, TypeExpr, UnaryOp, Unit};
 use crate::types::{StructId, Type, TypeTable};
@@ -200,7 +201,7 @@ pub struct HGlobal {
 }
 
 /// A fully type-checked translation unit.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Hir {
     /// Struct layouts.
     pub types: TypeTable,
@@ -208,8 +209,9 @@ pub struct Hir {
     pub globals: Vec<HGlobal>,
     /// Total bytes of global data (before the string pool).
     pub globals_size: u32,
-    /// Functions; `Call` indexes this vector.
-    pub funcs: Vec<HFunc>,
+    /// Functions; `Call` indexes this vector. Bodies are shared, so every
+    /// program checked against one [`Prelude`] reuses the library's.
+    pub funcs: Vec<Arc<HFunc>>,
     /// Index of `main` in [`Hir::funcs`].
     pub main: usize,
     /// String-literal pool (NUL terminators already appended).
@@ -238,14 +240,64 @@ impl std::error::Error for SemaError {}
 /// Returns the first [`SemaError`] found (unknown names, type mismatches,
 /// bad lvalues, missing `main`, …).
 pub fn check(unit: &Unit) -> Result<Hir, SemaError> {
-    Checker::new().check_unit(unit)
+    let mut checker = Checker::new();
+    let funcs = checker.check_unit(unit)?;
+    checker.finish(funcs)
 }
 
+/// A library unit parsed and checked once, against which any number of
+/// programs are then checked — the front-end half of linking a
+/// precompiled runtime library.
+///
+/// Checking `user` against `Prelude::new(lib)` yields the same [`Hir`] as
+/// checking the concatenation `lib + user` as one unit whenever the
+/// library's bodies reference only its own declarations: the library's
+/// structs, globals and functions come first either way.
+#[derive(Debug)]
+pub struct Prelude {
+    checker: Checker,
+    funcs: Vec<Arc<HFunc>>,
+}
+
+impl Prelude {
+    /// Parses and checks `library_source`. A library needs no `main`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a formatted message for lexical, syntactic or semantic
+    /// errors in the library.
+    pub fn new(library_source: &str) -> Result<Prelude, String> {
+        let unit = crate::parse(library_source).map_err(|e| e.to_string())?;
+        let mut checker = Checker::new();
+        let funcs = checker.check_unit(&unit).map_err(|e| e.to_string())?;
+        Ok(Prelude { checker, funcs })
+    }
+
+    /// Parses `user_source` alone and checks it after the library. Parse
+    /// and lex errors carry positions in `user_source`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a formatted message for lexical, syntactic or semantic
+    /// errors, including a missing `main`.
+    pub fn frontend(&self, user_source: &str) -> Result<Hir, String> {
+        let unit = crate::parse(user_source).map_err(|e| e.to_string())?;
+        let mut checker = self.checker.clone();
+        let mut funcs = self.funcs.clone();
+        funcs.extend(checker.check_unit(&unit).map_err(|e| e.to_string())?);
+        checker.finish(funcs).map_err(|e| e.to_string())
+    }
+}
+
+#[derive(Clone, Debug)]
 struct FuncSig {
     ret: Type,
     params: Vec<Type>,
 }
 
+/// Declarations accumulate across the units checked by one `Checker`, so
+/// a later unit sees every earlier one's structs, globals and functions.
+#[derive(Clone, Debug)]
 struct Checker {
     types: TypeTable,
     globals: Vec<HGlobal>,
@@ -311,7 +363,9 @@ impl Checker {
         })
     }
 
-    fn check_unit(mut self, unit: &Unit) -> Result<Hir, SemaError> {
+    /// Declares and checks one unit — structs, then globals, then
+    /// signatures, then bodies — and returns its functions' HIR.
+    fn check_unit(&mut self, unit: &Unit) -> Result<Vec<Arc<HFunc>>, SemaError> {
         // Struct layouts (definition order; pointers to later structs are
         // not supported — Olden's data structures are self/backward
         // referential via pointers to the *same* struct, which works
@@ -389,6 +443,7 @@ impl Checker {
         }
 
         // Function signatures (two-pass so order does not matter).
+        let first_func = self.func_sigs.len();
         for f in &unit.funcs {
             if self.func_ids.contains_key(&f.name) {
                 return self.err(format_args!("duplicate function `{}`", f.name));
@@ -416,16 +471,22 @@ impl Checker {
             self.func_sigs.push(FuncSig { ret, params });
         }
 
-        // Bodies.
+        // Bodies. Function ids continue after earlier units' functions.
         let mut funcs = Vec::new();
         for (idx, f) in unit.funcs.iter().enumerate() {
-            funcs.push(self.check_func(idx, f)?);
+            funcs.push(Arc::new(self.check_func(first_func + idx, f)?));
         }
+        // Errors outside any body (a later unit's declarations, a missing
+        // `main`) must not name the last function checked.
+        self.current_fn.clear();
+        Ok(funcs)
+    }
 
+    /// Completes a program from every unit's functions, in check order.
+    fn finish(self, funcs: Vec<Arc<HFunc>>) -> Result<Hir, SemaError> {
         let Some(&main) = self.func_ids.get("main") else {
             return self.err("program has no `main` function");
         };
-
         Ok(Hir {
             types: self.types,
             globals: self.globals,

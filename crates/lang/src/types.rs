@@ -106,7 +106,7 @@ impl StructLayout {
 }
 
 /// All struct layouts of a translation unit.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TypeTable {
     structs: Vec<StructLayout>,
     by_name: HashMap<String, StructId>,

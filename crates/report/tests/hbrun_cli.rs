@@ -163,6 +163,21 @@ fn mixing_listing_and_cb_inputs_is_rejected() {
 }
 
 #[test]
+fn malformed_cb_reports_the_line_in_the_users_file() {
+    // The runtime library is compiled separately, so the error names the
+    // line in the user's file.
+    let cb = write_temp(
+        "bad.cb",
+        "int main() {\n    int x = 1;\n    return x +;\n}\n",
+    );
+    let out = hbrun(&[cb.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("parse error at 3:15"), "stderr: {stderr}");
+    let _ = std::fs::remove_file(cb);
+}
+
+#[test]
 fn rejects_an_unrecognized_hb_prof_value() {
     // `HB_PROF` takes the shared flag grammar: a value outside
     // on/off/1/0/true/false (any case) is a loud error, never "off".

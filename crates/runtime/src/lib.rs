@@ -4,8 +4,9 @@
 //! The paper's heap protection story (§3.2) is entirely runtime-driven:
 //! "Heap-allocated objects are bounded by instrumenting `malloc()` and
 //! related runtime-library functions." [`RUNTIME_SOURCE`] is that
-//! instrumented runtime, written in Cb and prepended to every program by
-//! [`link`]; its `malloc` announces allocation extents with
+//! instrumented runtime, written in Cb. Like a real toolchain's libc it is
+//! checked once per process and every program is compiled against it (see
+//! [`compile_uncached`]); its `malloc` announces allocation extents with
 //! `__setbound(p, n)`, which each compiler mode lowers to its own scheme
 //! (a `setbound` instruction, fat-pointer construction, an object-table
 //! registration, or nothing for the baseline).
@@ -49,7 +50,7 @@ use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
-use hardbound_compiler::{compile_program, CompileError, Mode, Options};
+use hardbound_compiler::{compile_with_prelude, CompileError, Mode, Options, Prelude};
 pub use hardbound_core::parse_flag;
 use hardbound_core::{
     BoundsOrigin, Fnv64, HardboundConfig, HierPath, Machine, MachineConfig, MetaPath,
@@ -94,10 +95,21 @@ pub fn env_parse<T: std::str::FromStr>(name: &str) -> Result<Option<T>, String> 
     }
 }
 
-/// Prepends the runtime library to a user program.
+/// Prepends the runtime library to a user program. Compiling the result as
+/// one unit gives the same [`Program`] as [`compile_uncached`]; only
+/// parse-error lines differ, shifted down by the library's lines.
 #[must_use]
 pub fn link(user_source: &str) -> String {
     format!("{RUNTIME_SOURCE}\n{user_source}")
+}
+
+/// The runtime library, parsed and type-checked once per process. Its HIR
+/// does not depend on the compiler mode, so one prelude serves them all.
+fn runtime_prelude() -> &'static Prelude {
+    static PRELUDE: OnceLock<Prelude> = OnceLock::new();
+    PRELUDE.get_or_init(|| {
+        Prelude::new(RUNTIME_SOURCE).unwrap_or_else(|e| panic!("runtime library: {e}"))
+    })
 }
 
 /// Compiles a user program together with the runtime library, memoized by
@@ -144,8 +156,10 @@ pub fn compile(user_source: &str, mode: Mode) -> Result<Program, CompileError> {
     Ok(program)
 }
 
-/// [`compile`] without the memo: always runs the front end and code
-/// generator.
+/// [`compile`] without the memo: always runs the user program's front end
+/// and the code generator. The program is checked against the runtime
+/// library's prelude, so the library's front end runs once per process,
+/// and parse errors report positions in `user_source`.
 ///
 /// # Errors
 ///
@@ -159,7 +173,7 @@ pub fn compile_uncached(user_source: &str, mode: Mode) -> Result<Program, Compil
     let timer =
         trace::enabled().then(|| SpanTimer::start(trace::new_trace(), SpanId::NONE, "compile"));
     let started = Instant::now();
-    let result = compile_program(&link(user_source), &opts);
+    let result = compile_with_prelude(runtime_prelude(), user_source, &opts);
     metrics().compile_us.record_duration(started.elapsed());
     if let Some(t) = timer {
         t.emit(vec![
@@ -1272,6 +1286,18 @@ mod tests {
              }",
         );
         assert_eq!(out.exit_code, Some(1));
+    }
+
+    #[test]
+    fn parse_errors_report_positions_in_the_user_source() {
+        // The runtime library is checked separately, so positions count
+        // from the user's first line. Lex errors surface as parse errors.
+        for mode in Mode::ALL {
+            let e = compile_uncached("int main( { return 0; }", mode).unwrap_err();
+            assert!(e.message.starts_with("parse error at 1:13:"), "{e}");
+        }
+        let e = compile_uncached("int main() {\n  return 1 @ 2;\n}", Mode::HardBound).unwrap_err();
+        assert!(e.message.starts_with("parse error at 2:12:"), "{e}");
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! The Cb runtime library, provided as source and prepended to every
-//! program (the paper instruments `malloc()` and related runtime-library
-//! functions — §3.2 "Protecting heap-allocated objects").
+//! The Cb runtime library, provided as source, checked once per process
+//! and compiled into every program (the paper instruments `malloc()` and
+//! related runtime-library functions — §3.2 "Protecting heap-allocated
+//! objects").
 
 /// Cb source of the runtime library.
 ///

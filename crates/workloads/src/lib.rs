@@ -28,8 +28,8 @@ pub enum Scale {
 pub struct Workload {
     /// Benchmark name as used in the paper's figures.
     pub name: &'static str,
-    /// Cb source (runtime library not included; link with
-    /// `hardbound_runtime::link`).
+    /// Cb source, without the runtime library (`hardbound_runtime::compile`
+    /// compiles it against the library).
     pub source: String,
 }
 
