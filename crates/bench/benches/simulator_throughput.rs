@@ -85,11 +85,7 @@ fn bench_simulation(c: &mut Criterion) {
 fn bench_compilation(c: &mut Criterion) {
     let w = by_name("bh", Scale::Smoke).expect("bh exists");
     c.bench_function("compile_bh_hardbound", |b| {
-        // The uncached path: with the process-wide compile memo in front
-        // of `compile`, the memoized call would measure a HashMap hit.
-        b.iter(|| {
-            hardbound_runtime::compile_uncached(&w.source, Mode::HardBound).expect("compiles")
-        });
+        b.iter(|| hardbound_runtime::compile(&w.source, Mode::HardBound).expect("compiles"));
     });
 }
 
@@ -486,8 +482,8 @@ fn service_warm_cold_report() {
 /// The warm pass must replay every distinct cell from the persisted
 /// store (zero re-simulated cells), byte-identically, and (gated via
 /// `HB_PERSIST_GATE=<ratio>`, CI pins `2`) at least `<ratio>`× faster
-/// than the cold pass. Compile memoization makes the warm pass
-/// compile-free as well, which is part of what the gate measures.
+/// than the cold pass. Both passes compile every image; the warm pass
+/// skips simulation only.
 fn persist_warm_report() {
     use hardbound_serve::PersistentService;
     let gate = env_parse::<f64>("HB_PERSIST_GATE").unwrap_or_else(|e| panic!("{e}"));

@@ -10,9 +10,9 @@ pub enum HierPath {
     /// repeat accesses without a way-scan; cold scans are branchless.
     #[default]
     Event,
-    /// Naive reference walk of every structure on every access. The
-    /// exactness oracle for `Event`, and the escape hatch
-    /// (`HB_HIER_FAST=0`) when debugging the fast path itself.
+    /// Naive reference walk of every structure on every access: the
+    /// exactness oracle for `Event`, selected explicitly with
+    /// `MachineConfig::with_hier_path` by the tests that compare the two.
     Walk,
 }
 

@@ -145,8 +145,8 @@ pub struct MachineConfig {
     pub max_call_depth: usize,
     /// Metadata fast-path implementation (see [`MetaPath`]).
     pub meta_path: MetaPath,
-    /// Memory-hierarchy lookup machinery (see [`HierPath`]). `Event` and
-    /// `Walk` are exact twins and deliberately share a stable fingerprint
+    /// Memory-hierarchy lookup machinery (see [`HierPath`]). `Event` (the
+    /// default) and `Walk` are exact twins and deliberately share a stable fingerprint
     /// (like two builds of the same hardware).
     pub hier_path: HierPath,
 }

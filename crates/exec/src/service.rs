@@ -396,9 +396,10 @@ impl CorpusService {
         }
     }
 
-    /// Enables or disables the result store (`HB_RESULT_CACHE`). Disabled,
-    /// every job executes — the shared decode cache still applies — and
-    /// the store is neither consulted nor grown.
+    /// Enables or disables the result store. Disabled, every job executes
+    /// — the shared decode cache still applies — and the store is neither
+    /// consulted nor grown: the store-off reference the differential
+    /// suites compare replays against.
     pub fn set_result_cache(&mut self, on: bool) {
         self.result_cache = on;
     }

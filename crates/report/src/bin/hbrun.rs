@@ -5,7 +5,7 @@
 //! cargo run -p hardbound-report --bin hbrun -- program.cb \
 //!     [--mode baseline|malloc-only|hardbound|softbound|objtable] \
 //!     [--encoding extern-4|intern-4|intern-11] [--stats] [--metrics] \
-//!     [--disasm] [--engine|--interp] [--profile]
+//!     [--disasm] [--interp | --profile]
 //! ```
 //!
 //! Inputs ending in `.s` are treated as assembly listings in the
@@ -21,19 +21,20 @@
 //! paper's evaluation.
 //!
 //! `--disasm` prints the (merged) listing and nothing else instead of
-//! running. Execution goes through the corpus service by default — the
-//! pre-decoded basic-block engine plus the process-wide decode cache and
-//! result store (`HB_SERVICE=0` and `HB_RESULT_CACHE=0` opt out layer by
-//! layer); `--interp` selects the one-µop-per-step interpreter (all paths
-//! are observationally identical — see `tests/engine_differential.rs` and
-//! `tests/service_differential.rs`). With `--stats`, service runs also
-//! report result-store and block-cache counters; `--metrics` dumps the
-//! full process-global metrics registry (the same cells, Prometheus text
-//! form) to stderr after the run.
+//! running. Execution goes through the corpus service — the pre-decoded
+//! basic-block engine plus the process-wide decode cache and result store
+//! (or the `HB_SERVE_ADDR` server); `--interp` selects the
+//! one-µop-per-step interpreter (all paths are observationally identical —
+//! see `tests/engine_differential.rs` and `tests/service_differential.rs`).
+//! With `--stats`, service runs also report result-store and block-cache
+//! counters; `--metrics` dumps the full process-global metrics registry
+//! (the same cells, Prometheus text form) to stderr after the run.
 //!
-//! `--profile` arms the engine's per-superblock hot-spot profiler (the
-//! same switch as `HB_PROF=1`) and, after the run, prints the ranked-PC
-//! table and the folded-stack (flamegraph collapse) text to stderr. On
+//! `--profile` runs the program on a bare engine with its per-superblock
+//! hot-spot profiler armed — never from the result store, which would
+//! leave nothing to attribute — and, after the run, prints the ranked-PC
+//! table and the folded-stack (flamegraph collapse) text to stderr. It
+//! profiles the engine, so it cannot be combined with `--interp`. On
 //! any trap, `hbrun` re-runs the program on a forensics interpreter and
 //! prints the structured violation report — faulting PC with a
 //! disassembled window, out-of-bounds distance, originating `setbound`
@@ -47,8 +48,8 @@ use hardbound_core::{checked_ratio, MetaPath, PointerEncoding};
 use hardbound_exec::Engine;
 use hardbound_isa::Program;
 use hardbound_runtime::{
-    build_machine_with_config, compile, compile_cache_stats, engine_default, env_flag,
-    machine_config, metrics_snapshot, remote_stats, run_job, service_stats, store_log_stats,
+    build_machine_with_config, compile, machine_config, metrics_snapshot, remote_stats, run_job,
+    service_stats, store_log_stats,
 };
 
 struct Args {
@@ -58,7 +59,7 @@ struct Args {
     stats: bool,
     metrics: bool,
     disasm: bool,
-    engine: bool,
+    interp: bool,
     profile: bool,
     meta: Option<MetaPath>,
 }
@@ -71,8 +72,7 @@ fn parse_args() -> Result<Args, String> {
     let mut metrics = false;
     let mut disasm = false;
     let mut profile = false;
-    // `HB_INTERP=1` flips the default; the flags below override both.
-    let mut engine = engine_default();
+    let mut interp = false;
     // `HB_META_FAST=0` flips the metadata fast path; `--meta` overrides.
     let mut meta = None;
 
@@ -111,18 +111,12 @@ fn parse_args() -> Result<Args, String> {
             "--stats" => stats = true,
             "--metrics" => metrics = true,
             "--disasm" => disasm = true,
-            // Engines read HB_PROF once at construction, and nothing
-            // constructs one before argument parsing finishes.
-            "--profile" => {
-                profile = true;
-                std::env::set_var("HB_PROF", "1");
-            }
-            "--engine" => engine = true,
-            "--interp" => engine = false,
+            "--profile" => profile = true,
+            "--interp" => interp = true,
             "--help" | "-h" => {
                 return Err(
                     "usage: hbrun FILE.{cb,s} [FILE.{cb,s} ...] [--mode M] [--encoding E] \
-                     [--stats] [--metrics] [--disasm] [--engine|--interp] [--profile] \
+                     [--stats] [--metrics] [--disasm] [--interp | --profile] \
                      [--meta summary|walk|charge]"
                         .to_owned(),
                 )
@@ -134,6 +128,9 @@ fn parse_args() -> Result<Args, String> {
     if paths.is_empty() {
         return Err("no input file (try --help)".to_owned());
     }
+    if interp && profile {
+        return Err("--profile profiles the block engine; drop --interp".to_owned());
+    }
     Ok(Args {
         paths,
         mode,
@@ -141,7 +138,7 @@ fn parse_args() -> Result<Args, String> {
         stats,
         metrics,
         disasm,
-        engine,
+        interp,
         profile,
         meta,
     })
@@ -220,13 +217,11 @@ fn main() -> ExitCode {
     if let Some(meta) = args.meta {
         config = config.with_meta_path(meta);
     }
-    // Three execution paths, outermost first: the corpus service (engine +
-    // shared decode cache + result store), the bare engine, and the
-    // interpreter. All observationally identical. `args.engine` already
-    // folds in HB_INTERP *and* the --engine/--interp overrides, so only
-    // HB_SERVICE is consulted here — `service_enabled()` would re-read
-    // HB_INTERP and silently defeat an explicit `--engine`.
-    let through_service = args.engine && env_flag("HB_SERVICE").unwrap_or(true);
+    // Three execution paths, all observationally identical: the corpus
+    // service (engine + shared decode cache + result store) by default, a
+    // bare profiled engine under `--profile` (a store hit would execute
+    // nothing to attribute), and the interpreter under `--interp`.
+    let through_service = !args.interp && !args.profile;
     // `--stats` reports *this run's* registry activity: snapshot the
     // process-global cells before executing and print the delta after, so
     // a long-lived embedder (or a test running two grids back to back)
@@ -238,12 +233,13 @@ fn main() -> ExitCode {
     let out = if through_service {
         run_job(program, args.mode, config)
     } else {
-        let machine = build_machine_with_config(program, args.mode, config);
-        if args.engine {
-            Engine::new(machine).run()
-        } else {
-            let mut machine = machine;
+        let mut machine = build_machine_with_config(program, args.mode, config);
+        if args.interp {
             machine.run()
+        } else {
+            let mut engine = Engine::new(machine);
+            engine.set_profiling(true);
+            engine.run()
         }
     };
     print!("{}", out.output);
@@ -268,10 +264,10 @@ fn main() -> ExitCode {
             args.encoding,
             if through_service {
                 "service"
-            } else if args.engine {
-                "engine"
-            } else {
+            } else if args.interp {
                 "interpreter"
+            } else {
+                "engine"
             }
         );
         eprintln!("cycles:          {}", s.cycles());
@@ -305,7 +301,7 @@ fn main() -> ExitCode {
             checked_ratio(s.hierarchy.tag_stall_cycles, s.hierarchy.tag_accesses),
             checked_ratio(s.hierarchy.shadow_stall_cycles, s.hierarchy.shadow_accesses),
         );
-        if args.engine {
+        if !args.interp {
             // Hierarchy lookup-machinery activity, read back from the
             // process registry (the engine records residency-filter
             // counters there after each run).
@@ -320,8 +316,6 @@ fn main() -> ExitCode {
                 100.0 * checked_ratio(fast_hits, fast_hits + fast_misses),
             );
         }
-        let cc = compile_cache_stats();
-        eprintln!("compile cache:   {} hits, {} misses", cc.hits, cc.misses);
         if through_service {
             let remote = remote_stats();
             if remote.round_trips > 0 {

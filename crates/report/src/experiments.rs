@@ -8,9 +8,10 @@
 //! Cells shared between figures (every figure re-simulates the baseline
 //! and full-HardBound runs of every Olden port) therefore execute **once
 //! per process**: the second figure replays them from the service's
-//! program-hash result store. `HB_SERVICE=0` restores the direct
-//! one-machine-one-engine path; both paths aggregate in input order and
-//! emit byte-identical tables (pinned by `tests/service_differential.rs`).
+//! program-hash result store. Every cell's outcome equals a fresh engine's
+//! (pinned by `tests/service_differential.rs`), and grids aggregate in
+//! input order, so replayed and re-simulated tables are byte-identical
+//! (`tests/service_figures_differential.rs`).
 
 use hardbound_compiler::Mode;
 use hardbound_core::{

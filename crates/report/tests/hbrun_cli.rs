@@ -1,6 +1,6 @@
 //! End-to-end smoke tests of the `hbrun` binary: `.s` listing input and
-//! the `--disasm` → `.s` → run round trip, plus the `--interp` escape
-//! hatch agreeing with the default engine path.
+//! the `--disasm` → `.s` → run round trip, the `--interp` interpreter
+//! agreeing with the default path, and `--profile` always executing.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -77,11 +77,11 @@ fn disasm_listing_round_trips_through_dot_s() {
     );
     assert_eq!(String::from_utf8_lossy(&from_cb.stdout), "18\n");
 
-    // The escape hatch agrees with the engine default (the service path
+    // The interpreter agrees with the default path (the service path
     // appends its own counters — result store, block cache — which the
     // interpreter path does not have; the simulated stats must agree).
     let interp = hbrun(&[s.to_str().unwrap(), "--interp", "--stats"]);
-    let engine = hbrun(&[s.to_str().unwrap(), "--engine", "--stats"]);
+    let engine = hbrun(&[s.to_str().unwrap(), "--stats"]);
     assert!(interp.status.success());
     assert_eq!(interp.stdout, engine.stdout);
     let strip = |o: &Output| {
@@ -191,5 +191,49 @@ fn rejects_an_unrecognized_hb_prof_value() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("HB_PROF"), "stderr: {stderr}");
     assert!(stderr.contains("`maybe`"), "stderr: {stderr}");
+    let _ = std::fs::remove_file(cb);
+}
+
+#[test]
+fn profile_executes_even_when_the_store_is_warm() {
+    // A result-store hit executes nothing, so a profile served from the
+    // store would be empty. `--profile` runs a bare profiled engine
+    // instead: a second run on the same persistent store still lists the
+    // program's blocks.
+    let cb = write_temp("profile.cb", COUNTDOWN_CB);
+    let store = std::env::temp_dir().join(format!(
+        "hbrun-test-{}-profile-store.bin",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&store);
+    let run = || {
+        Command::new(env!("CARGO_BIN_EXE_hbrun"))
+            .args([cb.to_str().unwrap(), "--profile"])
+            .env("HB_STORE_PATH", &store)
+            .output()
+            .expect("hbrun spawns")
+    };
+    let first = run();
+    let second = run();
+    for out in [&first, &second] {
+        assert!(out.status.success(), "{out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let table = stderr
+            .split("-- folded stacks")
+            .next()
+            .expect("split yields a first part");
+        assert!(
+            table.contains("main@"),
+            "profile lists no main block: {stderr}"
+        );
+    }
+    assert_eq!(first.stdout, second.stdout);
+
+    // The interpreter has no blocks to profile.
+    let both = hbrun(&[cb.to_str().unwrap(), "--interp", "--profile"]);
+    assert_eq!(both.status.code(), Some(2), "{both:?}");
+
+    let _ = std::fs::remove_file(&store);
+    let _ = std::fs::remove_file(store.with_extension("lock"));
     let _ = std::fs::remove_file(cb);
 }

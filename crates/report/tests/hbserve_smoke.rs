@@ -109,7 +109,7 @@ fn remote_grid_is_byte_identical_to_in_process_service() {
     let (wire_jobs, local_jobs) = grid();
 
     // The in-process reference: the same grid through a local service —
-    // what `HB_SERVICE=1` runs.
+    // what `run_jobs` runs without `HB_SERVE_ADDR`.
     let mut svc = CorpusService::new(2);
     let expected = svc.run_batch(&local_jobs, |program, config, &mode| {
         build_machine_with_config(program, mode, config)

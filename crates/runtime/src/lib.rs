@@ -6,7 +6,7 @@
 //! related runtime-library functions." [`RUNTIME_SOURCE`] is that
 //! instrumented runtime, written in Cb. Like a real toolchain's libc it is
 //! checked once per process and every program is compiled against it (see
-//! [`compile_uncached`]); its `malloc` announces allocation extents with
+//! [`compile`]); its `malloc` announces allocation extents with
 //! `__setbound(p, n)`, which each compiler mode lowers to its own scheme
 //! (a `setbound` instruction, fat-pointer construction, an object-table
 //! registration, or nothing for the baseline).
@@ -46,15 +46,14 @@ mod splay;
 pub use source::RUNTIME_SOURCE;
 pub use splay::SplayTable;
 
-use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 use hardbound_compiler::{compile_with_prelude, CompileError, Mode, Options, Prelude};
 pub use hardbound_core::parse_flag;
 use hardbound_core::{
-    BoundsOrigin, Fnv64, HardboundConfig, HierPath, Machine, MachineConfig, MetaPath,
-    PointerEncoding, RunOutcome, ViolationReport,
+    BoundsOrigin, HardboundConfig, Machine, MachineConfig, MetaPath, PointerEncoding, RunOutcome,
+    ViolationReport,
 };
 use hardbound_exec::service::{config_fingerprint, Job};
 use hardbound_exec::{batch, ProgramId, ServiceStats};
@@ -96,7 +95,7 @@ pub fn env_parse<T: std::str::FromStr>(name: &str) -> Result<Option<T>, String> 
 }
 
 /// Prepends the runtime library to a user program. Compiling the result as
-/// one unit gives the same [`Program`] as [`compile_uncached`]; only
+/// one unit gives the same [`Program`] as [`compile`]; only
 /// parse-error lines differ, shifted down by the library's lines.
 #[must_use]
 pub fn link(user_source: &str) -> String {
@@ -112,59 +111,14 @@ fn runtime_prelude() -> &'static Prelude {
     })
 }
 
-/// Compiles a user program together with the runtime library, memoized by
-/// `(source hash, mode)` in a process-wide cache — figure passes compile
-/// each distinct `(workload, mode)` once per process, and a warm pass
-/// (every figure after the first, warm service replays) is compile-free.
-/// `HB_COMPILE_CACHE=0` opts out; see [`compile_uncached`] for the
-/// underlying compilation.
+/// Compiles a user program against the runtime library. The program is
+/// checked against the library's prelude, so the library's front end runs
+/// once per process, and parse errors report positions in `user_source`.
 ///
 /// # Errors
 ///
-/// Propagates [`CompileError`]s from the front end or code generator
-/// (errors are never cached — a fixed source recompiles).
+/// Propagates [`CompileError`]s from the front end or code generator.
 pub fn compile(user_source: &str, mode: Mode) -> Result<Program, CompileError> {
-    if !env_flag("HB_COMPILE_CACHE").unwrap_or(true) {
-        return compile_uncached(user_source, mode);
-    }
-    let mut h = Fnv64::default();
-    h.mix_bytes(user_source.as_bytes());
-    let key = (h.value(), mode);
-    {
-        let cache = compile_cache()
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if let Some(program) = cache.get(&key) {
-            metrics().compile_hits.inc();
-            return Ok(program.clone());
-        }
-    }
-    // Compile outside the lock: parallel drivers (`batch::map` over
-    // (workload, mode) pairs) must not serialize their cold compiles.
-    metrics().compile_misses.inc();
-    let program = compile_uncached(user_source, mode)?;
-    let mut cache = compile_cache()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
-    if cache.len() >= COMPILE_CACHE_CAP {
-        // Crude but bounded: a process sweeping unbounded generated
-        // sources (fuzzers) must not leak. Real corpora hold a few
-        // thousand distinct translation units at most.
-        cache.clear();
-    }
-    cache.insert(key, program.clone());
-    Ok(program)
-}
-
-/// [`compile`] without the memo: always runs the user program's front end
-/// and the code generator. The program is checked against the runtime
-/// library's prelude, so the library's front end runs once per process,
-/// and parse errors report positions in `user_source`.
-///
-/// # Errors
-///
-/// Propagates [`CompileError`]s.
-pub fn compile_uncached(user_source: &str, mode: Mode) -> Result<Program, CompileError> {
     // The allocator is trusted runtime code: its header bookkeeping is
     // exempt from software checks, as an uninstrumented libc would be.
     let opts = Options::mode(mode).with_unchecked(["malloc", "free"]);
@@ -184,16 +138,20 @@ pub fn compile_uncached(user_source: &str, mode: Mode) -> Result<Program, Compil
     result
 }
 
-/// Upper bound on memoized compilations before the cache resets.
-const COMPILE_CACHE_CAP: usize = 1 << 12;
+/// Another name for [`compile`], kept for callers written against it.
+///
+/// # Errors
+///
+/// Propagates [`CompileError`]s.
+pub fn compile_uncached(user_source: &str, mode: Mode) -> Result<Program, CompileError> {
+    compile(user_source, mode)
+}
 
 /// Registry-backed handles for every runtime-layer counter. All of them
 /// live in the process-global [`hardbound_telemetry::Registry`], so
 /// `hbrun --stats`, the Prometheus exposition and snapshot/delta metering
 /// read the same cells the hot paths increment.
 struct RuntimeMetrics {
-    compile_hits: Counter,
-    compile_misses: Counter,
     compile_us: Histogram,
     remote_round_trips: Counter,
     remote_cells: Counter,
@@ -207,8 +165,6 @@ fn metrics() -> &'static RuntimeMetrics {
     METRICS.get_or_init(|| {
         let g = hardbound_telemetry::global();
         RuntimeMetrics {
-            compile_hits: g.counter("hb_compile_hits"),
-            compile_misses: g.counter("hb_compile_misses"),
             compile_us: g.histogram("hb_compile_us"),
             remote_round_trips: g.counter("hb_remote_round_trips"),
             remote_cells: g.counter("hb_remote_cells"),
@@ -219,40 +175,15 @@ fn metrics() -> &'static RuntimeMetrics {
     })
 }
 
-/// A point-in-time snapshot of the process-global metrics registry:
-/// compile-memo and remote-client counters, the service mirror gauges,
-/// and the latency histograms. Pair two snapshots with
+/// A point-in-time snapshot of the process-global metrics registry: the
+/// remote-client counters, the service mirror gauges, and the latency
+/// histograms. Pair two snapshots with
 /// [`hardbound_telemetry::Snapshot::delta`] to meter one region, or
 /// render the Prometheus text exposition with
 /// [`hardbound_telemetry::Snapshot::render`].
 #[must_use]
 pub fn metrics_snapshot() -> hardbound_telemetry::Snapshot {
     hardbound_telemetry::global().snapshot()
-}
-
-fn compile_cache() -> &'static Mutex<HashMap<(u64, Mode), Program>> {
-    static CACHE: OnceLock<Mutex<HashMap<(u64, Mode), Program>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Counters of the compile memo (surfaced by `hbrun --stats`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CompileCacheStats {
-    /// Compilations answered from the memo.
-    pub hits: u64,
-    /// Compilations that ran the front end and code generator.
-    pub misses: u64,
-}
-
-/// Snapshot of the process-wide compile-memo counters (reads the
-/// `hb_compile_hits` / `hb_compile_misses` registry cells).
-#[must_use]
-pub fn compile_cache_stats() -> CompileCacheStats {
-    let m = metrics();
-    CompileCacheStats {
-        hits: m.compile_hits.get(),
-        misses: m.compile_misses.get(),
-    }
 }
 
 /// The default [`MetaPath`]: the summary fast path, unless `HB_META_FAST`
@@ -267,22 +198,11 @@ pub fn meta_path_default() -> MetaPath {
     }
 }
 
-/// The default [`HierPath`]: the exact event-driven fast path, unless
-/// `HB_HIER_FAST=0` selects the exact reference walk.
-#[must_use]
-pub fn hier_path_default() -> HierPath {
-    if env_flag("HB_HIER_FAST").unwrap_or(true) {
-        HierPath::Event
-    } else {
-        HierPath::Walk
-    }
-}
-
 /// The machine configuration that corresponds to a compiler mode (paper
 /// §5.1): HardBound hardware for the HardBound/MallocOnly modes, the plain
 /// baseline machine for the software-only schemes. The metadata fast path
-/// follows [`meta_path_default`], the hierarchy lookup machinery
-/// [`hier_path_default`].
+/// follows [`meta_path_default`]; the hierarchy keeps [`MachineConfig`]'s
+/// exact event-driven lookup.
 #[must_use]
 pub fn machine_config(mode: Mode, encoding: PointerEncoding) -> MachineConfig {
     let cfg = match mode {
@@ -291,7 +211,6 @@ pub fn machine_config(mode: Mode, encoding: PointerEncoding) -> MachineConfig {
         Mode::HardBound => MachineConfig::hardbound(HardboundConfig::full(encoding)),
     };
     cfg.with_meta_path(meta_path_default())
-        .with_hier_path(hier_path_default())
 }
 
 /// The flight-recorder depth (`HB_FLIGHT=N`): `None` when unset, empty or
@@ -413,48 +332,14 @@ pub fn compile_and_run(
     Ok(build_machine(program, mode, encoding).run())
 }
 
-/// Whether the block execution engine is the default execution path.
-/// Setting `HB_INTERP=1` (or `on`/`true` in any case — see
-/// [`parse_flag`]) in the environment is the global `--interp`
-/// escape hatch: every driver that runs through [`run_machine`] falls back
-/// to the one-µop-per-step interpreter.
-#[must_use]
-pub fn engine_default() -> bool {
-    !env_flag("HB_INTERP").unwrap_or(false)
-}
-
-/// Runs a prepared machine on the default execution path: the basic-block
-/// engine (`hardbound-exec`), or the interpreter when `HB_INTERP` is set.
-/// The two paths are observationally identical (enforced by the
-/// differential suite). One-shot callers route through here; the corpus
-/// drivers go through [`run_jobs`], which adds the shared decode cache and
-/// the program-hash result store on top of the same engine.
+/// Runs a prepared machine on the basic-block engine (`hardbound-exec`),
+/// which is observationally identical to the interpreter (enforced by
+/// the differential suite). One-shot callers route through here; the
+/// corpus drivers go through [`run_jobs`], which adds the shared decode
+/// cache and the program-hash result store on top of the same engine.
 #[must_use]
 pub fn run_machine(machine: Machine) -> RunOutcome {
-    if engine_default() {
-        hardbound_exec::Engine::new(machine).run()
-    } else {
-        let mut machine = machine;
-        machine.run()
-    }
-}
-
-/// Whether corpus work routes through the process-wide [`CorpusService`]
-/// (shared decode cache + program-hash result store). On by default;
-/// `HB_SERVICE=0` is the escape hatch that restores the direct
-/// one-machine-one-engine path (and `HB_INTERP` implies it — the service
-/// is an engine-path construct).
-#[must_use]
-pub fn service_enabled() -> bool {
-    engine_default() && env_flag("HB_SERVICE").unwrap_or(true)
-}
-
-/// Whether the service's result store is consulted and grown
-/// (`HB_RESULT_CACHE`, on by default). With the store off the service
-/// still shares decode work across jobs; it just re-executes every cell.
-#[must_use]
-pub fn result_cache_enabled() -> bool {
-    env_flag("HB_RESULT_CACHE").unwrap_or(true)
+    hardbound_exec::Engine::new(machine).run()
 }
 
 /// The persistent-store path (`HB_STORE_PATH`): when set, the process-wide
@@ -652,7 +537,7 @@ impl SimJob {
 
 /// Runs a batch of corpus cells, returning outcomes in input order.
 ///
-/// This is the drivers' front door, choosing among three byte-identical
+/// This is the drivers' front door, choosing between two byte-identical
 /// paths (pinned by `tests/service_differential.rs` and the `hbserve`
 /// smoke suite):
 ///
@@ -663,8 +548,6 @@ impl SimJob {
 ///    [`PersistentService`]: result-store hits replay, misses run on
 ///    per-worker shared-cache shards, fresh outcomes append to
 ///    `HB_STORE_PATH` when set.
-/// 3. **Direct** — `HB_SERVICE=0` (or `HB_INTERP`): each cell runs the
-///    plain [`run_machine`] path in a parallel batch.
 ///
 /// # Panics
 ///
@@ -673,15 +556,6 @@ impl SimJob {
 /// hide that the warm server is not being used.
 #[must_use]
 pub fn run_jobs(jobs: Vec<SimJob>) -> Vec<RunOutcome> {
-    if !service_enabled() {
-        return batch::map(&jobs, |_, j| {
-            run_machine(build_machine_with_config(
-                j.program.clone(),
-                j.mode,
-                j.config.clone(),
-            ))
-        });
-    }
     if let Some(addrs) = serve_addrs() {
         return run_jobs_remote_to(&addrs, &jobs);
     }
@@ -694,12 +568,12 @@ pub fn run_jobs(jobs: Vec<SimJob>) -> Vec<RunOutcome> {
             tag: j.mode,
         })
         .collect();
-    let mut svc = service().lock().unwrap_or_else(PoisonError::into_inner);
-    svc.set_result_cache(result_cache_enabled());
-    let outs = svc.run_batch(&jobs, |program, config, &mode| {
-        build_machine_with_config(program, mode, config)
-    });
-    drop(svc);
+    let outs = service()
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .run_batch(&jobs, |program, config, &mode| {
+            build_machine_with_config(program, mode, config)
+        });
     // The sink's BufWriter is a static — no destructor runs at process
     // exit, so every grid boundary flushes (`HB_TRACE` users would
     // otherwise lose the buffered tail of short runs).
@@ -978,8 +852,7 @@ pub fn service_stats() -> ServiceStats {
         .service
 }
 
-/// [`compile_and_run`] on the default execution path (see
-/// [`run_machine`]).
+/// [`compile_and_run`] on the block engine (see [`run_machine`]).
 ///
 /// # Errors
 ///
@@ -1025,8 +898,7 @@ mod tests {
     #[test]
     fn flag_parsing_is_case_insensitive_and_matches_the_docs() {
         // on/off/1/0/true/false in any case, with surrounding whitespace
-        // tolerated. `HB_INTERP=FALSE` used to enable the interpreter
-        // because the comparison was case-sensitive.
+        // tolerated.
         for off in [
             "0", "false", "FALSE", "False", " false ", " 0 ", "off", "OFF",
         ] {
@@ -1065,29 +937,6 @@ mod tests {
         std::env::set_var("HB_TEST_ENV_PARSE_INVALID", "");
         assert_eq!(env_parse::<f64>("HB_TEST_ENV_PARSE_INVALID"), Ok(None));
         std::env::remove_var("HB_TEST_ENV_PARSE_INVALID");
-    }
-
-    #[test]
-    fn compile_memo_returns_identical_images_and_counts_hits() {
-        let src = "int main() { return 41 + 1; }";
-        // A unique source so parallel sibling tests cannot pre-warm it.
-        let src = format!("{src} // memo-test-{}", std::process::id());
-        let before = compile_cache_stats();
-        let a = compile(&src, Mode::HardBound).expect("compiles");
-        let b = compile(&src, Mode::HardBound).expect("compiles");
-        assert_eq!(a, b, "memoized image must be identical");
-        let after = compile_cache_stats();
-        assert!(after.misses > before.misses, "first compile misses");
-        assert!(after.hits > before.hits, "second compile hits the memo");
-        // A different mode is a different key — and a different image.
-        let base = compile(&src, Mode::Baseline).expect("compiles");
-        assert_ne!(a, base, "modes must not alias in the memo");
-        // The memo is an optimization only: the uncached path agrees.
-        assert_eq!(
-            a,
-            compile_uncached(&src, Mode::HardBound).expect("compiles"),
-            "memoized and fresh compilations must be identical"
-        );
     }
 
     #[test]
@@ -1293,10 +1142,10 @@ mod tests {
         // The runtime library is checked separately, so positions count
         // from the user's first line. Lex errors surface as parse errors.
         for mode in Mode::ALL {
-            let e = compile_uncached("int main( { return 0; }", mode).unwrap_err();
+            let e = compile("int main( { return 0; }", mode).unwrap_err();
             assert!(e.message.starts_with("parse error at 1:13:"), "{e}");
         }
-        let e = compile_uncached("int main() {\n  return 1 @ 2;\n}", Mode::HardBound).unwrap_err();
+        let e = compile("int main() {\n  return 1 @ 2;\n}", Mode::HardBound).unwrap_err();
         assert!(e.message.starts_with("parse error at 2:12:"), "{e}");
     }
 

@@ -80,12 +80,6 @@ impl PersistentService {
         self.log.is_some()
     }
 
-    /// Enables or disables the result store (`HB_RESULT_CACHE`); with the
-    /// store off nothing new is persisted either.
-    pub fn set_result_cache(&mut self, on: bool) {
-        self.svc.set_result_cache(on);
-    }
-
     /// Sets the store's idle TTL (`HB_STORE_TTL` / `hbserve --ttl`):
     /// entries untouched for that long are garbage-collected at the start
     /// of the next batch. Expired entries persist in the log until the

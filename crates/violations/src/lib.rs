@@ -397,8 +397,8 @@ pub fn judge_pair(
     r
 }
 
-/// Runs one violation/benign pair under `mode`/`encoding` on the default
-/// execution path (the block engine unless `HB_INTERP` is set).
+/// Runs one violation/benign pair under `mode`/`encoding` on the block
+/// engine.
 #[must_use]
 pub fn run_case(case: &TestCase, mode: Mode, encoding: PointerEncoding) -> CaseResult {
     let bad = compile_and_run_default(&case.bad_source, mode, encoding).map_err(|e| e.to_string());

@@ -1,5 +1,5 @@
 //! Differential check of the runtime library's prelude: compiling a program
-//! against the once-checked runtime (`compile_uncached`) must equal
+//! against the once-checked runtime (`compile`) must equal
 //! compiling the runtime and the program as one translation unit
 //! (`compile_program(&link(src))`) in every mode — the same `Program`
 //! byte for byte, or the same error text. Parse errors are the one
@@ -7,7 +7,7 @@
 //! own source, so the linked path's line is shifted by the runtime's lines.
 
 use hardbound::compiler::{compile_program, Mode, Options};
-use hardbound::runtime::{compile_uncached, link};
+use hardbound::runtime::{compile, link};
 use hardbound::violations::corpus;
 use hardbound::workloads::{self, Scale};
 
@@ -35,7 +35,7 @@ fn assert_paths_agree(name: &str, src: &str) -> usize {
     for mode in Mode::ALL {
         let opts = Options::mode(mode).with_unchecked(["malloc", "free"]);
         let whole = compile_program(&linked, &opts);
-        let prelude = compile_uncached(src, mode);
+        let prelude = compile(src, mode);
         match (whole, prelude) {
             (Ok(w), Ok(p)) => assert!(w == p, "{name} ({mode}): programs differ"),
             (Err(w), Err(p)) => assert_eq!(
@@ -103,7 +103,7 @@ fn rejected_programs_give_identical_errors() {
     for (name, src) in rejected {
         assert_paths_agree(name, src);
         assert!(
-            compile_uncached(src, Mode::HardBound).is_err(),
+            compile(src, Mode::HardBound).is_err(),
             "{name} must be rejected"
         );
     }

@@ -2,21 +2,19 @@
 //! [`CorpusService`](hardbound::exec::CorpusService) — shared decode-cache
 //! shards plus the program-hash result store — must be observationally
 //! identical to the direct one-machine-one-engine path, across **all 15
-//! mode × encoding configurations**, and a warm service must *replay*
+//! mode × encoding configurations**, for hand-written programs and every
+//! Olden port at smoke scale, and a warm service must *replay*
 //! (result-store hits > 0) rather than re-simulate.
 //!
 //! The figure-pipeline half of the story — rendered tables byte-identical
-//! with `HB_SERVICE=0`/`1` and on warm replay — lives in
-//! `tests/service_figures_differential.rs`, a **single-test binary**,
-//! because it flips process-global environment variables that the tests
-//! here would race against (`setenv` concurrent with `getenv` is
-//! undefined behaviour on glibc).
+//! on a warm replay — lives in `tests/service_figures_differential.rs`.
 
 use hardbound::compiler::Mode;
 use hardbound::core::{MachineConfig, PointerEncoding, RunOutcome};
 use hardbound::exec::service::Job;
 use hardbound::exec::{CorpusService, Engine};
 use hardbound::runtime::{build_machine_with_config, compile, machine_config};
+use hardbound::workloads::{all, Scale};
 
 const ALL_MODES: [Mode; 5] = [
     Mode::Baseline,
@@ -86,7 +84,13 @@ fn service_matches_direct_path_across_the_full_matrix() {
     // against a cache already warm with other programs and configs, which
     // is exactly the sharing the identity must survive.
     let mut svc = CorpusService::new(3);
-    for (label, source) in PROGRAMS {
+    let olden = all(Scale::Smoke);
+    let inputs: Vec<(&str, &str)> = PROGRAMS
+        .iter()
+        .copied()
+        .chain(olden.iter().map(|w| (w.name, w.source.as_str())))
+        .collect();
+    for &(label, source) in &inputs {
         for mode in ALL_MODES {
             let program = compile(source, mode)
                 .unwrap_or_else(|e| panic!("{label}: compile failed under {mode}: {e}"));
@@ -113,7 +117,7 @@ fn service_matches_direct_path_across_the_full_matrix() {
         }
     }
     let stats = svc.stats();
-    let runs = (PROGRAMS.len() * ALL_MODES.len() * 3 * 2) as u64;
+    let runs = (inputs.len() * ALL_MODES.len() * 3 * 2) as u64;
     assert_eq!(
         stats.store.hits + stats.store.misses,
         runs,

@@ -1,14 +1,8 @@
 //! The figure-pipeline half of the corpus-service differential: every
-//! rendered table must come out byte-identical with the service on
-//! (`HB_SERVICE=1`, the default) and off (`HB_SERVICE=0`, the direct
-//! path) — and identical again on a warm second pass served from the
-//! result store, which must report replays.
-//!
-//! This binary intentionally holds **exactly one `#[test]`**: it flips
-//! process-global environment variables, and a sibling test reading the
-//! environment concurrently (every driver consults `HB_*` flags) would
-//! race `setenv` against `getenv` — undefined behaviour on glibc. Keep it
-//! that way; new service tests belong in `tests/service_differential.rs`.
+//! rendered table must come out byte-identical on a warm second pass
+//! served from the result store, which must report replays and execute
+//! nothing new. That each cell's outcome equals a fresh engine's is pinned
+//! cell by cell in `tests/service_differential.rs`.
 
 use hardbound::core::PointerEncoding;
 use hardbound::report::{ablation_check_uop, fig5, fig6, fig7, granularity, render};
@@ -28,22 +22,14 @@ fn render_all(scale: Scale) -> String {
 }
 
 #[test]
-fn figure_pipelines_are_byte_identical_with_and_without_the_service() {
-    std::env::set_var("HB_SERVICE", "0");
-    let direct = render_all(Scale::Smoke);
-    std::env::set_var("HB_SERVICE", "1");
-    let service_cold = render_all(Scale::Smoke);
+fn figure_pipelines_replay_byte_identically_from_the_store() {
+    let cold = render_all(Scale::Smoke);
     let after_cold = hardbound::runtime::service_stats();
-    let service_warm = render_all(Scale::Smoke);
+    let warm = render_all(Scale::Smoke);
     let after_warm = hardbound::runtime::service_stats();
-    std::env::remove_var("HB_SERVICE");
 
     assert_eq!(
-        direct, service_cold,
-        "service-routed figures must be byte-identical to the direct path"
-    );
-    assert_eq!(
-        service_cold, service_warm,
+        cold, warm,
         "warm replays must reproduce the figures byte-for-byte"
     );
     assert!(
