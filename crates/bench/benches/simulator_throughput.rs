@@ -20,12 +20,6 @@
 //! must never fall below 0.9× of the serial interpreter, so an engine-path
 //! throughput regression of more than 10% fails the build.
 //!
-//! Set `HB_META_GATE=<ratio>` to gate the **metadata fast path**: a
-//! tag-sparse Olden-style workload must run at least `<ratio>`× faster on
-//! the engine with the fast path on (`MetaPath::Summary`) than with it
-//! off (`MetaPath::Charge`, every memory op charging tag traffic), so
-//! metadata-walk skipping can never silently regress.
-//!
 //! Set `HB_TRACE_GATE=<ratio>` to gate the **tracing overhead**: an
 //! identical engine fleet with the `HB_TRACE` JSONL sink installed must
 //! stay within `<ratio>`× of the untraced baseline (CI pins `1.1` —
@@ -51,7 +45,7 @@ use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 
 use hardbound_bench::scale_from_env;
 use hardbound_compiler::Mode;
-use hardbound_core::{HierPath, Machine, MachineConfig, MetaPath, PointerEncoding};
+use hardbound_core::{HierPath, Machine, MachineConfig, PointerEncoding};
 use hardbound_exec::{batch, CorpusService, Engine, Job};
 use hardbound_isa::{BinOp, CmpOp, FuncId, FunctionBuilder, Program, Reg};
 use hardbound_runtime::{build_machine, compile, env_parse, machine_config};
@@ -136,14 +130,10 @@ fn dispatch_loop(iters: i32) -> Program {
     Program::with_entry(vec![main.finish(), leaf.finish()])
 }
 
-/// A tag-sparse Olden-style workload (em3d-shaped): an irregular gather
-/// through an index array, with the working pointers held in bounded
-/// registers — so, like em3d's node sweep, every memory access lands on
-/// data pages that never hold a pointer. The random access pattern defeats
-/// the same-block memos: with the fast path off every access pays the
-/// full tag-metadata charge; with it on, the page summaries prove there is
-/// nothing to fetch.
-fn tag_sparse_gather(n: u32, rounds: i32) -> Program {
+/// An em3d-shaped irregular gather through an index array, with the
+/// working pointers held in bounded registers. The random access pattern
+/// defeats the same-block memos, so every access walks the hierarchy.
+fn irregular_gather(n: u32, rounds: i32) -> Program {
     use hardbound_isa::{layout, Width};
     assert!(n.is_power_of_two());
     let mut f = FunctionBuilder::new("gather", 0);
@@ -189,35 +179,6 @@ fn tag_sparse_gather(n: u32, rounds: i32) -> Program {
     Program::with_entry(vec![f.finish()])
 }
 
-/// The metadata-fast-path throughput comparison (and optional CI gate):
-/// engine runs of the tag-sparse gather, `MetaPath::Summary` vs
-/// `MetaPath::Charge`.
-fn meta_fast_path_report() {
-    let gate = env_parse::<f64>("HB_META_GATE").unwrap_or_else(|e| panic!("{e}"));
-    let program = tag_sparse_gather(32768, 6);
-    let run = |meta: MetaPath| {
-        let cfg = machine_config(Mode::HardBound, PointerEncoding::Intern4).with_meta_path(meta);
-        let out = Engine::new(Machine::new(program.clone(), cfg)).run();
-        assert!(out.is_success(), "{:?}", out.trap);
-        out.stats.cycles()
-    };
-    let (charge, fast) = compare(5, || run(MetaPath::Charge), || run(MetaPath::Summary));
-    let speedup = charge.as_secs_f64() / fast.as_secs_f64();
-    println!("\nmetadata fast path (tag-sparse gather, engine):");
-    println!(
-        "  {:<24} charge {charge:>10.2?}  summary {fast:>10.2?}  speedup {speedup:>5.2}x",
-        "tag-sparse gather"
-    );
-    if let Some(required) = gate {
-        assert!(
-            speedup >= required,
-            "metadata fast-path gate: tag-sparse speedup {speedup:.2}x \
-             below the required {required:.2}x"
-        );
-        println!("  gate: {speedup:.2}x >= {required:.2}x — ok");
-    }
-}
-
 /// The hierarchy fast-path comparison (and optional CI gate): engine runs
 /// of an irregular-gather fleet, `HierPath::Event` vs `HierPath::Walk`.
 /// The gather's hot region (data + index arrays) is sized to the L1 — and
@@ -238,7 +199,7 @@ fn hier_fast_report() {
     };
     // 4096 words of data + 4096 of indices = 32 KB hot: exactly the L1
     // capacity and the residency filter's 1024-block reach.
-    let program = tag_sparse_gather(4096, rounds);
+    let program = irregular_gather(4096, rounds);
     let run = |path: HierPath| {
         let mut cfg =
             machine_config(Mode::HardBound, PointerEncoding::Intern4).with_hier_path(path);
@@ -686,7 +647,6 @@ criterion_group!(benches, bench_simulation, bench_compilation);
 fn main() {
     benches();
     engine_speedup_report();
-    meta_fast_path_report();
     hier_fast_report();
     service_warm_cold_report();
     persist_warm_report();

@@ -1,9 +1,8 @@
 use crate::set_assoc::{Cache, CacheStats, FastPathStats};
 
-/// Which lookup machinery drives the simulated hierarchy. Mirrors
-/// `MetaPath` one layer down: `Event` and `Walk` are *exact* twins —
-/// observation-identical stats, stalls and victims, differenced by the
-/// proptests.
+/// Which lookup machinery drives the simulated hierarchy. `Event` and
+/// `Walk` are *exact* twins — observation-identical stats, stalls and
+/// victims, differenced by the proptests.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum HierPath {
     /// Event-driven fast path (default): residency-proof filters answer

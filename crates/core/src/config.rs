@@ -77,54 +77,21 @@ impl HardboundConfig {
     }
 }
 
-/// How the machine answers "does this page hold any tagged word?" before
-/// charging tag-metadata traffic — the **metadata fast path**.
+/// The metadata-cost model. Its one variant is the paper's §4.2 model:
+/// "tag metadata is needed by every memory operation", so every HardBound
+/// load or store reads its tag and charges the `Tag` hierarchy, and every
+/// access to an uncompressed pointer also charges `Shadow`.
 ///
-/// Most pages of real programs never hold a bounded pointer, so their
-/// accesses need neither the tag walk nor the `Tag`/`Shadow` hierarchy
-/// charge: the page-table entry (cached in the dTLB the access consults
-/// anyway) carries a summary bit saying so. [`MetaPath::Summary`] and
-/// [`MetaPath::Walk`] implement that architecture two ways with
-/// byte-identical statistics — maintained per-page counters vs. walking
-/// the page's tag plane on every access — which the identity proptests
-/// pin against each other. [`MetaPath::Charge`] disables the fast path
-/// entirely, restoring the paper's §4.2 model where *every* memory
-/// operation generates tag traffic.
+/// No simulation code reads this type. It is named `Summary` only because
+/// `hbbench` checks `meta_path == MetaPath::Summary` before it runs, and it
+/// goes, with [`MachineConfig::meta_path`] and
+/// [`MachineConfig::with_meta_path`], in the next benchmark change, which
+/// drops that check (ROADMAP item 7).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum MetaPath {
-    /// Skip tag traffic for tag-free pages, deciding via the maintained
-    /// per-page summary counters (the default fast path).
+    /// The paper's §4.2 model (see the type docs for the name).
     #[default]
     Summary,
-    /// Same architecture, unsummarized: decide by walking the page's tag
-    /// plane on every access. Slow reference implementation; exists so the
-    /// summary bookkeeping can be proven exact.
-    Walk,
-    /// No fast path: every memory operation charges tag traffic (paper
-    /// §4.2 verbatim). The `HB_META_FAST=0` escape hatch and the baseline
-    /// the `HB_META_GATE` throughput gate measures the fast path against.
-    Charge,
-}
-
-impl MetaPath {
-    /// The pinned one-byte tag shared by the stable fingerprint and the
-    /// wire codec (see [`crate::PointerEncoding::wire_tag`]).
-    #[must_use]
-    pub fn wire_tag(self) -> u8 {
-        match self {
-            MetaPath::Summary => 0,
-            MetaPath::Walk => 1,
-            MetaPath::Charge => 2,
-        }
-    }
-
-    /// Inverse of [`MetaPath::wire_tag`].
-    #[must_use]
-    pub fn from_wire_tag(tag: u8) -> Option<MetaPath> {
-        [MetaPath::Summary, MetaPath::Walk, MetaPath::Charge]
-            .into_iter()
-            .find(|m| m.wire_tag() == tag)
-    }
 }
 
 /// Full machine configuration.
@@ -143,7 +110,8 @@ pub struct MachineConfig {
     pub fuel: u64,
     /// Maximum call depth before `Trap::CallDepthExceeded`.
     pub max_call_depth: usize,
-    /// Metadata fast-path implementation (see [`MetaPath`]).
+    /// The metadata-cost model; one variant, read by no simulation code
+    /// (see [`MetaPath`]).
     pub meta_path: MetaPath,
     /// Memory-hierarchy lookup machinery (see [`HierPath`]). `Event` (the
     /// default) and `Walk` are exact twins and deliberately share a stable fingerprint
@@ -204,7 +172,8 @@ impl MachineConfig {
         self
     }
 
-    /// Replaces the metadata fast-path implementation.
+    /// Replaces the metadata-cost model (a no-op kept for `hbbench`; see
+    /// [`MetaPath`]).
     #[must_use]
     pub fn with_meta_path(mut self, meta_path: MetaPath) -> MachineConfig {
         self.meta_path = meta_path;
@@ -228,7 +197,7 @@ impl MachineConfig {
 /// # Errors
 ///
 /// Any other spelling is rejected with a diagnostic naming the variable
-/// and quoting the value — `HB_META_FAST=no` must not silently read as on.
+/// and quoting the value — `HB_PROF=no` must not silently read as on.
 pub fn parse_flag(name: &str, value: &str) -> Result<Option<bool>, String> {
     match value.trim().to_ascii_lowercase().as_str() {
         "" => Ok(None),
@@ -273,13 +242,11 @@ mod tests {
             HardboundConfig::malloc_only(PointerEncoding::Intern11).with_check_uop(),
         )
         .with_fuel(1000)
-        .with_meta_path(MetaPath::Walk)
         .with_hier_path(HierPath::Walk);
         let hb = c.hardbound.unwrap();
         assert_eq!(hb.mode, SafetyMode::MallocOnly);
         assert!(hb.check_uop);
         assert_eq!(c.fuel, 1000);
-        assert_eq!(c.meta_path, MetaPath::Walk);
         assert_eq!(c.hier_path, HierPath::Walk);
     }
 }

@@ -33,13 +33,13 @@ use std::hash::Hasher;
 use hardbound_cache::HierarchyConfig;
 use hardbound_isa::Program;
 
-use crate::config::{HardboundConfig, MachineConfig, MetaPath, SafetyMode};
+use crate::config::{HardboundConfig, MachineConfig, SafetyMode};
 use crate::encoding::PointerEncoding;
 
 /// Version tag of the fingerprint format. Bump on **any** change to a
 /// [`StableHash`] impl or to the listing grammar's semantics; persisted
 /// stores recorded under another version cold-start cleanly.
-pub const FINGERPRINT_VERSION: u32 = 1;
+pub const FINGERPRINT_VERSION: u32 = 2;
 
 /// A 64-bit FNV-1a [`Hasher`]: tiny, dependency-free, and — unlike
 /// `DefaultHasher` — free of per-process random state, so fingerprints are
@@ -157,12 +157,6 @@ impl StableHash for Option<HardboundConfig> {
     }
 }
 
-impl StableHash for MetaPath {
-    fn stable_hash(&self, h: &mut Fnv64) {
-        h.mix_u8(self.wire_tag());
-    }
-}
-
 impl StableHash for HierarchyConfig {
     fn stable_hash(&self, h: &mut Fnv64) {
         // One pinned field list (`to_words`) serves both this hash and
@@ -179,7 +173,6 @@ impl StableHash for MachineConfig {
         self.hierarchy.stable_hash(h);
         h.mix_u64(self.fuel);
         h.mix_u64(self.max_call_depth as u64);
-        self.meta_path.stable_hash(h);
     }
 }
 
@@ -223,7 +216,7 @@ mod tests {
 
     /// The golden fingerprint of the default configuration — computed
     /// once from the format rules above and pinned forever.
-    const GOLDEN_DEFAULT_CONFIG: u64 = 0x2b42_5554_3d24_587c;
+    const GOLDEN_DEFAULT_CONFIG: u64 = 0x0fc5_15b6_8492_070b;
 
     /// The golden fingerprint of the default configuration. This value is
     /// the cross-process contract: it must only ever change together with
@@ -243,7 +236,6 @@ mod tests {
         let base = MachineConfig::default();
         let fp = |c: &MachineConfig| stable_fingerprint(c, 0);
         assert_ne!(fp(&base), fp(&base.clone().with_fuel(1)));
-        assert_ne!(fp(&base), fp(&base.clone().with_meta_path(MetaPath::Walk)));
         assert_ne!(fp(&base), fp(&MachineConfig::baseline()));
         assert_ne!(fp(&base), stable_fingerprint(&base, 1), "salt splits");
         let mut hier = base.clone();

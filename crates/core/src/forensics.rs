@@ -11,8 +11,8 @@
 //! memory events — both invisible to [`RunOutcome`](crate::RunOutcome)
 //! equality, so the differential suites hold with forensics on or off.
 //! [`Machine::violation_report`] folds them together with the trap, a
-//! disassembled code window, and the faulting page's tag/shadow summary
-//! counters into a [`ViolationReport`].
+//! disassembled code window, and the faulting page's tag/shadow word
+//! counts into a [`ViolationReport`].
 //!
 //! [`Machine`]: crate::Machine
 //! [`Machine::violation_report`]: crate::Machine::violation_report
@@ -66,7 +66,8 @@ impl fmt::Display for OobDistance {
 }
 
 /// Tag/shadow metadata summary of the page containing the faulting
-/// address (the per-page counters `mem` maintains exactly on every write).
+/// address, counted by walking the page's tag and shadow planes when the
+/// report is built.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PageMetaSummary {
     /// Page number (`addr >> 12`).

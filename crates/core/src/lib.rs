@@ -572,8 +572,6 @@ mod tests {
             let mut f = FunctionBuilder::new("traffic", 0);
             f.li(Reg::A0, HEAP);
             f.setbound_imm(Reg::A0, Reg::A0, 64);
-            // Spill the pointer itself so the page holds a tagged word and
-            // the later stores cannot take the tag-free fast path.
             f.store(Width::Word, Reg::A0, Reg::A0, 0);
             for i in 1..8 {
                 f.store(Width::Word, Reg::ZERO, Reg::A0, i * 4);
@@ -591,13 +589,11 @@ mod tests {
     }
 
     #[test]
-    fn tag_free_pages_skip_tag_traffic() {
-        // Stores and loads of plain integers through a bounded pointer
-        // touch pages that never hold a tagged word: the metadata fast
-        // path elides their tag traffic entirely, identically under the
-        // summary and the unsummarized walk, while the always-charge model
-        // still pays it.
-        let build = || {
+    fn plain_data_accesses_charge_tag_traffic() {
+        // "This tag metadata is needed by every memory operation" (§4.2):
+        // plain integer stores and loads through a bounded pointer touch a
+        // page that never holds a tagged word, and still pay tag traffic.
+        let program = {
             let mut f = FunctionBuilder::new("sparse", 0);
             f.li(Reg::A0, HEAP);
             f.setbound_imm(Reg::A0, Reg::A0, 64);
@@ -611,80 +607,60 @@ mod tests {
             f.halt();
             single(f)
         };
-        let summary = run_program(build(), MachineConfig::default());
-        let walk = run_program(
-            build(),
-            MachineConfig::default().with_meta_path(MetaPath::Walk),
-        );
-        let charge = run_program(
-            build(),
-            MachineConfig::default().with_meta_path(MetaPath::Charge),
-        );
-        assert!(summary.is_success());
-        assert_eq!(summary.stats, walk.stats, "summary ≡ walk, byte for byte");
-        assert_eq!(summary.stats.hierarchy.tag_accesses, 0);
-        assert_eq!(summary.stats.tag_pages, 0);
+        let hb = run_program(program, MachineConfig::default());
+        assert!(hb.is_success(), "{:?}", hb.trap);
         assert_eq!(
-            charge.stats.hierarchy.tag_accesses,
-            charge.stats.loads + charge.stats.stores,
-            "the always-charge model consults tags on every memory op"
+            hb.stats.hierarchy.tag_accesses,
+            hb.stats.loads + hb.stats.stores,
+            "{:?}",
+            hb.stats.hierarchy
         );
-        assert_eq!(charge.exit_code, summary.exit_code);
-        assert_eq!(charge.stats.uops, summary.stats.uops, "µops never differ");
+        assert!(hb.stats.tag_pages > 0);
     }
 
     #[test]
-    fn tagged_pages_still_charge_and_match_the_walk() {
-        // A pointer spilled mid-run flips its page from tag-free to
-        // tagged; accesses before the spill skip, accesses after pay —
-        // and the summary memo must notice the transition (summary ≡ walk
-        // even across it). Clearing the tag back makes the page tag-free
-        // again.
-        let build = || {
+    fn pointer_spill_and_tag_clear_charge_every_access() {
+        // The accesses around a pointer spill, its reload and the integer
+        // store that clears its tag again all pay tag traffic, before and
+        // after the page holds a tagged word.
+        let program = {
             let mut f = FunctionBuilder::new("transition", 0);
             f.li(Reg::A0, HEAP);
             f.setbound_imm(Reg::A0, Reg::A0, 64);
-            f.store(Width::Word, Reg::ZERO, Reg::A0, 0); // tag-free: skip
+            f.store(Width::Word, Reg::ZERO, Reg::A0, 0);
             f.store(Width::Word, Reg::A0, Reg::A0, 8); // spills a pointer
-            f.load(Width::Word, Reg::A1, Reg::A0, 8); // tagged page: charged
+            f.load(Width::Word, Reg::A1, Reg::A0, 8); // reloads it
             f.li(Reg::A2, 1);
             f.store(Width::Word, Reg::A2, Reg::A0, 8); // clears the tag
-            f.load(Width::Word, Reg::A3, Reg::A0, 4); // tag-free again: skip
+            f.store(Width::Byte, Reg::A2, Reg::A0, 12);
+            f.load(Width::Word, Reg::A3, Reg::A0, 4);
+            f.load(Width::Word, Reg::A3, Reg::A0, 8);
             f.li(Reg::A0, 0);
             f.halt();
             single(f)
         };
-        let summary = run_program(build(), MachineConfig::default());
-        let walk = run_program(
-            build(),
-            MachineConfig::default().with_meta_path(MetaPath::Walk),
+        let hb = run_program(program, MachineConfig::default());
+        assert!(hb.is_success(), "{:?}", hb.trap);
+        assert_eq!(
+            hb.stats.hierarchy.tag_accesses,
+            hb.stats.loads + hb.stats.stores,
+            "{:?}",
+            hb.stats.hierarchy
         );
-        assert!(summary.is_success(), "{:?}", summary.trap);
-        assert_eq!(summary.stats, walk.stats);
-        assert!(summary.stats.hierarchy.tag_accesses > 0);
-        assert!(
-            summary.stats.hierarchy.tag_accesses < summary.stats.loads + summary.stats.stores,
-            "tag-free accesses before/after the spill must skip: {:?}",
-            summary.stats.hierarchy
-        );
-        assert_eq!(summary.stats.ptr_loads, 1, "reloaded pointer keeps meta");
+        assert_eq!(hb.stats.ptr_loads, 1, "reloaded pointer keeps meta");
     }
 
     #[test]
-    fn shadow_summary_matches_walk_across_compression_transitions() {
-        // Mirror of `tag_free_pages_skip_tag_traffic` for the shadow-space
-        // summary: spill an *uncompressed* pointer (shadow traffic), then a
-        // compressed one, reload both, and mix in plain stores — the
-        // per-page uncompressed-word counter (Summary) and the tag-plane
-        // walk (Walk) must produce byte-identical statistics, and the
-        // always-charge model must agree on every observable except its
-        // extra metadata traffic.
-        let build = || {
+    fn shadow_traffic_comes_only_from_uncompressed_pointers() {
+        // Spill an uncompressed pointer and reload it (two shadow
+        // accesses), then spill a compressed one, clear a tag and load
+        // plain data (none).
+        let program = {
             let mut f = FunctionBuilder::new("shadowy", 0);
             f.li(Reg::A0, HEAP);
             f.setbound_imm(Reg::A0, Reg::A0, 4096); // uncompressible
             f.li(Reg::A1, HEAP + 8192);
-            f.setbound_imm(Reg::A1, Reg::A1, 64);
+            f.setbound_imm(Reg::A1, Reg::A1, 32); // compressible
             f.store(Width::Word, Reg::A0, Reg::A1, 0); // uncompressed spill
             f.load(Width::Word, Reg::A2, Reg::A1, 0); // shadow reload
             f.store(Width::Word, Reg::A1, Reg::A1, 4); // compressed spill
@@ -694,22 +670,44 @@ mod tests {
             f.halt();
             single(f)
         };
-        let summary = run_program(build(), MachineConfig::default());
-        let walk = run_program(
-            build(),
-            MachineConfig::default().with_meta_path(MetaPath::Walk),
-        );
-        let charge = run_program(
-            build(),
-            MachineConfig::default().with_meta_path(MetaPath::Charge),
-        );
-        assert!(summary.is_success(), "{:?}", summary.trap);
-        assert_eq!(summary.stats, walk.stats, "summary ≡ walk, byte for byte");
-        assert!(summary.stats.hierarchy.shadow_accesses > 0);
-        assert_eq!(charge.exit_code, summary.exit_code);
+        let out = run_program(program, MachineConfig::default());
+        assert!(out.is_success(), "{:?}", out.trap);
+        assert_eq!(out.stats.hierarchy.shadow_accesses, 2);
+        assert_eq!(out.stats.ptr_stores, 2);
+        assert_eq!(out.stats.compressed_ptr_stores, 1);
+    }
+
+    #[test]
+    fn violation_report_counts_the_faulting_pages_metadata() {
+        // On the faulting page: one compressed pointer, one uncompressed
+        // pointer, and one uncompressed pointer overwritten by an integer
+        // (tag cleared, shadow entry left stale), then a read past the
+        // compressed pointer's bound on the same page.
+        let page = HEAP + 8192;
+        let mut f = FunctionBuilder::new("forensics", 0);
+        f.li(Reg::A0, HEAP);
+        f.setbound_imm(Reg::A0, Reg::A0, 4096); // uncompressible
+        f.li(Reg::A1, page);
+        f.setbound_imm(Reg::A1, Reg::A1, 32); // compressible
+        f.store(Width::Word, Reg::A1, Reg::A1, 0); // compressed
+        f.store(Width::Word, Reg::A0, Reg::A1, 4); // uncompressed
+        f.store(Width::Word, Reg::A0, Reg::A1, 8); // uncompressed...
+        f.store(Width::Word, Reg::ZERO, Reg::A1, 8); // ...then cleared
+        f.load(Width::Byte, Reg::A2, Reg::A1, 40); // traps
+        f.halt();
+        let mut m = Machine::new(single(f), MachineConfig::default());
+        let out = m.run();
+        assert!(matches!(out.trap, Some(Trap::BoundsViolation { .. })));
+        assert_eq!(out.stats.compressed_ptr_stores, 1);
+        let rep = m.violation_report().expect("trapped machine has a report");
         assert_eq!(
-            charge.stats.hierarchy.shadow_accesses, summary.stats.hierarchy.shadow_accesses,
-            "shadow charges come only from uncompressed pointers on every path"
+            rep.page,
+            Some(PageMetaSummary {
+                page: page >> 12,
+                tag_words: 2,
+                shadow_words: 3,
+                uncompressed_words: 1,
+            })
         );
     }
 

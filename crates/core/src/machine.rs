@@ -5,7 +5,7 @@ use hardbound_isa::layout;
 use hardbound_isa::{BinOp, FuncId, Inst, Operand, Program, Reg, SysCall, Width};
 use hardbound_mem::{Memory, PageTouches};
 
-use crate::config::{MachineConfig, MetaPath, SafetyMode};
+use crate::config::{MachineConfig, SafetyMode};
 use crate::forensics::{
     BoundsOrigin, FlightEvent, FlightRecorder, PageMetaSummary, ViolationReport, WindowLine,
 };
@@ -109,17 +109,7 @@ pub struct Machine {
     /// the whole page for non-straddling accesses; several entries keep
     /// loops that alternate between a few regions (two arrays, the frame)
     /// from thrashing the memo.
-    ok_pages: [u32; TAG_FREE_MEMO_SIZE],
-    /// Metadata fast path ([`MetaPath`]), cached from the configuration.
-    meta_path: MetaPath,
-    /// Direct-mapped memo of pages known to hold no tagged words
-    /// (`entry[page & MASK] == page`; `u32::MAX` = empty), valid only
-    /// under [`MetaPath::Summary`]. Tags are created exclusively by
-    /// pointer stores, which drop the stored page's entry; everything else
-    /// can only clear tags, which keeps a tag-free page tag-free. A few
-    /// entries matter: real loops alternate between a handful of pages
-    /// (two arrays, the frame), and a single-entry memo thrashes.
-    tag_free_pages: [u32; TAG_FREE_MEMO_SIZE],
+    ok_pages: [u32; OK_PAGES_MEMO_SIZE],
     /// Bounds provenance: the site PC and monotonic allocation id of the
     /// most recent `setbound` that produced each `{base, bound}` pair.
     /// Forensics-only — never consulted on the execution path and
@@ -132,8 +122,8 @@ pub struct Machine {
     flight: Option<FlightRecorder>,
 }
 
-/// Entries in the machine's direct-mapped tag-free-page memo.
-const TAG_FREE_MEMO_SIZE: usize = 64;
+/// Entries in the machine's direct-mapped `region_ok` page memo.
+const OK_PAGES_MEMO_SIZE: usize = 64;
 
 impl std::fmt::Debug for Machine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -178,9 +168,7 @@ impl Machine {
                 .map_or(5, |hb| (32 / hb.encoding.tag_bits()).trailing_zeros()),
             last_data_block: u64::MAX,
             last_tag_block: u64::MAX,
-            ok_pages: [u32::MAX; TAG_FREE_MEMO_SIZE],
-            meta_path: cfg.meta_path,
-            tag_free_pages: [u32::MAX; TAG_FREE_MEMO_SIZE],
+            ok_pages: [u32::MAX; OK_PAGES_MEMO_SIZE],
             cfg,
             program,
             regs: [0; Reg::COUNT],
@@ -334,7 +322,8 @@ impl Machine {
     /// Assembles the structured forensics report for a trapped machine:
     /// the trap, the out-of-bounds distance, the originating `setbound`
     /// site from the provenance table, the faulting page's tag/shadow
-    /// summary counters, a disassembled code window, and the flight
+    /// word counts (walked here, off the execution path), a disassembled
+    /// code window, and the flight
     /// recorder's tail. `None` while the machine has not trapped.
     #[must_use]
     pub fn violation_report(&self) -> Option<ViolationReport> {
@@ -453,12 +442,12 @@ impl Machine {
         // whitelists its whole page for accesses that do not straddle it.
         let in_page = (ea & 4095) + width <= 4096;
         let page = ea >> 12;
-        if in_page && self.ok_pages[page as usize % TAG_FREE_MEMO_SIZE] == page {
+        if in_page && self.ok_pages[page as usize % OK_PAGES_MEMO_SIZE] == page {
             return true;
         }
         let ok = self.region_ok_slow(ea, width);
         if ok && in_page {
-            self.ok_pages[page as usize % TAG_FREE_MEMO_SIZE] = page;
+            self.ok_pages[page as usize % OK_PAGES_MEMO_SIZE] = page;
         }
         ok
     }
@@ -542,37 +531,6 @@ impl Machine {
         self.hier.access(AccessClass::Data, u64::from(ea));
     }
 
-    /// The metadata fast path's skip predicate: whether the access at
-    /// `[ea, ea + width)` touches a page known to hold no tagged words, so
-    /// the tag walk and the `Tag` hierarchy charge can be skipped. Accesses
-    /// that straddle a page boundary take the full path. Under
-    /// [`MetaPath::Summary`] the answer comes from the per-page counters
-    /// (memoized per page); under [`MetaPath::Walk`] it is recomputed by
-    /// walking the page's tag plane — same decision, proven identical by
-    /// the identity suites; under [`MetaPath::Charge`] it is always
-    /// `false`.
-    #[inline]
-    fn tag_free_page(&mut self, ea: u32, width: u32) -> bool {
-        if (ea & 4095) + width > 4096 {
-            return false;
-        }
-        match self.meta_path {
-            MetaPath::Charge => false,
-            MetaPath::Walk => self.mem.page_tag_free_walk(ea),
-            MetaPath::Summary => {
-                let page = ea >> 12;
-                if self.tag_free_pages[page as usize % TAG_FREE_MEMO_SIZE] == page {
-                    return true;
-                }
-                let free = self.mem.page_tag_free(ea);
-                if free {
-                    self.tag_free_pages[page as usize % TAG_FREE_MEMO_SIZE] = page;
-                }
-                free
-            }
-        }
-    }
-
     /// Charges one data access and its tag-metadata access in a single
     /// fused walk — statistics and replacement state evolve exactly as the
     /// separate data and tag charges always have (the memos resolve first,
@@ -614,35 +572,9 @@ impl Machine {
         }
     }
 
-    /// The shadow fast path's skip predicate: whether the data page
-    /// containing `ea` is *compressed-only* — no word tagged as an
-    /// uncompressed pointer — so its shadow `{base, bound}` plane holds
-    /// nothing the machine would ever read and the `Shadow` hierarchy
-    /// charge can be elided. Dispatched by [`MetaPath`] exactly like
-    /// [`Machine::tag_free_page`] (Summary: the maintained per-page
-    /// counter; Walk: recomputed from the tag plane; Charge: never skip),
-    /// so the Summary ≡ Walk identity suites cover the bookkeeping.
-    #[inline]
-    fn shadow_free_page(&self, ea: u32) -> bool {
-        match self.meta_path {
-            MetaPath::Charge => false,
-            MetaPath::Walk => self.mem.page_uncompressed_free_walk(ea),
-            MetaPath::Summary => self.mem.page_uncompressed_free(ea),
-        }
-    }
-
+    /// Charges the shadow `{base, bound}` access of an uncompressed
+    /// pointer word at `ea`.
     fn charge_shadow(&mut self, ea: u32) {
-        if self.shadow_free_page(ea) {
-            // Compressed-only page: eliding the charge is exact because a
-            // shadow plane with no uncompressed words is never consulted.
-            // Every *current* call site observes or writes an uncompressed
-            // tag on the page immediately before charging, so today this
-            // gate is an invariant safety valve rather than a live fast
-            // path — the debug_assert documents that, and the identity
-            // suites would catch any call site that changes it.
-            debug_assert!(false, "charge_shadow reached a compressed-only page");
-            return;
-        }
         // Shadow traffic shares the dTLB and L1 with ordinary data, so the
         // data-repeat memo no longer proves anything.
         self.last_data_block = u64::MAX;
@@ -707,11 +639,8 @@ impl Machine {
     /// tag/shadow traffic, the memory read and the register write.
     fn load_body<const HB: bool>(&mut self, ea: u32, width: Width, rd: Reg) {
         self.stats.loads += 1;
-        // "This tag metadata is needed by every memory operation" (§4.2) —
-        // unless the page summary proves there is none to find, in which
-        // case the whole tag walk and charge are skipped.
-        let skip_tag = HB && self.tag_free_page(ea, width.bytes());
-        if HB && !skip_tag {
+        // "This tag metadata is needed by every memory operation" (§4.2).
+        if HB {
             self.charge_data_and_tag(ea);
         } else {
             self.charge_data(ea);
@@ -722,7 +651,7 @@ impl Machine {
                 self.set(rd, u32::from(v), Meta::NONE);
             }
             Width::Word => {
-                if HB && !skip_tag && ea.is_multiple_of(4) {
+                if HB && ea.is_multiple_of(4) {
                     let (raw, tag, shadow) = self.mem.read_word_full(ea);
                     let mut meta = Meta::NONE;
                     match tag {
@@ -743,11 +672,7 @@ impl Machine {
                     }
                     self.set(rd, raw, meta);
                 } else {
-                    // Baseline load, unaligned load, or a tag-free page —
-                    // where the word's tag is zero by the summary
-                    // invariant, so the metadata planes need not be
-                    // consulted at all.
-                    debug_assert!(!skip_tag || self.mem.tag(ea) == 0);
+                    // Baseline or unaligned load: never a pointer.
                     let raw = self.mem.read_u32(ea);
                     self.set(rd, raw, Meta::NONE);
                 }
@@ -803,14 +728,7 @@ impl Machine {
     /// [`Machine::load_body`]).
     fn store_body<const HB: bool>(&mut self, ea: u32, width: Width, src: Reg) {
         self.stats.stores += 1;
-        // A store writes a tag exactly when it spills a pointer word; every
-        // other store only *clears* tags — a no-op on a page the summary
-        // proves tag-free, so both the clear and the tag charge are
-        // skipped. The decision is made before the write mutates the page.
-        let tagging =
-            HB && width == Width::Word && ea.is_multiple_of(4) && self.m(src).is_pointer();
-        let skip_tag = HB && !tagging && self.tag_free_page(ea, width.bytes());
-        if HB && !skip_tag {
+        if HB {
             self.charge_data_and_tag(ea);
         } else {
             self.charge_data(ea);
@@ -819,7 +737,7 @@ impl Machine {
         match width {
             Width::Byte => {
                 self.mem.write_u8(ea, value as u8);
-                if HB && !skip_tag {
+                if HB {
                     // A sub-word store destroys the containing word's
                     // pointer-ness (conservative, as real hardware must).
                     self.mem.set_tag(ea, TAG_NONE);
@@ -830,10 +748,6 @@ impl Machine {
                     if ea.is_multiple_of(4) {
                         let meta = self.m(src);
                         if meta.is_pointer() {
-                            // The page gains a tag: the tag-free memo can
-                            // no longer vouch for it.
-                            self.tag_free_pages[(ea >> 12) as usize % TAG_FREE_MEMO_SIZE] =
-                                u32::MAX;
                             self.stats.ptr_stores += 1;
                             let hb = self.cfg.hardbound.expect("checked above");
                             if hb.encoding.is_compressible(value, meta) {
@@ -853,21 +767,14 @@ impl Machine {
                                 );
                                 self.charge_shadow(ea);
                             }
-                        } else if skip_tag {
-                            // Tag-free page: the word's tag is already
-                            // zero; plain data write, no metadata touch.
-                            debug_assert_eq!(self.mem.tag(ea), 0);
-                            self.mem.write_u32(ea, value);
                         } else {
                             self.mem.write_word_tagged(ea, value, TAG_NONE);
                         }
                     } else {
                         // Unaligned word store: clear both containing words.
                         self.mem.write_u32(ea, value);
-                        if !skip_tag {
-                            self.mem.set_tag(ea, TAG_NONE);
-                            self.mem.set_tag(ea.wrapping_add(3), TAG_NONE);
-                        }
+                        self.mem.set_tag(ea, TAG_NONE);
+                        self.mem.set_tag(ea.wrapping_add(3), TAG_NONE);
                     }
                 } else {
                     self.mem.write_u32(ea, value);

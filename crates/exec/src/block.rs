@@ -41,8 +41,7 @@ pub use hardbound_core::Fnv64;
 /// Content-hash identity of a program *as the decoder sees it*: the full
 /// program image (functions, entry, globals, data) plus the
 /// decode-facing configuration — the HardBound extension
-/// (encoding/mode/check-µop ablation) and the metadata path. Two
-/// machines with equal `ProgramId`s decode byte-identical blocks and may
+/// (encoding/mode/check-µop ablation). Two machines with equal `ProgramId`s decode byte-identical blocks and may
 /// share them; configurations that differ only in run-time knobs (fuel,
 /// call depth, hierarchy geometry) map to the *same* `ProgramId` and
 /// reuse each other's decode work.
@@ -122,7 +121,6 @@ impl ProgramId {
         h.mix_u32(FINGERPRINT_VERSION);
         h.mix_u64(stable_program_hash(program));
         cfg.hardbound.stable_hash(&mut h);
-        cfg.meta_path.stable_hash(&mut h);
         ProgramId(h.value())
     }
 }

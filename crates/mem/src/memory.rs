@@ -24,43 +24,6 @@ struct MetaPlane {
     /// sizes and 15 is "uncompressed"; for 1-bit encodings only 0/1 are
     /// used).
     tags: Box<[u8; WORDS_PER_PAGE]>,
-    /// Per-page summary: number of words with a nonzero tag. Maintained on
-    /// every tag write, so "does this page hold any tagged word?" is one
-    /// integer compare instead of a 1024-byte scan — the machine's
-    /// metadata fast path keys off it.
-    tag_words: u32,
-    /// Per-page summary: number of words with a nonzero shadow
-    /// `{base, bound}` entry.
-    shadow_words: u32,
-    /// Per-page summary: number of words whose tag marks an
-    /// *uncompressed* pointer (tag ≥ 2 — the machine's `TAG_UNCOMPRESSED`;
-    /// 0 is non-pointer, 1 a compressed pointer whose bounds live in the
-    /// tag itself). Only uncompressed pointers ever touch the shadow
-    /// space, so "no uncompressed word on this page" lets the machine's
-    /// shadow fast path skip the Shadow hierarchy charge in O(1).
-    uncompressed_words: u32,
-}
-
-impl MetaPlane {
-    /// Writes `tags[word] = tag`, keeping the summary counts exact.
-    #[inline]
-    fn write_tag(&mut self, word: usize, tag: u8) {
-        let old = self.tags[word];
-        self.tag_words += u32::from(old == 0 && tag != 0);
-        self.tag_words -= u32::from(old != 0 && tag == 0);
-        self.uncompressed_words += u32::from(old < 2 && tag >= 2);
-        self.uncompressed_words -= u32::from(old >= 2 && tag < 2);
-        self.tags[word] = tag;
-    }
-
-    /// Writes `shadow[word] = meta`, keeping the summary count exact.
-    #[inline]
-    fn write_shadow(&mut self, word: usize, meta: WordMeta) {
-        let old = self.shadow[word];
-        self.shadow_words += u32::from(old == (0, 0) && meta != (0, 0));
-        self.shadow_words -= u32::from(old != (0, 0) && meta == (0, 0));
-        self.shadow[word] = meta;
-    }
 }
 
 /// One 4 KB page: data bytes plus (lazily materialized) metadata planes.
@@ -84,9 +47,6 @@ impl Page {
         self.meta.get_or_insert_with(|| MetaPlane {
             shadow: Box::new([(0, 0); WORDS_PER_PAGE]),
             tags: Box::new([0u8; WORDS_PER_PAGE]),
-            tag_words: 0,
-            shadow_words: 0,
-            uncompressed_words: 0,
         })
     }
 }
@@ -260,9 +220,9 @@ impl Memory {
         let page = self.page_mut(addr);
         page.bytes[off..off + 4].copy_from_slice(&value.to_le_bytes());
         if let Some(m) = &mut page.meta {
-            m.write_tag(off / 4, tag);
+            m.tags[off / 4] = tag;
         } else if tag != 0 {
-            page.meta_mut().write_tag(off / 4, tag);
+            page.meta_mut().tags[off / 4] = tag;
         }
     }
 
@@ -279,8 +239,8 @@ impl Memory {
         let page = self.page_mut(addr);
         page.bytes[off..off + 4].copy_from_slice(&value.to_le_bytes());
         let meta = page.meta_mut();
-        meta.write_tag(off / 4, tag);
-        meta.write_shadow(off / 4, shadow);
+        meta.tags[off / 4] = tag;
+        meta.shadow[off / 4] = shadow;
     }
 
     /// Writes a little-endian 32-bit word starting at `addr`.
@@ -329,7 +289,7 @@ impl Memory {
         if tag == 0 && self.page(addr).is_none_or(|p| p.meta.is_none()) {
             return;
         }
-        self.page_mut(addr).meta_mut().write_tag(word, tag);
+        self.page_mut(addr).meta_mut().tags[word] = tag;
     }
 
     /// Shadow `{base, bound}` of the aligned word containing `addr`.
@@ -348,82 +308,41 @@ impl Memory {
         if meta == (0, 0) && self.page(addr).is_none_or(|p| p.meta.is_none()) {
             return;
         }
-        self.page_mut(addr).meta_mut().write_shadow(word, meta);
+        self.page_mut(addr).meta_mut().shadow[word] = meta;
+    }
+
+    /// Counts the words of the 4 KB page containing `addr` whose metadata
+    /// satisfies `pred(tag, shadow)`, by walking the page's planes. Used
+    /// only by trap forensics, so the scan is off every hot path.
+    fn count_page_words(&self, addr: u32, pred: impl Fn(u8, WordMeta) -> bool) -> u32 {
+        self.page(addr)
+            .and_then(|p| p.meta.as_ref())
+            .map_or(0, |m| {
+                let words = m.tags.iter().zip(m.shadow.iter());
+                words.filter(|&(&t, &s)| pred(t, s)).count() as u32
+            })
     }
 
     /// Number of words with a nonzero tag on the 4 KB page containing
-    /// `addr`, from the maintained per-page summary.
+    /// `addr`.
     #[must_use]
     pub fn page_tag_words(&self, addr: u32) -> u32 {
-        match self.page(addr).and_then(|p| p.meta.as_ref()) {
-            Some(m) => m.tag_words,
-            None => 0,
-        }
+        self.count_page_words(addr, |tag, _| tag != 0)
     }
 
     /// Number of words with a nonzero shadow `{base, bound}` entry on the
-    /// 4 KB page containing `addr`, from the maintained per-page summary.
+    /// 4 KB page containing `addr`.
     #[must_use]
     pub fn page_shadow_words(&self, addr: u32) -> u32 {
-        match self.page(addr).and_then(|p| p.meta.as_ref()) {
-            Some(m) => m.shadow_words,
-            None => 0,
-        }
+        self.count_page_words(addr, |_, shadow| shadow != (0, 0))
     }
 
-    /// Whether no word on the 4 KB page containing `addr` carries a tag —
-    /// the metadata fast path's skip predicate, answered from the
-    /// maintained summary in O(1).
-    #[inline]
-    #[must_use]
-    pub fn page_tag_free(&self, addr: u32) -> bool {
-        self.page_tag_words(addr) == 0
-    }
-
-    /// [`Memory::page_tag_free`] computed the unsummarized way: by walking
-    /// the page's tag plane. This is the reference implementation the
-    /// summary is held byte-identical to (the identity proptests compare
-    /// whole-run statistics between the two), and the only other exact way
-    /// to answer the question — a page whose metadata arrays exist but
-    /// whose tags were all cleared back to zero *is* tag-free.
-    #[must_use]
-    pub fn page_tag_free_walk(&self, addr: u32) -> bool {
-        match self.page(addr).and_then(|p| p.meta.as_ref()) {
-            Some(m) => m.tags.iter().all(|&t| t == 0),
-            None => true,
-        }
-    }
-
-    /// Number of words tagged as uncompressed pointers (tag ≥ 2) on the
-    /// 4 KB page containing `addr`, from the maintained per-page summary.
+    /// Number of words tagged as uncompressed pointers (tag ≥ 2 — the
+    /// machine's `TAG_UNCOMPRESSED`; 1 is a compressed pointer whose bounds
+    /// live in the tag itself) on the 4 KB page containing `addr`.
     #[must_use]
     pub fn page_uncompressed_words(&self, addr: u32) -> u32 {
-        match self.page(addr).and_then(|p| p.meta.as_ref()) {
-            Some(m) => m.uncompressed_words,
-            None => 0,
-        }
-    }
-
-    /// Whether no word on the 4 KB page containing `addr` is tagged as an
-    /// uncompressed pointer — the page is "compressed-only", so its shadow
-    /// `{base, bound}` plane is never consulted and the machine's shadow
-    /// fast path may skip the Shadow hierarchy charge. Answered from the
-    /// maintained summary in O(1).
-    #[inline]
-    #[must_use]
-    pub fn page_uncompressed_free(&self, addr: u32) -> bool {
-        self.page_uncompressed_words(addr) == 0
-    }
-
-    /// [`Memory::page_uncompressed_free`] computed the unsummarized way:
-    /// by walking the page's tag plane. The reference implementation the
-    /// summary is differenced against.
-    #[must_use]
-    pub fn page_uncompressed_free_walk(&self, addr: u32) -> bool {
-        match self.page(addr).and_then(|p| p.meta.as_ref()) {
-            Some(m) => m.tags.iter().all(|&t| t < 2),
-            None => true,
-        }
+        self.count_page_words(addr, |tag, _| tag >= 2)
     }
 
     /// Number of data pages actually materialized (diagnostic).
@@ -537,30 +456,24 @@ mod tests {
     #[test]
     fn page_summaries_track_tag_and_shadow_counts() {
         let mut m = Memory::new();
-        assert!(m.page_tag_free(0x7000));
-        assert!(m.page_tag_free_walk(0x7000));
         assert_eq!(m.page_tag_words(0x7000), 0);
 
         m.set_tag(0x7000, 2);
         m.set_tag(0x7004, 1);
         m.set_tag(0x7004, 3); // overwrite: count unchanged
-        assert_eq!(m.page_tag_words(0x7000), 2);
-        assert!(!m.page_tag_free(0x7123));
-        assert!(!m.page_tag_free_walk(0x7123));
-        assert!(m.page_tag_free(0x8000), "other pages unaffected");
+        assert_eq!(m.page_tag_words(0x7123), 2);
+        assert_eq!(m.page_tag_words(0x8000), 0, "other pages unaffected");
 
         m.set_shadow(0x7000, (0x7000, 0x7010));
         assert_eq!(m.page_shadow_words(0x7000), 1);
         m.set_shadow(0x7000, (0, 0));
         assert_eq!(m.page_shadow_words(0x7000), 0);
 
-        // Clearing every tag makes the materialized page tag-free again —
-        // and the summary must agree with the walk.
+        // Clearing every tag leaves a materialized page with no tagged
+        // word.
         m.set_tag(0x7000, 0);
         m.set_tag(0x7004, 0);
         assert_eq!(m.page_tag_words(0x7000), 0);
-        assert!(m.page_tag_free(0x7000));
-        assert!(m.page_tag_free_walk(0x7000));
     }
 
     #[test]
@@ -575,8 +488,6 @@ mod tests {
         m.write_word_tagged(0x9000, 7, 0);
         assert_eq!(m.page_tag_words(0x9000), 0);
         assert_eq!(m.page_shadow_words(0x9000), 1);
-        assert!(m.page_tag_free(0x9000));
-        assert!(m.page_tag_free_walk(0x9000));
 
         // A tagged write on a page with no metadata arrays materializes
         // them only for nonzero tags, counting exactly once.
@@ -589,36 +500,29 @@ mod tests {
     #[test]
     fn uncompressed_summary_tracks_tag_transitions() {
         let mut m = Memory::new();
-        assert!(m.page_uncompressed_free(0xB000));
-        assert!(m.page_uncompressed_free_walk(0xB000));
+        assert_eq!(m.page_uncompressed_words(0xB000), 0);
 
         // Compressed pointers (tag 1) never count.
         m.set_tag(0xB000, 1);
         assert_eq!(m.page_uncompressed_words(0xB000), 0);
-        assert!(m.page_uncompressed_free(0xB000));
-        assert!(m.page_uncompressed_free_walk(0xB000));
 
-        // Uncompressed (tag 2) counts; transitions in every direction
-        // keep the summary exact and agreeing with the walk.
+        // Uncompressed (tag 2) counts, through transitions in every
+        // direction.
         m.set_tag(0xB004, 2);
-        assert_eq!(m.page_uncompressed_words(0xB000), 1);
-        assert!(!m.page_uncompressed_free(0xB123));
-        assert!(!m.page_uncompressed_free_walk(0xB123));
+        assert_eq!(m.page_uncompressed_words(0xB123), 1);
         m.set_tag(0xB000, 2); // compressed -> uncompressed
         assert_eq!(m.page_uncompressed_words(0xB000), 2);
         m.set_tag(0xB004, 1); // uncompressed -> compressed
         assert_eq!(m.page_uncompressed_words(0xB000), 1);
         m.set_tag(0xB000, 0); // uncompressed -> none
         assert_eq!(m.page_uncompressed_words(0xB000), 0);
-        assert!(m.page_uncompressed_free(0xB000));
-        assert!(m.page_uncompressed_free_walk(0xB000));
         assert_eq!(
             m.page_uncompressed_words(0xC000),
             0,
             "other pages untouched"
         );
 
-        // The combined pointer-write API maintains it too.
+        // The combined pointer-write API counts too.
         m.write_word_pointer(0xB008, 0x0100_0000, 2, (0x0100_0000, 0x0100_0040));
         assert_eq!(m.page_uncompressed_words(0xB000), 1);
         m.write_word_tagged(0xB008, 0, 0);

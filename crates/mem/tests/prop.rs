@@ -94,9 +94,8 @@ proptest! {
             prop_assert_eq!(mem.shadow(a), s);
         }
 
-        // The per-page summaries must agree with a from-scratch scan of the
-        // reference model — counts exact, tag-freeness identical to the
-        // unsummarized walk.
+        // The per-page metadata counts must agree with a from-scratch scan
+        // of the reference model.
         let mut tag_count: HashMap<u32, u32> = HashMap::new();
         for (&a, &t) in &ref_tags {
             if t != 0 {
@@ -121,13 +120,6 @@ proptest! {
             let want_shadow = shadow_count.get(&page).copied().unwrap_or(0);
             prop_assert_eq!(mem.page_tag_words(a), want_tags, "page {:#x}", a);
             prop_assert_eq!(mem.page_shadow_words(a), want_shadow, "page {:#x}", a);
-            prop_assert_eq!(mem.page_tag_free(a), want_tags == 0, "page {:#x}", a);
-            prop_assert_eq!(
-                mem.page_tag_free(a),
-                mem.page_tag_free_walk(a),
-                "summary vs walk on page {:#x}",
-                a
-            );
         }
     }
 

@@ -44,7 +44,7 @@
 use std::process::ExitCode;
 
 use hardbound_compiler::Mode;
-use hardbound_core::{checked_ratio, MetaPath, PointerEncoding};
+use hardbound_core::{checked_ratio, PointerEncoding};
 use hardbound_exec::Engine;
 use hardbound_isa::Program;
 use hardbound_runtime::{
@@ -61,8 +61,10 @@ struct Args {
     disasm: bool,
     interp: bool,
     profile: bool,
-    meta: Option<MetaPath>,
 }
+
+const USAGE: &str = "usage: hbrun FILE.{cb,s} [FILE.{cb,s} ...] [--mode M] [--encoding E] \
+                     [--stats] [--metrics] [--disasm] [--interp | --profile]";
 
 fn parse_args() -> Result<Args, String> {
     let mut paths = Vec::new();
@@ -73,8 +75,6 @@ fn parse_args() -> Result<Args, String> {
     let mut disasm = false;
     let mut profile = false;
     let mut interp = false;
-    // `HB_META_FAST=0` flips the metadata fast path; `--meta` overrides.
-    let mut meta = None;
 
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -99,30 +99,14 @@ fn parse_args() -> Result<Args, String> {
                     other => return Err(format!("unknown encoding `{other}`")),
                 };
             }
-            "--meta" => {
-                let v = it.next().ok_or("--meta needs a value")?;
-                meta = Some(match v.as_str() {
-                    "summary" => MetaPath::Summary,
-                    "walk" => MetaPath::Walk,
-                    "charge" => MetaPath::Charge,
-                    other => return Err(format!("unknown meta path `{other}`")),
-                });
-            }
             "--stats" => stats = true,
             "--metrics" => metrics = true,
             "--disasm" => disasm = true,
             "--profile" => profile = true,
             "--interp" => interp = true,
-            "--help" | "-h" => {
-                return Err(
-                    "usage: hbrun FILE.{cb,s} [FILE.{cb,s} ...] [--mode M] [--encoding E] \
-                     [--stats] [--metrics] [--disasm] [--interp | --profile] \
-                     [--meta summary|walk|charge]"
-                        .to_owned(),
-                )
-            }
+            "--help" | "-h" => return Err(USAGE.to_owned()),
             other if !other.starts_with('-') => paths.push(other.to_owned()),
-            other => return Err(format!("unexpected argument `{other}`")),
+            other => return Err(format!("unexpected argument `{other}`\n{USAGE}")),
         }
     }
     if paths.is_empty() {
@@ -140,7 +124,6 @@ fn parse_args() -> Result<Args, String> {
         disasm,
         interp,
         profile,
-        meta,
     })
 }
 
@@ -213,10 +196,7 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let mut config = machine_config(args.mode, args.encoding);
-    if let Some(meta) = args.meta {
-        config = config.with_meta_path(meta);
-    }
+    let config = machine_config(args.mode, args.encoding);
     // Three execution paths, all observationally identical: the corpus
     // service (engine + shared decode cache + result store) by default, a
     // bare profiled engine under `--profile` (a store hit would execute

@@ -18,7 +18,7 @@ use hardbound_core::{
     checked_ratio, ExecStats, HardboundConfig, MachineConfig, PointerEncoding, RunOutcome,
 };
 use hardbound_exec::batch;
-use hardbound_runtime::{compile, machine_config, meta_path_default, run_jobs, SimJob};
+use hardbound_runtime::{compile, machine_config, run_jobs, SimJob};
 use hardbound_violations::{corpus, Addressing, CaseResult, CorpusReport, TestCase};
 use hardbound_workloads::{all, Scale, Workload};
 
@@ -301,14 +301,9 @@ pub fn ablation_check_uop(scale: Scale) -> Vec<AblationRow> {
     )];
     for encoding in PointerEncoding::ALL {
         specs.push((Mode::HardBound, machine_config(Mode::HardBound, encoding)));
-        // The charged cell must share the standard cells' metadata path
-        // (machine_config applies it; the raw constructor does not), or
-        // an HB_META_FAST override would compare the two check models
-        // under two different metadata-cost models.
         specs.push((
             Mode::HardBound,
-            MachineConfig::hardbound(HardboundConfig::full(encoding).with_check_uop())
-                .with_meta_path(meta_path_default()),
+            MachineConfig::hardbound(HardboundConfig::full(encoding).with_check_uop()),
         ));
     }
     let runs = run_grid(&workloads, &specs);

@@ -1,6 +1,7 @@
 //! End-to-end smoke tests of the `hbrun` binary: `.s` listing input and
 //! the `--disasm` → `.s` → run round trip, the `--interp` interpreter
-//! agreeing with the default path, and `--profile` always executing.
+//! agreeing with the default path, `--profile` always executing, and
+//! usage errors.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -235,5 +236,19 @@ fn profile_executes_even_when_the_store_is_warm() {
 
     let _ = std::fs::remove_file(&store);
     let _ = std::fs::remove_file(store.with_extension("lock"));
+    let _ = std::fs::remove_file(cb);
+}
+
+#[test]
+fn meta_flag_is_a_usage_error() {
+    // The paper's metadata-cost model is the only one, so there is no
+    // `--meta` to choose another.
+    let cb = write_temp("meta.cb", COUNTDOWN_CB);
+    let out = hbrun(&["--meta", "charge", cb.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("`--meta`"), "stderr: {stderr}");
+    assert!(stderr.contains("usage: hbrun"), "stderr: {stderr}");
+    assert!(!stderr.contains("--meta summary"), "stderr: {stderr}");
     let _ = std::fs::remove_file(cb);
 }

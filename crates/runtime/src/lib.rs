@@ -63,18 +63,6 @@ use hardbound_serve::{
 };
 use hardbound_telemetry::{trace, Counter, Field, Histogram, SpanId, SpanTimer, TraceCtx};
 
-/// Reads the environment flag `name`: `None` when unset or empty,
-/// otherwise [`parse_flag`] of its value.
-///
-/// # Panics
-///
-/// Panics with [`parse_flag`]'s diagnostic on an unrecognized value.
-#[must_use]
-pub fn env_flag(name: &str) -> Option<bool> {
-    let value = std::env::var(name).ok()?;
-    parse_flag(name, &value).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// Reads and parses the environment variable `name` as a `T`: `Ok(None)`
 /// when unset or empty, `Err` with a diagnostic naming the variable and
 /// quoting the value when it does not parse — never a silent fallback.
@@ -186,31 +174,24 @@ pub fn metrics_snapshot() -> hardbound_telemetry::Snapshot {
     hardbound_telemetry::global().snapshot()
 }
 
-/// The default [`MetaPath`]: the summary fast path, unless `HB_META_FAST`
-/// is explicitly turned off — the escape hatch restoring the paper's §4.2
-/// model where every memory operation generates tag traffic.
+/// The one [`MetaPath`], the paper's §4.2 model. Kept only for `hbbench`,
+/// which calls it; it goes with [`MetaPath`] (see its docs).
 #[must_use]
 pub fn meta_path_default() -> MetaPath {
-    if env_flag("HB_META_FAST").unwrap_or(true) {
-        MetaPath::Summary
-    } else {
-        MetaPath::Charge
-    }
+    MetaPath::Summary
 }
 
 /// The machine configuration that corresponds to a compiler mode (paper
 /// §5.1): HardBound hardware for the HardBound/MallocOnly modes, the plain
-/// baseline machine for the software-only schemes. The metadata fast path
-/// follows [`meta_path_default`]; the hierarchy keeps [`MachineConfig`]'s
-/// exact event-driven lookup.
+/// baseline machine for the software-only schemes. The hierarchy keeps
+/// [`MachineConfig`]'s exact event-driven lookup.
 #[must_use]
 pub fn machine_config(mode: Mode, encoding: PointerEncoding) -> MachineConfig {
-    let cfg = match mode {
+    match mode {
         Mode::Baseline | Mode::SoftBound | Mode::ObjectTable => MachineConfig::baseline(),
         Mode::MallocOnly => MachineConfig::hardbound(HardboundConfig::malloc_only(encoding)),
         Mode::HardBound => MachineConfig::hardbound(HardboundConfig::full(encoding)),
-    };
-    cfg.with_meta_path(meta_path_default())
+    }
 }
 
 /// The flight-recorder depth (`HB_FLIGHT=N`): `None` when unset, empty or
@@ -913,8 +894,8 @@ mod tests {
         // Anything else is an error naming the variable and quoting the
         // value, so a misspelled flag can never silently flip a layer.
         for bad in ["no", "yes", "2", "x", "enable", "of", "-1", "0x1"] {
-            let err = parse_flag("HB_META_FAST", bad).expect_err(bad);
-            assert!(err.contains("HB_META_FAST"), "{err}");
+            let err = parse_flag("HB_X", bad).expect_err(bad);
+            assert!(err.contains("HB_X"), "{err}");
             assert!(err.contains(&format!("`{bad}`")), "{err}");
         }
     }

@@ -16,15 +16,15 @@
 use std::fmt;
 
 use hardbound_core::{
-    ExecStats, HardboundConfig, HierarchyConfig, MachineConfig, MetaPath, Pc, PointerEncoding,
-    RunOutcome, SafetyMode, Trap,
+    ExecStats, HardboundConfig, HierarchyConfig, MachineConfig, Pc, PointerEncoding, RunOutcome,
+    SafetyMode, Trap,
 };
 use hardbound_isa::FuncId;
 use hardbound_telemetry::{Field, SpanEvent, SpanId, TraceId};
 
 /// Version tag of the wire layout. Bump on **any** change to an encode
 /// function in this module.
-pub const WIRE_VERSION: u32 = 1;
+pub const WIRE_VERSION: u32 = 2;
 
 /// Why a byte stream failed to decode.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -455,7 +455,6 @@ pub fn encode_config(w: &mut Writer, cfg: &MachineConfig) {
     }
     w.put_u64(cfg.fuel);
     w.put_u64(cfg.max_call_depth as u64);
-    w.put_u8(cfg.meta_path.wire_tag());
 }
 
 fn get_usize(r: &mut Reader<'_>) -> Result<usize, WireError> {
@@ -507,11 +506,6 @@ pub fn decode_config(r: &mut Reader<'_>) -> Result<MachineConfig, WireError> {
     cfg.hierarchy = hierarchy;
     cfg.fuel = r.get_u64()?;
     cfg.max_call_depth = get_usize(r)?;
-    let tag = r.get_u8()?;
-    cfg.meta_path = MetaPath::from_wire_tag(tag).ok_or(WireError::BadTag {
-        what: "meta path",
-        tag,
-    })?;
     Ok(cfg)
 }
 
@@ -635,8 +629,7 @@ mod tests {
             MachineConfig::hardbound(
                 HardboundConfig::malloc_only(PointerEncoding::Intern11).with_check_uop(),
             )
-            .with_fuel(42)
-            .with_meta_path(MetaPath::Charge),
+            .with_fuel(42),
         ] {
             let mut w = Writer::new();
             encode_config(&mut w, &cfg);

@@ -4,8 +4,7 @@
 //! to in-process execution.
 
 use hardbound_core::{
-    ExecStats, HardboundConfig, MachineConfig, MetaPath, Pc, PointerEncoding, RunOutcome,
-    SafetyMode, Trap,
+    ExecStats, HardboundConfig, MachineConfig, Pc, PointerEncoding, RunOutcome, SafetyMode, Trap,
 };
 use hardbound_isa::FuncId;
 use hardbound_serve::wire::{
@@ -154,19 +153,13 @@ fn config() -> impl Strategy<Value = MachineConfig> {
         ],
         any::<u64>(),
         1usize..1 << 24,
-        prop_oneof![
-            Just(MetaPath::Summary),
-            Just(MetaPath::Walk),
-            Just(MetaPath::Charge)
-        ],
         (1u64..1 << 24, 1usize..64, 0u64..1 << 10),
     )
-        .prop_map(|(hardbound, fuel, depth, meta, (bytes, ways, penalty))| {
+        .prop_map(|(hardbound, fuel, depth, (bytes, ways, penalty))| {
             let mut cfg = MachineConfig::baseline();
             cfg.hardbound = hardbound;
             cfg.fuel = fuel;
             cfg.max_call_depth = depth;
-            cfg.meta_path = meta;
             cfg.hierarchy.tag_cache_bytes = bytes;
             cfg.hierarchy.l1_ways = ways;
             cfg.hierarchy.l2_miss_penalty = penalty;

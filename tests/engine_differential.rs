@@ -9,20 +9,14 @@
 //! sources) runs under the paper's default configuration, and generated
 //! pointer-soup programs (straight-line and looped) run as properties.
 //!
-//! The same four-way matrix additionally pins the **metadata fast path**:
-//! each program runs under `MetaPath::Summary` (per-page counters) and
-//! `MetaPath::Walk` (the unsummarized tag-plane walk), on both execution
-//! paths, and all four outcomes must be byte-identical — `ExecStats` and
-//! `HierarchyStats` included.
-//!
-//! The **hierarchy lookup machinery** is pinned the same way: each
+//! The **hierarchy lookup machinery** is pinned too: each
 //! program also runs under `HierPath::Walk` (the reference way-walk) on
 //! both execution paths, and must be byte-identical to the default
 //! event-driven residency-proof path (`HierPath::Event`) — the two are
 //! exact twins by construction, differing only in how a set is searched.
 
 use hardbound::compiler::Mode;
-use hardbound::core::{HierPath, Machine, MachineConfig, MetaPath, PointerEncoding, RunOutcome};
+use hardbound::core::{HierPath, Machine, MachineConfig, PointerEncoding, RunOutcome};
 use hardbound::exec::Engine;
 use hardbound::isa::{fuzz, layout, FuncId, Function, FunctionBuilder, Inst, Program, Reg};
 use hardbound::isa::{SysCall, Width};
@@ -60,35 +54,24 @@ fn check_program(label: &str, program: &Program, cfg: &MachineConfig) {
     assert_identical(label, &interp, &engine);
 }
 
-/// Compiles `source` under `mode` and runs it six ways — interpreter and
-/// engine, each under the summary fast path, the unsummarized walk, and
-/// the reference hierarchy walk — asserting all outcomes identical.
+/// Compiles `source` under `mode` and runs it four ways — interpreter and
+/// engine, each under the default hierarchy and the reference hierarchy
+/// walk — asserting all outcomes identical.
 fn differential_cb(label: &str, source: &str, mode: Mode, encoding: PointerEncoding) {
     let program = compile(source, mode)
         .unwrap_or_else(|e| panic!("{label}: compile failed under {mode}: {e}"));
-    let cfg = |meta| machine_config(mode, encoding).with_meta_path(meta);
-    let build = |meta| build_machine_with_config(program.clone(), mode, cfg(meta));
-    let interp = build(MetaPath::Summary).run();
-    let engine = Engine::new(build(MetaPath::Summary)).run();
-    let interp_walk = build(MetaPath::Walk).run();
-    let engine_walk = Engine::new(build(MetaPath::Walk)).run();
+    let build = |hier| {
+        let cfg = machine_config(mode, encoding).with_hier_path(hier);
+        build_machine_with_config(program.clone(), mode, cfg)
+    };
+    let interp = build(HierPath::Event).run();
+    let engine = Engine::new(build(HierPath::Event)).run();
     let label = format!("{label}/{mode}/{encoding}");
     assert_identical(&label, &interp, &engine);
-    assert_identical(
-        &format!("{label}/interp summary-vs-walk"),
-        &interp,
-        &interp_walk,
-    );
-    assert_identical(
-        &format!("{label}/engine summary-vs-walk"),
-        &engine,
-        &engine_walk,
-    );
     // The hierarchy lookup twin: the reference way-walk must match the
     // default event-driven path on both execution paths.
-    let hier_cfg = cfg(MetaPath::Summary).with_hier_path(HierPath::Walk);
-    let interp_hier = build_machine_with_config(program.clone(), mode, hier_cfg.clone()).run();
-    let engine_hier = Engine::new(build_machine_with_config(program.clone(), mode, hier_cfg)).run();
+    let interp_hier = build(HierPath::Walk).run();
+    let engine_hier = Engine::new(build(HierPath::Walk)).run();
     assert_identical(
         &format!("{label}/interp event-vs-hier-walk"),
         &interp,
@@ -263,18 +246,15 @@ fn fuzz_programs_agree_across_modes_and_encodings() {
         for (mode, encoding) in all_configs() {
             // Fuzz programs are raw µop streams — the compiler mode only
             // matters through the machine configuration, so pair each
-            // config via the runtime glue as the drivers do. The walk
-            // variant re-checks the fast-path identity on hostile inputs.
+            // config via the runtime glue as the drivers do. The hierarchy
+            // walk re-checks the lookup identity on hostile inputs.
             let cfg = machine_config(mode, encoding).with_fuel(100_000);
-            let walk_cfg = cfg.clone().with_meta_path(MetaPath::Walk);
             let hier_cfg = cfg.clone().with_hier_path(HierPath::Walk);
             let interp = Machine::new(program.clone(), cfg.clone()).run();
             let engine = Engine::new(Machine::new(program.clone(), cfg.clone())).run();
-            let engine_walk = Engine::new(Machine::new(program.clone(), walk_cfg)).run();
             let engine_hier = Engine::new(Machine::new(program.clone(), hier_cfg)).run();
             let label = format!("fuzz-{seed}/{mode}/{encoding}");
             assert_identical(&label, &interp, &engine);
-            assert_identical(&format!("{label}/summary-vs-walk"), &engine, &engine_walk);
             assert_identical(
                 &format!("{label}/event-vs-hier-walk"),
                 &engine,
@@ -447,7 +427,7 @@ fn build_pop_program(ops: &[POp], loop_trips: Option<u32>) -> Program {
 fn prop_configs() -> [MachineConfig; 3] {
     [
         machine_config(Mode::HardBound, PointerEncoding::Intern4),
-        machine_config(Mode::HardBound, PointerEncoding::Extern4).with_meta_path(MetaPath::Walk),
+        machine_config(Mode::HardBound, PointerEncoding::Extern4),
         machine_config(Mode::MallocOnly, PointerEncoding::Intern11),
     ]
 }

@@ -3,7 +3,7 @@
 //! Two invariants carry the whole design:
 //!
 //! 1. **Replay ≡ recompute.** For any generated program and any
-//!    mode/encoding/`MetaPath` perturbation, a warm [`CorpusService`]
+//!    mode/encoding perturbation, a warm [`CorpusService`]
 //!    answering from its result store returns the byte-identical
 //!    [`RunOutcome`] — full `ExecStats` and `HierarchyStats` included —
 //!    that a cold service (and the direct engine path) computes.
@@ -13,16 +13,15 @@
 //!    precisely the invalidated program's entries.
 
 use hardbound::compiler::Mode;
-use hardbound::core::{Machine, MachineConfig, MetaPath, PointerEncoding, RunOutcome};
+use hardbound::core::{Machine, MachineConfig, PointerEncoding, RunOutcome};
 use hardbound::exec::service::Job;
 use hardbound::exec::{CorpusService, Engine, ProgramId};
 use hardbound::isa::{layout, FunctionBuilder, Program, Reg, Width};
 use hardbound::runtime::machine_config;
 use proptest::prelude::*;
 
-/// One generated op over a small bounded working region (a compact cousin
-/// of the metadata-fast-path generator: pointer spills, tag-clearing
-/// integer/byte stores, loads).
+/// One generated op over a small bounded working region: pointer spills,
+/// tag-clearing integer/byte stores, loads.
 #[derive(Clone, Copy, Debug)]
 enum MOp {
     StoreInt(u32, u32),
@@ -79,7 +78,7 @@ fn build_program(ops: &[MOp]) -> Program {
 
 /// The perturbation axes of one cell: every knob that participates in the
 /// result-store key.
-fn config_axis() -> impl Strategy<Value = (Mode, PointerEncoding, MetaPath)> {
+fn config_axis() -> impl Strategy<Value = (Mode, PointerEncoding)> {
     (
         prop_oneof![
             Just(Mode::Baseline),
@@ -91,18 +90,13 @@ fn config_axis() -> impl Strategy<Value = (Mode, PointerEncoding, MetaPath)> {
             Just(PointerEncoding::Intern4),
             Just(PointerEncoding::Intern11),
         ],
-        prop_oneof![
-            Just(MetaPath::Summary),
-            Just(MetaPath::Walk),
-            Just(MetaPath::Charge),
-        ],
     )
 }
 
-fn cell(program: &Program, mode: Mode, encoding: PointerEncoding, meta: MetaPath) -> Job<Mode> {
+fn cell(program: &Program, mode: Mode, encoding: PointerEncoding) -> Job<Mode> {
     Job {
         program: program.clone(),
-        config: machine_config(mode, encoding).with_meta_path(meta),
+        config: machine_config(mode, encoding),
         salt: mode as u64,
         tag: mode,
     }
@@ -127,7 +121,7 @@ proptest! {
         let program = build_program(&ops);
         let jobs: Vec<Job<Mode>> = axes
             .iter()
-            .map(|&(mode, encoding, meta)| cell(&program, mode, encoding, meta))
+            .map(|&(mode, encoding)| cell(&program, mode, encoding))
             .collect();
 
         let mut svc = CorpusService::new(2);
@@ -168,9 +162,7 @@ proptest! {
 
         let jobs: Vec<Job<Mode>> = axes
             .iter()
-            .flat_map(|&(mode, encoding, meta)| {
-                [cell(&a, mode, encoding, meta), cell(&b, mode, encoding, meta)]
-            })
+            .flat_map(|&(mode, encoding)| [cell(&a, mode, encoding), cell(&b, mode, encoding)])
             .collect();
         let mut svc = CorpusService::new(2);
         let first = svc.run_batch(&jobs, build);
@@ -183,8 +175,8 @@ proptest! {
 
         // "Mutate" a: drop its cells, as a re-compiled image's new
         // ProgramIds would leave them stranded. One image owns one
-        // ProgramId *per decode identity* (the HardBound extension and the
-        // metadata path are part of it), so a full mutation invalidates
+        // ProgramId *per decode identity* (the HardBound extension is part
+        // of it), so a full mutation invalidates
         // each of them.
         prop_assert_eq!(ProgramId::of(&a, &jobs[0].config), jobs[0].key().0);
         let pids: std::collections::HashSet<ProgramId> =
