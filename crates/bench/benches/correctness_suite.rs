@@ -15,17 +15,10 @@ fn main() {
     let t0 = std::time::Instant::now();
     for encoding in PointerEncoding::ALL {
         let report = hardbound_report::correctness(encoding);
-        println!("§5.2 corpus under full HardBound, {encoding} encoding:");
-        println!("{report}");
-        println!(
-            "verdict: {}",
-            if report.is_perfect() {
-                "all violations detected, no false positives (matches paper)"
-            } else {
-                "MISMATCH with the paper's claim — inspect the report"
-            }
+        print!(
+            "{}",
+            hardbound_report::render::correctness_section(encoding, &report)
         );
-        println!();
         assert!(report.is_perfect(), "correctness suite must be perfect");
     }
 

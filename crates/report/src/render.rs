@@ -4,6 +4,7 @@
 use std::fmt::Write as _;
 
 use hardbound_core::{checked_ratio, PointerEncoding};
+use hardbound_violations::CorpusReport;
 use hardbound_workloads::published;
 
 use crate::experiments::{
@@ -225,6 +226,20 @@ pub fn tag_cache_table(rows: &[TagCacheRow]) -> String {
         );
     }
     out
+}
+
+/// The §5.2 corpus report for one encoding with the paper's verdict, as
+/// the `correctness_suite` bench prints it.
+#[must_use]
+pub fn correctness_section(encoding: PointerEncoding, report: &CorpusReport) -> String {
+    let verdict = if report.is_perfect() {
+        "all violations detected, no false positives (matches paper)"
+    } else {
+        "MISMATCH with the paper's claim — inspect the report"
+    };
+    format!(
+        "§5.2 corpus under full HardBound, {encoding} encoding:\n{report}\nverdict: {verdict}\n\n"
+    )
 }
 
 /// The §6 protection-granularity contrast as a text table.

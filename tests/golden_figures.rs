@@ -1,4 +1,5 @@
-//! Byte-for-byte snapshots of the paper's figure tables at smoke scale.
+//! Byte-for-byte snapshots of the paper's figure tables at smoke scale,
+//! and of the §5.2 corpus report and §6 granularity table.
 //!
 //! The differential suites prove that the execution paths agree with each
 //! other; this suite pins the values they agree on. Each table is rendered
@@ -11,22 +12,28 @@
 
 use std::path::PathBuf;
 
-use hardbound::report::{ablation_check_uop, fig5, fig6, fig7, render, tag_cache_sweep};
+use hardbound::core::PointerEncoding;
+use hardbound::report::{
+    ablation_check_uop, correctness, fig5, fig6, fig7, granularity, render, tag_cache_sweep,
+};
 use hardbound::workloads::Scale;
 
 /// The tag-cache capacities of `benches/ablation_tag_cache.rs`.
 const TAG_CACHE_SIZES: [u64; 5] = [1024, 2 * 1024, 4 * 1024, 8 * 1024, 16 * 1024];
 
 /// The file stem of every snapshot.
-const TABLES: [&str; 5] = [
+const TABLES: [&str; 7] = [
     "fig5",
     "fig6",
     "fig7",
     "ablation_check_uop",
     "ablation_tag_cache",
+    "correctness",
+    "granularity",
 ];
 
 /// Renders the table `name` at smoke scale, as its bench target prints it.
+/// The corpus tables do not depend on the scale.
 fn render_table(name: &str) -> String {
     let scale = Scale::Smoke;
     match name {
@@ -35,6 +42,11 @@ fn render_table(name: &str) -> String {
         "fig7" => render::fig7_table(&fig7(scale)),
         "ablation_check_uop" => render::ablation_table(&ablation_check_uop(scale)),
         "ablation_tag_cache" => render::tag_cache_table(&tag_cache_sweep(scale, &TAG_CACHE_SIZES)),
+        "correctness" => PointerEncoding::ALL
+            .into_iter()
+            .map(|enc| render::correctness_section(enc, &correctness(enc)))
+            .collect(),
+        "granularity" => render::granularity_table(&granularity(PointerEncoding::Intern4)),
         other => panic!("no snapshot named `{other}`"),
     }
 }
@@ -80,6 +92,16 @@ fn ablation_check_uop_matches_snapshot() {
 #[test]
 fn ablation_tag_cache_matches_snapshot() {
     check("ablation_tag_cache");
+}
+
+#[test]
+fn correctness_matches_snapshot() {
+    check("correctness");
+}
+
+#[test]
+fn granularity_matches_snapshot() {
+    check("granularity");
 }
 
 /// Rewrites every snapshot from the current model. Run only on purpose
