@@ -3,7 +3,7 @@
 //! using shared ALUs instead of a dedicated checker).
 
 fn main() {
-    let scale = hardbound_bench::scale_from_env();
+    let scale = hardbound_runtime::settings().scale;
     let t0 = std::time::Instant::now();
     let rows = hardbound_report::ablation_check_uop(scale);
     println!("{}", hardbound_report::render::ablation_table(&rows));

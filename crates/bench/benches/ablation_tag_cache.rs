@@ -3,7 +3,7 @@
 //! is to that design choice.
 
 fn main() {
-    let scale = hardbound_bench::scale_from_env();
+    let scale = hardbound_runtime::settings().scale;
     let t0 = std::time::Instant::now();
     let sizes = [1024, 2 * 1024, 4 * 1024, 8 * 1024, 16 * 1024];
     let rows = hardbound_report::tag_cache_sweep(scale, &sizes);

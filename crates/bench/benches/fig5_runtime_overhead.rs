@@ -3,7 +3,7 @@
 //! components.
 
 fn main() {
-    let scale = hardbound_bench::scale_from_env();
+    let scale = hardbound_runtime::settings().scale;
     let t0 = std::time::Instant::now();
     let rows = hardbound_report::fig5(scale);
     println!("{}", hardbound_report::render::fig5_table(&rows));

@@ -2,7 +2,7 @@
 //! and base/bound metadata, per benchmark and encoding.
 
 fn main() {
-    let scale = hardbound_bench::scale_from_env();
+    let scale = hardbound_runtime::settings().scale;
     let t0 = std::time::Instant::now();
     let rows = hardbound_report::fig6(scale);
     println!("{}", hardbound_report::render::fig6_table(&rows));

@@ -4,7 +4,7 @@
 //! alongside.
 
 fn main() {
-    let scale = hardbound_bench::scale_from_env();
+    let scale = hardbound_runtime::settings().scale;
     let t0 = std::time::Instant::now();
     let rows = hardbound_report::fig7(scale);
     println!("{}", hardbound_report::render::fig7_table(&rows));

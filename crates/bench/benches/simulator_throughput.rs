@@ -43,12 +43,11 @@ use std::time::{Duration, Instant};
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 
-use hardbound_bench::scale_from_env;
 use hardbound_compiler::Mode;
 use hardbound_core::{HierPath, Machine, MachineConfig, PointerEncoding};
 use hardbound_exec::{batch, CorpusService, Engine, Job};
 use hardbound_isa::{BinOp, CmpOp, FuncId, FunctionBuilder, Program, Reg};
-use hardbound_runtime::{build_machine, compile, env_parse, machine_config};
+use hardbound_runtime::{build_machine, compile, machine_config, settings};
 use hardbound_workloads::{all, by_name, Scale};
 
 fn bench_simulation(c: &mut Criterion) {
@@ -191,8 +190,8 @@ fn irregular_gather(n: u32, rounds: i32) -> Program {
 /// the telemetry delta shows the filter both proving and falling back —
 /// the win has to come from answered residency probes, not noise.
 fn hier_fast_report() {
-    let gate = env_parse::<f64>("HB_HIER_GATE").unwrap_or_else(|e| panic!("{e}"));
-    let scale = scale_from_env();
+    let gate = settings().gate("HB_HIER_GATE");
+    let scale = settings().scale;
     let rounds = match scale {
         Scale::Smoke => 8,
         Scale::Full => 48,
@@ -253,8 +252,8 @@ fn hier_fast_report() {
 
 /// The engine-vs-interpreter throughput comparison (and optional CI gate).
 fn engine_speedup_report() {
-    let scale = scale_from_env();
-    let gate = env_parse::<f64>("HB_ENGINE_GATE").unwrap_or_else(|e| panic!("{e}"));
+    let scale = settings().scale;
+    let gate = settings().gate("HB_ENGINE_GATE");
     let samples = match scale {
         Scale::Smoke => 10,
         Scale::Full => 3,
@@ -321,7 +320,7 @@ fn engine_speedup_report() {
             }
         },
         || {
-            let outs = batch::map(&programs, |_, p| {
+            let outs = batch::map_with_workers(&programs, settings().workers(), |_, p| {
                 Engine::new(build_machine(
                     p.clone(),
                     Mode::HardBound,
@@ -336,7 +335,7 @@ fn engine_speedup_report() {
     println!(
         "  {:<24} interp {serial_interp:>10.2?}  engine {parallel_engine:>10.2?}  speedup {fleet_speedup:>5.2}x  ({} workers)",
         "fleet (9 workloads)",
-        batch::default_workers()
+        settings().workers()
     );
 
     if let Some(required) = gate {
@@ -368,8 +367,8 @@ fn engine_speedup_report() {
 /// program-hash result store, byte-identically and (gated via
 /// `HB_SERVICE_GATE=<ratio>`, CI pins `2`) at least `<ratio>`× faster.
 fn service_warm_cold_report() {
-    let gate = env_parse::<f64>("HB_SERVICE_GATE").unwrap_or_else(|e| panic!("{e}"));
-    let scale = scale_from_env();
+    let gate = settings().gate("HB_SERVICE_GATE");
+    let scale = settings().scale;
     let workloads = all(scale);
     let mut specs = vec![(Mode::Baseline, PointerEncoding::Intern4)];
     for encoding in PointerEncoding::ALL {
@@ -390,7 +389,7 @@ fn service_warm_cold_report() {
         hardbound_runtime::build_machine_with_config(program, mode, config)
     };
 
-    let mut svc = CorpusService::new(batch::default_workers());
+    let mut svc = CorpusService::new(settings().workers());
     let t0 = Instant::now();
     let cold_outs = svc.run_batch(&jobs, build);
     let cold = t0.elapsed();
@@ -447,8 +446,8 @@ fn service_warm_cold_report() {
 /// skips simulation only.
 fn persist_warm_report() {
     use hardbound_serve::PersistentService;
-    let gate = env_parse::<f64>("HB_PERSIST_GATE").unwrap_or_else(|e| panic!("{e}"));
-    let scale = scale_from_env();
+    let gate = settings().gate("HB_PERSIST_GATE");
+    let scale = settings().scale;
     let workloads = all(scale);
     let mut specs = vec![(Mode::Baseline, PointerEncoding::Intern4)];
     for encoding in PointerEncoding::ALL {
@@ -473,7 +472,7 @@ fn persist_warm_report() {
 
     let path = std::env::temp_dir().join(format!("hb-persist-bench-{}.bin", std::process::id()));
     let _ = std::fs::remove_file(&path);
-    let workers = batch::default_workers();
+    let workers = settings().workers();
 
     let t0 = Instant::now();
     let mut svc = PersistentService::open(workers, &path).expect("store opens");
@@ -534,8 +533,8 @@ fn persist_warm_report() {
 /// CI pins `1.1` (traced throughput within 10% of baseline).
 fn trace_overhead_report() {
     use hardbound_telemetry::trace;
-    let gate = env_parse::<f64>("HB_TRACE_GATE").unwrap_or_else(|e| panic!("{e}"));
-    let scale = scale_from_env();
+    let gate = settings().gate("HB_TRACE_GATE");
+    let scale = settings().scale;
     let samples = match scale {
         Scale::Smoke => 10,
         Scale::Full => 3,
@@ -597,8 +596,8 @@ fn trace_overhead_report() {
 /// the two sides must produce identical outcomes.
 fn prof_overhead_report() {
     use hardbound_telemetry::profile;
-    let gate = env_parse::<f64>("HB_PROF_GATE").unwrap_or_else(|e| panic!("{e}"));
-    let scale = scale_from_env();
+    let gate = settings().gate("HB_PROF_GATE");
+    let scale = settings().scale;
     let samples = match scale {
         Scale::Smoke => 10,
         Scale::Full => 3,

@@ -188,27 +188,6 @@ impl MachineConfig {
     }
 }
 
-/// Parses the value of the boolean `HB_*` flag `name`: `on`, `1` and
-/// `true` mean on; `off`, `0` and `false` mean off (any case, surrounding
-/// whitespace ignored); the empty string means unset (`Ok(None)`). This is
-/// the one shared definition every flag-shaped environment variable
-/// routes through.
-///
-/// # Errors
-///
-/// Any other spelling is rejected with a diagnostic naming the variable
-/// and quoting the value — `HB_PROF=no` must not silently read as on.
-pub fn parse_flag(name: &str, value: &str) -> Result<Option<bool>, String> {
-    match value.trim().to_ascii_lowercase().as_str() {
-        "" => Ok(None),
-        "on" | "1" | "true" => Ok(Some(true)),
-        "off" | "0" | "false" => Ok(Some(false)),
-        _ => Err(format!(
-            "{name} must be one of on/off/1/0/true/false, got `{value}`"
-        )),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

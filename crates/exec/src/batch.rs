@@ -2,10 +2,12 @@
 //!
 //! The evaluation's outer loops — 288 violation pairs × modes, 9 Olden
 //! ports × encodings — are embarrassingly parallel: every job compiles and
-//! simulates its own machine with zero shared state. [`map`] fans a job
-//! list across `std::thread` workers and returns results **in input
-//! order**, so a parallelized driver produces byte-identical reports to the
-//! serial loop it replaces.
+//! simulates its own machine with zero shared state.
+//! [`map_with_workers`] fans a job list across `std::thread` workers and
+//! returns results **in input order**, so a parallelized driver produces
+//! byte-identical reports to the serial loop it replaces. Callers pass the
+//! worker count (the runtime's `HB_JOBS` setting); this crate reads no
+//! environment.
 //!
 //! Scheduling is a **lock-free claimed-by-atomic-index** design: jobs are
 //! claimed by a single `fetch_add` on a shared cursor (dynamic load
@@ -19,72 +21,16 @@
 //! through the claim loop — the corpus service hands each worker its own
 //! [`SharedBlockCache`](crate::SharedBlockCache) shard this way.
 
-use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-/// Parses an `HB_JOBS`-style worker-count value: `None`/empty means "not
-/// set" (fall back to available parallelism), otherwise the value must be
-/// an integer ≥ 1.
-///
-/// # Errors
-///
-/// Returns a diagnostic for unparseable or zero values — the old behaviour
-/// of silently falling through to `available_parallelism` turned typos
-/// (`HB_JOBS=abc`) and impossible requests (`HB_JOBS=0`) into surprise
-/// full-width parallelism.
-pub fn parse_jobs(value: Option<&str>) -> Result<Option<usize>, String> {
-    let Some(v) = value else { return Ok(None) };
-    let v = v.trim();
-    if v.is_empty() {
-        return Ok(None);
-    }
-    match v.parse::<usize>() {
-        Ok(0) => Err("HB_JOBS must be at least 1 (set HB_JOBS=1 for a serial run)".to_owned()),
-        Ok(n) => Ok(Some(n)),
-        Err(_) => Err(format!(
-            "HB_JOBS must be a positive integer worker count, got `{v}`"
-        )),
-    }
-}
-
-/// Worker count: `HB_JOBS` if set (≥ 1), else the machine's available
-/// parallelism.
-///
-/// # Panics
-///
-/// Panics with a clear diagnostic when `HB_JOBS` is set but not a positive
-/// integer (see [`parse_jobs`]).
-#[must_use]
-pub fn default_workers() -> usize {
-    let jobs = std::env::var("HB_JOBS").ok();
-    match parse_jobs(jobs.as_deref()) {
-        Ok(Some(n)) => n,
-        Ok(None) => std::thread::available_parallelism()
-            .map(NonZeroUsize::get)
-            .unwrap_or(1),
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Applies `f` to every item on [`default_workers`] threads, preserving
-/// input order in the results.
+/// Applies `f` to every item on `workers` threads, preserving input
+/// order in the results (`1` degrades to the plain serial loop).
 ///
 /// # Panics
 ///
 /// Propagates a panic raised by `f` (a panicking job poisons nothing:
 /// every slot is independent).
-pub fn map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send + Sync,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    map_with_workers(items, default_workers(), f)
-}
-
-/// [`map`] with an explicit worker count (`1` degrades to the plain serial
-/// loop — the `--interp`-style escape hatch for debugging).
 pub fn map_with_workers<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -95,9 +41,9 @@ where
     map_with_states(items, &mut states, |(), i, t| f(i, t))
 }
 
-/// [`map`] with one mutable state per worker: `states.len()` workers run,
-/// each claiming jobs off the shared cursor and threading its own `&mut S`
-/// through every job it claims. Results are still returned in input
+/// [`map_with_workers`] with one mutable state per worker: `states.len()`
+/// workers run, each claiming jobs off the shared cursor and threading its
+/// own `&mut S` through every job it claims. Results are still returned in input
 /// order, and — because job results must not depend on which worker ran
 /// them — a state may only carry *transparent* mutable context (caches,
 /// scratch buffers, statistics).
@@ -153,7 +99,7 @@ mod tests {
     #[test]
     fn preserves_input_order() {
         let items: Vec<u64> = (0..257).collect();
-        let out = map(&items, |i, &x| {
+        let out = map_with_workers(&items, 4, |i, &x| {
             assert_eq!(i as u64, x);
             x * x
         });
@@ -171,8 +117,8 @@ mod tests {
     #[test]
     fn empty_and_single_item_batches() {
         let empty: Vec<u8> = Vec::new();
-        assert!(map(&empty, |_, &x| x).is_empty());
-        assert_eq!(map(&[7u8], |_, x| x + 1), vec![8]);
+        assert!(map_with_workers(&empty, 4, |_, &x| x).is_empty());
+        assert_eq!(map_with_workers(&[7u8], 4, |_, x| x + 1), vec![8]);
     }
 
     #[test]
@@ -199,26 +145,5 @@ mod tests {
             map_with_states(&[1, 2], &mut states, |(), _, &x| x * 10),
             vec![10, 20]
         );
-    }
-
-    #[test]
-    fn worker_count_honors_env_floor() {
-        assert!(default_workers() >= 1);
-    }
-
-    #[test]
-    fn jobs_parsing_rejects_invalid_values() {
-        assert_eq!(parse_jobs(None), Ok(None));
-        assert_eq!(parse_jobs(Some("")), Ok(None));
-        assert_eq!(parse_jobs(Some("  ")), Ok(None));
-        assert_eq!(parse_jobs(Some("1")), Ok(Some(1)));
-        assert_eq!(parse_jobs(Some(" 8 ")), Ok(Some(8)));
-        let zero = parse_jobs(Some("0")).expect_err("0 workers is impossible");
-        assert!(zero.contains("at least 1"), "{zero}");
-        for bad in ["abc", "-2", "1.5", "4x"] {
-            let err = parse_jobs(Some(bad)).expect_err(bad);
-            assert!(err.contains(bad), "diagnostic must quote the value: {err}");
-            assert!(err.contains("HB_JOBS"), "{err}");
-        }
     }
 }

@@ -30,6 +30,7 @@ use std::collections::HashMap;
 use hardbound_core::{MachineConfig, StableHash, FINGERPRINT_VERSION};
 use hardbound_isa::{layout, FuncId, Program};
 
+use crate::slru::SlruIndex;
 use crate::uop::{CodeSpan, DecodedBlock, Uop};
 
 // Identities used to be mixed through `#[derive(Hash)]`, whose byte
@@ -177,44 +178,6 @@ impl BlockCacheStats {
     }
 }
 
-/// Which segmented-LRU list a resident block lives on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Segment {
-    /// Freshly decoded, not yet re-used.
-    Probation,
-    /// Re-used at least once; evicted only when probation is empty.
-    Protected,
-}
-
-/// Sentinel for "no slot" in the intrusive lists.
-const NONE: u32 = u32::MAX;
-
-/// One slab slot: a resident block threaded onto its segment's intrusive
-/// doubly-linked recency list (head = MRU, tail = LRU).
-#[derive(Debug)]
-struct Slot {
-    block: Block,
-    seg: Segment,
-    prev: u32,
-    next: u32,
-}
-
-/// Head/tail/length of one segment's recency list.
-#[derive(Clone, Copy, Debug)]
-struct List {
-    head: u32,
-    tail: u32,
-    len: usize,
-}
-
-impl List {
-    const EMPTY: List = List {
-        head: NONE,
-        tail: NONE,
-        len: 0,
-    };
-}
-
 /// One registered program: its dense entry-PC index (the identity lives
 /// in the cache's `by_id` map).
 #[derive(Debug)]
@@ -241,18 +204,14 @@ pub struct SharedBlockCache {
     /// and recycled through `free_programs`.
     programs: Vec<Option<ProgramEntry>>,
     free_programs: Vec<u32>,
-    /// Slab of slots; freed slots are recycled through `free`, so resident
-    /// slot ids are stable across unrelated evictions.
-    slots: Vec<Option<Slot>>,
+    /// Slab of resident blocks; freed slots are recycled through `free`,
+    /// so resident slot ids are stable across unrelated evictions.
+    slots: Vec<Option<Block>>,
     free: Vec<u32>,
+    /// Segmented-LRU recency of the resident slots.
+    recency: SlruIndex,
     resident: usize,
     capacity: usize,
-    /// Maximum blocks in the protected segment (the classic SLRU ~¾
-    /// split); promotion past this demotes the protected LRU back to
-    /// probation instead of evicting it.
-    protected_cap: usize,
-    probation: List,
-    protected: List,
     stats: BlockCacheStats,
 }
 
@@ -277,11 +236,9 @@ impl SharedBlockCache {
             free_programs: Vec::new(),
             slots: Vec::new(),
             free: Vec::new(),
+            recency: SlruIndex::new(capacity),
             resident: 0,
             capacity,
-            protected_cap: capacity * 3 / 4,
-            probation: List::EMPTY,
-            protected: List::EMPTY,
             stats: BlockCacheStats::default(),
         }
     }
@@ -354,65 +311,10 @@ impl SharedBlockCache {
         self.by_id.len()
     }
 
-    fn list_mut(&mut self, seg: Segment) -> &mut List {
-        match seg {
-            Segment::Probation => &mut self.probation,
-            Segment::Protected => &mut self.protected,
-        }
-    }
-
-    fn slot(&self, id: u32) -> &Slot {
-        self.slots[id as usize].as_ref().expect("resident slot")
-    }
-
-    fn slot_mut(&mut self, id: u32) -> &mut Slot {
-        self.slots[id as usize].as_mut().expect("resident slot")
-    }
-
-    /// Unthreads `id` from its segment list.
-    fn unlink(&mut self, id: u32) {
-        let (seg, prev, next) = {
-            let s = self.slot(id);
-            (s.seg, s.prev, s.next)
-        };
-        if prev == NONE {
-            self.list_mut(seg).head = next;
-        } else {
-            self.slot_mut(prev).next = next;
-        }
-        if next == NONE {
-            self.list_mut(seg).tail = prev;
-        } else {
-            self.slot_mut(next).prev = prev;
-        }
-        self.list_mut(seg).len -= 1;
-    }
-
-    /// Threads `id` onto the MRU end of `seg`.
-    fn push_front(&mut self, seg: Segment, id: u32) {
-        let head = self.list_mut(seg).head;
-        {
-            let s = self.slot_mut(id);
-            s.seg = seg;
-            s.prev = NONE;
-            s.next = head;
-        }
-        if head != NONE {
-            self.slot_mut(head).prev = id;
-        }
-        let list = self.list_mut(seg);
-        list.head = id;
-        if list.tail == NONE {
-            list.tail = id;
-        }
-        list.len += 1;
-    }
-
-    /// Removes the block in slot `id` entirely (index entry, list, slab).
+    /// Removes the block in slot `id` entirely (index entry, recency, slab).
     fn remove(&mut self, id: u32) {
-        self.unlink(id);
-        let slot = self.slots[id as usize].take().expect("resident slot");
-        let b = &slot.block;
+        self.recency.remove(id);
+        let b = self.slots[id as usize].take().expect("resident slot");
         self.entry_mut(b.prog).index[b.func.0 as usize][b.entry as usize] = 0;
         self.free.push(id);
         self.resident -= 1;
@@ -421,12 +323,7 @@ impl SharedBlockCache {
     /// Evicts one block to make room: the probationary LRU if any, else
     /// the protected LRU.
     fn evict_one(&mut self) {
-        let victim = if self.probation.tail != NONE {
-            self.probation.tail
-        } else {
-            self.protected.tail
-        };
-        debug_assert_ne!(victim, NONE, "evicting from an empty cache");
+        let victim = self.recency.victim().expect("evicting from an empty cache");
         self.remove(victim);
         self.stats.evicted += 1;
     }
@@ -445,20 +342,8 @@ impl SharedBlockCache {
         }
         let id = id - 1;
         self.stats.hits += 1;
-        self.touch(id);
+        self.recency.touch(id);
         Some(id as usize)
-    }
-
-    fn touch(&mut self, id: u32) {
-        self.unlink(id);
-        self.push_front(Segment::Protected, id);
-        // Keep the protected segment within its share by demoting its LRU
-        // back to probation (it stays resident and ahead of cold blocks).
-        while self.protected.len > self.protected_cap.max(1) {
-            let lru = self.protected.tail;
-            self.unlink(lru);
-            self.push_front(Segment::Probation, lru);
-        }
     }
 
     /// Inserts a freshly decoded block for program handle `prog` and
@@ -469,29 +354,24 @@ impl SharedBlockCache {
             self.evict_one();
         }
         self.stats.decoded += 1;
-        let slot = Slot {
-            block: Block {
-                prog,
-                func,
-                entry,
-                uops: decoded.uops,
-                spans: decoded.spans,
-            },
-            seg: Segment::Probation,
-            prev: NONE,
-            next: NONE,
+        let block = Block {
+            prog,
+            func,
+            entry,
+            uops: decoded.uops,
+            spans: decoded.spans,
         };
         let id = match self.free.pop() {
             Some(id) => {
-                self.slots[id as usize] = Some(slot);
+                self.slots[id as usize] = Some(block);
                 id
             }
             None => {
-                self.slots.push(Some(slot));
+                self.slots.push(Some(block));
                 (self.slots.len() - 1) as u32
             }
         };
-        self.push_front(Segment::Probation, id);
+        self.recency.insert(id);
         self.entry_mut(prog).index[func.0 as usize][entry as usize] = id + 1;
         self.resident += 1;
         id as usize
@@ -506,18 +386,14 @@ impl SharedBlockCache {
     #[inline]
     #[must_use]
     pub fn block(&self, id: usize) -> &Block {
-        &self.slot(id as u32).block
+        self.slots[id].as_ref().expect("resident slot")
     }
 
     /// Removes every resident block matching `pred`, counting the removals
     /// as invalidations.
     fn invalidate_matching(&mut self, pred: impl Fn(&Block) -> bool) {
         let victims: Vec<u32> = (0..self.slots.len() as u32)
-            .filter(|&id| {
-                self.slots[id as usize]
-                    .as_ref()
-                    .is_some_and(|s| pred(&s.block))
-            })
+            .filter(|&id| self.slots[id as usize].as_ref().is_some_and(&pred))
             .collect();
         self.stats.invalidated += victims.len() as u64;
         for id in victims {
@@ -589,9 +465,8 @@ impl SharedBlockCache {
         self.stats.invalidated += self.resident as u64;
         self.slots.clear();
         self.free.clear();
+        self.recency = SlruIndex::new(self.capacity);
         self.resident = 0;
-        self.probation = List::EMPTY;
-        self.protected = List::EMPTY;
         for entry in self.programs.iter_mut().flatten() {
             for per_fn in &mut entry.index {
                 per_fn.fill(0);
@@ -614,7 +489,7 @@ impl SharedBlockCache {
         self.slots
             .iter()
             .flatten()
-            .filter(|s| s.block.prog == prog)
+            .filter(|b| b.prog == prog)
             .count()
     }
 

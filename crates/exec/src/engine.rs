@@ -51,25 +51,6 @@ fn hier_metrics() -> &'static HierMetrics {
     })
 }
 
-/// Whether `HB_PROF` enables the hot-spot profiler by default (read once,
-/// through [`hardbound_core::parse_flag`]; [`Engine::set_profiling`]
-/// overrides per engine, which is what tests use to exercise both states
-/// inside one process).
-///
-/// # Panics
-///
-/// Panics with `parse_flag`'s diagnostic on a value it does not accept,
-/// so a misspelling such as `HB_PROF=yes` never silently reads as off.
-fn profiling_default() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| {
-        let value = std::env::var("HB_PROF").unwrap_or_default();
-        hardbound_core::parse_flag("HB_PROF", &value)
-            .unwrap_or_else(|e| panic!("{e}"))
-            .unwrap_or(false)
-    })
-}
-
 /// Per-superblock retire counters accumulated while profiling. The static
 /// check count of the block (`static_taken`) is computed once on first
 /// execution and credited per retire, so the per-dispatch cost of
@@ -155,8 +136,9 @@ pub struct Engine<'c> {
     /// Hot-spot profiler: per-block retire counters indexed by cache id,
     /// flushed into the process-wide
     /// [`hardbound_telemetry::profile::global`] accumulator at the end of
-    /// each run. `None` (the default unless `HB_PROF` is set) costs one
-    /// `Option` test per dispatched block and changes nothing observable.
+    /// each run. `None` (the default; see [`Engine::set_profiling`]) costs
+    /// one `Option` test per dispatched block and changes nothing
+    /// observable.
     profile: Option<BlockProfile>,
 }
 
@@ -198,13 +180,13 @@ impl<'c> Engine<'c> {
             blocks_executed: 0,
             fast_uops: 0,
             stepped_insts: 0,
-            profile: profiling_default().then(BlockProfile::default),
+            profile: None,
         }
     }
 
-    /// Turns the hot-spot profiler on or off for this engine, overriding
-    /// the `HB_PROF` default. Enabling mid-run starts attribution at the
-    /// next dispatched block; disabling drops any unflushed counters.
+    /// Turns the hot-spot profiler on or off for this engine (off by
+    /// default). Enabling mid-run starts attribution at the next
+    /// dispatched block; disabling drops any unflushed counters.
     pub fn set_profiling(&mut self, on: bool) {
         self.profile = on.then(BlockProfile::default);
     }

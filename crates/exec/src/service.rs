@@ -242,8 +242,8 @@ impl ResultStore {
     /// at least `ttl` are dropped by the next [`ResultStore::gc_expired`]
     /// sweep. `None` (the default) disables expiry — capacity eviction is
     /// then the only bound. A long-lived `hbserve` shard sets this from
-    /// `HB_STORE_TTL` so one hot week of corpus traffic cannot pin a
-    /// month of stale results.
+    /// `--ttl` so one hot week of corpus traffic cannot pin a month of
+    /// stale results.
     pub fn set_ttl(&mut self, ttl: Option<Duration>) {
         self.ttl = ttl;
     }
@@ -372,6 +372,7 @@ pub struct CorpusService {
     shards: Vec<SharedBlockCache>,
     store: ResultStore,
     result_cache: bool,
+    profiling: bool,
 }
 
 impl CorpusService {
@@ -393,6 +394,7 @@ impl CorpusService {
                 .collect(),
             store: ResultStore::default(),
             result_cache: true,
+            profiling: false,
         }
     }
 
@@ -410,7 +412,13 @@ impl CorpusService {
         self.result_cache
     }
 
-    /// Sets the result store's idle TTL (`HB_STORE_TTL`); expired entries
+    /// Arms the hot-spot profiler on every engine this service runs (see
+    /// [`Engine::set_profiling`]); off by default.
+    pub fn set_profiling(&mut self, on: bool) {
+        self.profiling = on;
+    }
+
+    /// Sets the result store's idle TTL (`hbserve --ttl`); expired entries
     /// are garbage-collected at the start of every batch. See
     /// [`ResultStore::set_ttl`].
     pub fn set_ttl(&mut self, ttl: Option<Duration>) {
@@ -489,10 +497,13 @@ impl CorpusService {
         let exec_timer = batch_timer
             .as_ref()
             .map(|b| SpanTimer::start(b.trace(), b.span(), "batch_exec"));
+        let profiling = self.profiling;
         let fresh = batch::map_with_states(&missing, &mut self.shards, |shard, _, &i| {
             let job = &jobs[i];
             let machine = build(job.program.clone(), job.config.clone(), &job.tag);
-            Engine::with_shared_cache(machine, shard).run()
+            let mut engine = Engine::with_shared_cache(machine, shard);
+            engine.set_profiling(profiling);
+            engine.run()
         });
         if let Some(t) = exec_timer {
             t.emit(vec![(

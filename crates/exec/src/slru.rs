@@ -1,8 +1,7 @@
 //! A reusable **segmented-LRU recency index** over slab slot ids.
 //!
-//! This is the probation/protected replacement scheme the decoded-block
-//! cache pioneered ([`crate::SharedBlockCache`]), factored out so the
-//! result store can run the same policy: fresh entries enter a
+//! The decoded-block cache ([`crate::SharedBlockCache`]) and the result
+//! store both run this probation/protected policy: fresh entries enter a
 //! *probationary* segment and are promoted to a *protected* segment on
 //! their first re-use, so a one-shot stream (an open-ended corpus sweep, a
 //! cold figure grid) cannot wash a long-lived store's re-used entries out.
@@ -142,6 +141,11 @@ impl SlruIndex {
     /// demoting the protected LRU back to probation when the segment
     /// overflows its share (it stays resident, ahead of cold entries).
     pub(crate) fn touch(&mut self, id: u32) {
+        // Re-touching the protected MRU (a block looping to itself) would
+        // unlink and re-push it to the same place.
+        if self.protected.head == id {
+            return;
+        }
         self.unlink(id);
         self.push_front(Segment::Protected, id);
         while self.protected.len > self.protected_cap {

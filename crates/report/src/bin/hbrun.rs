@@ -40,6 +40,9 @@
 //! disassembled window, out-of-bounds distance, originating `setbound`
 //! site, page metadata summary, and the `HB_FLIGHT=N` flight-recorder
 //! tail when armed.
+//!
+//! The `HB_*` settings are read before anything runs; a value outside its
+//! variable's grammar is a usage error (exit 2).
 
 use std::process::ExitCode;
 
@@ -171,6 +174,10 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    if let Err(e) = hardbound_runtime::settings::load() {
+        eprintln!("{e}");
+        return ExitCode::from(2);
+    }
     let mut sources = Vec::new();
     for path in &args.paths {
         match std::fs::read_to_string(path) {

@@ -26,13 +26,18 @@
 //!   cluster (`K` in `0..N`): submitted cells are classified as owned vs
 //!   foreign in the stats. Routing is advisory — foreign cells still
 //!   execute, which is exactly how clients fail over a dead shard.
-//! * `--ttl SECS` — expire store entries idle for `SECS` seconds
-//!   (defaults to `HB_STORE_TTL` when set; off otherwise).
+//! * `--ttl SECS` — expire store entries idle for `SECS` seconds (off
+//!   by default).
 //! * `--metrics-addr ADDR` — also serve the Prometheus-style text
-//!   exposition over plain HTTP at `GET /` on `ADDR` (defaults to
-//!   `HB_METRICS_ADDR` when set; off otherwise). The bound address is
-//!   printed as a second stdout line (`hbserve metrics on ADDR`). The
-//!   same text is available in-protocol via the `METRICS` request.
+//!   exposition over plain HTTP at `GET /` on `ADDR` (off by default).
+//!   The bound address is printed as a second stdout line
+//!   (`hbserve metrics on ADDR`). The same text is available in-protocol
+//!   via the `METRICS` request.
+//!
+//! The flags layer over the `HB_*` settings (`hardbound_runtime::settings`):
+//! `HB_STORE_PATH` and `HB_JOBS` give the defaults above, `HB_PROF=1` arms
+//! the profiler that `PROFILE` requests read, and a value outside its
+//! variable's grammar is a usage error (exit 2).
 //!
 //! The server runs until a client sends the protocol `SHUTDOWN` request;
 //! it then checkpoints the store and exits 0.
@@ -41,8 +46,7 @@ use std::process::ExitCode;
 use std::sync::{Arc, PoisonError};
 
 use hardbound_compiler::Mode;
-use hardbound_exec::batch;
-use hardbound_runtime::{build_machine_with_config, store_path, store_ttl};
+use hardbound_runtime::{build_machine_with_config, Settings};
 use hardbound_serve::net::{Builder, TagCheck};
 use hardbound_serve::{PersistentService, Server};
 
@@ -63,16 +67,14 @@ fn parse_shard(v: &str) -> Option<(usize, usize)> {
     (k < n).then_some((k, n))
 }
 
-fn parse_args() -> Result<Args, String> {
+/// Parses the command line over the defaults `settings` gives.
+fn parse_args(settings: &Settings) -> Result<Args, String> {
     let mut listen = "127.0.0.1:0".to_owned();
-    let mut store = store_path();
-    let mut workers = batch::default_workers();
+    let mut store = settings.store_path.clone();
+    let mut workers = settings.workers();
     let mut shard = None;
-    let mut ttl = store_ttl();
-    let mut metrics_addr = std::env::var("HB_METRICS_ADDR")
-        .ok()
-        .map(|v| v.trim().to_owned())
-        .filter(|v| !v.is_empty());
+    let mut ttl = None;
+    let mut metrics_addr = None;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -155,7 +157,14 @@ fn mode_of(tag: u64) -> Option<Mode> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let settings = match hardbound_runtime::settings::load() {
+        Ok(s) => s,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::from(2);
+        }
+    };
+    let args = match parse_args(settings) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("{e}");
@@ -173,6 +182,7 @@ fn main() -> ExitCode {
         None => PersistentService::new(args.workers),
     };
     svc.set_ttl(args.ttl);
+    svc.set_profiling(settings.prof);
     let build: Arc<Builder> = Arc::new(|program, config, tag| {
         let mode = mode_of(tag).expect("tags are validated before any build");
         build_machine_with_config(program, mode, config)

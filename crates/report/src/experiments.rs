@@ -18,7 +18,7 @@ use hardbound_core::{
     checked_ratio, ExecStats, HardboundConfig, MachineConfig, PointerEncoding, RunOutcome,
 };
 use hardbound_exec::batch;
-use hardbound_runtime::{compile, machine_config, run_jobs, SimJob};
+use hardbound_runtime::{compile, machine_config, run_jobs, settings, SimJob};
 use hardbound_violations::{corpus, Addressing, CaseResult, CorpusReport, TestCase};
 use hardbound_workloads::{all, Scale, Workload};
 
@@ -39,7 +39,7 @@ fn run_grid(workloads: &[Workload], specs: &[(Mode, MachineConfig)]) -> Vec<Vec<
         .enumerate()
         .flat_map(|(wi, _)| modes.iter().map(move |&m| (wi, m)))
         .collect();
-    let programs = batch::map(&pairs, |_, &(wi, mode)| {
+    let programs = batch::map_with_workers(&pairs, settings().workers(), |_, &(wi, mode)| {
         let w = &workloads[wi];
         compile(&w.source, mode)
             .unwrap_or_else(|e| panic!("{}: compilation failed under {mode}: {e}", w.name))
@@ -376,7 +376,7 @@ pub fn tag_cache_sweep(scale: Scale, sizes: &[u64]) -> Vec<TagCacheRow> {
 fn corpus_results(mode: Mode, encoding: PointerEncoding) -> Vec<(TestCase, CaseResult)> {
     let cases = corpus();
     let config = machine_config(mode, encoding);
-    let compiled = batch::map(&cases, |_, case| {
+    let compiled = batch::map_with_workers(&cases, settings().workers(), |_, case| {
         (
             compile(&case.bad_source, mode).map_err(|e| e.to_string()),
             compile(&case.ok_source, mode).map_err(|e| e.to_string()),

@@ -1,7 +1,7 @@
 //! End-to-end smoke tests of the `hbrun` binary: `.s` listing input and
 //! the `--disasm` → `.s` → run round trip, the `--interp` interpreter
-//! agreeing with the default path, `--profile` always executing, and
-//! usage errors.
+//! agreeing with the default path, `--profile` always executing, usage
+//! errors, and the `HB_*` settings as a spawned process sees them.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -192,6 +192,91 @@ fn rejects_an_unrecognized_hb_prof_value() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("HB_PROF"), "stderr: {stderr}");
     assert!(stderr.contains("`maybe`"), "stderr: {stderr}");
+    let _ = std::fs::remove_file(cb);
+}
+
+/// Runs `hbrun` on `cb` with `envs` added to its environment.
+fn hbrun_env(cb: &std::path::Path, envs: &[(&str, &str)]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_hbrun"))
+        .arg(cb)
+        .envs(envs.iter().copied())
+        .output()
+        .expect("hbrun spawns")
+}
+
+const OVERFLOW_CB: &str = r"
+    int main() {
+        int *a = (int*)malloc(4 * sizeof(int));
+        a[1] = 10;
+        a[7] = 99;
+        return a[1];
+    }
+";
+
+#[test]
+fn a_misspelt_variable_warns_with_the_nearest_name() {
+    let cb = write_temp("porf.cb", COUNTDOWN_CB);
+    let out = hbrun_env(&cb, &[("HB_PORF", "1")]);
+    assert!(out.status.success(), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let warnings: Vec<&str> = stderr.lines().filter(|l| l.contains("HB_PORF")).collect();
+    assert_eq!(warnings.len(), 1, "one warning: {stderr}");
+    assert!(
+        warnings[0].contains("HB_PROF"),
+        "names the nearest: {stderr}"
+    );
+    let _ = std::fs::remove_file(cb);
+}
+
+#[test]
+fn a_deleted_variable_warns_instead_of_being_ignored() {
+    // `hbserve --ttl` is the only spelling of the store TTL.
+    let cb = write_temp("ttl.cb", COUNTDOWN_CB);
+    let plain = hbrun(&[cb.to_str().unwrap()]);
+    let out = hbrun_env(&cb, &[("HB_STORE_TTL", "60")]);
+    assert!(out.status.success(), "{out:?}");
+    assert_eq!(out.stdout, plain.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("warning: HB_STORE_TTL"), "stderr: {stderr}");
+    assert!(
+        stderr.contains("HB_STORE_PATH"),
+        "names the nearest: {stderr}"
+    );
+    let _ = std::fs::remove_file(cb);
+}
+
+#[test]
+fn hb_flight_prints_the_recorder_tail_on_a_trap() {
+    let cb = write_temp("flight.cb", OVERFLOW_CB);
+    let off = hbrun_env(&cb, &[]);
+    assert_eq!(off.status.code(), Some(3), "{off:?}");
+    assert!(!String::from_utf8_lossy(&off.stderr).contains("flight recorder"));
+    let on = hbrun_env(&cb, &[("HB_FLIGHT", "4")]);
+    assert_eq!(on.status.code(), Some(3), "{on:?}");
+    let stderr = String::from_utf8_lossy(&on.stderr);
+    let tail: Vec<&str> = stderr
+        .lines()
+        .skip_while(|l| !l.starts_with("flight recorder (last 4 memory events):"))
+        .skip(1)
+        .take_while(|l| l.starts_with("  uop "))
+        .collect();
+    assert_eq!(tail.len(), 4, "stderr: {stderr}");
+    assert!(
+        tail[3].contains("store 0x01000024"),
+        "the faulting store is the newest event: {stderr}"
+    );
+    let _ = std::fs::remove_file(cb);
+}
+
+#[test]
+fn an_invalid_hb_flight_is_a_usage_error() {
+    let cb = write_temp("flight-bad.cb", COUNTDOWN_CB);
+    let out = hbrun_env(&cb, &[("HB_FLIGHT", "x")]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("HB_FLIGHT"), "stderr: {stderr}");
+    assert!(stderr.contains("`x`"), "stderr: {stderr}");
+    assert!(out.stdout.is_empty(), "nothing ran: {out:?}");
     let _ = std::fs::remove_file(cb);
 }
 

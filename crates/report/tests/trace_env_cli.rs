@@ -3,10 +3,11 @@
 //! completion, produce output byte-identical to an untraced run, and
 //! leave a sink where every line re-parses. The in-process suites all
 //! install the sink programmatically ([`trace::install`]), so only a
-//! spawned process exercises the lazy env-driven initialization — which
-//! once deadlocked on a recursive `Once::call_once` (`ensure_env_init`
-//! calling `install` calling `call_once` again). The watchdog below
-//! turns a regression back into a test failure instead of a CI hang.
+//! spawned process exercises the settings loader installing the sink for
+//! `HB_TRACE` when `hbrun` starts. That path once deadlocked, when the
+//! telemetry crate read the variable lazily behind a `Once` that
+//! `install` re-entered; the watchdog below turns a hang on this path
+//! back into a test failure instead of a CI hang.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};

@@ -40,9 +40,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod settings;
 mod source;
 mod splay;
 
+pub use settings::{settings, Settings};
 pub use source::RUNTIME_SOURCE;
 pub use splay::SplayTable;
 
@@ -50,37 +52,17 @@ use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 use hardbound_compiler::{compile_with_prelude, CompileError, Mode, Options, Prelude};
-pub use hardbound_core::parse_flag;
 use hardbound_core::{
     BoundsOrigin, HardboundConfig, Machine, MachineConfig, MetaPath, PointerEncoding, RunOutcome,
     ViolationReport,
 };
 use hardbound_exec::service::{config_fingerprint, Job};
-use hardbound_exec::{batch, ProgramId, ServiceStats};
+use hardbound_exec::{ProgramId, ServiceStats};
 use hardbound_isa::Program;
 use hardbound_serve::{
     Client, PersistStats, PersistentService, ServeError, ShardRing, StoreLogStats, WireJob,
 };
 use hardbound_telemetry::{trace, Counter, Field, Histogram, SpanId, SpanTimer, TraceCtx};
-
-/// Reads and parses the environment variable `name` as a `T`: `Ok(None)`
-/// when unset or empty, `Err` with a diagnostic naming the variable and
-/// quoting the value when it does not parse — never a silent fallback.
-///
-/// # Errors
-///
-/// Returns the diagnostic described above on unparseable values.
-pub fn env_parse<T: std::str::FromStr>(name: &str) -> Result<Option<T>, String> {
-    match std::env::var(name) {
-        Err(_) => Ok(None),
-        Ok(v) if v.trim().is_empty() => Ok(None),
-        Ok(v) => v
-            .trim()
-            .parse()
-            .map(Some)
-            .map_err(|_| format!("{name} must be a {}, got `{v}`", std::any::type_name::<T>())),
-    }
-}
 
 /// Prepends the runtime library to a user program. Compiling the result as
 /// one unit gives the same [`Program`] as [`compile`]; only
@@ -110,6 +92,9 @@ pub fn compile(user_source: &str, mode: Mode) -> Result<Program, CompileError> {
     // The allocator is trusted runtime code: its header bookkeeping is
     // exempt from software checks, as an uninstrumented libc would be.
     let opts = Options::mode(mode).with_unchecked(["malloc", "free"]);
+    // The first compile loads the settings, installing any `HB_TRACE`
+    // sink before the span below asks whether tracing is on.
+    let _ = settings();
     // Compiles happen before any grid exists, so the span is a root of
     // its own trace rather than a child of a later grid span.
     let timer =
@@ -194,20 +179,6 @@ pub fn machine_config(mode: Mode, encoding: PointerEncoding) -> MachineConfig {
     }
 }
 
-/// The flight-recorder depth (`HB_FLIGHT=N`): `None` when unset, empty or
-/// `0` — the default, under which machines pay one `Option` discriminant
-/// test per memory access and record nothing.
-///
-/// # Panics
-///
-/// Panics with a diagnostic on an unparseable value.
-#[must_use]
-pub fn flight_depth() -> Option<usize> {
-    env_parse::<usize>("HB_FLIGHT")
-        .unwrap_or_else(|e| panic!("{e}"))
-        .filter(|&n| n > 0)
-}
-
 /// Builds a machine for `program` under `mode`, attaching the splay-tree
 /// object table when the mode needs one.
 #[must_use]
@@ -225,7 +196,7 @@ pub fn build_machine_with_config(program: Program, mode: Mode, config: MachineCo
     if mode == Mode::ObjectTable {
         m.set_object_table(Box::new(SplayTable::new()));
     }
-    if let Some(depth) = flight_depth() {
+    if let Some(depth) = settings().flight {
         m.enable_flight(depth);
     }
     m
@@ -320,65 +291,17 @@ pub fn compile_and_run(
 /// cache and the program-hash result store on top of the same engine.
 #[must_use]
 pub fn run_machine(machine: Machine) -> RunOutcome {
-    hardbound_exec::Engine::new(machine).run()
-}
-
-/// The persistent-store path (`HB_STORE_PATH`): when set, the process-wide
-/// service's result store loads from — and appends to — this file, so warm
-/// starts survive process boundaries (and CI runs). Corrupt or
-/// version-mismatched files recover per `hardbound_serve::StoreLog`.
-#[must_use]
-pub fn store_path() -> Option<String> {
-    let v = std::env::var("HB_STORE_PATH").ok()?;
-    let v = v.trim();
-    (!v.is_empty()).then(|| v.to_owned())
-}
-
-/// The remote corpus server (`HB_SERVE_ADDR`): when set, [`run_jobs`]
-/// offloads cell grids to that `hbserve` instance instead of the local
-/// service, so many processes share one warm store.
-#[must_use]
-pub fn serve_addr() -> Option<String> {
-    let v = std::env::var("HB_SERVE_ADDR").ok()?;
-    let v = v.trim();
-    (!v.is_empty()).then(|| v.to_owned())
-}
-
-/// The `hbserve` shard list: `HB_SERVE_ADDR` split on commas, in shard
-/// order (address *i* is shard *i* of *n* on the cluster's
-/// [`ShardRing`]). A single address is a one-shard cluster; `None` when
-/// the variable is unset or holds no addresses.
-#[must_use]
-pub fn serve_addrs() -> Option<Vec<String>> {
-    let addrs: Vec<String> = serve_addr()?
-        .split(',')
-        .map(str::trim)
-        .filter(|a| !a.is_empty())
-        .map(str::to_owned)
-        .collect();
-    (!addrs.is_empty()).then_some(addrs)
-}
-
-/// The result-store idle TTL in seconds (`HB_STORE_TTL`): entries
-/// untouched for that long are garbage-collected at the next batch.
-/// `None` (unset or empty) disables expiry.
-///
-/// # Panics
-///
-/// Panics with a diagnostic on an unparseable value — a silently ignored
-/// TTL would let a long-lived store grow stale without a trace.
-#[must_use]
-pub fn store_ttl() -> Option<std::time::Duration> {
-    env_parse::<u64>("HB_STORE_TTL")
-        .unwrap_or_else(|e| panic!("{e}"))
-        .map(std::time::Duration::from_secs)
+    let mut engine = hardbound_exec::Engine::new(machine);
+    engine.set_profiling(settings().prof);
+    engine.run()
 }
 
 /// The process-wide corpus service: one shared decode-cache shard per
-/// [`batch::default_workers`] worker plus the result store, living for the
+/// [`Settings::workers`] worker plus the result store, living for the
 /// whole process so every figure driver, corpus sweep and CI invocation
 /// in it reuses earlier work. With `HB_STORE_PATH` set the store is
-/// persistent — loaded here once, appended after every batch.
+/// persistent — loaded here once, appended after every batch. `HB_PROF`
+/// arms the profiler on its engines.
 ///
 /// # Panics
 ///
@@ -388,13 +311,14 @@ pub fn store_ttl() -> Option<std::time::Duration> {
 fn service() -> &'static Mutex<PersistentService> {
     static SERVICE: OnceLock<Mutex<PersistentService>> = OnceLock::new();
     SERVICE.get_or_init(|| {
-        let workers = batch::default_workers();
-        let mut svc = match store_path() {
-            Some(path) => PersistentService::open(workers, &path)
+        let s = settings();
+        let workers = s.workers();
+        let mut svc = match &s.store_path {
+            Some(path) => PersistentService::open(workers, path)
                 .unwrap_or_else(|e| panic!("HB_STORE_PATH={path}: cannot open store: {e}")),
             None => PersistentService::new(workers),
         };
-        svc.set_ttl(store_ttl());
+        svc.set_profiling(s.prof);
         register_service_gauges();
         Mutex::new(svc)
     })
@@ -537,8 +461,8 @@ impl SimJob {
 /// hide that the warm server is not being used.
 #[must_use]
 pub fn run_jobs(jobs: Vec<SimJob>) -> Vec<RunOutcome> {
-    if let Some(addrs) = serve_addrs() {
-        return run_jobs_remote_to(&addrs, &jobs);
+    if let Some(addrs) = &settings().serve_addrs {
+        return run_jobs_remote_to(addrs, &jobs);
     }
     let jobs: Vec<Job<Mode>> = jobs
         .into_iter()
@@ -878,46 +802,24 @@ mod tests {
 
     #[test]
     fn flag_parsing_is_case_insensitive_and_matches_the_docs() {
+        let prof = |v: &str| Settings::from_vars([("HB_PROF", v)]).map(|s| s.prof);
         // on/off/1/0/true/false in any case, with surrounding whitespace
-        // tolerated.
+        // tolerated; blank reads as unset, which is off.
         for off in [
-            "0", "false", "FALSE", "False", " false ", " 0 ", "off", "OFF",
+            "0", "false", "FALSE", "False", " false ", " 0 ", "off", "OFF", "", "  ",
         ] {
-            assert_eq!(parse_flag("HB_X", off), Ok(Some(false)), "`{off}`");
+            assert_eq!(prof(off), Ok(false), "`{off}`");
         }
         for on in ["1", "true", "TRUE", "on", "On", " on "] {
-            assert_eq!(parse_flag("HB_X", on), Ok(Some(true)), "`{on}`");
-        }
-        for unset in ["", "  "] {
-            assert_eq!(parse_flag("HB_X", unset), Ok(None), "`{unset}`");
+            assert_eq!(prof(on), Ok(true), "`{on}`");
         }
         // Anything else is an error naming the variable and quoting the
         // value, so a misspelled flag can never silently flip a layer.
         for bad in ["no", "yes", "2", "x", "enable", "of", "-1", "0x1"] {
-            let err = parse_flag("HB_X", bad).expect_err(bad);
-            assert!(err.contains("HB_X"), "{err}");
+            let err = prof(bad).expect_err(bad);
+            assert!(err.contains("HB_PROF"), "{err}");
             assert!(err.contains(&format!("`{bad}`")), "{err}");
         }
-    }
-
-    #[test]
-    fn env_parse_reports_unparseable_values() {
-        // Unset variables read as None.
-        assert_eq!(env_parse::<f64>("HB_TEST_UNSET_NO_SUCH_VAR"), Ok(None));
-        // A set-but-invalid value takes the error path, and the diagnostic
-        // names the variable and quotes the value. The variable name is
-        // unique to this test, so no other test can race on it.
-        std::env::set_var("HB_TEST_ENV_PARSE_INVALID", "1.x");
-        let err =
-            env_parse::<f64>("HB_TEST_ENV_PARSE_INVALID").expect_err("`1.x` must not parse as f64");
-        assert!(err.contains("HB_TEST_ENV_PARSE_INVALID"), "{err}");
-        assert!(err.contains("1.x"), "{err}");
-        // Valid and empty values parse through the same path.
-        std::env::set_var("HB_TEST_ENV_PARSE_INVALID", "2.5");
-        assert_eq!(env_parse::<f64>("HB_TEST_ENV_PARSE_INVALID"), Ok(Some(2.5)));
-        std::env::set_var("HB_TEST_ENV_PARSE_INVALID", "");
-        assert_eq!(env_parse::<f64>("HB_TEST_ENV_PARSE_INVALID"), Ok(None));
-        std::env::remove_var("HB_TEST_ENV_PARSE_INVALID");
     }
 
     #[test]

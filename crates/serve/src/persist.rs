@@ -80,7 +80,13 @@ impl PersistentService {
         self.log.is_some()
     }
 
-    /// Sets the store's idle TTL (`HB_STORE_TTL` / `hbserve --ttl`):
+    /// Arms the hot-spot profiler on every engine the service runs (see
+    /// [`CorpusService::set_profiling`]).
+    pub fn set_profiling(&mut self, on: bool) {
+        self.svc.set_profiling(on);
+    }
+
+    /// Sets the store's idle TTL (`hbserve --ttl`):
     /// entries untouched for that long are garbage-collected at the start
     /// of the next batch. Expired entries persist in the log until the
     /// next [`PersistentService::checkpoint`] compacts them away (they

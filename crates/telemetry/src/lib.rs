@@ -10,7 +10,8 @@
 //!   exposition format (served by the `METRICS` wire verb and
 //!   `hbserve --metrics-addr`).
 //! * [`trace`] — [`TraceId`]/[`SpanId`]-stamped [`SpanEvent`]s written as
-//!   JSONL to the file named by `HB_TRACE`. Trace context crosses the
+//!   JSONL to the sink [`trace::install`] opens (the runtime installs it
+//!   for `HB_TRACE`). Trace context crosses the
 //!   `hbserve` wire so one grid submission yields a single merged trace
 //!   spanning client and every shard.
 //! * [`profile`] — cluster-mergeable per-superblock hot-spot [`Profile`]s

@@ -3,10 +3,10 @@
 //! A *trace* is a tree of *spans* sharing one [`TraceId`]; each span is
 //! one timed operation (a compile, a block decode, a store lookup, a
 //! batch chunk, a remote round trip, a ticket lifecycle stage). Spans are
-//! emitted as one JSON object per line to the file named by the
-//! `HB_TRACE` environment variable — or to a sink installed
-//! programmatically with [`install`], which also lets benchmarks toggle
-//! tracing on and off inside one process.
+//! emitted as one JSON object per line to the sink installed with
+//! [`install`] — by the runtime's settings loader for `HB_TRACE`, or
+//! programmatically, which also lets benchmarks toggle tracing on and off
+//! inside one process. This crate reads no environment.
 //!
 //! Trace context (`trace` + parent span id) crosses the `hbserve` wire:
 //! the client stamps each submission, shards run their spans under the
@@ -317,38 +317,12 @@ impl SpanTimer {
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static SINK: Mutex<Option<BufWriter<std::fs::File>>> = Mutex::new(None);
-static ENV_INIT: Once = Once::new();
 
-fn ensure_env_init() {
-    // Must call `open_sink`, never `install`: `install` re-enters
-    // `ENV_INIT.call_once`, and a recursive `call_once` from inside this
-    // in-flight closure deadlocks (the `HB_TRACE`-env path of every
-    // binary; pinned by `report/tests/trace_env_cli.rs`).
-    ENV_INIT.call_once(|| {
-        if let Ok(path) = std::env::var("HB_TRACE") {
-            if !path.is_empty() {
-                if let Err(e) = open_sink(Path::new(&path)) {
-                    eprintln!("warning: HB_TRACE={path}: {e}; tracing disabled");
-                }
-            }
-        }
-    });
-}
-
-/// Whether span emission is on. Reads `HB_TRACE` once on first call;
-/// [`install`] / [`disable`] override it at runtime.
+/// Whether span emission is on: off until [`install`], and again after
+/// [`disable`].
 #[inline]
 pub fn enabled() -> bool {
-    ensure_env_init();
     ENABLED.load(Relaxed)
-}
-
-fn open_sink(path: &Path) -> std::io::Result<()> {
-    let file = OpenOptions::new().create(true).append(true).open(path)?;
-    *SINK.lock().unwrap() = Some(BufWriter::new(file));
-    ENABLED.store(true, Relaxed);
-    install_panic_flush();
-    Ok(())
 }
 
 static PANIC_FLUSH: Once = Once::new();
@@ -368,16 +342,18 @@ fn install_panic_flush() {
 }
 
 /// Opens (appending) a JSONL sink at `path` and enables tracing,
-/// superseding any `HB_TRACE` setting.
+/// replacing any sink installed before. The runtime's settings loader
+/// calls this for `HB_TRACE`.
 pub fn install(path: &Path) -> std::io::Result<()> {
-    // Consume the env hook so a later `enabled()` cannot re-install over us.
-    ENV_INIT.call_once(|| {});
-    open_sink(path)
+    let file = OpenOptions::new().create(true).append(true).open(path)?;
+    *SINK.lock().unwrap() = Some(BufWriter::new(file));
+    ENABLED.store(true, Relaxed);
+    install_panic_flush();
+    Ok(())
 }
 
 /// Turns span emission off and flushes + closes the sink.
 pub fn disable() {
-    ENV_INIT.call_once(|| {});
     ENABLED.store(false, Relaxed);
     if let Some(mut w) = SINK.lock().unwrap().take() {
         let _ = w.flush();

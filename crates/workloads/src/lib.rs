@@ -15,12 +15,28 @@
 pub mod sources;
 
 /// Input scale for a workload.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Scale {
     /// Tiny inputs for unit tests (each run well under a second).
     Smoke,
     /// Evaluation inputs for the Figure 5/6/7 harness.
+    #[default]
     Full,
+}
+
+impl std::str::FromStr for Scale {
+    type Err = String;
+
+    /// Parses `smoke` or `full` in any case, with surrounding whitespace
+    /// ignored. Anything else, the empty string included, is an error
+    /// quoting the value.
+    fn from_str(value: &str) -> Result<Scale, String> {
+        match value.trim().to_ascii_lowercase().as_str() {
+            "smoke" => Ok(Scale::Smoke),
+            "full" => Ok(Scale::Full),
+            _ => Err(format!("a scale is `smoke` or `full`, got `{value}`")),
+        }
+    }
 }
 
 /// A benchmark program ready to compile.
@@ -120,6 +136,20 @@ mod tests {
             assert_eq!(ws.len(), 9);
             let names: Vec<_> = ws.iter().map(|w| w.name).collect();
             assert_eq!(names, published::BENCHMARKS.to_vec());
+        }
+    }
+
+    #[test]
+    fn scale_parsing_is_strict_and_case_insensitive() {
+        for smoke in ["smoke", "Smoke", "SMOKE", " smoke "] {
+            assert_eq!(smoke.parse(), Ok(Scale::Smoke), "`{smoke}`");
+        }
+        for full in ["full", "Full", "FULL"] {
+            assert_eq!(full.parse(), Ok(Scale::Full), "`{full}`");
+        }
+        for bad in ["smok", "small", "1", "", "fast"] {
+            let err = bad.parse::<Scale>().expect_err(bad);
+            assert!(err.contains(&format!("`{bad}`")), "{err}");
         }
     }
 
