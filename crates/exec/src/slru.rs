@@ -51,8 +51,11 @@ struct Node {
 /// The segmented-LRU recency index (see the module docs).
 #[derive(Debug)]
 pub(crate) struct SlruIndex {
-    /// Links per slot id; untracked ids hold `None`.
-    nodes: Vec<Option<Node>>,
+    /// Links per slot id. An untracked id's node is stale and never read:
+    /// callers pair every insert with one remove. (Plain nodes, not
+    /// `Option`s: the per-access discriminant checks cost more than the
+    /// rest of a touch.)
+    nodes: Vec<Node>,
     probation: List,
     protected: List,
     /// Maximum protected residents (the classic SLRU ~¾ split); promotion
@@ -80,26 +83,18 @@ impl SlruIndex {
         }
     }
 
-    fn node(&self, id: u32) -> Node {
-        self.nodes[id as usize].expect("tracked slot")
-    }
-
-    fn node_mut(&mut self, id: u32) -> &mut Node {
-        self.nodes[id as usize].as_mut().expect("tracked slot")
-    }
-
     /// Unthreads `id` from its segment list (the node stays allocated).
     fn unlink(&mut self, id: u32) {
-        let Node { seg, prev, next } = self.node(id);
+        let Node { seg, prev, next } = self.nodes[id as usize];
         if prev == NONE {
             self.list_mut(seg).head = next;
         } else {
-            self.node_mut(prev).next = next;
+            self.nodes[prev as usize].next = next;
         }
         if next == NONE {
             self.list_mut(seg).tail = prev;
         } else {
-            self.node_mut(next).prev = prev;
+            self.nodes[next as usize].prev = prev;
         }
         self.list_mut(seg).len -= 1;
     }
@@ -107,27 +102,26 @@ impl SlruIndex {
     /// Starts tracking slot `id` as the probationary MRU.
     pub(crate) fn insert(&mut self, id: u32) {
         if self.nodes.len() <= id as usize {
-            self.nodes.resize(id as usize + 1, None);
+            let untracked = Node {
+                seg: Segment::Probation,
+                prev: NONE,
+                next: NONE,
+            };
+            self.nodes.resize(id as usize + 1, untracked);
         }
-        debug_assert!(self.nodes[id as usize].is_none(), "slot tracked twice");
-        self.nodes[id as usize] = Some(Node {
-            seg: Segment::Probation,
-            prev: NONE,
-            next: NONE,
-        });
         self.push_front(Segment::Probation, id);
     }
 
     /// Threads `id` (not currently on any list) onto the MRU end of `seg`.
     fn push_front(&mut self, seg: Segment, id: u32) {
         let head = self.list_mut(seg).head;
-        *self.node_mut(id) = Node {
+        self.nodes[id as usize] = Node {
             seg,
             prev: NONE,
             next: head,
         };
         if head != NONE {
-            self.node_mut(head).prev = id;
+            self.nodes[head as usize].prev = id;
         }
         let list = self.list_mut(seg);
         list.head = id;
@@ -158,7 +152,6 @@ impl SlruIndex {
     /// Stops tracking `id` (after the caller removed it from its slab).
     pub(crate) fn remove(&mut self, id: u32) {
         self.unlink(id);
-        self.nodes[id as usize] = None;
     }
 
     /// The current eviction victim: the probationary LRU, else the

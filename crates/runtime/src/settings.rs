@@ -111,7 +111,7 @@ pub(crate) const VARS: [Var; 13] = [
 
 /// The resolved settings: each field is its variable's value, or the
 /// default when the variable is not set.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Debug, Default)]
 pub struct Settings {
     /// `HB_JOBS` (see [`Settings::workers`]).
     pub jobs: Option<usize>,
