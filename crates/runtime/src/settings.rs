@@ -26,7 +26,8 @@ pub(crate) enum Grammar {
     Count(usize),
     /// A positive, finite number.
     Ratio,
-    /// A file path.
+    /// A file path with no control characters (a stray newline or tab
+    /// is a quoting accident, not a file name).
     Path,
     /// One or more comma-separated `host:port` addresses.
     AddrList,
@@ -54,7 +55,7 @@ impl Grammar {
             Grammar::Count(0) => "a whole number".to_owned(),
             Grammar::Count(min) => format!("a whole number ≥ {min}"),
             Grammar::Ratio => "a positive number".to_owned(),
-            Grammar::Path => "a path".to_owned(),
+            Grammar::Path => "a path without control characters".to_owned(),
             Grammar::AddrList => "a comma-separated host:port list".to_owned(),
             Grammar::Scale => "`smoke` or `full`".to_owned(),
         }
@@ -74,7 +75,7 @@ impl Grammar {
                 .ok()
                 .filter(|r: &f64| r.is_finite() && *r > 0.0)
                 .map(Value::Ratio),
-            Grammar::Path => Some(Value::Path(v.to_owned())),
+            Grammar::Path => (!v.contains(char::is_control)).then(|| Value::Path(v.to_owned())),
             Grammar::AddrList => v
                 .split(',')
                 .map(|a| {
@@ -304,13 +305,13 @@ mod tests {
             "HB_TRACE",
             |s| format!("{:?}", s.trace),
             &[("/tmp/t.jsonl", "Some(\"/tmp/t.jsonl\")")],
-            &[],
+            &["a\nb.jsonl", "t\u{7}"],
         ),
         (
             "HB_STORE_PATH",
             |s| format!("{:?}", s.store_path),
             &[(" store.bin ", "Some(\"store.bin\")")],
-            &[],
+            &["store\tbin"],
         ),
         (
             "HB_SERVE_ADDR",
