@@ -95,6 +95,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hardbound_runtime::Settings;
 
     #[test]
     fn preserves_input_order() {
@@ -119,6 +120,41 @@ mod tests {
         let empty: Vec<u8> = Vec::new();
         assert!(map_with_workers(&empty, 4, |_, &x| x).is_empty());
         assert_eq!(map_with_workers(&[7u8], 4, |_, x| x + 1), vec![8]);
+    }
+
+    #[test]
+    fn worker_count_honors_env_floor() {
+        // The worker count the batch drivers get from `HB_JOBS` is at
+        // least 1 whether or not the variable is set, and a count of 0
+        // handed in directly still runs every job on one worker.
+        let workers = |v: &str| Settings::from_vars([("HB_JOBS", v)]).map(|s| s.workers());
+        assert!(workers("").expect("unset") >= 1);
+        assert_eq!(workers("1"), Ok(1));
+        assert!(workers("0").is_err(), "HB_JOBS=0 is below the floor");
+        assert_eq!(
+            map_with_workers(&[1u8, 2, 3], 0, |_, x| x * 2),
+            vec![2, 4, 6]
+        );
+    }
+
+    #[test]
+    fn jobs_parsing_rejects_invalid_values() {
+        let jobs = |v: &str| Settings::from_vars([("HB_JOBS", v)]).map(|s| s.jobs);
+        assert_eq!(
+            Settings::from_vars::<[(&str, &str); 0], _, _>([]).map(|s| s.jobs),
+            Ok(None)
+        );
+        assert_eq!(jobs(""), Ok(None));
+        assert_eq!(jobs("  "), Ok(None));
+        assert_eq!(jobs("1"), Ok(Some(1)));
+        assert_eq!(jobs(" 8 "), Ok(Some(8)));
+        let zero = jobs("0").expect_err("0 workers is impossible");
+        assert!(zero.contains("≥ 1"), "{zero}");
+        for bad in ["abc", "-2", "1.5", "4x"] {
+            let err = jobs(bad).expect_err(bad);
+            assert!(err.contains(bad), "diagnostic must quote the value: {err}");
+            assert!(err.contains("HB_JOBS"), "{err}");
+        }
     }
 
     #[test]

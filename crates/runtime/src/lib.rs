@@ -823,6 +823,23 @@ mod tests {
     }
 
     #[test]
+    fn env_parse_reports_unparseable_values() {
+        let gate =
+            |v: &str| Settings::from_vars([("HB_HIER_GATE", v)]).map(|s| s.gate("HB_HIER_GATE"));
+        // Unset variables read as None.
+        let unset = Settings::from_vars::<[(&str, &str); 0], _, _>([]).expect("no variables");
+        assert_eq!(unset.gate("HB_HIER_GATE"), None);
+        // A set-but-invalid value takes the error path, and the diagnostic
+        // names the variable and quotes the value.
+        let err = gate("1.x").expect_err("`1.x` must not parse as a ratio");
+        assert!(err.contains("HB_HIER_GATE"), "{err}");
+        assert!(err.contains("`1.x`"), "{err}");
+        // Valid and empty values parse through the same path.
+        assert_eq!(gate("2.5"), Ok(Some(2.5)));
+        assert_eq!(gate(""), Ok(None));
+    }
+
+    #[test]
     fn malloc_returns_heap_pointers_with_exact_bounds() {
         let out = compile_and_run(
             "int main() {\n\

@@ -141,7 +141,7 @@ impl Settings {
     /// # Errors
     ///
     /// The diagnostic of the first value that does not fit its grammar.
-    pub(crate) fn from_vars<I, K, V>(vars: I) -> Result<Settings, String>
+    pub fn from_vars<I, K, V>(vars: I) -> Result<Settings, String>
     where
         I: IntoIterator<Item = (K, V)>,
         K: AsRef<str>,
