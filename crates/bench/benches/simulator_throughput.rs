@@ -190,7 +190,7 @@ fn irregular_gather(n: u32, rounds: i32) -> Program {
 /// the telemetry delta shows the filter both proving and falling back —
 /// the win has to come from answered residency probes, not noise.
 fn hier_fast_report() {
-    let gate = settings().gate("HB_HIER_GATE");
+    let gate = settings().hier_gate;
     let scale = settings().scale;
     let rounds = match scale {
         Scale::Smoke => 8,
@@ -253,7 +253,7 @@ fn hier_fast_report() {
 /// The engine-vs-interpreter throughput comparison (and optional CI gate).
 fn engine_speedup_report() {
     let scale = settings().scale;
-    let gate = settings().gate("HB_ENGINE_GATE");
+    let gate = settings().engine_gate;
     let samples = match scale {
         Scale::Smoke => 10,
         Scale::Full => 3,
@@ -367,7 +367,7 @@ fn engine_speedup_report() {
 /// program-hash result store, byte-identically and (gated via
 /// `HB_SERVICE_GATE=<ratio>`, CI pins `2`) at least `<ratio>`× faster.
 fn service_warm_cold_report() {
-    let gate = settings().gate("HB_SERVICE_GATE");
+    let gate = settings().service_gate;
     let scale = settings().scale;
     let workloads = all(scale);
     let mut specs = vec![(Mode::Baseline, PointerEncoding::Intern4)];
@@ -446,7 +446,7 @@ fn service_warm_cold_report() {
 /// skips simulation only.
 fn persist_warm_report() {
     use hardbound_serve::PersistentService;
-    let gate = settings().gate("HB_PERSIST_GATE");
+    let gate = settings().persist_gate;
     let scale = settings().scale;
     let workloads = all(scale);
     let mut specs = vec![(Mode::Baseline, PointerEncoding::Intern4)];
@@ -533,7 +533,7 @@ fn persist_warm_report() {
 /// CI pins `1.1` (traced throughput within 10% of baseline).
 fn trace_overhead_report() {
     use hardbound_telemetry::trace;
-    let gate = settings().gate("HB_TRACE_GATE");
+    let gate = settings().trace_gate;
     let scale = settings().scale;
     let samples = match scale {
         Scale::Smoke => 10,
@@ -596,7 +596,7 @@ fn trace_overhead_report() {
 /// the two sides must produce identical outcomes.
 fn prof_overhead_report() {
     use hardbound_telemetry::profile;
-    let gate = settings().gate("HB_PROF_GATE");
+    let gate = settings().prof_gate;
     let scale = settings().scale;
     let samples = match scale {
         Scale::Smoke => 10,

@@ -52,10 +52,12 @@ struct Node {
 #[derive(Debug)]
 pub(crate) struct SlruIndex {
     /// Links per slot id. An untracked id's node is stale and never read:
-    /// callers pair every insert with one remove. (Plain nodes, not
-    /// `Option`s: the per-access discriminant checks cost more than the
-    /// rest of a touch.)
+    /// callers pair every insert with one remove.
     nodes: Vec<Node>,
+    /// Which ids are tracked, so debug builds catch an unpaired insert,
+    /// touch or remove before it corrupts the lists.
+    #[cfg(debug_assertions)]
+    tracked: Vec<bool>,
     probation: List,
     protected: List,
     /// Maximum protected residents (the classic SLRU ~¾ split); promotion
@@ -70,6 +72,8 @@ impl SlruIndex {
     pub(crate) fn new(capacity: usize) -> SlruIndex {
         SlruIndex {
             nodes: Vec::new(),
+            #[cfg(debug_assertions)]
+            tracked: Vec::new(),
             probation: List::EMPTY,
             protected: List::EMPTY,
             protected_cap: (capacity * 3 / 4).max(1),
@@ -82,6 +86,22 @@ impl SlruIndex {
             Segment::Protected => &mut self.protected,
         }
     }
+
+    /// Debug builds: asserts that `id` is tracked exactly when `was`, then
+    /// records it as tracked exactly when `now`.
+    #[cfg(debug_assertions)]
+    fn check_tracked(&mut self, id: u32, was: bool, now: bool) {
+        let i = id as usize;
+        if self.tracked.len() <= i {
+            self.tracked.resize(i + 1, false);
+        }
+        assert_eq!(self.tracked[i], was, "slot {id}: tracked is {}", !was);
+        self.tracked[i] = now;
+    }
+
+    /// Release builds check nothing.
+    #[cfg(not(debug_assertions))]
+    fn check_tracked(&mut self, _: u32, _: bool, _: bool) {}
 
     /// Unthreads `id` from its segment list (the node stays allocated).
     fn unlink(&mut self, id: u32) {
@@ -101,6 +121,7 @@ impl SlruIndex {
 
     /// Starts tracking slot `id` as the probationary MRU.
     pub(crate) fn insert(&mut self, id: u32) {
+        self.check_tracked(id, false, true);
         if self.nodes.len() <= id as usize {
             let untracked = Node {
                 seg: Segment::Probation,
@@ -135,11 +156,7 @@ impl SlruIndex {
     /// demoting the protected LRU back to probation when the segment
     /// overflows its share (it stays resident, ahead of cold entries).
     pub(crate) fn touch(&mut self, id: u32) {
-        // Re-touching the protected MRU (a block looping to itself) would
-        // unlink and re-push it to the same place.
-        if self.protected.head == id {
-            return;
-        }
+        self.check_tracked(id, true, true);
         self.unlink(id);
         self.push_front(Segment::Protected, id);
         while self.protected.len > self.protected_cap {
@@ -151,6 +168,7 @@ impl SlruIndex {
 
     /// Stops tracking `id` (after the caller removed it from its slab).
     pub(crate) fn remove(&mut self, id: u32) {
+        self.check_tracked(id, true, false);
         self.unlink(id);
     }
 
@@ -211,5 +229,25 @@ mod tests {
             seen += 1;
         }
         assert_eq!(seen, 5);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "slot 1: tracked is true")]
+    fn double_insert_panics_in_debug_builds() {
+        let mut ix = SlruIndex::new(4);
+        ix.insert(1);
+        ix.insert(1);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "slot 2: tracked is false")]
+    fn touching_an_untracked_slot_panics_in_debug_builds() {
+        let mut ix = SlruIndex::new(4);
+        ix.insert(0);
+        ix.insert(2);
+        ix.remove(2);
+        ix.touch(2);
     }
 }

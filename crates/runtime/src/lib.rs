@@ -196,7 +196,7 @@ pub fn build_machine_with_config(program: Program, mode: Mode, config: MachineCo
     if mode == Mode::ObjectTable {
         m.set_object_table(Box::new(SplayTable::new()));
     }
-    if let Some(depth) = settings().flight {
+    if let Some(depth) = settings().flight.filter(|&d| d > 0) {
         m.enable_flight(depth);
     }
     m
@@ -824,11 +824,10 @@ mod tests {
 
     #[test]
     fn env_parse_reports_unparseable_values() {
-        let gate =
-            |v: &str| Settings::from_vars([("HB_HIER_GATE", v)]).map(|s| s.gate("HB_HIER_GATE"));
+        let gate = |v: &str| Settings::from_vars([("HB_HIER_GATE", v)]).map(|s| s.hier_gate);
         // Unset variables read as None.
         let unset = Settings::from_vars::<[(&str, &str); 0], _, _>([]).expect("no variables");
-        assert_eq!(unset.gate("HB_HIER_GATE"), None);
+        assert_eq!(unset.hier_gate, None);
         // A set-but-invalid value takes the error path, and the diagnostic
         // names the variable and quotes the value.
         let err = gate("1.x").expect_err("`1.x` must not parse as a ratio");

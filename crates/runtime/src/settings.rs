@@ -17,33 +17,23 @@ use std::sync::OnceLock;
 use hardbound_telemetry::trace;
 use hardbound_workloads::Scale;
 
-/// The shape of the values one variable accepts.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// The shape of the values one variable accepts, and the [`Settings`]
+/// field a value of that shape is stored in.
+#[derive(Clone, Copy)]
 pub(crate) enum Grammar {
     /// `on`/`off`/`1`/`0`/`true`/`false`, in any case.
-    Flag,
+    Flag(fn(&mut Settings) -> &mut bool),
     /// A whole number no smaller than the given minimum.
-    Count(usize),
+    Count(usize, fn(&mut Settings) -> &mut Option<usize>),
     /// A positive, finite number.
-    Ratio,
+    Ratio(fn(&mut Settings) -> &mut Option<f64>),
     /// A file path with no control characters (a stray newline or tab
     /// is a quoting accident, not a file name).
-    Path,
+    Path(fn(&mut Settings) -> &mut Option<String>),
     /// One or more comma-separated `host:port` addresses.
-    AddrList,
+    AddrList(fn(&mut Settings) -> &mut Option<Vec<String>>),
     /// `smoke` or `full`, in any case.
-    Scale,
-}
-
-/// A parsed value, tagged by the grammar that produced it.
-#[derive(Debug)]
-enum Value {
-    Flag(bool),
-    Count(usize),
-    Ratio(f64),
-    Path(String),
-    Addrs(Vec<String>),
-    Scale(Scale),
+    Scale(fn(&mut Settings) -> &mut Scale),
 }
 
 impl Grammar {
@@ -51,63 +41,73 @@ impl Grammar {
     #[must_use]
     pub(crate) fn spelling(self) -> String {
         match self {
-            Grammar::Flag => "one of on/off/1/0/true/false".to_owned(),
-            Grammar::Count(0) => "a whole number".to_owned(),
-            Grammar::Count(min) => format!("a whole number ≥ {min}"),
-            Grammar::Ratio => "a positive number".to_owned(),
-            Grammar::Path => "a path without control characters".to_owned(),
-            Grammar::AddrList => "a comma-separated host:port list".to_owned(),
-            Grammar::Scale => "`smoke` or `full`".to_owned(),
+            Grammar::Flag(_) => "one of on/off/1/0/true/false".to_owned(),
+            Grammar::Count(0, _) => "a whole number".to_owned(),
+            Grammar::Count(min, _) => format!("a whole number ≥ {min}"),
+            Grammar::Ratio(_) => "a positive number".to_owned(),
+            Grammar::Path(_) => "a path without control characters".to_owned(),
+            Grammar::AddrList(_) => "a comma-separated host:port list".to_owned(),
+            Grammar::Scale(_) => "`smoke` or `full`".to_owned(),
         }
     }
 
-    /// Parses a trimmed, non-empty value; `None` when it does not fit.
-    fn parse(self, v: &str) -> Option<Value> {
+    /// Parses a trimmed, non-empty value into its field of `s`; `None`,
+    /// with `s` unchanged, when it does not fit.
+    fn set(self, s: &mut Settings, v: &str) -> Option<()> {
         match self {
-            Grammar::Flag => match v.to_ascii_lowercase().as_str() {
-                "on" | "1" | "true" => Some(Value::Flag(true)),
-                "off" | "0" | "false" => Some(Value::Flag(false)),
-                _ => None,
-            },
-            Grammar::Count(min) => v.parse().ok().filter(|&n| n >= min).map(Value::Count),
-            Grammar::Ratio => v
-                .parse()
-                .ok()
-                .filter(|r: &f64| r.is_finite() && *r > 0.0)
-                .map(Value::Ratio),
-            Grammar::Path => (!v.contains(char::is_control)).then(|| Value::Path(v.to_owned())),
-            Grammar::AddrList => v
-                .split(',')
-                .map(|a| {
-                    let (host, port) = a.trim().rsplit_once(':')?;
-                    (!host.is_empty() && port.parse::<u16>().is_ok()).then(|| a.trim().to_owned())
-                })
-                .collect::<Option<_>>()
-                .map(Value::Addrs),
-            Grammar::Scale => v.parse().ok().map(Value::Scale),
+            Grammar::Flag(field) => {
+                *field(s) = match v.to_ascii_lowercase().as_str() {
+                    "on" | "1" | "true" => true,
+                    "off" | "0" | "false" => false,
+                    _ => return None,
+                };
+            }
+            Grammar::Count(min, field) => *field(s) = Some(v.parse().ok().filter(|&n| n >= min)?),
+            Grammar::Ratio(field) => {
+                let r = v.parse().ok().filter(|r: &f64| r.is_finite() && *r > 0.0)?;
+                *field(s) = Some(r);
+            }
+            Grammar::Path(field) => {
+                let path = (!v.contains(char::is_control)).then(|| v.to_owned())?;
+                *field(s) = Some(path);
+            }
+            Grammar::AddrList(field) => {
+                let addrs = v
+                    .split(',')
+                    .map(|a| {
+                        let (host, port) = a.trim().rsplit_once(':')?;
+                        (!host.is_empty() && port.parse::<u16>().is_ok())
+                            .then(|| a.trim().to_owned())
+                    })
+                    .collect::<Option<_>>()?;
+                *field(s) = Some(addrs);
+            }
+            Grammar::Scale(field) => *field(s) = v.parse().ok()?,
         }
+        Some(())
     }
 }
 
-/// One row of the settings table: a variable, its grammar, what it does.
+/// One row of the settings table: a variable, its grammar (which names
+/// the [`Settings`] field it fills), what it does.
 pub(crate) type Var = (&'static str, Grammar, &'static str);
 
 /// Every `HB_*` variable the workspace reads.
 #[rustfmt::skip]
 pub(crate) const VARS: [Var; 13] = [
-    ("HB_JOBS", Grammar::Count(1), "Worker threads of the batch drivers and the corpus service. Unset: all cores; `1` runs serially."),
-    ("HB_PROF", Grammar::Flag, "Arm the block engine's per-superblock hot-spot profiler on the corpus service (`hbserve` answers `PROFILE` with it). Unset: off."),
-    ("HB_FLIGHT", Grammar::Count(0), "Arm an `N`-event memory flight recorder on every machine; a trap's violation report prints its tail. Unset or `0`: off."),
-    ("HB_TRACE", Grammar::Path, "Append JSONL spans (compile, decode, batch, remote round trips and the servers' own spans) to this file. Unset: tracing off."),
-    ("HB_STORE_PATH", Grammar::Path, "Persist the result store in this log so warm starts survive the process (the default of `hbserve --store`). Unset: in memory."),
-    ("HB_SERVE_ADDR", Grammar::AddrList, "Offload cell grids to these `hbserve` shards by consistent hash, with retry and re-route; an unreachable cluster fails loudly. Unset: run locally."),
-    ("HB_SCALE", Grammar::Scale, "Workload inputs of the bench targets; `smoke` keeps CI runs short. Unset: `full`."),
-    ("HB_ENGINE_GATE", Grammar::Ratio, "`simulator_throughput`: the dispatch-bound engine speedup must reach this, and the fleet must stay ≥ 0.9× the interpreter (CI: `1.8`)."),
-    ("HB_HIER_GATE", Grammar::Ratio, "`simulator_throughput`: the irregular gather must run this much faster under `HierPath::Event` than under `Walk` (CI: `1.2`)."),
-    ("HB_SERVICE_GATE", Grammar::Ratio, "`simulator_throughput`: a warm grid re-run must replay from the result store this much faster than the cold pass (CI: `2`)."),
-    ("HB_PERSIST_GATE", Grammar::Ratio, "`simulator_throughput`: a grid re-run on a service reopened from its store log must beat the cold pass by this much (CI: `2`)."),
-    ("HB_TRACE_GATE", Grammar::Ratio, "`simulator_throughput`: an engine fleet writing a trace must stay within this factor of the untraced fleet (CI: `1.1`)."),
-    ("HB_PROF_GATE", Grammar::Ratio, "`simulator_throughput`: an engine fleet with the profiler armed must stay within this factor of the unprofiled fleet (CI: `1.1`)."),
+    ("HB_JOBS", Grammar::Count(1, |s| &mut s.jobs), "Worker threads of the batch drivers and the corpus service. Unset: all cores; `1` runs serially."),
+    ("HB_PROF", Grammar::Flag(|s| &mut s.prof), "Arm the block engine's per-superblock hot-spot profiler on the corpus service (`hbserve` answers `PROFILE` with it). Unset: off."),
+    ("HB_FLIGHT", Grammar::Count(0, |s| &mut s.flight), "Arm an `N`-event memory flight recorder on every machine; a trap's violation report prints its tail. Unset or `0`: off."),
+    ("HB_TRACE", Grammar::Path(|s| &mut s.trace), "Append JSONL spans (compile, decode, batch, remote round trips and the servers' own spans) to this file. Unset: tracing off."),
+    ("HB_STORE_PATH", Grammar::Path(|s| &mut s.store_path), "Persist the result store in this log so warm starts survive the process (the default of `hbserve --store`). Unset: in memory."),
+    ("HB_SERVE_ADDR", Grammar::AddrList(|s| &mut s.serve_addrs), "Offload cell grids to these `hbserve` shards by consistent hash, with retry and re-route; an unreachable cluster fails loudly. Unset: run locally."),
+    ("HB_SCALE", Grammar::Scale(|s| &mut s.scale), "Workload inputs of the bench targets; `smoke` keeps CI runs short. Unset: `full`."),
+    ("HB_ENGINE_GATE", Grammar::Ratio(|s| &mut s.engine_gate), "`simulator_throughput`: the dispatch-bound engine speedup must reach this, and the fleet must stay ≥ 0.9× the interpreter (CI: `1.8`)."),
+    ("HB_HIER_GATE", Grammar::Ratio(|s| &mut s.hier_gate), "`simulator_throughput`: the irregular gather must run this much faster under `HierPath::Event` than under `Walk` (CI: `1.2`)."),
+    ("HB_SERVICE_GATE", Grammar::Ratio(|s| &mut s.service_gate), "`simulator_throughput`: a warm grid re-run must replay from the result store this much faster than the cold pass (CI: `2`)."),
+    ("HB_PERSIST_GATE", Grammar::Ratio(|s| &mut s.persist_gate), "`simulator_throughput`: a grid re-run on a service reopened from its store log must beat the cold pass by this much (CI: `2`)."),
+    ("HB_TRACE_GATE", Grammar::Ratio(|s| &mut s.trace_gate), "`simulator_throughput`: an engine fleet writing a trace must stay within this factor of the untraced fleet (CI: `1.1`)."),
+    ("HB_PROF_GATE", Grammar::Ratio(|s| &mut s.prof_gate), "`simulator_throughput`: an engine fleet with the profiler armed must stay within this factor of the unprofiled fleet (CI: `1.1`)."),
 ];
 
 /// The resolved settings: each field is its variable's value, or the
@@ -118,7 +118,7 @@ pub struct Settings {
     pub jobs: Option<usize>,
     /// `HB_PROF`: whether the corpus service profiles its engines.
     pub prof: bool,
-    /// `HB_FLIGHT`: the flight-recorder depth; `None` when unset or `0`.
+    /// `HB_FLIGHT`: the flight-recorder depth; `None` or `Some(0)` is off.
     pub flight: Option<usize>,
     /// `HB_TRACE`: the span sink.
     pub trace: Option<String>,
@@ -128,8 +128,18 @@ pub struct Settings {
     pub serve_addrs: Option<Vec<String>>,
     /// `HB_SCALE`: the bench targets' input scale.
     pub scale: Scale,
-    /// The `*_GATE` ratios that are set (see [`Settings::gate`]).
-    gates: Vec<(&'static str, f64)>,
+    /// `HB_ENGINE_GATE`: the dispatch-bound engine speedup floor.
+    pub engine_gate: Option<f64>,
+    /// `HB_HIER_GATE`: the event-path hierarchy speedup floor.
+    pub hier_gate: Option<f64>,
+    /// `HB_SERVICE_GATE`: the warm result-store replay speedup floor.
+    pub service_gate: Option<f64>,
+    /// `HB_PERSIST_GATE`: the reopened-store replay speedup floor.
+    pub persist_gate: Option<f64>,
+    /// `HB_TRACE_GATE`: the traced fleet's slowdown ceiling.
+    pub trace_gate: Option<f64>,
+    /// `HB_PROF_GATE`: the profiled fleet's slowdown ceiling.
+    pub prof_gate: Option<f64>,
     /// One warning per `HB_*` name that is not in `VARS`.
     warnings: Vec<String>,
 }
@@ -164,31 +174,14 @@ impl Settings {
             if raw.trim().is_empty() {
                 continue;
             }
-            match grammar.parse(raw.trim()) {
-                Some(value) => s.apply(name, value),
-                None => {
-                    return Err(format!(
-                        "{name} must be {}, got `{raw}`",
-                        grammar.spelling()
-                    ))
-                }
+            if grammar.set(&mut s, raw.trim()).is_none() {
+                return Err(format!(
+                    "{name} must be {}, got `{raw}`",
+                    grammar.spelling()
+                ));
             }
         }
         Ok(s)
-    }
-
-    fn apply(&mut self, name: &'static str, value: Value) {
-        match (name, value) {
-            ("HB_JOBS", Value::Count(n)) => self.jobs = Some(n),
-            ("HB_PROF", Value::Flag(on)) => self.prof = on,
-            ("HB_FLIGHT", Value::Count(n)) => self.flight = (n > 0).then_some(n),
-            ("HB_TRACE", Value::Path(p)) => self.trace = Some(p),
-            ("HB_STORE_PATH", Value::Path(p)) => self.store_path = Some(p),
-            ("HB_SERVE_ADDR", Value::Addrs(a)) => self.serve_addrs = Some(a),
-            ("HB_SCALE", Value::Scale(scale)) => self.scale = scale,
-            (gate, Value::Ratio(r)) => self.gates.push((gate, r)),
-            (name, value) => unreachable!("{name} has no setting for {value:?}"),
-        }
     }
 
     /// Worker count: `HB_JOBS` if set, else the available parallelism.
@@ -196,18 +189,6 @@ impl Settings {
     pub fn workers(&self) -> usize {
         let cores = || std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
         self.jobs.unwrap_or_else(cores)
-    }
-
-    /// The ratio of the bench gate `name`, when set.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `name` is not a ratio row of the settings table.
-    #[must_use]
-    pub fn gate(&self, name: &str) -> Option<f64> {
-        let is_gate = VARS.iter().any(|v| v.0 == name && v.1 == Grammar::Ratio);
-        assert!(is_gate, "{name} is not a gate");
-        self.gates.iter().find(|g| g.0 == name).map(|g| g.1)
     }
 }
 
@@ -298,7 +279,7 @@ mod tests {
         (
             "HB_FLIGHT",
             |s| format!("{:?}", s.flight),
-            &[("4", "Some(4)"), ("0", "None")],
+            &[("4", "Some(4)"), ("0", "Some(0)")],
             &["x", "-1", "4k"],
         ),
         (
@@ -331,37 +312,37 @@ mod tests {
         ),
         (
             "HB_ENGINE_GATE",
-            |s| format!("{:?}", s.gate("HB_ENGINE_GATE")),
+            |s| format!("{:?}", s.engine_gate),
             &[("1.8", "Some(1.8)"), ("2", "Some(2.0)")],
             &["0", "-1", "fast", "inf", "NaN"],
         ),
         (
             "HB_HIER_GATE",
-            |s| format!("{:?}", s.gate("HB_HIER_GATE")),
+            |s| format!("{:?}", s.hier_gate),
             &[("1.2", "Some(1.2)")],
             &["x"],
         ),
         (
             "HB_SERVICE_GATE",
-            |s| format!("{:?}", s.gate("HB_SERVICE_GATE")),
+            |s| format!("{:?}", s.service_gate),
             &[("2", "Some(2.0)")],
             &["x"],
         ),
         (
             "HB_PERSIST_GATE",
-            |s| format!("{:?}", s.gate("HB_PERSIST_GATE")),
+            |s| format!("{:?}", s.persist_gate),
             &[("2", "Some(2.0)")],
             &["x"],
         ),
         (
             "HB_TRACE_GATE",
-            |s| format!("{:?}", s.gate("HB_TRACE_GATE")),
+            |s| format!("{:?}", s.trace_gate),
             &[("1.1", "Some(1.1)")],
             &["x"],
         ),
         (
             "HB_PROF_GATE",
-            |s| format!("{:?}", s.gate("HB_PROF_GATE")),
+            |s| format!("{:?}", s.prof_gate),
             &[("1.1", "Some(1.1)")],
             &["x"],
         ),
