@@ -143,7 +143,7 @@ impl HierarchyConfig {
                 return Err(format!("{name} way count {ways} outside 1..=255"));
             }
             let blocks = bytes / self.block_bytes;
-            if blocks < ways as u64 || blocks % ways as u64 != 0 {
+            if blocks < ways as u64 || !blocks.is_multiple_of(ways as u64) {
                 return Err(format!(
                     "{name}: {blocks} blocks do not fill {ways}-way sets"
                 ));
@@ -156,7 +156,7 @@ impl HierarchyConfig {
         if self.tlb_ways == 0 || self.tlb_ways > 255 {
             return Err(format!("TLB way count {} outside 1..=255", self.tlb_ways));
         }
-        if self.tlb_entries % self.tlb_ways as u64 != 0 {
+        if !self.tlb_entries.is_multiple_of(self.tlb_ways as u64) {
             // sets = entries / ways rounds down, so without this check a
             // non-dividing way count could *validate* (truncated set count
             // happens to be a power of two) yet build a smaller TLB than

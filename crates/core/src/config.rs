@@ -1,6 +1,7 @@
 use hardbound_cache::{HierPath, HierarchyConfig};
 
 use crate::encoding::PointerEncoding;
+use crate::meta::Meta;
 
 /// How much checking the HardBound hardware performs (paper §3.2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -154,6 +155,17 @@ impl MachineConfig {
             max_call_depth: 1 << 20,
             meta_path: MetaPath::Summary,
             hier_path: HierPath::Event,
+        }
+    }
+
+    /// Sidecar metadata of a `codeptr` result (§6.1): [`Meta::CODE`] with
+    /// the HardBound extension, none on the baseline machine.
+    #[must_use]
+    pub fn code_pointer_meta(&self) -> Meta {
+        if self.hardbound.is_some() {
+            Meta::CODE
+        } else {
+            Meta::NONE
         }
     }
 

@@ -2,7 +2,7 @@ use std::collections::HashMap;
 
 use hardbound_cache::{AccessClass, Hierarchy};
 use hardbound_isa::layout;
-use hardbound_isa::{BinOp, FuncId, Inst, Operand, Program, Reg, SysCall, Width};
+use hardbound_isa::{FuncId, Inst, Operand, Program, Reg, SysCall, Width};
 use hardbound_mem::{Memory, PageTouches};
 
 use crate::config::{MachineConfig, SafetyMode};
@@ -212,24 +212,29 @@ impl Machine {
         self.objtable = Some(table);
     }
 
-    /// Whether the HardBound extension is active.
-    #[must_use]
-    pub fn hardbound_enabled(&self) -> bool {
-        self.cfg.hardbound.is_some()
-    }
-
     /// Runs until halt, trap, or fuel exhaustion.
     pub fn run(&mut self) -> RunOutcome {
+        self.run_steps();
+        self.finish_outcome()
+    }
+
+    /// The interpreter loop: [`Machine::step`]s until halt, trap, or fuel
+    /// exhaustion, recording the stopping trap, and returns how many
+    /// instructions it stepped. The block engine (`hardbound-exec`)
+    /// finishes runs near the fuel limit with this loop.
+    pub fn run_steps(&mut self) -> u64 {
+        let mut steps = 0;
         while self.halted.is_none() && self.trap.is_none() {
             if self.stats.uops >= self.cfg.fuel {
                 self.trap = Some(Trap::OutOfFuel);
                 break;
             }
+            steps += 1;
             if let Err(t) = self.step() {
                 self.trap = Some(t);
             }
         }
-        self.finish_outcome()
+        steps
     }
 
     /// Finalizes page/stall accounting and assembles the [`RunOutcome`] for
@@ -303,6 +308,25 @@ impl Machine {
         self.next_origin += 1;
         self.bounds_origins
             .insert((meta.base, meta.bound), (site, id));
+    }
+
+    /// `setbound`: `rd` gets `rs`'s value bounded to `[value, value +
+    /// size)`, and `site` is recorded as the pair's provenance.
+    #[inline]
+    fn exec_setbound(&mut self, site: Pc, rd: Reg, rs: Reg, size: u32) {
+        self.stats.setbound_uops += 1;
+        let value = self.r(rs);
+        let meta = Meta::object(value, size);
+        self.record_setbound(site, meta);
+        self.set(rd, value, meta);
+    }
+
+    /// `unbound`: the §3.2 escape hatch. Counted with `setbound`: both are
+    /// bounds-manipulation µops present only in instrumented binaries.
+    #[inline]
+    fn exec_unbound(&mut self, rd: Reg, rs: Reg) {
+        self.stats.setbound_uops += 1;
+        self.set(rd, self.r(rs), Meta::UNCHECKED);
     }
 
     /// Appends one memory event to the flight recorder, if enabled.
@@ -935,30 +959,7 @@ impl Machine {
                 let a = self.r(rs1);
                 let am = self.m(rs1);
                 let (b, bm) = self.resolve(rs2);
-                let value = match op {
-                    BinOp::Add => a.wrapping_add(b),
-                    BinOp::Sub => a.wrapping_sub(b),
-                    BinOp::Mul => a.wrapping_mul(b),
-                    BinOp::Mulh => ((i64::from(a as i32) * i64::from(b as i32)) >> 32) as u32,
-                    BinOp::Div => {
-                        if b == 0 {
-                            return Err(Trap::DivideByZero { pc: fpc });
-                        }
-                        (a as i32).wrapping_div(b as i32) as u32
-                    }
-                    BinOp::Rem => {
-                        if b == 0 {
-                            return Err(Trap::DivideByZero { pc: fpc });
-                        }
-                        (a as i32).wrapping_rem(b as i32) as u32
-                    }
-                    BinOp::And => a & b,
-                    BinOp::Or => a | b,
-                    BinOp::Xor => a ^ b,
-                    BinOp::Shl => a.wrapping_shl(b),
-                    BinOp::Shr => a.wrapping_shr(b),
-                    BinOp::Sra => ((a as i32).wrapping_shr(b)) as u32,
-                };
+                let value = op.eval(a, b).ok_or(Trap::DivideByZero { pc: fpc })?;
                 self.set(rd, value, propagate_binop(op, am, bm));
             }
             Inst::Cmp { op, rd, rs1, rs2 } => {
@@ -983,26 +984,12 @@ impl Machine {
                 self.exec_store(fpc, width, src, addr, offset)?;
             }
             Inst::SetBound { rd, rs, size } => {
-                self.stats.setbound_uops += 1;
-                let value = self.r(rs);
                 let (size, _) = self.resolve(size);
-                let meta = Meta::object(value, size);
-                self.record_setbound(fpc, meta);
-                self.set(rd, value, meta);
+                self.exec_setbound(fpc, rd, rs, size);
             }
-            Inst::Unbound { rd, rs } => {
-                // Counted with setbound: both are bounds-manipulation µops
-                // present only in instrumented binaries.
-                self.stats.setbound_uops += 1;
-                self.set(rd, self.r(rs), Meta::UNCHECKED);
-            }
+            Inst::Unbound { rd, rs } => self.exec_unbound(rd, rs),
             Inst::CodePtr { rd, func } => {
-                let meta = if self.cfg.hardbound.is_some() {
-                    Meta::CODE
-                } else {
-                    Meta::NONE
-                };
-                self.set(rd, func.code_addr(), meta);
+                self.set(rd, func.code_addr(), self.cfg.code_pointer_meta());
             }
             Inst::ReadBase { rd, rs } => {
                 let base = self.m(rs).base;
@@ -1058,13 +1045,16 @@ impl Machine {
 /// The narrow mutable interface the basic-block execution engine
 /// (`hardbound-exec`) drives.
 ///
-/// The engine owns instruction *dispatch* (pre-decoded µop blocks); the
-/// machine keeps sole ownership of *semantics* — register/metadata state,
-/// the memory planes, the cache hierarchy, statistics, and trap plumbing.
-/// Everything here delegates to exactly the code [`Machine::step`] runs, so
-/// the two execution paths cannot drift: the engine-vs-interpreter
-/// differential suite holds them observationally identical (output, traps,
-/// and every [`ExecStats`](crate::ExecStats) counter).
+/// The engine owns instruction *dispatch* only (pre-decoded µop blocks);
+/// the machine keeps sole ownership of *semantics* — register/metadata
+/// state, the memory planes, the cache hierarchy, statistics, and trap
+/// plumbing. Everything here delegates to exactly the code
+/// [`Machine::step`] runs, and the engine takes ALU values and Figure 3
+/// propagation from the same `BinOp::eval`/`CmpOp::eval` and
+/// [`propagate_binop`] the interpreter calls, so the two execution paths
+/// cannot drift: the engine-vs-interpreter differential suite holds them
+/// observationally identical (output, traps, and every
+/// [`ExecStats`](crate::ExecStats) counter).
 pub struct ExecState<'m> {
     m: &'m mut Machine,
 }
@@ -1149,20 +1139,17 @@ impl ExecState<'_> {
         self.m.stats.uops += n;
     }
 
-    /// Counts one bounds-manipulation µop (`setbound` / `unbound`).
+    /// `setbound rd, rs, size` as [`Machine::step`] runs it, provenance
+    /// (`site`, for [`Machine::violation_report`]) included.
     #[inline]
-    pub fn count_setbound(&mut self) {
-        self.m.stats.setbound_uops += 1;
+    pub fn setbound(&mut self, site: Pc, rd: Reg, rs: Reg, size: u32) {
+        self.m.exec_setbound(site, rd, rs, size);
     }
 
-    /// Records the bounds provenance of a `setbound` executed by the
-    /// engine: `site` created `meta`'s `{base, bound}` pair. The engine's
-    /// straight-line dispatch bypasses [`Machine::step`], so it must feed
-    /// the provenance table itself (the table backs
-    /// [`Machine::violation_report`] and never affects execution).
+    /// `unbound rd, rs` as [`Machine::step`] runs it.
     #[inline]
-    pub fn note_setbound(&mut self, site: Pc, meta: Meta) {
-        self.m.record_setbound(site, meta);
+    pub fn unbound(&mut self, rd: Reg, rs: Reg) {
+        self.m.exec_unbound(rd, rs);
     }
 
     /// Load with the HardBound extension statically known inactive

@@ -92,6 +92,7 @@ impl Meta {
 ///   metadata if it is a pointer, otherwise the second's (`R1.base ←
 ///   if (R2.bound != 0) R2.base else R3.base`).
 /// * All other ops clear the metadata.
+#[inline]
 #[must_use]
 pub fn propagate_binop(op: BinOp, lhs: Meta, rhs: Option<Meta>) -> Meta {
     if !op.propagates_bounds() {

@@ -20,24 +20,22 @@
 //! (a long straight-line prologue, a cold error path, a sweep of one-run
 //! corpus programs) cannot wash a long-lived service's hot loops out of
 //! the cache. Capacity pressure evicts one probationary LRU block at a
-//! time — never the whole cache. Invalidation after a code write is
-//! **range-precise and program-scoped**: every block records the
-//! instruction ranges it covers ([`CodeSpan`], inlined leaf bodies
-//! included), and only the written program's overlapping blocks die.
+//! time — never the whole cache.
+//!
+//! Program images are immutable: a [`Machine`](hardbound_core::Machine)
+//! holds its program with no mutable accessor, and simulated stores never
+//! reach code addresses (`isa::layout`). So a decoded block never goes
+//! stale, and the one invalidation is
+//! [`SharedBlockCache::invalidate_program`], which retires a whole
+//! program when a long-lived service replaces it.
 
 use std::collections::HashMap;
 
-use hardbound_core::{MachineConfig, StableHash, FINGERPRINT_VERSION};
-use hardbound_isa::{layout, FuncId, Program};
+use hardbound_core::{Fnv64, MachineConfig, StableHash, FINGERPRINT_VERSION};
+use hardbound_isa::{FuncId, Program};
 
 use crate::slru::SlruIndex;
-use crate::uop::{CodeSpan, DecodedBlock, Uop};
-
-// Identities used to be mixed through `#[derive(Hash)]`, whose byte
-// encoding Rust does not promise across toolchains; now that fingerprints
-// are persisted (`HB_STORE_PATH`) and shipped over sockets (`hbserve`),
-// they run on the pinned serialization in `hardbound_core::fingerprint`.
-pub use hardbound_core::Fnv64;
+use crate::uop::Uop;
 
 /// Content-hash identity of a program *as the decoder sees it*: the full
 /// program image (functions, entry, globals, data) plus the
@@ -138,9 +136,6 @@ pub struct Block {
     pub entry: u32,
     /// Pre-decoded µops; one per instruction, terminator last.
     pub uops: Box<[Uop]>,
-    /// Instruction ranges this block covers (own function's hull plus the
-    /// full body of every inlined leaf callee).
-    pub spans: Box<[CodeSpan]>,
 }
 
 /// Counters describing the cache's behaviour over its lifetime.
@@ -349,7 +344,7 @@ impl SharedBlockCache {
     /// Inserts a freshly decoded block for program handle `prog` and
     /// returns its id. Counts a decode; evicts segmented-LRU victims one
     /// at a time when at capacity.
-    pub fn insert(&mut self, prog: u32, func: FuncId, entry: u32, decoded: DecodedBlock) -> usize {
+    pub fn insert(&mut self, prog: u32, func: FuncId, entry: u32, uops: Box<[Uop]>) -> usize {
         while self.resident >= self.capacity {
             self.evict_one();
         }
@@ -358,8 +353,7 @@ impl SharedBlockCache {
             prog,
             func,
             entry,
-            uops: decoded.uops,
-            spans: decoded.spans,
+            uops,
         };
         let id = match self.free.pop() {
             Some(id) => {
@@ -389,58 +383,6 @@ impl SharedBlockCache {
         self.slots[id].as_ref().expect("resident slot")
     }
 
-    /// Removes every resident block matching `pred`, counting the removals
-    /// as invalidations.
-    fn invalidate_matching(&mut self, pred: impl Fn(&Block) -> bool) {
-        let victims: Vec<u32> = (0..self.slots.len() as u32)
-            .filter(|&id| self.slots[id as usize].as_ref().is_some_and(&pred))
-            .collect();
-        self.stats.invalidated += victims.len() as u64;
-        for id in victims {
-            self.remove(id);
-        }
-    }
-
-    /// Drops every decoded block of program handle `prog` containing
-    /// `func`'s code (e.g. after patching a function image), counting them
-    /// as invalidated. That includes blocks of *other* functions that
-    /// inlined `func` as a straight-line leaf callee — their µop arrays
-    /// embed `func`'s decoded body, which the block's [`CodeSpan`]s
-    /// record. Other programs' blocks are untouched.
-    pub fn invalidate_function(&mut self, prog: u32, func: FuncId) {
-        self.invalidate_matching(|b| b.prog == prog && b.spans.iter().any(|s| s.func == func));
-    }
-
-    /// Range-precise invalidation: drops exactly program handle `prog`'s
-    /// blocks whose covered instruction ranges intersect `[lo, hi)` of
-    /// `func` (inlined copies included). Blocks of untouched code — and of
-    /// every other program — survive.
-    pub fn invalidate_span(&mut self, prog: u32, func: FuncId, lo: u32, hi: u32) {
-        self.invalidate_matching(|b| {
-            b.prog == prog && b.spans.iter().any(|s| s.overlaps(func, lo, hi))
-        });
-    }
-
-    /// Range-precise invalidation keyed by *code addresses*: drops program
-    /// handle `prog`'s blocks embedding code of any function whose handle
-    /// range (`[code_addr(f), code_addr(f) + CODE_STRIDE)`) overlaps the
-    /// written byte range `[lo, hi)`. Writes that touch no code — the
-    /// common case: every data store — invalidate nothing.
-    pub fn invalidate_code_range(&mut self, prog: u32, lo: u32, hi: u32) {
-        let funcs = self.entry(prog).index.len() as u32;
-        let (code_lo, code_hi) = (layout::CODE_BASE, layout::code_addr(funcs));
-        let lo = lo.max(code_lo);
-        let hi = hi.min(code_hi);
-        if lo >= hi {
-            return; // nowhere near code
-        }
-        let first = (lo - code_lo) / layout::CODE_STRIDE;
-        let last = (hi - 1 - code_lo) / layout::CODE_STRIDE;
-        self.invalidate_matching(|b| {
-            b.prog == prog && b.spans.iter().any(|s| (first..=last).contains(&s.func.0))
-        });
-    }
-
     /// Drops every decoded block of the program registered as `pid`
     /// (counting them as invalidated) **and unregisters it** — the handle
     /// and its per-instruction index table are recycled, so a long-lived
@@ -451,46 +393,28 @@ impl SharedBlockCache {
         let Some(prog) = self.handle(pid) else {
             return 0;
         };
-        let before = self.stats.invalidated;
-        self.invalidate_matching(|b| b.prog == prog);
+        let victims: Vec<u32> = (0..self.slots.len() as u32)
+            .filter(|&id| {
+                self.slots[id as usize]
+                    .as_ref()
+                    .is_some_and(|b| b.prog == prog)
+            })
+            .collect();
+        let dropped = victims.len() as u64;
+        for id in victims {
+            self.remove(id);
+        }
+        self.stats.invalidated += dropped;
         self.by_id.remove(&pid);
         self.programs[prog as usize] = None;
         self.free_programs.push(prog);
-        self.stats.invalidated - before
-    }
-
-    /// Drops every decoded block of every program, counting them as
-    /// invalidated. Registrations survive.
-    pub fn invalidate_all(&mut self) {
-        self.stats.invalidated += self.resident as u64;
-        self.slots.clear();
-        self.free.clear();
-        self.recency = SlruIndex::new(self.capacity);
-        self.resident = 0;
-        for entry in self.programs.iter_mut().flatten() {
-            for per_fn in &mut entry.index {
-                per_fn.fill(0);
-            }
-        }
+        dropped
     }
 
     /// Number of resident decoded blocks (across all programs).
     #[must_use]
     pub fn resident(&self) -> usize {
         self.resident
-    }
-
-    /// Number of resident decoded blocks belonging to `pid`.
-    #[must_use]
-    pub fn resident_of(&self, pid: ProgramId) -> usize {
-        let Some(prog) = self.handle(pid) else {
-            return 0;
-        };
-        self.slots
-            .iter()
-            .flatten()
-            .filter(|b| b.prog == prog)
-            .count()
     }
 
     /// Accumulated cache counters.
@@ -519,19 +443,8 @@ mod tests {
         ProgramId(n)
     }
 
-    fn decoded(spans: &[CodeSpan]) -> DecodedBlock {
-        DecodedBlock {
-            uops: vec![Uop::Nop, Uop::Ret].into_boxed_slice(),
-            spans: spans.to_vec().into_boxed_slice(),
-        }
-    }
-
-    fn own_span(func: FuncId, entry: u32) -> DecodedBlock {
-        decoded(&[CodeSpan {
-            func,
-            lo: entry,
-            hi: entry + 2,
-        }])
+    fn uops() -> Box<[Uop]> {
+        vec![Uop::Nop, Uop::Ret].into_boxed_slice()
     }
 
     #[test]
@@ -572,7 +485,7 @@ mod tests {
         let pa = c.register(pid(1), &p);
         let pb = c.register(pid(2), &p);
         assert!(c.lookup(pa, FuncId(0), 0).is_none());
-        let id = c.insert(pa, FuncId(0), 0, own_span(FuncId(0), 0));
+        let id = c.insert(pa, FuncId(0), 0, uops());
         assert_eq!(c.lookup(pa, FuncId(0), 0), Some(id));
         assert!(
             c.lookup(pb, FuncId(0), 0).is_none(),
@@ -589,8 +502,8 @@ mod tests {
         let p = two_function_program();
         let mut c = SharedBlockCache::new(1);
         let h = c.register(pid(1), &p);
-        c.insert(h, FuncId(0), 0, own_span(FuncId(0), 0));
-        c.insert(h, FuncId(0), 1, own_span(FuncId(0), 1));
+        c.insert(h, FuncId(0), 0, uops());
+        c.insert(h, FuncId(0), 1, uops());
         assert_eq!(c.stats().evicted, 1);
         assert_eq!(c.resident(), 1);
         assert!(c.lookup(h, FuncId(0), 0).is_none(), "evicted block is gone");
@@ -612,14 +525,14 @@ mod tests {
         let mut c = SharedBlockCache::new(4);
         let hot_prog = c.register(pid(1), &big);
         let cold_prog = c.register(pid(2), &big);
-        let hot = c.insert(hot_prog, FuncId(0), 0, own_span(FuncId(0), 0));
+        let hot = c.insert(hot_prog, FuncId(0), 0, uops());
         assert_eq!(
             c.lookup(hot_prog, FuncId(0), 0),
             Some(hot),
             "promote to protected"
         );
         for e in 1..40 {
-            c.insert(cold_prog, FuncId(0), e, own_span(FuncId(0), e));
+            c.insert(cold_prog, FuncId(0), e, uops());
         }
         assert!(
             c.lookup(hot_prog, FuncId(0), 0).is_some(),
@@ -631,123 +544,17 @@ mod tests {
     }
 
     #[test]
-    fn function_invalidation_is_selective_and_program_scoped() {
-        let p = two_function_program();
-        let mut c = SharedBlockCache::new(8);
-        let pa = c.register(pid(1), &p);
-        let pb = c.register(pid(2), &p);
-        c.insert(pa, FuncId(0), 0, own_span(FuncId(0), 0));
-        c.insert(pa, FuncId(1), 0, own_span(FuncId(1), 0));
-        c.insert(pb, FuncId(0), 0, own_span(FuncId(0), 0));
-        c.invalidate_function(pa, FuncId(0));
-        assert_eq!(c.stats().invalidated, 1);
-        assert!(c.lookup(pa, FuncId(0), 0).is_none());
-        assert!(c.lookup(pa, FuncId(1), 0).is_some());
-        assert!(
-            c.lookup(pb, FuncId(0), 0).is_some(),
-            "another program's fn#0 block survives"
-        );
-        c.invalidate_all();
-        assert_eq!(c.stats().invalidated, 3);
-        assert_eq!(c.resident(), 0);
-    }
-
-    #[test]
-    fn invalidation_covers_inlined_leaf_bodies() {
-        let p = two_function_program();
-        let mut c = SharedBlockCache::new(8);
-        let h = c.register(pid(1), &p);
-        // A block of fn#0 whose superblock inlined fn#1's body: its spans
-        // cover both functions.
-        c.insert(
-            h,
-            FuncId(0),
-            0,
-            decoded(&[
-                CodeSpan {
-                    func: FuncId(0),
-                    lo: 0,
-                    hi: 2,
-                },
-                CodeSpan {
-                    func: FuncId(1),
-                    lo: 0,
-                    hi: 2,
-                },
-            ]),
-        );
-        c.insert(h, FuncId(0), 1, own_span(FuncId(0), 1));
-        c.invalidate_function(h, FuncId(1));
-        assert_eq!(
-            c.stats().invalidated,
-            1,
-            "the inlining block embeds fn#1's code and must go"
-        );
-        assert!(c.lookup(h, FuncId(0), 0).is_none());
-        assert!(
-            c.lookup(h, FuncId(0), 1).is_some(),
-            "unrelated blocks survive"
-        );
-    }
-
-    #[test]
-    fn span_invalidation_is_instruction_precise() {
-        let mut f = FunctionBuilder::new("wide", 0);
-        for _ in 0..7 {
-            f.li(Reg::A0, 1);
-        }
-        f.halt();
-        let p = Program::with_entry(vec![f.finish()]);
-        let mut c = SharedBlockCache::new(8);
-        let h = c.register(pid(1), &p);
-        c.insert(h, FuncId(0), 0, own_span(FuncId(0), 0)); // covers [0, 2)
-        c.insert(h, FuncId(0), 4, own_span(FuncId(0), 4)); // covers [4, 6)
-        c.invalidate_span(h, FuncId(0), 2, 4); // the gap: nothing overlaps
-        assert_eq!(c.stats().invalidated, 0);
-        c.invalidate_span(h, FuncId(0), 5, 9);
-        assert_eq!(c.stats().invalidated, 1);
-        assert!(c.lookup(h, FuncId(0), 0).is_some());
-        assert!(c.lookup(h, FuncId(0), 4).is_none());
-    }
-
-    #[test]
-    fn code_range_invalidation_ignores_data_and_other_programs() {
-        let p = two_function_program();
-        let mut c = SharedBlockCache::new(8);
-        let pa = c.register(pid(1), &p);
-        let pb = c.register(pid(2), &p);
-        c.insert(pa, FuncId(0), 0, own_span(FuncId(0), 0));
-        c.insert(pa, FuncId(1), 0, own_span(FuncId(1), 0));
-        c.insert(pb, FuncId(1), 0, own_span(FuncId(1), 0));
-        // Data writes: heap, globals — zero blocks die.
-        c.invalidate_code_range(pa, 0x0100_0000, 0x0100_0040);
-        c.invalidate_code_range(pa, layout::GLOBALS_BASE, layout::GLOBALS_BASE + 4);
-        assert_eq!(c.stats().invalidated, 0);
-        // Overwrite fn#1's handle in program A: exactly A's block dies.
-        let f1 = layout::code_addr(1);
-        c.invalidate_code_range(pa, f1, f1 + 4);
-        assert_eq!(c.stats().invalidated, 1);
-        assert!(c.lookup(pa, FuncId(0), 0).is_some());
-        assert!(c.lookup(pa, FuncId(1), 0).is_none());
-        assert!(
-            c.lookup(pb, FuncId(1), 0).is_some(),
-            "the write was scoped to program A"
-        );
-    }
-
-    #[test]
     fn program_invalidation_drops_exactly_that_programs_blocks() {
         let p = two_function_program();
         let mut c = SharedBlockCache::new(8);
         let pa = c.register(pid(1), &p);
         let pb = c.register(pid(2), &p);
-        c.insert(pa, FuncId(0), 0, own_span(FuncId(0), 0));
-        c.insert(pa, FuncId(1), 0, own_span(FuncId(1), 0));
-        c.insert(pb, FuncId(0), 0, own_span(FuncId(0), 0));
-        assert_eq!(c.resident_of(pid(1)), 2);
+        c.insert(pa, FuncId(0), 0, uops());
+        c.insert(pa, FuncId(1), 0, uops());
+        c.insert(pb, FuncId(0), 0, uops());
         assert_eq!(c.invalidate_program(pid(1)), 2);
-        assert_eq!(c.resident_of(pid(1)), 0);
-        assert_eq!(c.resident_of(pid(2)), 1);
+        assert_eq!(c.stats().invalidated, 2);
+        assert_eq!(c.resident(), 1, "program B's block survives");
         assert_eq!(c.invalidate_program(pid(777)), 0, "unknown pid is a no-op");
         assert!(c.lookup(pb, FuncId(0), 0).is_some());
 

@@ -5,15 +5,20 @@
 //! behaviour (output, ints, exit code, traps *including their program
 //! counters*, and every [`ExecStats`](hardbound_core::ExecStats) counter),
 //! reached by dispatching pre-decoded µop superblocks instead of
-//! re-decoding one instruction per step. Semantics stay in
-//! `hardbound-core` behind the [`ExecState`] interface; anything the block
-//! path cannot express — indirect calls, environment calls, runs near the
-//! fuel limit — falls back to the interpreter's own [`Machine::step`].
+//! re-decoding one instruction per step. The engine owns dispatch only:
+//! every µop's semantics live in `hardbound-core` behind the [`ExecState`]
+//! interface, and ALU values and Figure 3 propagation come from the same
+//! [`BinOp::eval`]/[`CmpOp::eval`](hardbound_isa::CmpOp::eval) and
+//! [`propagate_binop`] the interpreter calls. Anything the block path
+//! cannot express — indirect calls, environment calls, runs near the fuel
+//! limit — falls back to the interpreter's own [`Machine::step`].
 
 use std::sync::OnceLock;
 use std::time::Instant;
 
-use hardbound_core::{ExecState, Machine, MachineConfig, Meta, Pc, RunOutcome, Trap};
+use hardbound_core::{
+    propagate_binop, ExecState, Machine, MachineConfig, Meta, Pc, RunOutcome, Trap,
+};
 use hardbound_isa::{BinOp, FuncId, Program};
 use hardbound_telemetry::{
     trace, BlockKey, BlockStat, Counter, Field, Histogram, SpanId, SpanTimer,
@@ -146,14 +151,7 @@ impl Engine<'static> {
     /// Wraps `machine` with its own default-capacity block cache.
     #[must_use]
     pub fn new(machine: Machine) -> Engine<'static> {
-        Engine::with_block_capacity(machine, SharedBlockCache::DEFAULT_CAPACITY)
-    }
-
-    /// Wraps `machine` with its own block cache holding at most `capacity`
-    /// decoded blocks (smaller caches exercise the eviction path).
-    #[must_use]
-    pub fn with_block_capacity(machine: Machine, capacity: usize) -> Engine<'static> {
-        let cache = Box::new(SharedBlockCache::new(capacity));
+        let cache = Box::new(SharedBlockCache::new(SharedBlockCache::DEFAULT_CAPACITY));
         Engine::bind(machine, CacheBinding::Owned(cache))
     }
 }
@@ -231,7 +229,7 @@ impl<'c> Engine<'c> {
             // per-step fuel accounting (and the exact µop count inside an
             // `OutOfFuel` outcome) matches `Machine::run` bit for bit.
             if 3 * len >= budget {
-                self.interp_tail();
+                self.stepped_insts += self.machine.run_steps();
                 break;
             }
             if self.profile.is_some() {
@@ -272,33 +270,6 @@ impl<'c> Engine<'c> {
         &self.machine
     }
 
-    /// The decoded-block cache the engine is bound to (tests and
-    /// diagnostics; invalidation is exposed here).
-    pub fn block_cache_mut(&mut self) -> &mut SharedBlockCache {
-        self.cache.get_mut()
-    }
-
-    /// Dense handle of this engine's program in the bound cache (pairs
-    /// with the program-scoped [`SharedBlockCache`] invalidation API).
-    #[must_use]
-    pub fn program_handle(&self) -> u32 {
-        self.prog
-    }
-
-    /// Hook for hosts that patch the program image (simulated stores never
-    /// reach the code region — `region_ok` wild-faults them): reacts to a
-    /// write of `len` bytes at `addr` by dropping exactly the decoded
-    /// blocks embedding code the write overlaps — *this program's* blocks;
-    /// a shared cache's other programs are untouched. A write range
-    /// covering only data invalidates nothing, so a long-lived engine
-    /// keeps its decode work where the pre-span API offered only the
-    /// whole-function/whole-cache invalidations.
-    pub fn note_code_write(&mut self, addr: u32, len: u32) {
-        self.cache
-            .get_mut()
-            .invalidate_code_range(self.prog, addr, addr.saturating_add(len));
-    }
-
     fn lookup_or_decode(&mut self, func: FuncId, pc: u32) -> usize {
         if let Some(id) = self.cache.get_mut().lookup(self.prog, func, pc) {
             return id;
@@ -308,16 +279,16 @@ impl<'c> Engine<'c> {
         let timer =
             trace::enabled().then(|| SpanTimer::start(trace::new_trace(), SpanId::NONE, "decode"));
         let started = Instant::now();
-        let decoded = decode_block(self.machine.program(), func, pc, self.machine.config());
+        let uops = decode_block(self.machine.program(), func, pc, self.machine.config());
         decode_us_hist().record_duration(started.elapsed());
         if let Some(t) = timer {
             t.emit(vec![
                 ("func".to_owned(), Field::from(u64::from(func.0))),
                 ("pc".to_owned(), Field::from(u64::from(pc))),
-                ("uops".to_owned(), Field::from(decoded.uops.len() as u64)),
+                ("uops".to_owned(), Field::from(uops.len() as u64)),
             ]);
         }
-        self.cache.get_mut().insert(self.prog, func, pc, decoded)
+        self.cache.get_mut().insert(self.prog, func, pc, uops)
     }
 
     /// Dispatches one decoded block. The caller has already guaranteed the
@@ -412,7 +383,6 @@ impl<'c> Engine<'c> {
                 st.retire_uops(n as u64 - 1);
                 *fast_uops += n as u64 - 1;
                 st.set_pc(func, idx);
-                drop(st);
                 *stepped_insts += 1;
                 if let Err(t) = machine.step() {
                     machine.exec_state().set_trap(t);
@@ -495,25 +465,6 @@ impl<'c> Engine<'c> {
         }
         hardbound_telemetry::profile::global().add(&p);
     }
-
-    /// Finishes the run on the interpreter — the exact `Machine::run` loop.
-    fn interp_tail(&mut self) {
-        loop {
-            let mut st = self.machine.exec_state();
-            if st.halted().is_some() || st.trap().is_some() {
-                return;
-            }
-            if st.uops() >= st.fuel() {
-                st.set_trap(Trap::OutOfFuel);
-                return;
-            }
-            drop(st);
-            self.stepped_insts += 1;
-            if let Err(t) = self.machine.step() {
-                self.machine.exec_state().set_trap(t);
-            }
-        }
-    }
 }
 
 /// Builds a machine for `program` under `cfg` and runs it through the
@@ -557,37 +508,20 @@ fn exec_straight(st: &mut ExecState<'_>, u: Uop, func: FuncId) -> Result<(), Tra
         Uop::Li { rd, imm } => st.set_reg(rd, imm, Meta::NONE),
         Uop::Mov { rd, rs } => st.set_reg(rd, st.reg(rs), st.reg_meta(rs)),
         Uop::AddRR { rd, rs1, rs2 } => {
-            let a = st.reg(rs1);
-            let am = st.reg_meta(rs1);
-            let b = st.reg(rs2);
-            // Figure 3 A/B: the first pointer operand's bounds win.
-            let meta = if am != Meta::NONE {
-                am
-            } else {
-                st.reg_meta(rs2)
-            };
-            st.set_reg(rd, a.wrapping_add(b), meta);
+            let meta = propagate_binop(BinOp::Add, st.reg_meta(rs1), Some(st.reg_meta(rs2)));
+            st.set_reg(rd, st.reg(rs1).wrapping_add(st.reg(rs2)), meta);
         }
         Uop::AddRI { rd, rs1, imm } => {
-            let a = st.reg(rs1);
-            let am = st.reg_meta(rs1);
-            st.set_reg(rd, a.wrapping_add(imm), am);
+            let meta = propagate_binop(BinOp::Add, st.reg_meta(rs1), None);
+            st.set_reg(rd, st.reg(rs1).wrapping_add(imm), meta);
         }
         Uop::SubRR { rd, rs1, rs2 } => {
-            let a = st.reg(rs1);
-            let am = st.reg_meta(rs1);
-            let b = st.reg(rs2);
-            let meta = if am != Meta::NONE {
-                am
-            } else {
-                st.reg_meta(rs2)
-            };
-            st.set_reg(rd, a.wrapping_sub(b), meta);
+            let meta = propagate_binop(BinOp::Sub, st.reg_meta(rs1), Some(st.reg_meta(rs2)));
+            st.set_reg(rd, st.reg(rs1).wrapping_sub(st.reg(rs2)), meta);
         }
         Uop::SubRI { rd, rs1, imm } => {
-            let a = st.reg(rs1);
-            let am = st.reg_meta(rs1);
-            st.set_reg(rd, a.wrapping_sub(imm), am);
+            let meta = propagate_binop(BinOp::Sub, st.reg_meta(rs1), None);
+            st.set_reg(rd, st.reg(rs1).wrapping_sub(imm), meta);
         }
         Uop::BinRR {
             op,
@@ -596,8 +530,8 @@ fn exec_straight(st: &mut ExecState<'_>, u: Uop, func: FuncId) -> Result<(), Tra
             rs2,
             pc,
         } => {
-            let v = bin_value(op, st.reg(rs1), st.reg(rs2), pc)?;
-            st.set_reg(rd, v, Meta::NONE);
+            let v = op.eval(st.reg(rs1), st.reg(rs2));
+            st.set_reg(rd, v.ok_or(Trap::DivideByZero { pc })?, Meta::NONE);
         }
         Uop::BinRI {
             op,
@@ -606,8 +540,8 @@ fn exec_straight(st: &mut ExecState<'_>, u: Uop, func: FuncId) -> Result<(), Tra
             imm,
             pc,
         } => {
-            let v = bin_value(op, st.reg(rs1), imm, pc)?;
-            st.set_reg(rd, v, Meta::NONE);
+            let v = op.eval(st.reg(rs1), imm);
+            st.set_reg(rd, v.ok_or(Trap::DivideByZero { pc })?, Meta::NONE);
         }
         Uop::CmpRR { op, rd, rs1, rs2 } => {
             let flag = op.eval(st.reg(rs1), st.reg(rs2));
@@ -645,25 +579,9 @@ fn exec_straight(st: &mut ExecState<'_>, u: Uop, func: FuncId) -> Result<(), Tra
             offset,
             pc,
         } => st.store_hb(pc, width, src, addr, offset)?,
-        Uop::SetBoundRR { rd, rs, size, pc } => {
-            st.count_setbound();
-            let value = st.reg(rs);
-            let size = st.reg(size);
-            let meta = Meta::object(value, size);
-            st.note_setbound(pc, meta);
-            st.set_reg(rd, value, meta);
-        }
-        Uop::SetBoundRI { rd, rs, size, pc } => {
-            st.count_setbound();
-            let value = st.reg(rs);
-            let meta = Meta::object(value, size);
-            st.note_setbound(pc, meta);
-            st.set_reg(rd, value, meta);
-        }
-        Uop::Unbound { rd, rs } => {
-            st.count_setbound();
-            st.set_reg(rd, st.reg(rs), Meta::UNCHECKED);
-        }
+        Uop::SetBoundRR { rd, rs, size, pc } => st.setbound(pc, rd, rs, st.reg(size)),
+        Uop::SetBoundRI { rd, rs, size, pc } => st.setbound(pc, rd, rs, size),
+        Uop::Unbound { rd, rs } => st.unbound(rd, rs),
         Uop::CodePtr { rd, value, meta } => st.set_reg(rd, value, meta),
         Uop::ReadBase { rd, rs } => {
             let base = st.reg_meta(rs).base;
@@ -689,36 +607,6 @@ fn exec_straight(st: &mut ExecState<'_>, u: Uop, func: FuncId) -> Result<(), Tra
         u => unreachable!("terminator {u:?} mid-block"),
     }
     Ok(())
-}
-
-/// Value of a non-propagating ALU op — the interpreter's expressions,
-/// verbatim.
-#[inline(always)]
-fn bin_value(op: BinOp, a: u32, b: u32, pc: Pc) -> Result<u32, Trap> {
-    Ok(match op {
-        BinOp::Add => a.wrapping_add(b),
-        BinOp::Sub => a.wrapping_sub(b),
-        BinOp::Mul => a.wrapping_mul(b),
-        BinOp::Mulh => ((i64::from(a as i32) * i64::from(b as i32)) >> 32) as u32,
-        BinOp::Div => {
-            if b == 0 {
-                return Err(Trap::DivideByZero { pc });
-            }
-            (a as i32).wrapping_div(b as i32) as u32
-        }
-        BinOp::Rem => {
-            if b == 0 {
-                return Err(Trap::DivideByZero { pc });
-            }
-            (a as i32).wrapping_rem(b as i32) as u32
-        }
-        BinOp::And => a & b,
-        BinOp::Or => a | b,
-        BinOp::Xor => a ^ b,
-        BinOp::Shl => a.wrapping_shl(b),
-        BinOp::Shr => a.wrapping_shr(b),
-        BinOp::Sra => ((a as i32).wrapping_shr(b)) as u32,
-    })
 }
 
 #[cfg(test)]
@@ -794,7 +682,9 @@ mod tests {
         f.li(Reg::A0, 0);
         f.halt();
         let program = Program::with_entry(vec![f.finish()]);
-        let mut e = Engine::with_block_capacity(Machine::new(program, MachineConfig::default()), 1);
+        let mut cache = SharedBlockCache::new(1);
+        let mut e =
+            Engine::with_shared_cache(Machine::new(program, MachineConfig::default()), &mut cache);
         let out = e.run();
         assert!(out.is_success());
         assert!(e.stats().cache.evicted > 0, "{:?}", e.stats());
@@ -817,70 +707,30 @@ mod tests {
 
     #[test]
     fn explicit_invalidation_forces_redecode() {
-        let mut f = FunctionBuilder::new("inv", 0);
-        f.li(Reg::A0, 0);
-        f.halt();
-        let mut e = engine_for(f);
-        let _ = e.run();
+        let build = || {
+            let mut f = FunctionBuilder::new("inv", 0);
+            f.li(Reg::A0, 0);
+            f.halt();
+            Machine::new(
+                Program::with_entry(vec![f.finish()]),
+                MachineConfig::default(),
+            )
+        };
+        let mut cache = SharedBlockCache::new(SharedBlockCache::DEFAULT_CAPACITY);
+        let mut e = Engine::with_shared_cache(build(), &mut cache);
+        let first = e.run();
+        let pid = e.program_id();
         let decoded_before = e.stats().cache.decoded;
-        e.block_cache_mut().invalidate_all();
-        assert!(e.stats().cache.invalidated >= decoded_before);
-    }
-
-    #[test]
-    fn data_stores_invalidate_no_blocks_code_writes_only_theirs() {
-        // The over-kill regression: a store anywhere near code used to
-        // flush every decoded block. Now a data-only write invalidates
-        // zero blocks, and a true code overwrite kills exactly the blocks
-        // embedding the overwritten function — inlined copies included.
-        let mut leaf = FunctionBuilder::new("leaf", 0);
-        leaf.li(Reg::A1, 9);
-        leaf.ret();
-        // Branchy, so the decoder gives it its own block instead of
-        // inlining it into main's superblock.
-        let mut other = FunctionBuilder::new("other", 0);
-        other.li(Reg::A2, 3);
-        let out = other.new_label();
-        other.branch(CmpOp::Ge, Reg::A2, 0, out);
-        other.li(Reg::A2, 4);
-        other.bind(out);
-        other.ret();
-        let mut main = FunctionBuilder::new("main", 0);
-        main.call(FuncId(1)); // inlined into main's superblock
-        main.call(FuncId(2));
-        main.li(Reg::A0, 0);
-        main.halt();
-        let program = Program::with_entry(vec![main.finish(), leaf.finish(), other.finish()]);
-        let mut e = Engine::new(Machine::new(program, MachineConfig::default()));
-        assert!(e.run().is_success());
-        let resident = e.block_cache_mut().resident();
-        assert!(resident >= 2, "main + other blocks stay resident");
-
-        // Data-only stores: heap, globals, stack. Zero invalidations.
-        e.note_code_write(hardbound_isa::layout::HEAP_BASE, 4);
-        e.note_code_write(hardbound_isa::layout::GLOBALS_BASE + 128, 64);
-        e.note_code_write(hardbound_isa::layout::STACK_TOP - 64, 4);
-        assert_eq!(e.stats().cache.invalidated, 0, "data stores are free");
-        assert_eq!(e.block_cache_mut().resident(), resident);
-
-        // Overwrite the inlined leaf's code: the block that embeds it
-        // (main's superblock) dies; `other`'s block survives.
-        e.note_code_write(hardbound_isa::layout::code_addr(1), 4);
-        let invalidated = e.stats().cache.invalidated;
-        assert!(invalidated >= 1, "{:?}", e.stats());
-        assert!(
-            invalidated < resident as u64,
-            "only overlapping blocks die: {:?}",
-            e.stats()
-        );
-        let h = e.program_handle();
-        assert!(
-            e.block_cache_mut().lookup(h, FuncId(2), 0).is_some(),
-            "unrelated function's block survives the code write"
-        );
-        assert!(
-            e.block_cache_mut().lookup(h, FuncId(0), 0).is_none(),
-            "the superblock inlining the overwritten leaf must redecode"
+        assert!(decoded_before > 0);
+        assert_eq!(cache.invalidate_program(pid), decoded_before);
+        assert_eq!(cache.stats().invalidated, decoded_before);
+        assert_eq!(cache.resident(), 0);
+        let mut e = Engine::with_shared_cache(build(), &mut cache);
+        assert_eq!(e.run(), first, "a redecoded run changes nothing observable");
+        assert_eq!(
+            e.stats().cache.decoded,
+            2 * decoded_before,
+            "the retired program decodes again"
         );
     }
 
@@ -951,7 +801,9 @@ mod tests {
         f.li(Reg::A0, 0);
         f.halt();
         let program = Program::with_entry(vec![f.finish()]);
-        let mut e = Engine::with_block_capacity(Machine::new(program, MachineConfig::default()), 2);
+        let mut cache = SharedBlockCache::new(2);
+        let mut e =
+            Engine::with_shared_cache(Machine::new(program, MachineConfig::default()), &mut cache);
         let out = e.run();
         assert!(out.is_success());
         let s = e.stats();

@@ -14,11 +14,14 @@
 //!    performs (none is ever elided: the simulated counts are exact),
 //! 2. [`block`] caches decoded blocks in a [`SharedBlockCache`] keyed by
 //!    `(`[`ProgramId`]`, entry PC)` — one segmented-LRU cache serving any
-//!    number of machines and programs, with eviction and program-scoped
-//!    range-precise invalidation,
-//! 3. [`engine`] dispatches blocks against the machine state through the
-//!    narrow [`ExecState`](hardbound_core::ExecState) interface — owning a
-//!    private cache or borrowing a long-lived shared one — falling back to
+//!    number of machines and programs. Program images are immutable, so
+//!    blocks never go stale: the one invalidation,
+//!    [`SharedBlockCache::invalidate_program`], retires a whole program,
+//! 3. [`engine`] dispatches blocks — and owns nothing but dispatch — against
+//!    the machine state through the narrow
+//!    [`ExecState`](hardbound_core::ExecState) interface, which runs the
+//!    interpreter's own semantics; it owns a private cache or borrows a
+//!    long-lived shared one, and falls back to
 //!    [`Machine::step`](hardbound_core::Machine::step) for indirect calls,
 //!    environment calls and fuel-limited tails,
 //! 4. [`batch`] fans independent simulations (the 288-pair violation
@@ -60,7 +63,7 @@ pub mod service;
 mod slru;
 pub mod uop;
 
-pub use block::{Block, BlockCacheStats, Fnv64, ProgramId, SharedBlockCache};
+pub use block::{Block, BlockCacheStats, ProgramId, SharedBlockCache};
 pub use engine::{run_program, Engine, EngineStats};
 pub use service::{
     config_fingerprint, CorpusService, Job, ResultStore, ResultStoreStats, ServiceStats, StoreKey,

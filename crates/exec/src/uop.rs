@@ -439,7 +439,7 @@ pub fn decode_inst(inst: Inst, cfg: &MachineConfig, func: FuncId, idx: u32) -> U
         Inst::CodePtr { rd, func } => Uop::CodePtr {
             rd,
             value: func.code_addr(),
-            meta: if hb { Meta::CODE } else { Meta::NONE },
+            meta: cfg.code_pointer_meta(),
         },
         Inst::ReadBase { rd, rs } => Uop::ReadBase { rd, rs },
         Inst::ReadBound { rd, rs } => Uop::ReadBound { rd, rs },
@@ -472,54 +472,6 @@ pub fn decode_inst(inst: Inst, cfg: &MachineConfig, func: FuncId, idx: u32) -> U
     }
 }
 
-/// Contiguous range `[lo, hi)` of one function's instructions covered by a
-/// decoded block. A superblock's spans name every instruction it embeds —
-/// its own function's emitted hull plus the full body of every inlined
-/// leaf callee — so invalidation after a code write can drop exactly the
-/// blocks that overlap the written range instead of flushing the world.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CodeSpan {
-    /// Function the range indexes into.
-    pub func: FuncId,
-    /// First covered instruction index.
-    pub lo: u32,
-    /// One past the last covered instruction index.
-    pub hi: u32,
-}
-
-impl CodeSpan {
-    /// Whether this span covers instruction `idx` of `func`.
-    #[must_use]
-    pub fn covers(&self, func: FuncId, idx: u32) -> bool {
-        self.func == func && (self.lo..self.hi).contains(&idx)
-    }
-
-    /// Whether this span intersects `[lo, hi)` of `func`.
-    #[must_use]
-    pub fn overlaps(&self, func: FuncId, lo: u32, hi: u32) -> bool {
-        self.func == func && self.lo < hi && lo < self.hi
-    }
-}
-
-/// A decoded superblock: the µop array plus the code ranges it covers.
-#[derive(Clone, Debug)]
-pub struct DecodedBlock {
-    /// Pre-decoded µops; one per instruction, terminator last.
-    pub uops: Box<[Uop]>,
-    /// Covered instruction ranges, one (hull) span per involved function.
-    pub spans: Box<[CodeSpan]>,
-}
-
-/// Extends the hull span of `func` (or opens one) to cover `[lo, hi)`.
-fn cover(spans: &mut Vec<CodeSpan>, func: FuncId, lo: u32, hi: u32) {
-    if let Some(s) = spans.iter_mut().find(|s| s.func == func) {
-        s.lo = s.lo.min(lo);
-        s.hi = s.hi.max(hi);
-    } else {
-        spans.push(CodeSpan { func, lo, hi });
-    }
-}
-
 /// Maximum instruction count of a leaf callee that [`decode_block`]
 /// inlines into the calling superblock.
 pub const INLINE_CAP: usize = 16;
@@ -549,8 +501,7 @@ fn inlinable_leaf(f: &hardbound_isa::Function) -> bool {
 /// emitting a [`Uop::FollowedJump`]) and inlining straight-line leaf
 /// callees ([`Uop::InlineCall`]/[`Uop::InlineRet`]), until a two-way
 /// terminator, a jump back into an already-emitted instruction, or
-/// [`FOLLOW_CAP`]. The returned [`DecodedBlock`] carries the code ranges
-/// the block covers, which range-precise invalidation keys on.
+/// [`FOLLOW_CAP`].
 ///
 /// Validated programs always end functions with an unconditional transfer,
 /// so a terminator is guaranteed before the slice runs out.
@@ -560,15 +511,13 @@ pub fn decode_block(
     func: FuncId,
     entry: u32,
     cfg: &MachineConfig,
-) -> DecodedBlock {
+) -> Box<[Uop]> {
     let insts = &program.func(func).insts;
     let mut uops = Vec::new();
-    let mut spans = Vec::new();
     let mut emitted: Vec<u32> = Vec::new();
     let mut pc = entry;
     loop {
         let u = decode_inst(insts[pc as usize], cfg, func, pc);
-        cover(&mut spans, func, pc, pc + 1);
         match u {
             Uop::Jump { target } => {
                 if uops.len() + 1 < FOLLOW_CAP && !emitted.contains(&target) {
@@ -586,9 +535,6 @@ pub fn decode_block(
                 if uops.len() + body.len() + 2 < FOLLOW_CAP && inlinable_leaf(program.func(callee))
                 {
                     uops.push(Uop::InlineCall { func: callee, ret });
-                    // The whole callee body (its `ret` included) is
-                    // embedded in this block.
-                    cover(&mut spans, callee, 0, body.len() as u32);
                     for (i, &inst) in body[..body.len() - 1].iter().enumerate() {
                         uops.push(decode_inst(inst, cfg, callee, i as u32));
                     }
@@ -620,10 +566,7 @@ pub fn decode_block(
         uops.last().is_some_and(|u| u.is_terminator()),
         "blocks always end in a terminator"
     );
-    DecodedBlock {
-        uops: uops.into_boxed_slice(),
-        spans: spans.into_boxed_slice(),
-    }
+    uops.into_boxed_slice()
 }
 
 #[cfg(test)]
@@ -753,7 +696,7 @@ mod tests {
                 call: SysCall::Halt,
             },
         ]);
-        let block = decode_block(&p, F0, 0, &hb_cfg()).uops;
+        let block = decode_block(&p, F0, 0, &hb_cfg());
         assert_eq!(block.len(), 3);
         assert!(matches!(
             block[2],
@@ -763,7 +706,7 @@ mod tests {
                 ..
             }
         ));
-        let tail = decode_block(&p, F0, 3, &hb_cfg()).uops;
+        let tail = decode_block(&p, F0, 3, &hb_cfg());
         assert_eq!(&*tail, &[Uop::Step { idx: 3 }]);
     }
 
@@ -780,7 +723,7 @@ mod tests {
             },
             Inst::Jump { target: 2 },
         ]);
-        let block = decode_block(&p, F0, 0, &hb_cfg()).uops;
+        let block = decode_block(&p, F0, 0, &hb_cfg());
         // jmp (followed) + li + backedge jump terminator
         assert_eq!(
             &*block,
@@ -801,7 +744,7 @@ mod tests {
         let n = insts.len();
         insts[n - 1] = Inst::Ret;
         let p = program_of(insts);
-        let block = decode_block(&p, F0, 0, &hb_cfg()).uops;
+        let block = decode_block(&p, F0, 0, &hb_cfg());
         assert_eq!(block.len(), FOLLOW_CAP);
         assert!(matches!(
             block[FOLLOW_CAP - 1],
@@ -837,7 +780,7 @@ mod tests {
         let p = Program::with_entry(vec![main, leaf]);
         let block = decode_block(&p, F0, 0, &hb_cfg());
         assert_eq!(
-            &*block.uops,
+            &*block,
             &[
                 Uop::InlineCall {
                     func: FuncId(1),
@@ -849,23 +792,6 @@ mod tests {
                 },
                 Uop::InlineRet,
                 Uop::Step { idx: 1 },
-            ]
-        );
-        // The spans record both the caller's hull and the whole inlined
-        // callee body, so range invalidation can find the embedded copy.
-        assert_eq!(
-            &*block.spans,
-            &[
-                CodeSpan {
-                    func: F0,
-                    lo: 0,
-                    hi: 2
-                },
-                CodeSpan {
-                    func: FuncId(1),
-                    lo: 0,
-                    hi: 2
-                },
             ]
         );
     }
@@ -900,20 +826,11 @@ mod tests {
         let p = Program::with_entry(vec![main, callee]);
         let block = decode_block(&p, F0, 0, &hb_cfg());
         assert_eq!(
-            &*block.uops,
+            &*block,
             &[Uop::Call {
                 func: FuncId(1),
                 ret: 1
             }]
-        );
-        assert_eq!(
-            &*block.spans,
-            &[CodeSpan {
-                func: F0,
-                lo: 0,
-                hi: 1
-            }],
-            "a non-inlined call covers only the call site"
         );
     }
 }

@@ -435,7 +435,7 @@ fn parse_reg(line: &str, s: &str) -> Result<Reg, AsmError> {
         .map_err(|_| err(line, format!("bad register `{s}`")))?;
     let index = match class {
         "a" if usize::from(n) < Reg::NUM_ARG_REGS => 4 + n,
-        "t" => Reg::FIRST_TEMP.checked_add(n).unwrap_or(u8::MAX),
+        "t" => Reg::FIRST_TEMP.saturating_add(n),
         _ => return Err(err(line, format!("bad register `{s}`"))),
     };
     Reg::try_new(index).ok_or_else(|| err(line, format!("register `{s}` out of range")))

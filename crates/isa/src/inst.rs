@@ -88,6 +88,30 @@ impl BinOp {
     pub fn propagates_bounds(self) -> bool {
         matches!(self, BinOp::Add | BinOp::Sub)
     }
+
+    /// Evaluates the operation on raw 32-bit values: wrapping arithmetic,
+    /// signed `div`/`rem`/`mulh`/`sra`, shift amounts masked to 5 bits.
+    /// `None` on a zero divisor (`div`/`rem`), which the machine turns
+    /// into a divide-by-zero trap.
+    #[inline]
+    #[must_use]
+    pub fn eval(self, a: u32, b: u32) -> Option<u32> {
+        Some(match self {
+            BinOp::Add => a.wrapping_add(b),
+            BinOp::Sub => a.wrapping_sub(b),
+            BinOp::Mul => a.wrapping_mul(b),
+            BinOp::Mulh => ((i64::from(a as i32) * i64::from(b as i32)) >> 32) as u32,
+            BinOp::Div | BinOp::Rem if b == 0 => return None,
+            BinOp::Div => (a as i32).wrapping_div(b as i32) as u32,
+            BinOp::Rem => (a as i32).wrapping_rem(b as i32) as u32,
+            BinOp::And => a & b,
+            BinOp::Or => a | b,
+            BinOp::Xor => a ^ b,
+            BinOp::Shl => a.wrapping_shl(b),
+            BinOp::Shr => a.wrapping_shr(b),
+            BinOp::Sra => ((a as i32).wrapping_shr(b)) as u32,
+        })
+    }
 }
 
 /// Comparison predicate used by [`Inst::Cmp`] and [`Inst::Branch`].

@@ -105,18 +105,18 @@ mod tests {
 
     #[test]
     fn regions_are_disjoint_and_ordered() {
-        assert!(CODE_BASE < GLOBALS_BASE);
-        assert!(GLOBALS_BASE < HEAP_BASE);
-        assert!(HEAP_BASE < HEAP_END);
-        assert!(HEAP_END < STACK_LIMIT);
-        assert!(STACK_LIMIT < STACK_TOP);
-        assert!(STACK_TOP <= SW_SHADOW_BASE);
+        const _: () = assert!(CODE_BASE < GLOBALS_BASE);
+        const _: () = assert!(GLOBALS_BASE < HEAP_BASE);
+        const _: () = assert!(HEAP_BASE < HEAP_END);
+        const _: () = assert!(HEAP_END < STACK_LIMIT);
+        const _: () = assert!(STACK_LIMIT < STACK_TOP);
+        const _: () = assert!(STACK_TOP <= SW_SHADOW_BASE);
     }
 
     #[test]
     fn program_space_fits_lowest_128mb() {
         // Required for the internal compressed encodings (paper §4.3).
-        assert!(STACK_TOP <= 128 * 1024 * 1024);
+        const _: () = assert!(STACK_TOP <= 128 * 1024 * 1024);
     }
 
     #[test]

@@ -158,7 +158,10 @@ impl Memory {
     #[inline]
     #[must_use]
     pub fn read_word_tagged(&self, addr: u32) -> (u32, u8) {
-        debug_assert!(addr % 4 == 0, "read_word_tagged wants aligned words");
+        debug_assert!(
+            addr.is_multiple_of(4),
+            "read_word_tagged wants aligned words"
+        );
         match self.page(addr) {
             Some(p) => {
                 let off = (addr as usize) % PAGE_BYTES;
@@ -188,7 +191,7 @@ impl Memory {
     #[inline]
     #[must_use]
     pub fn read_word_full(&self, addr: u32) -> (u32, u8, WordMeta) {
-        debug_assert!(addr % 4 == 0, "read_word_full wants aligned words");
+        debug_assert!(addr.is_multiple_of(4), "read_word_full wants aligned words");
         match self.page(addr) {
             Some(p) => {
                 let off = (addr as usize) % PAGE_BYTES;
@@ -215,7 +218,10 @@ impl Memory {
     /// Debug-asserts 4-byte alignment.
     #[inline]
     pub fn write_word_tagged(&mut self, addr: u32, value: u32, tag: u8) {
-        debug_assert!(addr % 4 == 0, "write_word_tagged wants aligned words");
+        debug_assert!(
+            addr.is_multiple_of(4),
+            "write_word_tagged wants aligned words"
+        );
         let off = (addr as usize) % PAGE_BYTES;
         let page = self.page_mut(addr);
         page.bytes[off..off + 4].copy_from_slice(&value.to_le_bytes());
@@ -234,7 +240,10 @@ impl Memory {
     /// Debug-asserts 4-byte alignment.
     #[inline]
     pub fn write_word_pointer(&mut self, addr: u32, value: u32, tag: u8, shadow: WordMeta) {
-        debug_assert!(addr % 4 == 0, "write_word_pointer wants aligned words");
+        debug_assert!(
+            addr.is_multiple_of(4),
+            "write_word_pointer wants aligned words"
+        );
         let off = (addr as usize) % PAGE_BYTES;
         let page = self.page_mut(addr);
         page.bytes[off..off + 4].copy_from_slice(&value.to_le_bytes());

@@ -384,14 +384,12 @@ fn corpus_results(mode: Mode, encoding: PointerEncoding) -> Vec<(TestCase, CaseR
     });
     let mut jobs = Vec::new();
     for (bad, ok) in &compiled {
-        for p in [bad, ok] {
-            if let Ok(p) = p {
-                jobs.push(SimJob {
-                    program: p.clone(),
-                    mode,
-                    config: config.clone(),
-                });
-            }
+        for p in [bad, ok].into_iter().flatten() {
+            jobs.push(SimJob {
+                program: p.clone(),
+                mode,
+                config: config.clone(),
+            });
         }
     }
     let outs = run_jobs(jobs);

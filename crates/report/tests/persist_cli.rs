@@ -5,7 +5,7 @@
 //! acceptance criterion the in-process suites cannot cover — every byte
 //! of warm state crosses a process boundary here.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 const SOURCE: &str = r"
@@ -24,7 +24,7 @@ fn temp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("hbrun-persist-{}-{name}", std::process::id()))
 }
 
-fn hbrun(cb: &PathBuf, store: &PathBuf) -> Output {
+fn hbrun(cb: &Path, store: &PathBuf) -> Output {
     Command::new(env!("CARGO_BIN_EXE_hbrun"))
         .arg(cb.to_str().unwrap())
         .arg("--stats")

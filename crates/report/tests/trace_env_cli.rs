@@ -9,7 +9,7 @@
 //! `install` re-entered; the watchdog below turns a hang on this path
 //! back into a test failure instead of a CI hang.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 use std::time::Duration;
 
@@ -34,7 +34,7 @@ fn temp(name: &str) -> PathBuf {
 /// Runs `hbrun` with the given extra env, killing it (and failing the
 /// test) if it does not exit within 60 seconds — the regression this
 /// suite pins was a deadlock, and a deadlock must not become a CI hang.
-fn hbrun_watchdogged(cb: &PathBuf, envs: &[(&str, &PathBuf)]) -> Output {
+fn hbrun_watchdogged(cb: &Path, envs: &[(&str, &PathBuf)]) -> Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_hbrun"));
     cmd.arg(cb.to_str().unwrap());
     for (k, v) in envs {

@@ -401,20 +401,6 @@ pub fn store_log_stats() -> Option<StoreLogStats> {
         .log
 }
 
-/// Compacts the persistent store log down to the live store entries (an
-/// atomic rewrite; see `hardbound_serve::PersistentService::checkpoint`).
-/// A no-op without `HB_STORE_PATH`.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the rewrite.
-pub fn checkpoint_store() -> std::io::Result<()> {
-    service()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .checkpoint()
-}
-
 /// One corpus cell: a compiled program to simulate under a mode-paired
 /// machine configuration.
 #[derive(Clone, Debug)]

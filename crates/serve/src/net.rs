@@ -567,7 +567,6 @@ impl Server {
     /// (process-global registry + this server's own): `hbserve` hands it
     /// to the `--metrics-addr` HTTP thread, which outlives the borrow of
     /// `self` that [`Server::run`] holds.
-    #[must_use]
     pub fn metrics_renderer(&self) -> impl Fn() -> String + Send + Sync + 'static {
         let metrics = Arc::clone(&self.metrics);
         move || metrics.render()

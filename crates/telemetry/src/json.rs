@@ -50,13 +50,6 @@ impl Json {
         }
     }
 
-    /// Serializes the value to compact JSON text.
-    pub fn to_string(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out);
-        out
-    }
-
     fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
@@ -88,6 +81,15 @@ impl Json {
                 out.push('}');
             }
         }
+    }
+}
+
+/// Compact JSON text.
+impl std::fmt::Display for Json {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mut out = String::new();
+        self.write(&mut out);
+        f.write_str(&out)
     }
 }
 

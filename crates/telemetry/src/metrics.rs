@@ -313,7 +313,7 @@ impl Registry {
                     MetricHandle::Counter(c) => Value::Counter(c.get()),
                     MetricHandle::Gauge(g) => Value::Gauge(g.get()),
                     MetricHandle::GaugeFn(f) => Value::Gauge(f()),
-                    MetricHandle::Histogram(h) => Value::Histogram(h.snapshot()),
+                    MetricHandle::Histogram(h) => Value::Histogram(Box::new(h.snapshot())),
                 };
                 (name, v)
             })
@@ -341,8 +341,8 @@ pub enum Value {
     Counter(u64),
     /// A gauge reading (plain or computed).
     Gauge(u64),
-    /// A histogram reading.
-    Histogram(HistogramSnapshot),
+    /// A histogram reading (boxed: a snapshot carries every bucket).
+    Histogram(Box<HistogramSnapshot>),
 }
 
 /// A point-in-time capture of a [`Registry`].
@@ -390,7 +390,7 @@ impl Snapshot {
                         Value::Counter(now.saturating_sub(*then))
                     }
                     (Value::Histogram(now), Some(Value::Histogram(then))) => {
-                        Value::Histogram(now.delta(then))
+                        Value::Histogram(Box::new(now.delta(then)))
                     }
                     (v, _) => v.clone(),
                 };

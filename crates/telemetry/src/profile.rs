@@ -234,6 +234,12 @@ pub struct SharedProfile {
     inner: Mutex<Profile>,
 }
 
+impl Default for SharedProfile {
+    fn default() -> SharedProfile {
+        SharedProfile::new()
+    }
+}
+
 impl SharedProfile {
     /// An empty accumulator.
     #[must_use]

@@ -95,7 +95,7 @@ fn corpus_reports_blame_the_setbound_site() {
         let mut m = build_machine_with_config(program.clone(), mode, config.clone());
         m.enable_flight(16);
         let out = m.run();
-        let Some(trap) = out.trap.clone() else {
+        let Some(trap) = out.trap else {
             failures.push(format!("{}: violation not detected", case.id));
             continue;
         };
