@@ -198,6 +198,69 @@ impl MachineConfig {
         self.hier_path = hier_path;
         self
     }
+
+    /// The part of this configuration that decides functional execution:
+    /// registers, memory, tags, traps, output and every statistic except
+    /// the ones [`MachineConfig::timing`] changes. It is this
+    /// configuration with the timing part reset, so a field added to
+    /// `MachineConfig` or [`HardboundConfig`] is functional until it is
+    /// explicitly moved to the timing part. `block_bytes` stays
+    /// functional: the machine's same-block memos, which every hierarchy
+    /// of a timing group shares, are only valid for one block size.
+    #[must_use]
+    pub fn functional_key(&self) -> FunctionalKey {
+        let mut key = self.clone();
+        key.hierarchy = HierarchyConfig {
+            block_bytes: self.hierarchy.block_bytes,
+            ..HierarchyConfig::default()
+        };
+        key.hier_path = HierPath::default();
+        if let Some(hb) = &mut key.hardbound {
+            hb.check_uop = false;
+        }
+        FunctionalKey(key)
+    }
+
+    /// The part of this configuration that only changes timing: the
+    /// hierarchy geometry, its lookup machinery and the §5.4 check-µop
+    /// costing. Configurations with one [`FunctionalKey`] execute
+    /// identically and differ only in the counters this part decides
+    /// (`hierarchy` stalls, `check_uops` and `uops`), so a
+    /// [`crate::Machine`] can run them as timing variants of one run.
+    #[must_use]
+    pub fn timing(&self) -> TimingPart {
+        TimingPart {
+            hierarchy: self.hierarchy,
+            hier_path: self.hier_path,
+            check_uop: self.hardbound.is_some_and(|hb| hb.check_uop),
+        }
+    }
+}
+
+/// A [`MachineConfig`] with its timing part reset (see
+/// [`MachineConfig::functional_key`]): equal keys mean equal functional
+/// execution of one program image.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub struct FunctionalKey(MachineConfig);
+
+impl FunctionalKey {
+    /// The canonical configuration this key stands for.
+    #[must_use]
+    pub fn config(&self) -> &MachineConfig {
+        &self.0
+    }
+}
+
+/// The timing-only part of a [`MachineConfig`] (see
+/// [`MachineConfig::timing`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct TimingPart {
+    /// Memory-hierarchy geometry and penalties.
+    pub hierarchy: HierarchyConfig,
+    /// Memory-hierarchy lookup machinery.
+    pub hier_path: HierPath,
+    /// The §5.4 extra-check-µop ablation (`false` without HardBound).
+    pub check_uop: bool,
 }
 
 #[cfg(test)]
@@ -225,6 +288,91 @@ mod tests {
     #[test]
     fn baseline_has_no_hardbound() {
         assert!(MachineConfig::baseline().hardbound.is_none());
+    }
+
+    /// Every timing field leaves the functional key alone, every
+    /// functional field changes it, and key plus timing part rebuild the
+    /// configuration. The exhaustive destructuring stops compiling when a
+    /// field is added, so a new field gets classified here.
+    #[test]
+    fn functional_key_and_timing_part_split_the_config() {
+        let base = MachineConfig::default();
+        let MachineConfig {
+            hardbound,
+            hierarchy,
+            fuel,
+            max_call_depth,
+            meta_path: _,
+            hier_path: _,
+        } = base.clone();
+        let hb = hardbound.expect("hardbound on by default");
+        let HardboundConfig {
+            encoding: _,
+            mode: _,
+            check_uop: _,
+        } = hb;
+        let with_hb = |hb: HardboundConfig| MachineConfig {
+            hardbound: Some(hb),
+            ..base.clone()
+        };
+        // `HierarchyConfig::to_words` lists every hierarchy field; word 6
+        // is `block_bytes`, the one functional hierarchy field.
+        const BLOCK_BYTES_WORD: usize = 6;
+        assert_eq!(
+            hierarchy.to_words()[BLOCK_BYTES_WORD],
+            hierarchy.block_bytes
+        );
+        let with_word_doubled = |i: usize| {
+            let mut words = hierarchy.to_words();
+            words[i] *= 2;
+            base.clone()
+                .with_hierarchy(HierarchyConfig::from_words(words).expect("fits"))
+        };
+
+        let mut timing = vec![
+            with_hb(hb.with_check_uop()),
+            base.clone().with_hier_path(HierPath::Walk),
+        ];
+        timing.extend(
+            (0..hierarchy.to_words().len())
+                .filter(|&i| i != BLOCK_BYTES_WORD)
+                .map(with_word_doubled),
+        );
+        for cfg in &timing {
+            assert_ne!(*cfg, base);
+            assert_eq!(cfg.functional_key(), base.functional_key(), "{cfg:?}");
+            assert_ne!(cfg.timing(), base.timing(), "{cfg:?}");
+        }
+
+        let functional = [
+            with_hb(HardboundConfig::full(PointerEncoding::Extern4)),
+            with_hb(HardboundConfig::full(PointerEncoding::Intern11)),
+            with_hb(HardboundConfig::malloc_only(hb.encoding)),
+            MachineConfig {
+                hardbound: None,
+                ..base.clone()
+            },
+            base.clone().with_fuel(fuel + 1),
+            MachineConfig {
+                max_call_depth: max_call_depth + 1,
+                ..base.clone()
+            },
+            with_word_doubled(BLOCK_BYTES_WORD),
+        ];
+        for cfg in &functional {
+            assert_ne!(cfg.functional_key(), base.functional_key(), "{cfg:?}");
+        }
+
+        for cfg in timing.iter().chain(&functional) {
+            let t = cfg.timing();
+            let mut back = cfg.functional_key().config().clone();
+            back.hierarchy = t.hierarchy;
+            back.hier_path = t.hier_path;
+            if let Some(hb) = &mut back.hardbound {
+                hb.check_uop = t.check_uop;
+            }
+            assert_eq!(back, *cfg, "key and timing part rebuild the config");
+        }
     }
 
     #[test]

@@ -52,7 +52,7 @@ mod objtable;
 mod stats;
 mod trap;
 
-pub use config::{HardboundConfig, MachineConfig, MetaPath, SafetyMode};
+pub use config::{FunctionalKey, HardboundConfig, MachineConfig, MetaPath, SafetyMode, TimingPart};
 pub use encoding::{
     intern4_compress, intern4_decompress, intern_eligible, Intern4Word, PointerEncoding,
 };
@@ -510,6 +510,54 @@ mod tests {
         assert_eq!(base.stats.check_uops, 0);
         assert_eq!(ablated.stats.check_uops, 1);
         assert_eq!(ablated.stats.uops, base.stats.uops + 1);
+    }
+
+    /// A program with one check of an uncompressed (extern-4) pointer.
+    fn one_uncompressed_check() -> Program {
+        let mut f = FunctionBuilder::new("ablate", 0);
+        f.li(Reg::A0, HEAP);
+        f.setbound_imm(Reg::A0, Reg::A0, 4096); // uncompressible
+        f.load(Width::Word, Reg::A1, Reg::A0, 0);
+        f.li(Reg::A0, 0);
+        f.halt();
+        single(f)
+    }
+
+    fn extern4(check_uop: bool) -> MachineConfig {
+        let hb = HardboundConfig::full(PointerEncoding::Extern4);
+        MachineConfig::hardbound(if check_uop { hb.with_check_uop() } else { hb })
+    }
+
+    /// One run timing its variants gives each the outcome of its own run.
+    #[test]
+    fn timing_variants_match_their_own_runs() {
+        let plain = extern4(false);
+        let small_tags = plain
+            .clone()
+            .with_hierarchy(plain.hierarchy.with_tag_cache_bytes(512));
+        let variants = [plain, small_tags, extern4(true)];
+        let mut m = Machine::new(one_uncompressed_check(), extern4(true));
+        m.set_timing_variants(&variants);
+        let out = m.run();
+        assert_eq!(out.stats.check_uops, 1);
+        for (cfg, got) in variants.iter().zip(m.timing_variant_outcomes(&out)) {
+            let want = run_program(one_uncompressed_check(), cfg.clone());
+            assert_eq!(got, Some(want), "{cfg:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a timing variant of another run")]
+    fn timing_variants_share_the_functional_key() {
+        let mut m = Machine::new(one_uncompressed_check(), extern4(true));
+        m.set_timing_variants(&[extern4(true).with_fuel(7)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "a check-µop variant needs a check-µop machine")]
+    fn check_uop_variants_need_a_check_uop_machine() {
+        let mut m = Machine::new(one_uncompressed_check(), extern4(false));
+        m.set_timing_variants(&[extern4(true)]);
     }
 
     #[test]

@@ -34,24 +34,24 @@ fn decode_us_hist() -> &'static Histogram {
     H.get_or_init(|| hardbound_telemetry::global().histogram("hb_decode_us"))
 }
 
-/// Global memory-hierarchy metric handles, resolved once (same rationale
-/// as [`decode_us_hist`]). `hb_hier_us` records the wall time of each
-/// [`Engine::run`] — the window over which that run's fast-path counters
-/// accumulated.
-struct HierMetrics {
+/// Global per-run metric handles, resolved once (same rationale as
+/// [`decode_us_hist`]): the memory hierarchy's fast-path counters and
+/// `hb_engine_run_us`, the wall time of each [`Engine::run`] — the window
+/// over which that run's fast-path counters accumulated.
+struct RunMetrics {
     fastpath_hits: Counter,
     fastpath_misses: Counter,
-    hier_us: Histogram,
+    run_us: Histogram,
 }
 
-fn hier_metrics() -> &'static HierMetrics {
-    static M: OnceLock<HierMetrics> = OnceLock::new();
+fn run_metrics() -> &'static RunMetrics {
+    static M: OnceLock<RunMetrics> = OnceLock::new();
     M.get_or_init(|| {
         let reg = hardbound_telemetry::global();
-        HierMetrics {
+        RunMetrics {
             fastpath_hits: reg.counter("hb_hier_fastpath_hits"),
             fastpath_misses: reg.counter("hb_hier_fastpath_misses"),
-            hier_us: reg.histogram("hb_hier_us"),
+            run_us: reg.histogram("hb_engine_run_us"),
         }
     })
 }
@@ -243,12 +243,12 @@ impl<'c> Engine<'c> {
         self.flush_profile();
         let outcome = self.machine.finish_outcome();
         let fast = self.machine.hier_fast_stats();
-        let m = hier_metrics();
+        let m = run_metrics();
         m.fastpath_hits
             .add(fast.fastpath_hits - fast_before.fastpath_hits);
         m.fastpath_misses
             .add(fast.fastpath_misses - fast_before.fastpath_misses);
-        m.hier_us
+        m.run_us
             .record(run_start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
         outcome
     }
