@@ -8,9 +8,11 @@
 //!
 //! Binds a TCP front end around one shared (optionally persistent)
 //! corpus service: clients submit cell grids over the length-prefixed
-//! `hardbound_serve` protocol, the server dedups each cell against the
-//! store, drains misses through the lock-free batch scheduler, and
-//! streams results back in chunks. Every figure/corpus driver becomes a
+//! `hardbound_serve` protocol (`HELLO`, `SUBMIT`, `METRICS`, `PROFILE`,
+//! `SHUTDOWN`), the server dedups each cell against the store, drains
+//! misses through the lock-free batch scheduler, and streams results back
+//! in chunks on the submitting connection. A traced submission's
+//! `submit_exec` and `chunk` spans ride back with its results. Every figure/corpus driver becomes a
 //! client transparently by setting `HB_SERVE_ADDR` to this server's
 //! address — so one long-lived warm server amortizes simulation across
 //! any number of `hbrun`s, bench runs and CI processes.
@@ -24,15 +26,18 @@
 //!   cores).
 //! * `--shard K/N` — declare this server shard *K* of an *N*-shard
 //!   cluster (`K` in `0..N`): submitted cells are classified as owned vs
-//!   foreign in the stats. Routing is advisory — foreign cells still
+//!   foreign in its metrics. Routing is advisory — foreign cells still
 //!   execute, which is exactly how clients fail over a dead shard.
 //! * `--ttl SECS` — expire store entries idle for `SECS` seconds (off
-//!   by default).
+//!   by default; `SECS` must be at least 1, since a zero TTL would expire
+//!   every entry before each batch and the store would never replay).
 //! * `--metrics-addr ADDR` — also serve the Prometheus-style text
 //!   exposition over plain HTTP at `GET /` on `ADDR` (off by default).
 //!   The bound address is printed as a second stdout line
 //!   (`hbserve metrics on ADDR`). The same text is available in-protocol
-//!   via the `METRICS` request.
+//!   via the `METRICS` request; it carries every server counter
+//!   (`hbserve_submissions`, `hbserve_cells_executed`, store, log and
+//!   shard counters).
 //!
 //! The flags layer over the `HB_*` settings (`hardbound_runtime::settings`):
 //! `HB_STORE_PATH` and `HB_JOBS` give the defaults above, `HB_PROF=1` arms
@@ -95,9 +100,10 @@ fn parse_args(settings: &Settings) -> Result<Args, String> {
             }
             "--ttl" => {
                 let v = it.next().ok_or("--ttl needs seconds")?;
-                ttl = Some(std::time::Duration::from_secs(v.parse::<u64>().map_err(
-                    |_| format!("--ttl must be a whole number of seconds, got `{v}`"),
-                )?));
+                let secs = v.parse::<u64>().ok().filter(|&s| s >= 1).ok_or_else(|| {
+                    format!("--ttl must be a positive whole number of seconds, got `{v}`")
+                })?;
+                ttl = Some(std::time::Duration::from_secs(secs));
             }
             "--metrics-addr" => {
                 metrics_addr = Some(it.next().ok_or("--metrics-addr needs an address")?);

@@ -12,6 +12,7 @@ use hardbound_core::PointerEncoding;
 use hardbound_exec::CorpusService;
 use hardbound_runtime::{build_machine_with_config, compile, machine_config};
 use hardbound_serve::{Client, WireJob};
+use hardbound_telemetry::scrape_value;
 
 /// An `hbserve` child that dies with the test (no orphaned listeners when
 /// an assertion fails before the explicit shutdown).
@@ -46,6 +47,12 @@ fn spawn_server(extra: &[&str]) -> ServerGuard {
         .unwrap_or_else(|| panic!("unexpected banner: {line:?}"))
         .to_owned();
     ServerGuard { child, addr }
+}
+
+/// One counter or gauge of the server's `METRICS` exposition.
+fn scrape(client: &mut Client, name: &str) -> u64 {
+    let text = client.metrics().expect("metrics");
+    scrape_value(&text, name).unwrap_or_else(|| panic!("the exposition lacks {name}:\n{text}"))
 }
 
 const PROGRAMS: &[&str] = &[
@@ -123,16 +130,20 @@ fn remote_grid_is_byte_identical_to_in_process_service() {
     );
 
     // Warm pass: every cell replays from the server's store.
-    let before = client.stats().expect("stats");
+    let hits_before = scrape(&mut client, "hbserve_store_hits");
+    let misses_before = scrape(&mut client, "hbserve_store_misses");
     let warm = client.run_jobs(&wire_jobs).expect("remote warm batch runs");
     assert_eq!(warm, expected, "warm replay must be byte-identical");
-    let after = client.stats().expect("stats");
     assert_eq!(
-        after.hits - before.hits,
+        scrape(&mut client, "hbserve_store_hits") - hits_before,
         wire_jobs.len() as u64,
-        "the warm pass must be pure replay: {after:?}"
+        "the warm pass must be pure replay"
     );
-    assert_eq!(after.misses, before.misses, "no new executions");
+    assert_eq!(
+        scrape(&mut client, "hbserve_store_misses"),
+        misses_before,
+        "no new executions"
+    );
 
     client.shutdown().expect("shutdown");
     let mut guard = server;
@@ -169,8 +180,11 @@ fn hbrun_offloads_transparently_via_hb_serve_addr() {
     );
 
     let mut client = Client::connect(&server.addr).expect("connects");
-    let stats = client.stats().expect("stats");
-    assert_eq!(stats.misses, 1, "the server executed hbrun's cell");
+    assert_eq!(
+        scrape(&mut client, "hbserve_store_misses"),
+        1,
+        "the server executed hbrun's cell"
+    );
     client.shutdown().expect("shutdown");
     let _ = std::fs::remove_file(&cb);
 }
@@ -193,7 +207,7 @@ fn persistent_server_restarts_warm() {
     let server = spawn_server(&["--store", store.to_str().unwrap()]);
     let mut client = Client::connect(&server.addr).expect("connects");
     let cold = client.run_jobs(&wire_jobs).expect("cold batch");
-    assert_eq!(client.stats().expect("stats").misses, distinct);
+    assert_eq!(scrape(&mut client, "hbserve_store_misses"), distinct);
     client.shutdown().expect("shutdown");
     drop(client);
     let mut guard = server;
@@ -208,9 +222,37 @@ fn persistent_server_restarts_warm() {
         warm, cold,
         "a restarted hbserve must replay byte-identically from disk"
     );
-    let stats = client.stats().expect("stats");
-    assert_eq!(stats.misses, 0, "zero re-simulated cells after restart");
-    assert_eq!(stats.hits, wire_jobs.len() as u64);
+    assert_eq!(
+        scrape(&mut client, "hbserve_store_misses"),
+        0,
+        "zero re-simulated cells after restart"
+    );
+    assert_eq!(
+        scrape(&mut client, "hbserve_store_hits"),
+        wire_jobs.len() as u64
+    );
     client.shutdown().expect("shutdown");
     let _ = std::fs::remove_file(&store);
+}
+
+/// A zero TTL would expire every store entry before each batch, so the
+/// server would never replay: `--ttl 0` is a usage error, reported before
+/// the server binds.
+#[test]
+fn zero_ttl_is_a_usage_error() {
+    let out = Command::new(env!("CARGO_BIN_EXE_hbserve"))
+        .args(["--listen", "127.0.0.1:0", "--ttl", "0"])
+        .output()
+        .expect("hbserve runs");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        !stdout.contains("hbserve listening on"),
+        "a rejected --ttl must not bind: {stdout}"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--ttl"),
+        "the reason names the flag: {stderr}"
+    );
 }

@@ -480,15 +480,16 @@ pub fn run_jobs(jobs: Vec<SimJob>) -> Vec<RunOutcome> {
 const ATTEMPTS_PER_SHARD: usize = 2;
 
 /// One submission attempt against `addr`: connect (checking the protocol
-/// version), submit, and watch the ticket into `out`. On a mid-stream
-/// failure the slots filled so far stay filled — the caller resubmits only
-/// the rest.
+/// version), submit, and stream the outcomes into `out` on the same
+/// connection. On a mid-stream failure the slots filled so far stay
+/// filled — the caller resubmits only the rest.
 ///
 /// With `ctx` present the attempt runs under a `remote_rt` span: the
 /// submission carries the span as the server-side parent, the
 /// returned server spans are re-emitted into the local sink so the grid's
-/// trace is one merged file, and a failed attempt records the error so
-/// the following retry/re-route is attributable to the shard that died.
+/// trace is one merged file, and a failed attempt records the error (an
+/// `err` field, which a successful attempt lacks) so the following
+/// retry/re-route is attributable to the shard that died.
 fn try_shard_once(
     addr: &str,
     sub: &[WireJob],
@@ -505,15 +506,14 @@ fn try_shard_once(
             trace: c.trace,
             parent: t.span(),
         });
-        let ticket = client.submit(sub, sub_ctx)?;
         m.remote_round_trips.inc();
         m.remote_cells.add(sub.len() as u64);
         let mut spans = Vec::new();
-        let watched = client.watch_into(ticket, out, &mut spans);
+        let ran = client.run_into(sub, sub_ctx, out, &mut spans);
         for ev in &spans {
             trace::emit(ev);
         }
-        watched.map(|()| ticket)
+        ran
     })();
     m.remote_rt_us.record_duration(started.elapsed());
     if let Some(t) = timer {
@@ -524,13 +524,12 @@ fn try_shard_once(
             ("attempt".to_owned(), Field::from(attempt)),
             ("cells".to_owned(), Field::from(sub.len() as u64)),
         ];
-        match &result {
-            Ok(ticket) => fields.push(("ticket".to_owned(), Field::from(*ticket))),
-            Err(e) => fields.push(("err".to_owned(), Field::from(e.to_string()))),
+        if let Err(e) = &result {
+            fields.push(("err".to_owned(), Field::from(e.to_string())));
         }
         t.emit(fields);
     }
-    result.map(|_| ())
+    result
 }
 
 /// Fetches one shard group's cells (`idxs` into `wire_jobs`), walking the

@@ -22,13 +22,15 @@
 //!   batch, and the log flushes on drop and on an explicit
 //!   [`PersistentService::checkpoint`].
 //! * [`net`] — a `TcpListener` front end speaking a length-prefixed
-//!   request/response protocol with work-queue semantics: clients submit
-//!   cell grids, the server dedups against the store and drains misses
-//!   through the lock-free `exec::batch` scheduler, and results stream
-//!   back in chunks. One `SUBMIT` frame (a deduplicated listing table plus
-//!   an optional trace context) answers with a ticket the client watches
-//!   from any connection, and every connection starts with a `HELLO`
-//!   version check. `hbserve` (in `hardbound-report`) is the binary;
+//!   request/response protocol of five verbs (`HELLO`, `SUBMIT`,
+//!   `METRICS`, `PROFILE`, `SHUTDOWN`): clients submit cell grids, the
+//!   server dedups against the store and drains misses through the
+//!   lock-free `exec::batch` scheduler, and results stream back in chunks
+//!   on the submitting connection. One `SUBMIT` frame carries a
+//!   deduplicated listing table plus an optional trace context, and every
+//!   connection starts with a `HELLO` version check. Counters reach
+//!   clients only through the `METRICS` exposition. `hbserve` (in
+//!   `hardbound-report`) is the binary;
 //!   `hardbound_runtime::run_jobs` is the transparent client
 //!   (`HB_SERVE_ADDR`).
 //! * [`shard`] — consistent-hash routing for the **hbserve cluster**: a
@@ -49,7 +51,7 @@ pub mod shard;
 pub mod store;
 pub mod wire;
 
-pub use net::{Client, RemoteServerStats, ServeError, Server, WireJob, MAX_GRID, PROTOCOL_VERSION};
+pub use net::{Client, ServeError, Server, WireJob, MAX_GRID, PROTOCOL_VERSION};
 pub use persist::{PersistStats, PersistentService};
 pub use shard::{cell_point, ShardRing, POINTS_PER_SHARD};
 pub use store::{StoreLog, StoreLogStats};

@@ -1,29 +1,28 @@
 //! The `hbserve` socket protocol: a length-prefixed request/response
-//! framing over TCP with **work-queue semantics**.
+//! framing over TCP.
 //!
-//! A client submits a grid of cells in one frame; the server dedups each
-//! cell against the shared (persistent) result store, drains the misses
-//! through the existing lock-free `exec::batch` scheduler in bounded
-//! **chunks**, and streams each chunk's outcomes back as soon as it
-//! completes — the client consumes results incrementally while later
-//! chunks still execute, and concurrent clients interleave at chunk
-//! granularity because the service lock is released between chunks.
-//! Cross-client dedup falls out of the shared store: a cell one client
-//! computed replays for every later submitter.
+//! A client submits a grid of cells in one frame and reads the outcomes
+//! back on the same connection. The server dedups each cell against the
+//! shared (persistent) result store, drains the misses through the
+//! lock-free `exec::batch` scheduler in bounded **chunks**, and streams
+//! each chunk's outcomes back as soon as it completes — the client
+//! consumes results incrementally while later chunks still execute, and
+//! concurrent clients interleave at chunk granularity because the service
+//! lock is released between chunks. Cross-client dedup falls out of the
+//! shared store: a cell one client computed replays for every later
+//! submitter.
 //!
 //! ## Frames
 //!
 //! Every frame is `length (u32, LE) | kind (u8) | payload`; the length
-//! counts the kind byte plus the payload. Each request has one response
-//! frame, or `ERR` (diagnostic string: the whole request is rejected and
+//! counts the kind byte plus the payload. Each request has the response
+//! below, or `ERR` (diagnostic string: the whole request is rejected and
 //! nothing executed):
 //!
 //! | request | payload | response |
 //! |---|---|---|
 //! | `HELLO` | protocol version (u32) | `HELLO`: the server's protocol version (u32) |
-//! | `SUBMIT` | trace id (u64, `0` = untraced), parent span id (u64), listing count (u32), the **deduplicated listing table** (strs), job count (u32), then per job: listing index (u32), [`MachineConfig`], salt (u64), tag (u64) | `TICKET`: ticket id (u64), job count (u32) |
-//! | `WATCH` | ticket id (u64) | `RESULTS` frames (start index u32, count u32, then `count` encoded [`RunOutcome`]s), a `SPANS` frame for traced tickets (span count u32, then encoded trace spans), then `DONE` (total results u32) |
-//! | `STATS` | empty | `STATS`: the 15 [`RemoteServerStats`] counters in field order (u64 each) |
+//! | `SUBMIT` | trace id (u64, `0` = untraced), parent span id (u64), listing count (u32), the **deduplicated listing table** (strs), job count (u32), then per job: listing index (u32), [`MachineConfig`], salt (u64), tag (u64) | `RESULTS` frames (start index u32, count u32, then `count` encoded [`RunOutcome`]s), a `SPANS` frame for traced submissions (span count u32, then encoded trace spans), then `DONE` (total results u32) |
 //! | `METRICS` | empty | `METRICS`: Prometheus-style text (str) |
 //! | `PROFILE` | empty | `PROFILE`: the hot-spot profile in `Profile::to_text` form (str; empty unless the server runs with `HB_PROF` on) |
 //! | `SHUTDOWN` | empty | `DONE` (0) |
@@ -31,15 +30,14 @@
 //! Every payload has a fixed layout and both sides parse it strictly:
 //! short or trailing bytes are errors, never guesses.
 //!
-//! `SUBMIT` enqueues the grid on the server's work queue and answers
-//! `TICKET` at once. Cells reference the listing table, so a mode sweep
-//! over one program ships — and parses — the listing once instead of per
-//! cell. The client collects results with `WATCH` on the same connection
-//! or any later one, so a dropped connection loses nothing the server
-//! already computed; the `WATCH` that drains a ticket consumes it. With a
-//! trace context the server stamps its spans under the submitter's
-//! `TraceId` and ships them back in the `SPANS` frame, so the merged JSONL
-//! reads as one tree.
+//! Cells reference the listing table, so a mode sweep over one program
+//! ships — and parses — the listing once instead of per cell. A
+//! submission lives only as long as its connection: when the connection
+//! drops, the server stops after the chunk it is running, and the client
+//! resubmits the cells it is missing on a new one — the cells the server
+//! already ran come back from the store. With a trace context the server
+//! stamps its spans under the submitter's `TraceId` and ships them back in
+//! the `SPANS` frame, so the merged JSONL reads as one tree.
 //!
 //! ## Versioning
 //!
@@ -50,8 +48,9 @@
 //! fallback. The server keeps no per-connection state and does not
 //! require `HELLO` before other requests. Any change to a frame layout —
 //! including the [`wire`](crate::wire) encodings frames embed — bumps
-//! [`PROTOCOL_VERSION`]. Retired request kinds are never reused, so a stale
-//! peer cannot misparse a payload.
+//! [`PROTOCOL_VERSION`]. Retired kind bytes are never reused, so a stale
+//! peer cannot misparse a payload; a unit test holds the live kinds clear
+//! of `RETIRED_KINDS`.
 //!
 //! Programs travel as their **assembly listing** — the workspace's pinned
 //! program serialization (round-trips through `isa::parse_program`, and
@@ -64,7 +63,7 @@ use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use hardbound_core::{Machine, MachineConfig, RunOutcome};
@@ -82,12 +81,10 @@ use crate::wire::{
 };
 
 /// The one protocol this build speaks (see the module docs' "Versioning").
-pub const PROTOCOL_VERSION: u32 = 3;
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// Request kinds (client → server).
-const REQ_STATS: u8 = 2;
 const REQ_SHUTDOWN: u8 = 3;
-const REQ_WATCH: u8 = 5;
 const REQ_METRICS: u8 = 8;
 const REQ_PROFILE: u8 = 9;
 const REQ_HELLO: u8 = 10;
@@ -95,13 +92,17 @@ const REQ_SUBMIT: u8 = 11;
 /// Response kinds (server → client).
 const RESP_RESULTS: u8 = 16;
 const RESP_DONE: u8 = 17;
-const RESP_STATS: u8 = 18;
 const RESP_ERR: u8 = 19;
-const RESP_TICKET: u8 = 20;
 const RESP_SPANS: u8 = 22;
 const RESP_METRICS: u8 = 23;
 const RESP_PROFILE: u8 = 24;
 const RESP_HELLO: u8 = 25;
+
+/// Kind bytes earlier protocol versions used, never to be reused: requests
+/// 2 (`STATS`) and 5 (`WATCH`), responses 18 (`STATS`) and 20 (`TICKET`),
+/// and the older requests 1, 4, 6, 7 and response 21.
+#[cfg(test)]
+const RETIRED_KINDS: [u8; 9] = [1, 2, 4, 5, 6, 7, 18, 20, 21];
 
 /// Cells executed (and streamed) per service-lock acquisition: small
 /// enough that results flow back while the tail still runs and that
@@ -122,9 +123,6 @@ const FRAME_RESERVE: u64 = 64 << 10;
 /// protocol's count fields can never truncate a grid the client accepted.
 /// Larger corpora split into multiple submissions.
 pub const MAX_GRID: usize = 1 << 16;
-
-/// Finished-but-unwatched tickets retained before the oldest are dropped.
-const MAX_RETAINED_TICKETS: usize = 256;
 
 /// One cell of a remote submission.
 #[derive(Clone, Debug)]
@@ -255,44 +253,9 @@ pub type Builder = dyn Fn(Program, MachineConfig, u64) -> Machine + Send + Sync;
 /// whole submission with a diagnostic instead of a builder panic.
 pub type TagCheck = dyn Fn(u64) -> bool + Send + Sync;
 
-/// Store/server counters as reported over the wire by a `STATS` request.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RemoteServerStats {
-    /// Result-store hits (cells answered without simulation).
-    pub hits: u64,
-    /// Result-store misses (cells executed).
-    pub misses: u64,
-    /// Store entries evicted.
-    pub evicted: u64,
-    /// Stored results currently resident.
-    pub store_len: u64,
-    /// Log records appended since the server opened its store.
-    pub log_appended: u64,
-    /// Log flushes.
-    pub log_flushes: u64,
-    /// Cells this shard owns under the cluster ring (0 when unsharded).
-    pub owned_cells: u64,
-    /// Cells served for other shards (re-routed failover traffic).
-    pub foreign_cells: u64,
-    /// This server's shard index (`--shard k/n`).
-    pub shard_index: u64,
-    /// The cluster's shard count; 0 means the server runs unsharded.
-    pub shard_count: u64,
-    /// Seconds since the server bound its listener.
-    pub uptime_s: u64,
-    /// Tickets currently live and still executing.
-    pub tickets_active: u64,
-    /// Tickets whose grids finished executing (consumed or not).
-    pub tickets_finished: u64,
-    /// Finished-but-unwatched tickets dropped by the retention GC.
-    pub tickets_gcd: u64,
-    /// Cells accepted but not yet executed (queue depth).
-    pub cells_in_flight: u64,
-}
-
 /// Shard identity of a cluster member (`hbserve --shard k/n`): used to
 /// classify submitted cells as owned vs foreign (re-routed) in the
-/// server's counters. Foreign cells are **served, not rejected** — they
+/// server's metrics. Foreign cells are **served, not rejected** — they
 /// are exactly how clients fail over a dead shard's cells.
 #[derive(Debug)]
 struct ShardState {
@@ -302,86 +265,6 @@ struct ShardState {
     foreign: AtomicU64,
 }
 
-/// One ticketed submission's mutable state; results append in input order
-/// as the executor drains chunks, so `results.len()` is the ready count.
-/// For tickets submitted with trace context, `trace` holds the client's
-/// context and `spans` buffers the server-side spans that the draining
-/// `WATCH` ships back in a `SPANS` frame.
-#[derive(Debug, Default)]
-struct TicketState {
-    results: Vec<RunOutcome>,
-    total: usize,
-    finished: bool,
-    failed: bool,
-    trace: Option<TraceCtx>,
-    spans: Vec<SpanEvent>,
-}
-
-type TicketSlot = Arc<(Mutex<TicketState>, Condvar)>;
-
-/// The server's ticket table: id allocation plus the live submissions.
-#[derive(Debug, Default)]
-struct Tickets {
-    next: u64,
-    live: HashMap<u64, TicketSlot>,
-}
-
-impl Tickets {
-    fn create(&mut self, total: usize, trace: Option<TraceCtx>, m: &Metrics) -> (u64, TicketSlot) {
-        self.gc_finished(m);
-        self.next += 1;
-        let id = self.next;
-        let slot: TicketSlot = Arc::new((
-            Mutex::new(TicketState {
-                results: Vec::new(),
-                total,
-                finished: false,
-                failed: false,
-                trace,
-                spans: Vec::new(),
-            }),
-            Condvar::new(),
-        ));
-        self.live.insert(id, Arc::clone(&slot));
-        m.tickets_created.inc();
-        (id, slot)
-    }
-
-    /// Tickets currently live and still executing.
-    fn active(&self) -> usize {
-        self.live
-            .values()
-            .filter(|slot| {
-                let st = slot.0.lock().unwrap_or_else(PoisonError::into_inner);
-                !st.finished && !st.failed
-            })
-            .count()
-    }
-
-    /// Drops the oldest finished-but-unwatched tickets past the retention
-    /// bound, so a client that submits and never watches cannot pin
-    /// results forever. Running tickets are never dropped.
-    fn gc_finished(&mut self, m: &Metrics) {
-        let mut done: Vec<u64> = self
-            .live
-            .iter()
-            .filter(|(_, slot)| {
-                let st = slot.0.lock().unwrap_or_else(PoisonError::into_inner);
-                st.finished || st.failed
-            })
-            .map(|(&id, _)| id)
-            .collect();
-        if done.len() <= MAX_RETAINED_TICKETS {
-            return;
-        }
-        done.sort_unstable();
-        for id in &done[..done.len() - MAX_RETAINED_TICKETS] {
-            self.live.remove(id);
-            m.tickets_gcd.inc();
-        }
-    }
-}
-
 /// Per-server metric handles plus the server-local [`Registry`] they are
 /// registered in. Each [`Server`] owns its own registry (test binaries run
 /// several servers in one process; their counters must not alias) — the
@@ -389,10 +272,7 @@ impl Tickets {
 /// with the process-global registry.
 struct Metrics {
     registry: Registry,
-    started: Instant,
-    tickets_created: Counter,
-    tickets_finished: Counter,
-    tickets_gcd: Counter,
+    submissions: Counter,
     cells_executed: Counter,
     cells_in_flight: Gauge,
     chunk_us: Histogram,
@@ -406,19 +286,12 @@ impl Metrics {
             started.elapsed().as_secs()
         });
         Metrics {
-            tickets_created: registry.counter("hbserve_tickets_created"),
-            tickets_finished: registry.counter("hbserve_tickets_finished"),
-            tickets_gcd: registry.counter("hbserve_tickets_gcd"),
+            submissions: registry.counter("hbserve_submissions"),
             cells_executed: registry.counter("hbserve_cells_executed"),
             cells_in_flight: registry.gauge("hbserve_cells_in_flight"),
             chunk_us: registry.histogram("hbserve_chunk_us"),
             registry,
-            started,
         }
-    }
-
-    fn uptime_s(&self) -> u64 {
-        self.started.elapsed().as_secs()
     }
 
     /// Renders the process-global registry followed by this server's own.
@@ -437,30 +310,58 @@ pub struct Server {
     build: Arc<Builder>,
     tag_ok: Arc<TagCheck>,
     shutdown: Arc<AtomicBool>,
-    tickets: Arc<Mutex<Tickets>>,
     shard: Option<Arc<ShardState>>,
     metrics: Arc<Metrics>,
-    /// Requests currently being served (not idle connections) plus ticket
-    /// executors still draining; `run` waits for this to reach zero after
-    /// the accept loop stops, so a shutdown never cuts an in-flight
-    /// submission or a queued ticket mid-execution.
+    /// Requests currently being served (not idle connections); `run`
+    /// waits for this to reach zero after the accept loop stops, so a
+    /// shutdown never cuts an in-flight submission mid-stream.
     busy: Arc<AtomicUsize>,
 }
 
-/// Owns one increment of the busy count; decrements when the request or
-/// ticket executor finishes (however it ends).
-struct BusyGuard(Arc<AtomicUsize>);
+/// Owns one increment of the busy count; decrements when the request
+/// finishes (however it ends).
+struct BusyGuard<'a>(&'a AtomicUsize);
 
-impl BusyGuard {
-    fn enter(busy: &Arc<AtomicUsize>) -> BusyGuard {
+impl BusyGuard<'_> {
+    fn enter(busy: &AtomicUsize) -> BusyGuard<'_> {
         busy.fetch_add(1, Ordering::SeqCst);
-        BusyGuard(Arc::clone(busy))
+        BusyGuard(busy)
     }
 }
 
-impl Drop for BusyGuard {
+impl Drop for BusyGuard<'_> {
     fn drop(&mut self) {
         self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// A submission's cells not yet executed, held in
+/// `hbserve_cells_in_flight`. Whatever ends the submission early — a
+/// failed write to a dead client, a builder panic — takes the cells it
+/// never ran off the gauge on drop.
+struct InFlight<'a> {
+    gauge: &'a Gauge,
+    left: u64,
+}
+
+impl InFlight<'_> {
+    fn enter(gauge: &Gauge, cells: usize) -> InFlight<'_> {
+        gauge.add(cells as u64);
+        InFlight {
+            gauge,
+            left: cells as u64,
+        }
+    }
+
+    fn ran(&mut self, cells: usize) {
+        self.gauge.sub(cells as u64);
+        self.left -= cells as u64;
+    }
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.gauge.sub(self.left);
     }
 }
 
@@ -479,40 +380,30 @@ impl Server {
         tag_ok: Arc<TagCheck>,
     ) -> io::Result<Server> {
         let svc = Arc::new(Mutex::new(svc));
-        let tickets = Arc::new(Mutex::new(Tickets::default()));
         let metrics = Arc::new(Metrics::new());
-        // Computed gauges over the service and ticket table, so one scrape
-        // sees queue depth and store state without extra locking APIs.
-        {
-            let t = Arc::clone(&tickets);
-            metrics
-                .registry
-                .gauge_fn("hbserve_tickets_active", move || {
-                    t.lock().unwrap_or_else(PoisonError::into_inner).active() as u64
-                });
+        // Computed gauges over the service, so one scrape sees store state
+        // without extra locking APIs.
+        for (name, read) in [
+            ("hbserve_store_hits", 0usize),
+            ("hbserve_store_misses", 1),
+            ("hbserve_store_evicted", 2),
+            ("hbserve_store_len", 3),
+            ("hbserve_log_appended", 4),
+            ("hbserve_log_flushes", 5),
+        ] {
             let s = Arc::clone(&svc);
-            for (name, read) in [
-                ("hbserve_store_hits", 0usize),
-                ("hbserve_store_misses", 1),
-                ("hbserve_store_evicted", 2),
-                ("hbserve_store_len", 3),
-                ("hbserve_log_appended", 4),
-                ("hbserve_log_flushes", 5),
-            ] {
-                let s = Arc::clone(&s);
-                metrics.registry.gauge_fn(name, move || {
-                    let stats = s.lock().unwrap_or_else(PoisonError::into_inner).stats();
-                    let log = stats.log.unwrap_or_default();
-                    match read {
-                        0 => stats.service.store.hits,
-                        1 => stats.service.store.misses,
-                        2 => stats.service.store.evicted,
-                        3 => stats.service.store_len as u64,
-                        4 => log.appended,
-                        _ => log.flushes,
-                    }
-                });
-            }
+            metrics.registry.gauge_fn(name, move || {
+                let stats = s.lock().unwrap_or_else(PoisonError::into_inner).stats();
+                let log = stats.log.unwrap_or_default();
+                match read {
+                    0 => stats.service.store.hits,
+                    1 => stats.service.store.misses,
+                    2 => stats.service.store.evicted,
+                    3 => stats.service.store_len as u64,
+                    4 => log.appended,
+                    _ => log.flushes,
+                }
+            });
         }
         Ok(Server {
             listener: TcpListener::bind(addr)?,
@@ -520,7 +411,6 @@ impl Server {
             build,
             tag_ok,
             shutdown: Arc::new(AtomicBool::new(false)),
-            tickets,
             shard: None,
             metrics,
             busy: Arc::new(AtomicUsize::new(0)),
@@ -529,8 +419,8 @@ impl Server {
 
     /// Declares this server shard `index` of a `count`-shard cluster
     /// (`hbserve --shard k/n`): submitted cells are classified as owned
-    /// vs foreign in the `STATS` counters. Routing is advisory — foreign
-    /// cells still execute, so client-side failover works.
+    /// vs foreign in the metrics. Routing is advisory — foreign cells
+    /// still execute, so client-side failover works.
     ///
     /// # Panics
     ///
@@ -588,10 +478,9 @@ impl Server {
     }
 
     /// Accepts and serves connections (one thread each) until a client
-    /// sends `SHUTDOWN`, then waits for every in-flight connection *and
-    /// queued ticket* to finish — a shutdown never cuts another client's
-    /// submission mid-stream, and the caller can checkpoint safely after
-    /// `run` returns.
+    /// sends `SHUTDOWN`, then waits for every in-flight request to finish
+    /// — a shutdown never cuts another client's submission mid-stream,
+    /// and the caller can checkpoint safely after `run` returns.
     ///
     /// # Errors
     ///
@@ -602,36 +491,24 @@ impl Server {
                 break;
             }
             let stream = conn?;
-            let svc = Arc::clone(&self.svc);
-            let build = Arc::clone(&self.build);
-            let tag_ok = Arc::clone(&self.tag_ok);
-            let shutdown = Arc::clone(&self.shutdown);
-            let tickets = Arc::clone(&self.tickets);
-            let shard = self.shard.as_ref().map(Arc::clone);
-            let metrics = Arc::clone(&self.metrics);
-            let wake = self.listener.local_addr();
-            let busy = Arc::clone(&self.busy);
-            std::thread::spawn(move || {
-                let ctx = ConnCtx {
-                    svc,
-                    build,
-                    tag_ok,
-                    shutdown,
-                    tickets,
-                    shard,
-                    metrics,
-                    busy,
-                    wake,
-                };
-                handle_conn(stream, &ctx);
-            });
+            let ctx = ConnCtx {
+                svc: Arc::clone(&self.svc),
+                build: Arc::clone(&self.build),
+                tag_ok: Arc::clone(&self.tag_ok),
+                shutdown: Arc::clone(&self.shutdown),
+                shard: self.shard.as_ref().map(Arc::clone),
+                metrics: Arc::clone(&self.metrics),
+                busy: Arc::clone(&self.busy),
+                wake: self.listener.local_addr(),
+            };
+            std::thread::spawn(move || handle_conn(stream, &ctx));
         }
-        // Drain in-flight requests and ticket executors. Handlers
-        // increment `busy` *before* re-checking the shutdown flag, so once
-        // this loop reads zero after the flag is set, any later request
-        // observes the flag and is rejected — no request can slip past the
-        // drain. Idle connections (no request in flight) are simply
-        // abandoned; their clients see EOF at a frame boundary.
+        // Drain in-flight requests. Handlers increment `busy` *before*
+        // re-checking the shutdown flag, so once this loop reads zero
+        // after the flag is set, any later request observes the flag and
+        // is rejected — no request can slip past the drain. Idle
+        // connections (no request in flight) are simply abandoned; their
+        // clients see EOF at a frame boundary.
         while self.busy.load(Ordering::SeqCst) > 0 {
             std::thread::sleep(Duration::from_millis(2));
         }
@@ -639,14 +516,12 @@ impl Server {
     }
 }
 
-/// Everything one connection handler needs, bundled so ticket executors
-/// can clone pieces into their own threads.
+/// Everything one connection handler needs, moved into its thread.
 struct ConnCtx {
     svc: Arc<Mutex<PersistentService>>,
     build: Arc<Builder>,
     tag_ok: Arc<TagCheck>,
     shutdown: Arc<AtomicBool>,
-    tickets: Arc<Mutex<Tickets>>,
     shard: Option<Arc<ShardState>>,
     metrics: Arc<Metrics>,
     busy: Arc<AtomicUsize>,
@@ -667,16 +542,12 @@ fn handle_conn(mut stream: TcpStream, ctx: &ConnCtx) {
         // this check sees the flag and rejects — never both missed.
         let _busy = BusyGuard::enter(&ctx.busy);
         if ctx.shutdown.load(Ordering::SeqCst) && kind != REQ_SHUTDOWN {
-            let mut w = Writer::new();
-            w.put_str("server is shutting down");
-            let _ = write_frame(&mut stream, RESP_ERR, &w.into_bytes());
+            let _ = reject(&mut stream, "server is shutting down");
             return;
         }
         let result = match kind {
             REQ_HELLO => serve_hello(&mut stream, &payload),
             REQ_SUBMIT => serve_submission(&mut stream, ctx, &payload),
-            REQ_WATCH => serve_watch(&mut stream, ctx, &payload),
-            REQ_STATS => serve_stats(&mut stream, ctx),
             REQ_METRICS => serve_metrics(&mut stream, ctx),
             REQ_PROFILE => serve_profile(&mut stream),
             REQ_SHUTDOWN => {
@@ -689,11 +560,7 @@ fn handle_conn(mut stream: TcpStream, ctx: &ConnCtx) {
                 }
                 return;
             }
-            _ => {
-                let mut w = Writer::new();
-                w.put_str("unknown request kind");
-                write_frame(&mut stream, RESP_ERR, &w.into_bytes()).map_err(ServeError::from)
-            }
+            _ => reject(&mut stream, "unknown request kind"),
         };
         if result.is_err() {
             return; // connection is broken; nothing left to report
@@ -715,48 +582,6 @@ fn serve_hello(stream: &mut TcpStream, payload: &[u8]) -> Result<(), ServeError>
         return reject(stream, "malformed HELLO payload");
     }
     write_frame(stream, RESP_HELLO, &PROTOCOL_VERSION.to_le_bytes())?;
-    Ok(())
-}
-
-fn serve_stats(stream: &mut TcpStream, ctx: &ConnCtx) -> Result<(), ServeError> {
-    let stats = ctx
-        .svc
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .stats();
-    let log = stats.log.unwrap_or_default();
-    let mut w = Writer::new();
-    w.put_u64(stats.service.store.hits);
-    w.put_u64(stats.service.store.misses);
-    w.put_u64(stats.service.store.evicted);
-    w.put_u64(stats.service.store_len as u64);
-    w.put_u64(log.appended);
-    w.put_u64(log.flushes);
-    match &ctx.shard {
-        Some(shard) => {
-            w.put_u64(shard.owned.load(Ordering::Relaxed));
-            w.put_u64(shard.foreign.load(Ordering::Relaxed));
-            w.put_u64(shard.index as u64);
-            w.put_u64(shard.ring.shards() as u64);
-        }
-        None => {
-            for _ in 0..4 {
-                w.put_u64(0);
-            }
-        }
-    }
-    let m = &ctx.metrics;
-    w.put_u64(m.uptime_s());
-    w.put_u64(
-        ctx.tickets
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .active() as u64,
-    );
-    w.put_u64(m.tickets_finished.get());
-    w.put_u64(m.tickets_gcd.get());
-    w.put_u64(m.cells_in_flight.get());
-    write_frame(stream, RESP_STATS, &w.into_bytes())?;
     Ok(())
 }
 
@@ -799,9 +624,16 @@ fn note_ownership(shard: &Option<Arc<ShardState>>, jobs: &[Job<u64>]) {
     shard.foreign.fetch_add(foreign, Ordering::Relaxed);
 }
 
-/// Decodes and validates a `SUBMIT`, enqueues it as a ticket on the work
-/// queue, and answers `TICKET` immediately; a detached executor drains the
-/// grid into the ticket's result buffer.
+/// Serves a `SUBMIT` on its own connection: decodes and validates the
+/// grid, runs it in [`CHUNK`]-cell batches with the service lock held for
+/// each chunk only, and writes each chunk's `RESULTS` frame outside the
+/// lock, then `SPANS` (traced submissions only) and `DONE`. A failed write
+/// ends the submission; the cells it already ran are in the store, so the
+/// client's resubmission replays them.
+///
+/// A traced submission stamps one `submit_exec` span covering the run
+/// plus a `chunk` span per service-lock acquisition — shipped back in the
+/// `SPANS` frame and mirrored to the server's own `HB_TRACE` sink, if any.
 fn serve_submission(
     stream: &mut TcpStream,
     ctx: &ConnCtx,
@@ -812,197 +644,58 @@ fn serve_submission(
         Err(msg) => return reject(stream, &msg),
     };
     note_ownership(&ctx.shard, &jobs);
-    let total = jobs.len();
-    let (id, slot) = ctx
-        .tickets
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .create(total, trace_ctx, &ctx.metrics);
-    ctx.metrics.cells_in_flight.add(total as u64);
-    // The executor counts as busy from *before* this handler's own guard
-    // drops, so a shutdown drain can never miss a queued ticket.
-    let exec_busy = BusyGuard::enter(&ctx.busy);
-    let svc = Arc::clone(&ctx.svc);
-    let build = Arc::clone(&ctx.build);
-    let metrics = Arc::clone(&ctx.metrics);
-    let shard_index = ctx.shard.as_ref().map(|s| s.index as u64);
-    std::thread::spawn(move || {
-        let _busy = exec_busy;
-        run_ticket(&slot, id, &jobs, &svc, &*build, &metrics, shard_index);
-    });
-    let mut w = Writer::new();
-    w.put_u64(id);
-    w.put_u32(total as u32);
-    write_frame(stream, RESP_TICKET, &w.into_bytes())?;
-    Ok(())
-}
-
-/// Marks the ticket failed if the executor dies before finishing (builder
-/// panic), so watchers report an error instead of waiting forever.
-struct FailGuard(TicketSlot);
-
-impl Drop for FailGuard {
-    fn drop(&mut self) {
-        let (lock, cvar) = &*self.0;
-        let mut st = lock.lock().unwrap_or_else(PoisonError::into_inner);
-        if !st.finished {
-            st.failed = true;
-            cvar.notify_all();
-        }
-    }
-}
-
-/// The ticket executor: drains the grid in chunks (releasing the service
-/// lock between chunks) and appends outcomes to the ticket's buffer in
-/// input order. For traced tickets it stamps one
-/// `ticket_exec` span covering the whole drain plus a `chunk` span per
-/// service-lock acquisition, all keyed by ticket id — buffered on the
-/// ticket (shipped back with `WATCH`) and mirrored to the server's own
-/// `HB_TRACE` sink, if any.
-fn run_ticket(
-    slot: &TicketSlot,
-    id: u64,
-    jobs: &[Job<u64>],
-    svc: &Mutex<PersistentService>,
-    build: &Builder,
-    metrics: &Metrics,
-    shard_index: Option<u64>,
-) {
-    let guard = FailGuard(Arc::clone(slot));
-    let trace_ctx = slot.0.lock().unwrap_or_else(PoisonError::into_inner).trace;
-    let exec_timer = trace_ctx.map(|c| SpanTimer::start(c.trace, c.parent, "ticket_exec"));
-    let exec_span = exec_timer.as_ref().map(SpanTimer::span);
+    let m = &ctx.metrics;
+    let mut in_flight = InFlight::enter(&m.cells_in_flight, jobs.len());
+    let exec_timer = trace_ctx.map(|c| SpanTimer::start(c.trace, c.parent, "submit_exec"));
+    let mut spans = Vec::new();
     for (chunk_index, chunk) in jobs.chunks(CHUNK).enumerate() {
-        let chunk_timer = trace_ctx
-            .zip(exec_span)
-            .map(|(c, parent)| SpanTimer::start(c.trace, parent, "chunk"));
+        let chunk_timer = exec_timer
+            .as_ref()
+            .map(|exec| SpanTimer::start(exec.trace(), exec.span(), "chunk"));
         let t0 = Instant::now();
         let outs = {
-            let mut svc = svc.lock().unwrap_or_else(PoisonError::into_inner);
-            svc.run_batch(chunk, |program, config, &tag| build(program, config, tag))
+            let mut svc = ctx.svc.lock().unwrap_or_else(PoisonError::into_inner);
+            svc.run_batch(chunk, |program, config, &tag| {
+                (ctx.build)(program, config, tag)
+            })
         };
-        metrics.chunk_us.record_duration(t0.elapsed());
-        metrics.cells_executed.add(outs.len() as u64);
-        metrics.cells_in_flight.sub(chunk.len() as u64);
-        let (lock, cvar) = &**slot;
-        let mut st = lock.lock().unwrap_or_else(PoisonError::into_inner);
-        st.results.extend(outs);
+        m.chunk_us.record_duration(t0.elapsed());
+        m.cells_executed.add(outs.len() as u64);
+        in_flight.ran(chunk.len());
         if let Some(timer) = chunk_timer {
             let ev = timer.finish(vec![
-                ("ticket".into(), id.into()),
                 ("chunk".into(), (chunk_index as u64).into()),
                 ("cells".into(), (chunk.len() as u64).into()),
             ]);
             trace::emit(&ev);
-            st.spans.push(ev);
+            spans.push(ev);
         }
-        cvar.notify_all();
+        let mut w = Writer::new();
+        w.put_u32((chunk_index * CHUNK) as u32);
+        w.put_u32(outs.len() as u32);
+        for out in &outs {
+            encode_outcome(&mut w, out);
+        }
+        write_frame(stream, RESP_RESULTS, &w.into_bytes())?;
     }
-    metrics.tickets_finished.inc();
-    let (lock, cvar) = &**slot;
-    let mut st = lock.lock().unwrap_or_else(PoisonError::into_inner);
     if let Some(timer) = exec_timer {
-        let mut fields = vec![
-            ("ticket".into(), id.into()),
-            ("cells".into(), (jobs.len() as u64).into()),
-        ];
-        if let Some(index) = shard_index {
-            fields.push(("shard_index".into(), index.into()));
+        let mut fields = vec![("cells".into(), (jobs.len() as u64).into())];
+        if let Some(shard) = &ctx.shard {
+            fields.push(("shard_index".into(), (shard.index as u64).into()));
         }
         let ev = timer.finish(fields);
         trace::emit(&ev);
-        st.spans.push(ev);
+        spans.push(ev);
+        let mut w = Writer::new();
+        w.put_u32(spans.len() as u32);
+        for ev in &spans {
+            encode_span(&mut w, ev);
+        }
+        write_frame(stream, RESP_SPANS, &w.into_bytes())?;
     }
-    st.finished = true;
-    cvar.notify_all();
-    drop(st);
-    drop(guard); // disarmed: finished is set
-}
-
-/// Streams a ticket's results (`RESULTS` frames as chunks become ready,
-/// then `DONE`) and consumes the ticket. Watching partway through a
-/// running execution blocks between chunks; watching a finished ticket
-/// streams everything at once — including from a *different* connection
-/// than the one that submitted.
-fn serve_watch(stream: &mut TcpStream, ctx: &ConnCtx, payload: &[u8]) -> Result<(), ServeError> {
-    let mut r = Reader::new(payload);
-    let id = match r.get_u64() {
-        Ok(id) if r.is_exhausted() => id,
-        _ => return reject(stream, "malformed WATCH payload"),
-    };
-    let slot = {
-        let tickets = ctx.tickets.lock().unwrap_or_else(PoisonError::into_inner);
-        tickets.live.get(&id).cloned()
-    };
-    let Some(slot) = slot else {
-        return reject(stream, &format!("unknown ticket {id}"));
-    };
-    let mut sent = 0usize;
-    loop {
-        // Wait for news, then snapshot the fresh slice outside the lock so
-        // slow sockets never stall the executor.
-        let (fresh, finished, failed, total) = {
-            let (lock, cvar) = &*slot;
-            let mut st = lock.lock().unwrap_or_else(PoisonError::into_inner);
-            while st.results.len() == sent && !st.finished && !st.failed {
-                let (next, _) = cvar
-                    .wait_timeout(st, Duration::from_millis(100))
-                    .unwrap_or_else(PoisonError::into_inner);
-                st = next;
-            }
-            (
-                st.results[sent..].to_vec(),
-                st.finished,
-                st.failed,
-                st.total,
-            )
-        };
-        if !fresh.is_empty() {
-            let mut w = Writer::new();
-            w.put_u32(sent as u32);
-            w.put_u32(fresh.len() as u32);
-            for out in &fresh {
-                encode_outcome(&mut w, out);
-            }
-            write_frame(stream, RESP_RESULTS, &w.into_bytes())?;
-            sent += fresh.len();
-        }
-        if failed {
-            // Partial results (if any) were streamed above; report the
-            // failure and drop the ticket.
-            remove_ticket(ctx, id);
-            return reject(stream, "ticket execution failed on the server");
-        }
-        if finished && sent == total {
-            // Ship the server-side spans ahead of DONE; only traced
-            // tickets record any.
-            let spans = slot
-                .0
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .spans
-                .clone();
-            if !spans.is_empty() {
-                let mut w = Writer::new();
-                w.put_u32(spans.len() as u32);
-                for ev in &spans {
-                    encode_span(&mut w, ev);
-                }
-                write_frame(stream, RESP_SPANS, &w.into_bytes())?;
-            }
-            write_frame(stream, RESP_DONE, &(sent as u32).to_le_bytes())?;
-            remove_ticket(ctx, id);
-            return Ok(());
-        }
-    }
-}
-
-fn remove_ticket(ctx: &ConnCtx, id: u64) {
-    ctx.tickets
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .live
-        .remove(&id);
+    write_frame(stream, RESP_DONE, &(jobs.len() as u32).to_le_bytes())?;
+    m.submissions.inc();
+    Ok(())
 }
 
 /// Decodes a `SUBMIT` payload into its trace context and service jobs,
@@ -1210,54 +903,31 @@ impl Client {
         Ok(text)
     }
 
-    /// Submits `jobs` and returns the ticket id; collect with
-    /// [`Client::watch_into`] from this connection or any later one. With
-    /// `ctx` the server stamps its spans under `ctx.trace`, with
-    /// `ctx.parent` as their root's parent, and returns them with the
-    /// draining `WATCH`.
+    /// Submits `jobs` and streams their outcomes into `results` (one slot
+    /// per cell, `None` = not yet delivered) and the server-side trace
+    /// spans into `spans` (which stays empty without `ctx`). With `ctx` the
+    /// server stamps its spans under `ctx.trace`, with `ctx.parent` as
+    /// their root's parent. Already-filled slots are kept; a re-delivery
+    /// for one of them is a protocol error. On a mid-stream failure the
+    /// slots filled so far remain — callers reconnect and resubmit only
+    /// the missing cells, and the ones the server already ran replay from
+    /// its store.
     ///
     /// # Errors
     ///
     /// [`ServeError`] on oversized grids (rejected before anything is
     /// sent), socket failures, malformed frames, or a server rejection.
-    pub fn submit(&mut self, jobs: &[WireJob], ctx: Option<TraceCtx>) -> Result<u64, ServeError> {
-        if jobs.len() > MAX_GRID {
-            return Err(ServeError::Oversized { cells: jobs.len() });
-        }
-        let payload = self.call(
-            REQ_SUBMIT,
-            &encode_submission(jobs, ctx),
-            RESP_TICKET,
-            "expected a TICKET response",
-        )?;
-        let mut r = Reader::new(&payload);
-        let ticket = r.get_u64()?;
-        let count = r.get_u32()? as usize;
-        expect_end(&r)?;
-        if count != jobs.len() {
-            return Err(ServeError::Protocol("ticket covers the wrong cell count"));
-        }
-        Ok(ticket)
-    }
-
-    /// Streams ticket `ticket`'s outcomes into `results` (one slot per
-    /// submitted cell, `None` = not yet delivered) and its server-side
-    /// trace spans into `spans` (which stays empty for untraced tickets).
-    /// Already-filled slots are kept; a re-delivery for one of them is a
-    /// protocol error. On a mid-stream failure the slots filled so far
-    /// remain — callers reconnect and resubmit only the missing cells.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError`] on socket failures, malformed frames, or a server
-    /// rejection (unknown ticket, failed execution).
-    pub fn watch_into(
+    pub fn run_into(
         &mut self,
-        ticket: u64,
+        jobs: &[WireJob],
+        ctx: Option<TraceCtx>,
         results: &mut [Option<RunOutcome>],
         spans: &mut Vec<SpanEvent>,
     ) -> Result<(), ServeError> {
-        write_frame(&mut self.stream, REQ_WATCH, &ticket.to_le_bytes())?;
+        if jobs.len() > MAX_GRID {
+            return Err(ServeError::Oversized { cells: jobs.len() });
+        }
+        write_frame(&mut self.stream, REQ_SUBMIT, &encode_submission(jobs, ctx))?;
         loop {
             let (kind, payload) = read_frame(&mut self.stream)?
                 .ok_or(ServeError::Protocol("server closed mid-submission"))?;
@@ -1272,7 +942,9 @@ impl Client {
                     expect_end(&r)?;
                 }
                 RESP_DONE => {
-                    r.get_u32()?;
+                    if r.get_u32()? as usize != jobs.len() {
+                        return Err(ServeError::Protocol("DONE covers the wrong cell count"));
+                    }
                     return expect_end(&r);
                 }
                 RESP_ERR => return Err(server_error(&payload)),
@@ -1281,49 +953,19 @@ impl Client {
         }
     }
 
-    /// [`Client::submit`] + [`Client::watch_into`] for an untraced grid:
-    /// the outcomes in input order.
+    /// [`Client::run_into`] for an untraced grid: the outcomes in input
+    /// order.
     ///
     /// # Errors
     ///
-    /// [`ServeError`] as for the two halves.
+    /// [`ServeError`] as for [`Client::run_into`].
     pub fn run_jobs(&mut self, jobs: &[WireJob]) -> Result<Vec<RunOutcome>, ServeError> {
-        let ticket = self.submit(jobs, None)?;
         let mut results: Vec<Option<RunOutcome>> = vec![None; jobs.len()];
-        self.watch_into(ticket, &mut results, &mut Vec::new())?;
+        self.run_into(jobs, None, &mut results, &mut Vec::new())?;
         results
             .into_iter()
             .collect::<Option<Vec<RunOutcome>>>()
             .ok_or(ServeError::Protocol("server omitted results"))
-    }
-
-    /// Fetches the server's store/log counters.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError`] on socket failures or a short or long payload.
-    pub fn stats(&mut self) -> Result<RemoteServerStats, ServeError> {
-        let payload = self.call(REQ_STATS, &[], RESP_STATS, "expected a STATS response")?;
-        let mut r = Reader::new(&payload);
-        let stats = RemoteServerStats {
-            hits: r.get_u64()?,
-            misses: r.get_u64()?,
-            evicted: r.get_u64()?,
-            store_len: r.get_u64()?,
-            log_appended: r.get_u64()?,
-            log_flushes: r.get_u64()?,
-            owned_cells: r.get_u64()?,
-            foreign_cells: r.get_u64()?,
-            shard_index: r.get_u64()?,
-            shard_count: r.get_u64()?,
-            uptime_s: r.get_u64()?,
-            tickets_active: r.get_u64()?,
-            tickets_finished: r.get_u64()?,
-            tickets_gcd: r.get_u64()?,
-            cells_in_flight: r.get_u64()?,
-        };
-        expect_end(&r)?;
-        Ok(stats)
     }
 
     /// Fetches the server's metrics as Prometheus-style text (the same
@@ -1427,17 +1069,17 @@ mod tests {
         (addr, handle)
     }
 
-    /// Fake-server script step: swallow the `SUBMIT`, answer a ticket for
-    /// `cells` cells, then swallow the `WATCH` that follows.
-    fn fake_ticket(stream: &mut TcpStream, cells: u32) {
+    /// Fake-server script step: swallow the `SUBMIT`.
+    fn fake_submit(stream: &mut TcpStream) {
         let (kind, _) = read_frame(stream).unwrap().unwrap();
         assert_eq!(kind, REQ_SUBMIT);
-        let mut w = Writer::new();
-        w.put_u64(1);
-        w.put_u32(cells);
-        write_frame(stream, RESP_TICKET, &w.into_bytes()).unwrap();
-        let (kind, _) = read_frame(stream).unwrap().unwrap();
-        assert_eq!(kind, REQ_WATCH);
+    }
+
+    /// One counter or gauge of the server's `METRICS` exposition.
+    fn scrape(client: &mut Client, name: &str) -> u64 {
+        let text = client.metrics().unwrap();
+        hardbound_telemetry::scrape_value(&text, name)
+            .unwrap_or_else(|| panic!("the exposition lacks {name}:\n{text}"))
     }
 
     fn jobs_over_two_listings(cells: usize) -> Vec<WireJob> {
@@ -1488,6 +1130,31 @@ mod tests {
                 !err.is_empty(),
                 "prefix {n} was rejected without a diagnostic"
             );
+        }
+    }
+
+    #[test]
+    fn live_kinds_are_distinct_and_never_reuse_a_retired_byte() {
+        let live = [
+            REQ_SHUTDOWN,
+            REQ_METRICS,
+            REQ_PROFILE,
+            REQ_HELLO,
+            REQ_SUBMIT,
+            RESP_RESULTS,
+            RESP_DONE,
+            RESP_ERR,
+            RESP_SPANS,
+            RESP_METRICS,
+            RESP_PROFILE,
+            RESP_HELLO,
+        ];
+        for (i, kind) in live.iter().enumerate() {
+            assert!(
+                !RETIRED_KINDS.contains(kind),
+                "live kind {kind} reuses a retired byte"
+            );
+            assert!(!live[..i].contains(kind), "kind {kind} is live twice");
         }
     }
 
@@ -1556,9 +1223,16 @@ mod tests {
         assert_eq!(cold, expected, "remote execution must be byte-identical");
         let warm = client.run_jobs(&jobs).unwrap();
         assert_eq!(warm, expected, "warm replay must be byte-identical");
-        let stats = client.stats().unwrap();
-        assert_eq!(stats.misses, 67, "cold pass executed every cell");
-        assert_eq!(stats.hits, 67, "warm pass replayed every cell");
+        assert_eq!(
+            scrape(&mut client, "hbserve_store_misses"),
+            67,
+            "cold pass executed every cell"
+        );
+        assert_eq!(
+            scrape(&mut client, "hbserve_store_hits"),
+            67,
+            "warm pass replayed every cell"
+        );
 
         client.shutdown().unwrap();
         handle.join().unwrap();
@@ -1581,46 +1255,52 @@ mod tests {
         let expected = expected_outcomes(&jobs);
         let mut client = Client::connect(addr).unwrap();
         let out = client.run_jobs(&jobs).unwrap();
-        assert_eq!(out, expected, "ticketed execution must be byte-identical");
+        assert_eq!(out, expected, "remote execution must be byte-identical");
 
         client.shutdown().unwrap();
         handle.join().unwrap();
     }
 
+    /// A client that hangs up mid-grid loses nothing the server already
+    /// ran: resubmitted on a new connection, those cells replay from the
+    /// store. The abandoned submission stops at its first failed write and
+    /// takes the cells it never ran off `hbserve_cells_in_flight`.
     #[test]
-    fn tickets_survive_the_submitting_connection() {
+    fn dropped_connection_replays_finished_chunks_from_the_store() {
         let (addr, handle) = spawn_server();
         let cfg = MachineConfig::default().with_fuel(1_000_000);
-        let jobs: Vec<WireJob> = (0..37)
-            .map(|k| WireJob::new(&counting_program(5 + k), cfg.clone(), 0, 0))
+        // Five chunks of cells slow enough that the server is still
+        // running the grid when the client walks away.
+        let jobs: Vec<WireJob> = (0..5 * CHUNK as i32)
+            .map(|k| WireJob::new(&counting_program(2_000 + k), cfg.clone(), 0, 0))
             .collect();
         let expected = expected_outcomes(&jobs);
 
-        // Submit on one connection, drop it, collect on another: the
-        // ticket's results must not die with the socket.
-        let ticket = {
-            let mut submitter = Client::connect(addr).unwrap();
-            submitter.submit(&jobs, None).unwrap()
-        };
-        let mut collector = Client::connect(addr).unwrap();
-        let mut results: Vec<Option<RunOutcome>> = vec![None; jobs.len()];
-        collector
-            .watch_into(ticket, &mut results, &mut Vec::new())
-            .unwrap();
-        let results: Vec<RunOutcome> = results.into_iter().map(Option::unwrap).collect();
-        assert_eq!(results, expected);
-
-        // The watch consumed the ticket.
-        let mut again: Vec<Option<RunOutcome>> = vec![None; jobs.len()];
-        match collector
-            .watch_into(ticket, &mut again, &mut Vec::new())
-            .unwrap_err()
         {
-            ServeError::Server(msg) => assert!(msg.contains("unknown ticket"), "{msg}"),
-            other => panic!("expected unknown-ticket, got {other}"),
+            let mut raw = TcpStream::connect(addr).unwrap();
+            write_frame(&mut raw, REQ_SUBMIT, &encode_submission(&jobs, None)).unwrap();
+            let (kind, _) = read_frame(&mut raw).unwrap().unwrap();
+            assert_eq!(kind, RESP_RESULTS, "the first chunk streams back");
+        } // dropped after one RESULTS frame
+
+        let mut client = Client::connect(addr).unwrap();
+        let out = client.run_jobs(&jobs).unwrap();
+        assert_eq!(out, expected, "the resubmitted grid must be byte-identical");
+        let hits = scrape(&mut client, "hbserve_store_hits");
+        assert!(
+            hits >= CHUNK as u64,
+            "the chunks run for the dropped connection must replay: {hits} hits"
+        );
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while scrape(&mut client, "hbserve_cells_in_flight") != 0 {
+            assert!(
+                Instant::now() < deadline,
+                "the abandoned submission left cells in flight"
+            );
+            std::thread::sleep(Duration::from_millis(10));
         }
 
-        collector.shutdown().unwrap();
+        client.shutdown().unwrap();
         handle.join().unwrap();
     }
 
@@ -1630,7 +1310,7 @@ mod tests {
         let cfg = MachineConfig::default();
         let mut client = Client::connect(addr).unwrap();
 
-        // Rejected before a ticket is ever allocated.
+        // Rejected before anything executes.
         let mut bad_tag = vec![WireJob::new(&counting_program(3), cfg.clone(), 0, 99)];
         match client.run_jobs(&bad_tag).unwrap_err() {
             ServeError::Server(msg) => assert!(msg.contains("tag 99"), "{msg}"),
@@ -1672,7 +1352,11 @@ mod tests {
         let good = vec![WireJob::new(&counting_program(3), cfg, 0, 0)];
         let outs = client.run_jobs(&good).unwrap();
         assert_eq!(outs[0].ints, vec![3]);
-        assert_eq!(client.stats().unwrap().misses, 1, "rejections ran nothing");
+        assert_eq!(
+            scrape(&mut client, "hbserve_store_misses"),
+            1,
+            "rejections ran nothing"
+        );
 
         client.shutdown().unwrap();
         handle.join().unwrap();
@@ -1688,9 +1372,12 @@ mod tests {
         let out_a = a.run_jobs(&jobs).unwrap();
         let out_b = b.run_jobs(&jobs).unwrap();
         assert_eq!(out_a, out_b);
-        let stats = a.stats().unwrap();
-        assert_eq!(stats.misses, 1, "second client replays the first's cell");
-        assert_eq!(stats.hits, 1);
+        assert_eq!(
+            scrape(&mut a, "hbserve_store_misses"),
+            1,
+            "second client replays the first's cell"
+        );
+        assert_eq!(scrape(&mut a, "hbserve_store_hits"), 1);
         a.shutdown().unwrap();
         handle.join().unwrap();
     }
@@ -1746,9 +1433,16 @@ mod tests {
         let mut client = Client::connect(addr).unwrap();
         let warm = client.run_jobs(&jobs).unwrap();
         assert_eq!(warm, expected, "the store survived the torn frames");
-        let stats = client.stats().unwrap();
-        assert_eq!(stats.misses, 1, "no torn frame executed anything");
-        assert_eq!(stats.hits, 1, "the warm replay hit the store");
+        assert_eq!(
+            scrape(&mut client, "hbserve_store_misses"),
+            1,
+            "no torn frame executed anything"
+        );
+        assert_eq!(
+            scrape(&mut client, "hbserve_store_hits"),
+            1,
+            "the warm replay hit the store"
+        );
         client.shutdown().unwrap();
         handle.join().unwrap();
     }
@@ -1767,7 +1461,7 @@ mod tests {
             hardbound_exec::Engine::new(Machine::new(p, cfg)).run()
         };
         let (addr, fake) = fake_server(PROTOCOL_VERSION, move |stream| {
-            fake_ticket(stream, 2);
+            fake_submit(stream);
             let frame = |start: u32| {
                 let mut w = Writer::new();
                 w.put_u32(start);
@@ -1798,7 +1492,7 @@ mod tests {
             hardbound_exec::Engine::new(Machine::new(p, cfg)).run()
         };
         let (addr, fake) = fake_server(PROTOCOL_VERSION, move |stream| {
-            fake_ticket(stream, 1);
+            fake_submit(stream);
             let mut w = Writer::new();
             w.put_u32(u32::MAX); // start far past the grid
             w.put_u32(1);
@@ -1826,23 +1520,26 @@ mod tests {
         let trace = TraceId(hardbound_telemetry::trace::fresh_id());
         let parent = SpanId(hardbound_telemetry::trace::fresh_id());
         let mut client = Client::connect(addr).unwrap();
-        let ticket = client
-            .submit(&jobs, Some(TraceCtx { trace, parent }))
-            .unwrap();
         let mut results: Vec<Option<RunOutcome>> = vec![None; jobs.len()];
         let mut spans = Vec::new();
-        client.watch_into(ticket, &mut results, &mut spans).unwrap();
+        client
+            .run_into(
+                &jobs,
+                Some(TraceCtx { trace, parent }),
+                &mut results,
+                &mut spans,
+            )
+            .unwrap();
         let results: Vec<RunOutcome> = results.into_iter().map(Option::unwrap).collect();
         assert_eq!(results, expected, "tracing must not perturb results");
 
-        // One ticket_exec root under the client's context, keyed by
-        // ticket id and stamped with the shard index.
-        let exec: Vec<&SpanEvent> = spans.iter().filter(|s| s.kind == "ticket_exec").collect();
+        // One submit_exec root under the client's context, stamped with
+        // the shard index.
+        let exec: Vec<&SpanEvent> = spans.iter().filter(|s| s.kind == "submit_exec").collect();
         assert_eq!(exec.len(), 1, "{spans:?}");
         let exec = exec[0];
         assert_eq!(exec.trace, trace);
         assert_eq!(exec.parent, parent);
-        assert_eq!(exec.field_u64("ticket"), Some(ticket));
         assert_eq!(exec.field_u64("cells"), Some(40));
         assert_eq!(exec.field_u64("shard_index"), Some(1));
 
@@ -1854,7 +1551,6 @@ mod tests {
         for c in &chunks {
             assert_eq!(c.trace, trace);
             assert_eq!(c.parent, exec.span);
-            assert_eq!(c.field_u64("ticket"), Some(ticket));
             cells += c.field_u64("cells").unwrap();
             assert!(c.start_us + 100 >= exec.start_us, "{c:?} vs {exec:?}");
             assert!(c.end_us() <= exec.end_us() + 100, "{c:?} vs {exec:?}");
@@ -1873,17 +1569,18 @@ mod tests {
             .map(|k| WireJob::new(&counting_program(5 + k), cfg.clone(), 0, 0))
             .collect();
         let mut client = Client::connect(addr).unwrap();
-        let ticket = client.submit(&jobs, None).unwrap();
         let mut results: Vec<Option<RunOutcome>> = vec![None; jobs.len()];
         let mut spans = Vec::new();
-        client.watch_into(ticket, &mut results, &mut spans).unwrap();
+        client
+            .run_into(&jobs, None, &mut results, &mut spans)
+            .unwrap();
         assert!(spans.is_empty(), "{spans:?}");
         client.shutdown().unwrap();
         handle.join().unwrap();
     }
 
     #[test]
-    fn stats_and_metrics_report_ticket_lifecycle_and_cells() {
+    fn metrics_report_submissions_and_cells() {
         let (addr, handle) = spawn_server();
         let cfg = MachineConfig::default().with_fuel(1_000_000);
         let jobs: Vec<WireJob> = (0..9)
@@ -1893,19 +1590,17 @@ mod tests {
         client.run_jobs(&jobs).unwrap();
         client.run_jobs(&jobs).unwrap(); // warm replay, still "executed"
 
-        let stats = client.stats().unwrap();
-        assert_eq!(stats.tickets_finished, 2);
-        assert_eq!(stats.tickets_active, 0);
-        assert_eq!(stats.tickets_gcd, 0);
-        assert_eq!(stats.cells_in_flight, 0, "drained grids leave no queue");
-        assert!(stats.uptime_s < 600, "{}", stats.uptime_s);
-
         let text = client.metrics().unwrap();
         let get = |name| hardbound_telemetry::scrape_value(&text, name);
+        assert_eq!(get("hbserve_submissions"), Some(2));
+        assert_eq!(
+            get("hbserve_cells_in_flight"),
+            Some(0),
+            "drained grids leave no queue"
+        );
+        let uptime = get("hbserve_uptime_seconds").unwrap();
+        assert!(uptime < 600, "{uptime}");
         assert_eq!(get("hbserve_cells_executed"), Some(18));
-        assert_eq!(get("hbserve_tickets_created"), Some(2));
-        assert_eq!(get("hbserve_tickets_finished"), Some(2));
-        assert_eq!(get("hbserve_cells_in_flight"), Some(0));
         assert_eq!(get("hbserve_store_misses"), Some(9));
         assert_eq!(get("hbserve_store_hits"), Some(9));
         assert_eq!(
@@ -1931,12 +1626,9 @@ mod tests {
         let jobs: Vec<WireJob> = (0..96)
             .map(|k| WireJob::new(&counting_program(200 + k), cfg.clone(), 0, 0))
             .collect();
-        // Ticketed submission: the grid drains in the background while the
-        // scrapers below hammer the server.
-        let ticket = {
-            let mut c = Client::connect(addr).unwrap();
-            c.submit(&jobs, None).unwrap()
-        };
+        // The grid runs on its own connection while the scrapers below
+        // hammer the server.
+        let grid = std::thread::spawn(move || Client::connect(addr).unwrap().run_jobs(&jobs));
         // Concurrent "engine flush" traffic into the profile accumulator:
         // each flush adds 1 exec / 5 cycles to one block, so any snapshot
         // that tore a flush in half would break `cycles == 5 * execs`.
@@ -1988,16 +1680,12 @@ mod tests {
             })
         };
         let scrapers: Vec<_> = (0..2).map(|_| scraper(addr)).collect();
-        let mut collector = Client::connect(addr).unwrap();
-        let mut results: Vec<Option<RunOutcome>> = vec![None; jobs.len()];
-        collector
-            .watch_into(ticket, &mut results, &mut Vec::new())
-            .unwrap();
         for s in scrapers {
             s.join().unwrap();
         }
         seeder.join().unwrap();
-        assert!(results.iter().all(Option::is_some));
+        assert_eq!(grid.join().unwrap().unwrap().len(), 96);
+        let mut collector = Client::connect(addr).unwrap();
         let final_cells = hardbound_telemetry::scrape_value(
             &collector.metrics().unwrap(),
             "hbserve_cells_executed",
@@ -2025,12 +1713,13 @@ mod tests {
             .collect();
         let mut client = Client::connect(addr).unwrap();
         client.run_jobs(&jobs).unwrap();
-        let stats = client.stats().unwrap();
-        assert_eq!(stats.shard_index, 0);
-        assert_eq!(stats.shard_count, 3);
-        assert_eq!(stats.owned_cells + stats.foreign_cells, 24);
-        assert!(stats.owned_cells > 0, "{stats:?}");
-        assert!(stats.foreign_cells > 0, "{stats:?}");
+        assert_eq!(scrape(&mut client, "hbserve_shard_index"), 0);
+        assert_eq!(scrape(&mut client, "hbserve_shard_count"), 3);
+        let owned = scrape(&mut client, "hbserve_owned_cells");
+        let foreign = scrape(&mut client, "hbserve_foreign_cells");
+        assert_eq!(owned + foreign, 24);
+        assert!(owned > 0, "{owned} owned");
+        assert!(foreign > 0, "{foreign} foreign");
         client.shutdown().unwrap();
         handle.join().unwrap();
     }

@@ -677,11 +677,11 @@ mod tests {
             trace: TraceId(0x1234_5678_9abc_def0),
             span: SpanId(7),
             parent: SpanId(0),
-            kind: "ticket_exec".into(),
+            kind: "submit_exec".into(),
             start_us: 1_700_000_000_000_000,
             dur_us: 250,
             fields: vec![
-                ("ticket".into(), Field::U64(3)),
+                ("cells".into(), Field::U64(3)),
                 ("shard".into(), Field::Str("127.0.0.1:9".into())),
             ],
         };

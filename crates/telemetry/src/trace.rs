@@ -2,16 +2,19 @@
 //!
 //! A *trace* is a tree of *spans* sharing one [`TraceId`]; each span is
 //! one timed operation (a compile, a block decode, a store lookup, a
-//! batch chunk, a remote round trip, a ticket lifecycle stage). Spans are
+//! batch chunk, a remote round trip, a server-side submission). Spans are
 //! emitted as one JSON object per line to the sink installed with
 //! [`install`] — by the runtime's settings loader for `HB_TRACE`, or
 //! programmatically, which also lets benchmarks toggle tracing on and off
 //! inside one process. This crate reads no environment.
 //!
 //! Trace context (`trace` + parent span id) crosses the `hbserve` wire:
-//! the client stamps each submission, shards run their spans under the
-//! client's ids and ship them back with the ticket results, and the
-//! client writes them into its own sink — one grid, one merged trace.
+//! the client stamps each submission, shards run their `submit_exec` and
+//! `chunk` spans under the client's ids and ship them back on the
+//! submitting connection ahead of `DONE`, and the client writes them into
+//! its own sink — one grid, one merged trace. A server span's `parent` is
+//! the client's `remote_rt` span; a `remote_rt` without an `err` field is
+//! an attempt that succeeded.
 //!
 //! Every line is a flat JSON object with the fixed keys `trace`, `span`,
 //! `parent` (16-hex-digit ids; `parent` is all zeros for a root span),
@@ -139,13 +142,13 @@ pub struct SpanEvent {
     /// The parent span ([`SpanId::NONE`] for roots).
     pub parent: SpanId,
     /// What kind of operation this span timed (`compile`, `decode`,
-    /// `store_lookup`, `chunk`, `remote_rt`, `ticket_exec`, ...).
+    /// `store_lookup`, `chunk`, `remote_rt`, `submit_exec`, ...).
     pub kind: String,
     /// Wall-clock start, µs since the Unix epoch.
     pub start_us: u64,
     /// Duration in µs (measured on a monotonic clock).
     pub dur_us: u64,
-    /// Free-form span fields (`ticket`, `shard`, `cells`, ...).
+    /// Free-form span fields (`shard`, `cells`, `err`, ...).
     pub fields: Vec<(String, Field)>,
 }
 
@@ -404,7 +407,7 @@ mod tests {
             start_us: now_us(),
             dur_us: 1234,
             fields: vec![
-                ("ticket".into(), Field::U64(7)),
+                ("attempt".into(), Field::U64(7)),
                 ("shard".into(), Field::Str("127.0.0.1:4000".into())),
                 ("cells".into(), Field::U64(u64::MAX)),
             ],
