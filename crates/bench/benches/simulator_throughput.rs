@@ -31,20 +31,13 @@
 //! must stay within `<ratio>`× of the unprofiled baseline (CI pins `1.1`
 //! — profiled throughput within 10%), so retire-counter bookkeeping can
 //! never creep into the dispatch loop.
-//!
-//! Set `HB_HIER_GATE=<ratio>` to gate the **hierarchy fast path**: an
-//! irregular-gather fleet whose hot blocks stay resident must run at
-//! least `<ratio>`× faster under `HierPath::Event` (residency-proof
-//! filter + branchless way-scan) than under the `HierPath::Walk`
-//! reference (CI pins `1.2`), with the telemetry counters proving the
-//! residency filter actually answered lookups.
 
 use std::time::{Duration, Instant};
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 
 use hardbound_compiler::Mode;
-use hardbound_core::{HierPath, Machine, MachineConfig, PointerEncoding};
+use hardbound_core::{Machine, MachineConfig, PointerEncoding};
 use hardbound_exec::{batch, CorpusService, Engine, Job};
 use hardbound_isa::{BinOp, CmpOp, FuncId, FunctionBuilder, Program, Reg};
 use hardbound_runtime::{build_machine, compile, machine_config, settings};
@@ -127,127 +120,6 @@ fn dispatch_loop(iters: i32) -> Program {
     main.li(Reg::A0, 0);
     main.halt();
     Program::with_entry(vec![main.finish(), leaf.finish()])
-}
-
-/// An em3d-shaped irregular gather through an index array, with the
-/// working pointers held in bounded registers. The random access pattern
-/// defeats the same-block memos, so every access walks the hierarchy.
-fn irregular_gather(n: u32, rounds: i32) -> Program {
-    use hardbound_isa::{layout, Width};
-    assert!(n.is_power_of_two());
-    let mut f = FunctionBuilder::new("gather", 0);
-    // A0 = data (bounded), A1 = idx (bounded), A2 = i, A3 = s, A4 = n.
-    f.li(Reg::A0, layout::HEAP_BASE);
-    f.setbound_imm(Reg::A0, Reg::A0, (n * 4) as i32);
-    f.li(Reg::A1, layout::HEAP_BASE + n * 4);
-    f.setbound_imm(Reg::A1, Reg::A1, (n * 4) as i32);
-    f.li(Reg::A4, n);
-    // Init: data[i] = i; idx[i] = lcg(i) & (n - 1).
-    f.li(Reg::A2, 0);
-    f.li(Reg::temp(3), 7);
-    let init = f.bind_label();
-    f.bin(BinOp::Shl, Reg::temp(0), Reg::A2, 2);
-    f.add(Reg::temp(1), Reg::A0, Reg::temp(0));
-    f.store(Width::Word, Reg::A2, Reg::temp(1), 0);
-    f.bin(BinOp::Mul, Reg::temp(3), Reg::temp(3), 1_103_515_245);
-    f.addi(Reg::temp(3), Reg::temp(3), 12345);
-    f.bin(BinOp::And, Reg::temp(2), Reg::temp(3), (n - 1) as i32);
-    f.add(Reg::temp(1), Reg::A1, Reg::temp(0));
-    f.store(Width::Word, Reg::temp(2), Reg::temp(1), 0);
-    f.addi(Reg::A2, Reg::A2, 1);
-    f.branch(CmpOp::Lt, Reg::A2, Reg::A4, init);
-    // Gather: s += data[idx[i]], `rounds` passes.
-    f.li(Reg::A3, 0);
-    f.li(Reg::temp(4), rounds as u32);
-    let outer = f.bind_label();
-    f.li(Reg::A2, 0);
-    let inner = f.bind_label();
-    f.bin(BinOp::Shl, Reg::temp(0), Reg::A2, 2);
-    f.add(Reg::temp(1), Reg::A1, Reg::temp(0));
-    f.load(Width::Word, Reg::temp(2), Reg::temp(1), 0); // idx[i]: sequential
-    f.bin(BinOp::Shl, Reg::temp(2), Reg::temp(2), 2);
-    f.add(Reg::temp(1), Reg::A0, Reg::temp(2));
-    f.load(Width::Word, Reg::temp(2), Reg::temp(1), 0); // data[idx[i]]: random
-    f.add(Reg::A3, Reg::A3, Reg::temp(2));
-    f.addi(Reg::A2, Reg::A2, 1);
-    f.branch(CmpOp::Lt, Reg::A2, Reg::A4, inner);
-    f.addi(Reg::temp(4), Reg::temp(4), -1);
-    f.branch(CmpOp::Gt, Reg::temp(4), 0, outer);
-    f.li(Reg::A0, 0);
-    f.halt();
-    Program::with_entry(vec![f.finish()])
-}
-
-/// The hierarchy fast-path comparison (and optional CI gate): engine runs
-/// of an irregular-gather fleet, `HierPath::Event` vs `HierPath::Walk`.
-/// The gather's hot region (data + index arrays) is sized to the L1 — and
-/// to the residency filter's reach — so almost every access resolves by
-/// residency proof on the event path while the walk path re-scans its
-/// ways every time. The two paths are exact twins (the differential
-/// suites pin byte-identical outcomes), so the entire measured gap is
-/// lookup machinery. Gated via `HB_HIER_GATE=<ratio>` (CI pins `1.2`);
-/// independent of the gate, the run asserts identical outcomes and that
-/// the telemetry delta shows the filter both proving and falling back —
-/// the win has to come from answered residency probes, not noise.
-fn hier_fast_report() {
-    let gate = settings().hier_gate;
-    let scale = settings().scale;
-    let rounds = match scale {
-        Scale::Smoke => 8,
-        Scale::Full => 48,
-    };
-    // 4096 words of data + 4096 of indices = 32 KB hot: exactly the L1
-    // capacity and the residency filter's 1024-block reach.
-    let program = irregular_gather(4096, rounds);
-    let run = |path: HierPath| {
-        let mut cfg =
-            machine_config(Mode::HardBound, PointerEncoding::Intern4).with_hier_path(path);
-        // Associativity-stressed geometry (same capacities as the paper's
-        // §5.1 hierarchy, wider sets): the way-walk pays per-way compare
-        // work on every hit while the residency proof stays O(1), so this
-        // is the shape the event path exists for — and the shape where a
-        // fast-path regression shows up first.
-        cfg.hierarchy.l1_ways = 16;
-        cfg.hierarchy.l2_ways = 16;
-        cfg.hierarchy.tag_cache_ways = 16;
-        cfg.hierarchy.tlb_ways = 16;
-        let out = Engine::new(Machine::new(program.clone(), cfg)).run();
-        assert!(out.is_success(), "{:?}", out.trap);
-        out
-    };
-    let before = hardbound_telemetry::global().snapshot();
-    let (walk, event) = compare(5, || run(HierPath::Walk), || run(HierPath::Event));
-    let after = hardbound_telemetry::global().snapshot();
-    assert_eq!(
-        run(HierPath::Event),
-        run(HierPath::Walk),
-        "HierPath::Event and HierPath::Walk must be observationally identical"
-    );
-    let delta = |name: &str| after.counter(name) - before.counter(name);
-    let (proofs, scans) = (
-        delta("hb_hier_fastpath_hits"),
-        delta("hb_hier_fastpath_misses"),
-    );
-    assert!(
-        proofs > 0 && scans > 0,
-        "the gather must drive the residency filter both ways: \
-         {proofs} proofs, {scans} scans"
-    );
-    let speedup = walk.as_secs_f64() / event.as_secs_f64();
-    println!("\nhierarchy fast path (irregular gather, engine):");
-    println!(
-        "  {:<24} walk {walk:>10.2?}  event {event:>10.2?}  speedup {speedup:>5.2}x",
-        "irregular gather"
-    );
-    println!("  residency filter: {proofs} proofs, {scans} scans");
-    if let Some(required) = gate {
-        assert!(
-            speedup >= required,
-            "hierarchy fast-path gate: irregular-gather speedup {speedup:.2}x \
-             below the required {required:.2}x"
-        );
-        println!("  gate: {speedup:.2}x >= {required:.2}x — ok");
-    }
 }
 
 /// The engine-vs-interpreter throughput comparison (and optional CI gate).
@@ -646,7 +518,6 @@ criterion_group!(benches, bench_simulation, bench_compilation);
 fn main() {
     benches();
     engine_speedup_report();
-    hier_fast_report();
     service_warm_cold_report();
     persist_warm_report();
     trace_overhead_report();

@@ -1,19 +1,25 @@
 use crate::set_assoc::{Cache, CacheStats, FastPathStats};
 
-/// Which lookup machinery drives the simulated hierarchy. `Event` and
-/// `Walk` are *exact* twins — observation-identical stats, stalls and
-/// victims, differenced by the proptests.
+/// The hierarchy's lookup machinery. Its one variant is the only lookup
+/// there is: residency-proof filters answer repeat accesses without a
+/// way-scan, and cold scans are branchless (see [`Cache`]).
+///
+/// No simulation code reads this type. It exists only because `hbbench`
+/// checks `hier_path == HierPath::Event` before it runs, and it goes, with
+/// `MachineConfig::hier_path`, in the next benchmark change, which drops
+/// that check (ROADMAP item 7).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum HierPath {
-    /// Event-driven fast path (default): residency-proof filters answer
-    /// repeat accesses without a way-scan; cold scans are branchless.
+    /// The one lookup path (see the type docs).
     #[default]
     Event,
-    /// Naive reference walk of every structure on every access: the
-    /// exactness oracle for `Event`, selected explicitly with
-    /// `MachineConfig::with_hier_path` by the tests that compare the two.
-    Walk,
 }
+
+/// The most lines (cache blocks, TLB entries) one structure of a
+/// [`HierarchyConfig`] may have: 2^20, 8× the 2^17 lines of the paper's
+/// 4 MB L2 at 32-byte blocks. [`HierarchyConfig::validate`] enforces it,
+/// so an untrusted geometry cannot ask for an unbounded allocation.
+const MAX_LINES: u64 = 1 << 20;
 
 /// What kind of access is being made, for stall attribution.
 ///
@@ -121,9 +127,10 @@ impl HierarchyConfig {
     /// constructors under it) would otherwise `assert!`: every cache's
     /// size and the block size are powers of two, way counts are in
     /// `1..=255` and divide the block count, and the TLB's set count is a
-    /// power of two. Untrusted configurations (the `hbserve` wire
-    /// protocol) are validated with this before any machine is built, so
-    /// a malformed request is a rejection, not a worker panic.
+    /// power of two. It also caps every structure at [`MAX_LINES`] lines.
+    /// Untrusted configurations (the `hbserve` wire protocol) are
+    /// validated with this before any machine is built, so a malformed
+    /// request is a rejection, not a worker panic or a huge allocation.
     ///
     /// # Errors
     ///
@@ -143,6 +150,11 @@ impl HierarchyConfig {
                 return Err(format!("{name} way count {ways} outside 1..=255"));
             }
             let blocks = bytes / self.block_bytes;
+            if blocks > MAX_LINES {
+                return Err(format!(
+                    "{name}: {blocks} blocks exceed the cap of {MAX_LINES} lines per structure"
+                ));
+            }
             if blocks < ways as u64 || !blocks.is_multiple_of(ways as u64) {
                 return Err(format!(
                     "{name}: {blocks} blocks do not fill {ways}-way sets"
@@ -155,6 +167,12 @@ impl HierarchyConfig {
         cache("L2", self.l2_bytes, self.l2_ways)?;
         if self.tlb_ways == 0 || self.tlb_ways > 255 {
             return Err(format!("TLB way count {} outside 1..=255", self.tlb_ways));
+        }
+        if self.tlb_entries > MAX_LINES {
+            return Err(format!(
+                "TLB: {} entries exceed the cap of {MAX_LINES} lines per structure",
+                self.tlb_entries
+            ));
         }
         if !self.tlb_entries.is_multiple_of(self.tlb_ways as u64) {
             // sets = entries / ways rounds down, so without this check a
@@ -234,9 +252,8 @@ impl HierarchyStats {
 
 /// Aggregate fast-path counters across the whole hierarchy — the numbers
 /// behind `hb_hier_fastpath_{hits,misses}`. Kept apart from [`HierarchyStats`]: these
-/// describe *how* the simulation ran, not what it observed, and the
-/// Event ≡ Walk identity suites must be free to compare observations
-/// between twins whose machinery legitimately differs.
+/// describe *how* the simulation ran, not what it observed, so the
+/// observations compare equal to a reference model that has no filters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HierFastStats {
     /// Accesses answered by a residency filter alone, summed over every
@@ -260,16 +277,10 @@ pub struct Hierarchy {
 }
 
 impl Hierarchy {
-    /// Builds the hierarchy for `cfg` on the default (event-driven) path.
+    /// Builds the hierarchy for `cfg`.
     #[must_use]
     pub fn new(cfg: HierarchyConfig) -> Hierarchy {
-        Hierarchy::with_path(cfg, HierPath::Event)
-    }
-
-    /// Builds the hierarchy for `cfg` on an explicit [`HierPath`].
-    #[must_use]
-    pub fn with_path(cfg: HierarchyConfig, path: HierPath) -> Hierarchy {
-        let mut h = Hierarchy {
+        Hierarchy {
             l1d: Cache::new(cfg.l1_bytes, cfg.l1_ways, cfg.block_bytes),
             tag_cache: Cache::new(cfg.tag_cache_bytes, cfg.tag_cache_ways, cfg.block_bytes),
             l2: Cache::new(cfg.l2_bytes, cfg.l2_ways, cfg.block_bytes),
@@ -277,15 +288,7 @@ impl Hierarchy {
             tag_tlb: Cache::with_sets(cfg.tlb_entries / cfg.tlb_ways as u64, cfg.tlb_ways, 4096),
             stats: HierarchyStats::default(),
             cfg,
-        };
-        if path == HierPath::Walk {
-            h.l1d.set_walk();
-            h.tag_cache.set_walk();
-            h.l2.set_walk();
-            h.dtlb.set_walk();
-            h.tag_tlb.set_walk();
         }
-        h
     }
 
     /// Performs one access of `class` at conceptual address `addr`,
@@ -521,44 +524,6 @@ mod tests {
     }
 
     #[test]
-    fn event_path_is_identical_to_walk_path() {
-        // Twin hierarchies on the two exact paths over a mixed
-        // Data/Tag/Shadow stream: every returned stall and every
-        // observable counter must match. (The proptest in tests/prop.rs
-        // re-runs this shape over random geometries and streams.)
-        let mut event = Hierarchy::with_path(HierarchyConfig::default(), HierPath::Event);
-        let mut walk = Hierarchy::with_path(HierarchyConfig::default(), HierPath::Walk);
-        let mut x = 0x0bad_cafeu64;
-        for i in 0..6000u64 {
-            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-            let addr = (x >> 16) & 0xF_FFFF;
-            let class = match x % 3 {
-                0 => AccessClass::Data,
-                1 => AccessClass::Tag,
-                _ => AccessClass::Shadow,
-            };
-            let addr = match class {
-                AccessClass::Data => addr,
-                AccessClass::Tag => 0x3_0000_0000 + (addr >> 5),
-                AccessClass::Shadow => 0x1_0000_0000 + addr,
-            };
-            assert_eq!(
-                event.access(class, addr),
-                walk.access(class, addr),
-                "stall divergence at access {i}"
-            );
-        }
-        assert_eq!(event.stats(), walk.stats());
-        assert_eq!(event.l1_stats(), walk.l1_stats());
-        assert_eq!(event.tag_cache_stats(), walk.tag_cache_stats());
-        assert_eq!(event.l2_stats(), walk.l2_stats());
-        assert_eq!(event.dtlb_stats(), walk.dtlb_stats());
-        // And the machinery counters prove which path actually ran.
-        assert!(event.fast_stats().fastpath_hits > 0);
-        assert_eq!(walk.fast_stats(), HierFastStats::default());
-    }
-
-    #[test]
     fn validate_rejects_non_dividing_tlb_ways() {
         // Regression: 387 entries / 6 ways truncates to 64 sets — a power
         // of two — so the old validator accepted it and Hierarchy::new
@@ -572,6 +537,23 @@ mod tests {
         assert!(err.contains("387 entries do not divide"), "{err}");
         assert!(err.contains("384"), "{err}");
         assert!(HierarchyConfig::default().validate().is_ok());
+    }
+
+    #[test]
+    fn validate_accepts_every_geometry_in_use() {
+        assert_eq!(HierarchyConfig::default().validate(), Ok(()));
+        // The tag-cache sweep of the figure grid: 1–16 KiB.
+        for kb in [1, 2, 4, 8, 16] {
+            let cfg = HierarchyConfig::default().with_tag_cache_bytes(kb * 1024);
+            assert_eq!(cfg.validate(), Ok(()), "{kb} KiB tag cache");
+        }
+        // The line cap itself is a valid geometry.
+        let at_cap = HierarchyConfig {
+            l2_bytes: MAX_LINES * 32,
+            tlb_entries: MAX_LINES,
+            ..HierarchyConfig::default()
+        };
+        assert_eq!(at_cap.validate(), Ok(()));
     }
 
     #[test]

@@ -38,8 +38,8 @@ impl CacheStats {
 
 /// Residency-proof fast-path counters for one cache array. Deliberately
 /// *not* part of [`CacheStats`]: the filter is an implementation detail of
-/// the event-driven path, and the Event ≡ Walk differential suites compare
-/// `CacheStats` between twins whose filters legitimately diverge.
+/// the lookup, and the tests compare `CacheStats` against a reference LRU
+/// model that has no filter.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FastPathStats {
     /// Accesses answered by the residency filter alone (no way-scan).
@@ -68,18 +68,13 @@ const FILTER_SLOTS: usize = 1024;
 /// HardBound's metadata spaces are modelled as conceptual regions above the
 /// 32-bit program space (see `hardbound_isa::layout`).
 ///
-/// Two lookup paths share the arrays:
-///
-/// * the **event-driven** path (default) answers accesses through a small
-///   direct-mapped *residency filter* — a proof that the block is resident
-///   at a known way, maintained by invalidating a block's entry whenever
-///   that block is evicted — and scans the set branchlessly (tag compare +
-///   stamp min in one pass over a padded, fixed-stride set) on filter
-///   misses;
-/// * the **walk** path ([`Cache::set_walk`]) is the naive reference scan,
-///   kept verbatim as the exactness oracle: the differential suites drive
-///   twin caches down both paths and require identical hits, misses,
-///   victims and stamps.
+/// Every access first asks a small direct-mapped *residency filter* — a
+/// proof that the block is resident at a known way, maintained by
+/// invalidating a block's entry whenever that block is evicted — and on a
+/// filter miss scans the set branchlessly (tag compare + stamp min in one
+/// pass over a padded, fixed-stride set). `tests/prop.rs` pins this
+/// lookup against a naive recency-ordered reference model: identical
+/// hits, misses and victims.
 #[derive(Clone, Debug)]
 pub struct Cache {
     block_bits: u32,
@@ -116,8 +111,6 @@ pub struct Cache {
     /// replacement state evolve identically with or without it.
     filter_tags: Vec<u64>,
     filter_ways: Vec<u8>,
-    /// `false` selects the walk (reference) path: no filter, naive scan.
-    fast: bool,
     fast_stats: FastPathStats,
     stats: CacheStats,
 }
@@ -182,7 +175,6 @@ impl Cache {
             clock: 0,
             filter_tags: vec![0; FILTER_SLOTS],
             filter_ways: vec![0; FILTER_SLOTS],
-            fast: true,
             fast_stats: FastPathStats::default(),
             stats: CacheStats::default(),
         }
@@ -194,42 +186,30 @@ impl Cache {
         Cache::with_sets(64, 4, 4096)
     }
 
-    /// Selects the walk (reference) lookup path: the residency filter is
-    /// disabled and every access runs the naive early-exit scan. The
-    /// differential suites pin the event path's exactness against this.
-    pub fn set_walk(&mut self) {
-        self.fast = false;
-        self.filter_tags.iter_mut().for_each(|t| *t = 0);
-    }
-
     /// Looks up the block containing `addr`, filling on miss. Returns
     /// `true` on hit.
     #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
         let block = addr >> self.block_bits;
-        if self.fast {
-            let slot = (block as usize) & (FILTER_SLOTS - 1);
-            if self.filter_tags[slot] == block + 1 {
-                // Residency proof: the block still sits at the recorded
-                // way (its entry would have been erased by the eviction
-                // otherwise), so only the recency stamp moves.
-                let set = (block & self.set_mask) as usize;
-                let way = self.filter_ways[slot] as usize;
-                debug_assert_eq!(self.lines[set * self.stride + way], block + 1);
-                self.clock += 1;
-                self.stamps[set * self.stride + way] = self.clock;
-                self.stats.hits += 1;
-                self.fast_stats.fastpath_hits += 1;
-                return true;
-            }
-            self.fast_stats.fastpath_misses += 1;
-            self.access_scan(block)
-        } else {
-            self.access_walk(block)
+        let slot = (block as usize) & (FILTER_SLOTS - 1);
+        if self.filter_tags[slot] == block + 1 {
+            // Residency proof: the block still sits at the recorded way
+            // (its entry would have been erased by the eviction
+            // otherwise), so only the recency stamp moves.
+            let set = (block & self.set_mask) as usize;
+            let way = self.filter_ways[slot] as usize;
+            debug_assert_eq!(self.lines[set * self.stride + way], block + 1);
+            self.clock += 1;
+            self.stamps[set * self.stride + way] = self.clock;
+            self.stats.hits += 1;
+            self.fast_stats.fastpath_hits += 1;
+            return true;
         }
+        self.fast_stats.fastpath_misses += 1;
+        self.access_scan(block)
     }
 
-    /// Event-path set scan: one branchless pass over the padded set
+    /// Set scan on a filter miss: one branchless pass over the padded set
     /// computing the tag-match way and the stamp-min victim together (no
     /// early exit, no data-dependent branches in the loop — the shape
     /// the autovectorizer handles). Padding slots never match (line 0)
@@ -280,37 +260,6 @@ impl Cache {
         }
     }
 
-    /// Walk-path set scan: the naive reference (early-exit tag search,
-    /// then `min_by_key` victim selection over the real ways), kept
-    /// verbatim as the oracle the event path is differenced against.
-    fn access_walk(&mut self, block: u64) -> bool {
-        let set = (block & self.set_mask) as usize;
-        let base = set * self.stride;
-        let lines = &mut self.lines[base..base + self.ways];
-        let stamps = &mut self.stamps[base..base + self.ways];
-        self.clock += 1;
-        let tag = block + 1;
-
-        if let Some(way) = lines.iter().position(|&t| t == tag) {
-            stamps[way] = self.clock;
-            self.stats.hits += 1;
-            true
-        } else {
-            // Miss: evict the least-recently-used way (smallest stamp;
-            // never-used ways carry stamp 0 and fill first).
-            let victim = stamps
-                .iter()
-                .enumerate()
-                .min_by_key(|&(_, &s)| s)
-                .map(|(w, _)| w)
-                .expect("ways > 0");
-            lines[victim] = tag;
-            stamps[victim] = self.clock;
-            self.stats.misses += 1;
-            false
-        }
-    }
-
     /// Records a hit without a lookup. Callers (the hierarchy's
     /// repeat-access fast path) use this only when the hit is already
     /// proven — the block was the most recent access and nothing touched
@@ -337,7 +286,7 @@ impl Cache {
         self.stats
     }
 
-    /// Residency-filter counters (zero on the walk path).
+    /// Residency-filter counters.
     #[must_use]
     pub fn fast_stats(&self) -> FastPathStats {
         self.fast_stats
@@ -457,38 +406,6 @@ mod tests {
         // The filter entry for block 0 must have been erased with the
         // eviction: a repeat access is a genuine miss, not a stale proof.
         assert!(!c.access(0), "evicted block must miss");
-    }
-
-    #[test]
-    fn walk_path_matches_event_path_exactly() {
-        let mut fast = Cache::new(1024, 4, 32);
-        let mut walk = Cache::new(1024, 4, 32);
-        walk.set_walk();
-        let mut x = 0x9e37_79b9u64;
-        for i in 0..20_000u64 {
-            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-            let addr = (x >> 16) & 0x7FFF;
-            assert_eq!(fast.access(addr), walk.access(addr), "access {i}");
-        }
-        assert_eq!(fast.stats(), walk.stats());
-        assert_eq!(walk.fast_stats(), FastPathStats::default());
-        assert!(fast.fast_stats().fastpath_hits > 0);
-    }
-
-    #[test]
-    fn padded_stride_keeps_lru_for_non_power_of_two_ways() {
-        // 3 ways pad to stride 4; the padding slot must never hit and
-        // never be chosen as a victim, on either path.
-        let mut fast = Cache::with_sets(2, 3, 32);
-        let mut walk = Cache::with_sets(2, 3, 32);
-        walk.set_walk();
-        let mut x = 7u64;
-        for i in 0..5_000u64 {
-            x = x.wrapping_mul(48271) % 0x7FFF_FFFF;
-            let addr = (x & 0x1FF) * 32;
-            assert_eq!(fast.access(addr), walk.access(addr), "access {i}");
-        }
-        assert_eq!(fast.stats(), walk.stats());
     }
 
     #[test]

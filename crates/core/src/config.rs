@@ -114,9 +114,8 @@ pub struct MachineConfig {
     /// The metadata-cost model; one variant, read by no simulation code
     /// (see [`MetaPath`]).
     pub meta_path: MetaPath,
-    /// Memory-hierarchy lookup machinery (see [`HierPath`]). `Event` (the
-    /// default) and `Walk` are exact twins and deliberately share a stable fingerprint
-    /// (like two builds of the same hardware).
+    /// The hierarchy's lookup machinery; one variant, read by no
+    /// simulation code and not fingerprinted (see [`HierPath`]).
     pub hier_path: HierPath,
 }
 
@@ -192,13 +191,6 @@ impl MachineConfig {
         self
     }
 
-    /// Replaces the memory-hierarchy lookup machinery.
-    #[must_use]
-    pub fn with_hier_path(mut self, hier_path: HierPath) -> MachineConfig {
-        self.hier_path = hier_path;
-        self
-    }
-
     /// The part of this configuration that decides functional execution:
     /// registers, memory, tags, traps, output and every statistic except
     /// the ones [`MachineConfig::timing`] changes. It is this
@@ -214,7 +206,6 @@ impl MachineConfig {
             block_bytes: self.hierarchy.block_bytes,
             ..HierarchyConfig::default()
         };
-        key.hier_path = HierPath::default();
         if let Some(hb) = &mut key.hardbound {
             hb.check_uop = false;
         }
@@ -222,8 +213,7 @@ impl MachineConfig {
     }
 
     /// The part of this configuration that only changes timing: the
-    /// hierarchy geometry, its lookup machinery and the §5.4 check-µop
-    /// costing. Configurations with one [`FunctionalKey`] execute
+    /// hierarchy geometry and the §5.4 check-µop costing. Configurations with one [`FunctionalKey`] execute
     /// identically and differ only in the counters this part decides
     /// (`hierarchy` stalls, `check_uops` and `uops`), so a
     /// [`crate::Machine`] can run them as timing variants of one run.
@@ -231,7 +221,6 @@ impl MachineConfig {
     pub fn timing(&self) -> TimingPart {
         TimingPart {
             hierarchy: self.hierarchy,
-            hier_path: self.hier_path,
             check_uop: self.hardbound.is_some_and(|hb| hb.check_uop),
         }
     }
@@ -257,8 +246,6 @@ impl FunctionalKey {
 pub struct TimingPart {
     /// Memory-hierarchy geometry and penalties.
     pub hierarchy: HierarchyConfig,
-    /// Memory-hierarchy lookup machinery.
-    pub hier_path: HierPath,
     /// The §5.4 extra-check-µop ablation (`false` without HardBound).
     pub check_uop: bool,
 }
@@ -329,10 +316,7 @@ mod tests {
                 .with_hierarchy(HierarchyConfig::from_words(words).expect("fits"))
         };
 
-        let mut timing = vec![
-            with_hb(hb.with_check_uop()),
-            base.clone().with_hier_path(HierPath::Walk),
-        ];
+        let mut timing = vec![with_hb(hb.with_check_uop())];
         timing.extend(
             (0..hierarchy.to_words().len())
                 .filter(|&i| i != BLOCK_BYTES_WORD)
@@ -367,7 +351,6 @@ mod tests {
             let t = cfg.timing();
             let mut back = cfg.functional_key().config().clone();
             back.hierarchy = t.hierarchy;
-            back.hier_path = t.hier_path;
             if let Some(hb) = &mut back.hardbound {
                 hb.check_uop = t.check_uop;
             }
@@ -380,12 +363,10 @@ mod tests {
         let c = MachineConfig::hardbound(
             HardboundConfig::malloc_only(PointerEncoding::Intern11).with_check_uop(),
         )
-        .with_fuel(1000)
-        .with_hier_path(HierPath::Walk);
+        .with_fuel(1000);
         let hb = c.hardbound.unwrap();
         assert_eq!(hb.mode, SafetyMode::MallocOnly);
         assert!(hb.check_uop);
         assert_eq!(c.fuel, 1000);
-        assert_eq!(c.hier_path, HierPath::Walk);
     }
 }

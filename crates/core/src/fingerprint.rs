@@ -168,6 +168,9 @@ impl StableHash for HierarchyConfig {
 }
 
 impl StableHash for MachineConfig {
+    /// `meta_path` and `hier_path` are not mixed: each is a one-variant
+    /// enum that no simulation code reads, kept only for `hbbench`'s
+    /// start-up guard.
     fn stable_hash(&self, h: &mut Fnv64) {
         self.hardbound.stable_hash(h);
         self.hierarchy.stable_hash(h);

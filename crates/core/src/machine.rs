@@ -177,7 +177,7 @@ impl Machine {
                 .next_multiple_of(layout::PAGE_SIZE as u32);
         let entry = program.entry;
         let mut m = Machine {
-            hier: Hierarchy::with_path(cfg.hierarchy, cfg.hier_path),
+            hier: Hierarchy::new(cfg.hierarchy),
             block_shift: cfg.hierarchy.block_bytes.trailing_zeros(),
             tag_down_shift: cfg
                 .hardbound
@@ -247,7 +247,6 @@ impl Machine {
         let own = self.cfg.timing();
         self.variants.clear();
         self.variant_hiers.clear();
-        let geometry = |t: &TimingPart| (t.hierarchy, t.hier_path);
         for cfg in variants {
             assert_eq!(cfg.functional_key(), key, "a timing variant of another run");
             let timing = cfg.timing();
@@ -255,17 +254,16 @@ impl Machine {
                 own.check_uop || !timing.check_uop,
                 "a check-µop variant needs a check-µop machine"
             );
-            let hier = if geometry(&timing) == geometry(&own) {
+            let hier = if timing.hierarchy == own.hierarchy {
                 None
             } else if let Some(v) = self
                 .variants
                 .iter()
-                .find(|v| geometry(&v.timing) == geometry(&timing))
+                .find(|v| v.timing.hierarchy == timing.hierarchy)
             {
                 v.hier
             } else {
-                self.variant_hiers
-                    .push(Hierarchy::with_path(timing.hierarchy, timing.hier_path));
+                self.variant_hiers.push(Hierarchy::new(timing.hierarchy));
                 Some(self.variant_hiers.len() - 1)
             };
             self.variants.push(TimingVariant { timing, hier });

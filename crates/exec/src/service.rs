@@ -376,7 +376,6 @@ pub struct ServiceStats {
 pub struct CorpusService {
     shards: Vec<SharedBlockCache>,
     store: ResultStore,
-    result_cache: bool,
     profiling: bool,
     functional_runs: u64,
 }
@@ -399,24 +398,9 @@ impl CorpusService {
                 .map(|_| SharedBlockCache::new(blocks_per_shard))
                 .collect(),
             store: ResultStore::default(),
-            result_cache: true,
             profiling: false,
             functional_runs: 0,
         }
-    }
-
-    /// Enables or disables the result store. Disabled, every job executes
-    /// — the shared decode cache still applies — and the store is neither
-    /// consulted nor grown: the store-off reference the differential
-    /// suites compare replays against.
-    pub fn set_result_cache(&mut self, on: bool) {
-        self.result_cache = on;
-    }
-
-    /// Whether the result store is consulted.
-    #[must_use]
-    pub fn result_cache(&self) -> bool {
-        self.result_cache
     }
 
     /// Arms the hot-spot profiler on every engine this service runs (see
@@ -470,9 +454,7 @@ impl CorpusService {
         T: Sync,
         F: Fn(Program, MachineConfig, &T) -> Machine + Sync,
     {
-        if self.result_cache {
-            self.store.gc_expired();
-        }
+        self.store.gc_expired();
         // Under `HB_TRACE` each batch is a root span with two stamped
         // children: the store-lookup sweep and the parallel execution of
         // the misses.
@@ -487,9 +469,9 @@ impl CorpusService {
         let mut first_of: HashMap<(ProgramId, u64), usize> = HashMap::new();
         let mut replay_of: Vec<Option<usize>> = vec![None; jobs.len()];
         for (i, &key) in keys.iter().enumerate() {
-            match self.result_cache.then(|| self.store.lookup(key)).flatten() {
+            match self.store.lookup(key) {
                 Some(out) => results[i] = Some(out),
-                None if self.result_cache => match first_of.get(&key) {
+                None => match first_of.get(&key) {
                     // A duplicate of a cell already executing in this
                     // batch: replay its outcome instead of re-simulating.
                     // The store lookup above counted it as a miss;
@@ -504,7 +486,6 @@ impl CorpusService {
                         missing.push(i);
                     }
                 },
-                None => missing.push(i),
             }
         }
         if let Some(t) = lookup_timer {
@@ -538,11 +519,9 @@ impl CorpusService {
         if let Some(t) = batch_timer {
             t.emit(vec![("jobs".to_owned(), Field::from(jobs.len() as u64))]);
         }
-        if self.result_cache {
-            for &i in &missing {
-                let out = results[i].clone().expect("every miss executed");
-                self.store.insert(keys[i], out);
-            }
+        for &i in &missing {
+            let out = results[i].clone().expect("every miss executed");
+            self.store.insert(keys[i], out);
         }
         for i in 0..jobs.len() {
             if let Some(j) = replay_of[i] {
@@ -741,10 +720,14 @@ mod tests {
         );
         svc.run_one(&a, build);
         svc.run_one(&b, build);
-        assert_eq!(svc.stats().store_len, 2);
-        assert!(svc.stats().cache.decoded > 0);
-        // The same image under both fuels decoded once.
-        assert_eq!(svc.stats().programs, 1);
+        let s = svc.stats();
+        assert_eq!(s.store_len, 2);
+        assert_eq!((s.store.hits, s.store.misses), (0, 2), "b is a store miss");
+        assert!(s.cache.decoded > 0);
+        // The same image under both fuels decoded once: the store miss
+        // still ran on the shared decode cache.
+        assert_eq!(s.programs, 1);
+        assert!(s.cache.hits > 0, "b reuses a's decoded blocks: {s:?}");
     }
 
     #[test]
@@ -753,23 +736,6 @@ mod tests {
         let mut b = job(10, 1_000_000);
         b.salt = 1;
         assert_ne!(a.key(), b.key());
-    }
-
-    #[test]
-    fn result_cache_off_executes_every_time() {
-        let jobs = vec![job(10, 1_000_000)];
-        let mut svc = CorpusService::new(2);
-        svc.set_result_cache(false);
-        let first = svc.run_batch(&jobs, build);
-        let second = svc.run_batch(&jobs, build);
-        assert_eq!(first, second);
-        let s = svc.stats();
-        assert_eq!(s.store_len, 0, "store is bypassed entirely");
-        assert_eq!(s.store.hits, 0);
-        assert!(
-            s.cache.hits > 0,
-            "the shared decode cache still serves the second run: {s:?}"
-        );
     }
 
     #[test]

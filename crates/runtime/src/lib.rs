@@ -168,8 +168,7 @@ pub fn meta_path_default() -> MetaPath {
 
 /// The machine configuration that corresponds to a compiler mode (paper
 /// §5.1): HardBound hardware for the HardBound/MallocOnly modes, the plain
-/// baseline machine for the software-only schemes. The hierarchy keeps
-/// [`MachineConfig`]'s exact event-driven lookup.
+/// baseline machine for the software-only schemes.
 #[must_use]
 pub fn machine_config(mode: Mode, encoding: PointerEncoding) -> MachineConfig {
     match mode {
@@ -809,14 +808,14 @@ mod tests {
 
     #[test]
     fn env_parse_reports_unparseable_values() {
-        let gate = |v: &str| Settings::from_vars([("HB_HIER_GATE", v)]).map(|s| s.hier_gate);
+        let gate = |v: &str| Settings::from_vars([("HB_SERVICE_GATE", v)]).map(|s| s.service_gate);
         // Unset variables read as None.
         let unset = Settings::from_vars::<[(&str, &str); 0], _, _>([]).expect("no variables");
-        assert_eq!(unset.hier_gate, None);
+        assert_eq!(unset.service_gate, None);
         // A set-but-invalid value takes the error path, and the diagnostic
         // names the variable and quotes the value.
         let err = gate("1.x").expect_err("`1.x` must not parse as a ratio");
-        assert!(err.contains("HB_HIER_GATE"), "{err}");
+        assert!(err.contains("HB_SERVICE_GATE"), "{err}");
         assert!(err.contains("`1.x`"), "{err}");
         // Valid and empty values parse through the same path.
         assert_eq!(gate("2.5"), Ok(Some(2.5)));

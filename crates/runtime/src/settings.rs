@@ -94,7 +94,7 @@ pub(crate) type Var = (&'static str, Grammar, &'static str);
 
 /// Every `HB_*` variable the workspace reads.
 #[rustfmt::skip]
-pub(crate) const VARS: [Var; 13] = [
+pub(crate) const VARS: [Var; 12] = [
     ("HB_JOBS", Grammar::Count(1, |s| &mut s.jobs), "Worker threads of the batch drivers and the corpus service. Unset: all cores; `1` runs serially."),
     ("HB_PROF", Grammar::Flag(|s| &mut s.prof), "Arm the block engine's per-superblock hot-spot profiler on the corpus service (`hbserve` answers `PROFILE` with it). Unset: off."),
     ("HB_FLIGHT", Grammar::Count(0, |s| &mut s.flight), "Arm an `N`-event memory flight recorder on every machine; a trap's violation report prints its tail. Unset or `0`: off."),
@@ -103,7 +103,6 @@ pub(crate) const VARS: [Var; 13] = [
     ("HB_SERVE_ADDR", Grammar::AddrList(|s| &mut s.serve_addrs), "Offload cell grids to these `hbserve` shards by consistent hash, with retry and re-route; an unreachable cluster fails loudly. Unset: run locally."),
     ("HB_SCALE", Grammar::Scale(|s| &mut s.scale), "Workload inputs of the bench targets; `smoke` keeps CI runs short. Unset: `full`."),
     ("HB_ENGINE_GATE", Grammar::Ratio(|s| &mut s.engine_gate), "`simulator_throughput`: the dispatch-bound engine speedup must reach this, and the fleet must stay ≥ 0.9× the interpreter (CI: `1.8`)."),
-    ("HB_HIER_GATE", Grammar::Ratio(|s| &mut s.hier_gate), "`simulator_throughput`: the irregular gather must run this much faster under `HierPath::Event` than under `Walk` (CI: `1.2`)."),
     ("HB_SERVICE_GATE", Grammar::Ratio(|s| &mut s.service_gate), "`simulator_throughput`: a warm grid re-run must replay from the result store this much faster than the cold pass (CI: `2`)."),
     ("HB_PERSIST_GATE", Grammar::Ratio(|s| &mut s.persist_gate), "`simulator_throughput`: a grid re-run on a service reopened from its store log must beat the cold pass by this much (CI: `2`)."),
     ("HB_TRACE_GATE", Grammar::Ratio(|s| &mut s.trace_gate), "`simulator_throughput`: an engine fleet writing a trace must stay within this factor of the untraced fleet (CI: `1.1`)."),
@@ -130,8 +129,6 @@ pub struct Settings {
     pub scale: Scale,
     /// `HB_ENGINE_GATE`: the dispatch-bound engine speedup floor.
     pub engine_gate: Option<f64>,
-    /// `HB_HIER_GATE`: the event-path hierarchy speedup floor.
-    pub hier_gate: Option<f64>,
     /// `HB_SERVICE_GATE`: the warm result-store replay speedup floor.
     pub service_gate: Option<f64>,
     /// `HB_PERSIST_GATE`: the reopened-store replay speedup floor.
@@ -256,7 +253,7 @@ mod tests {
     /// One case per row of [`VARS`]: the field it sets, each valid
     /// spelling with the field it yields, and values it must reject.
     #[allow(clippy::type_complexity)]
-    const CASES: [(&str, Field, &[(&str, &str)], &[&str]); 13] = [
+    const CASES: [(&str, Field, &[(&str, &str)], &[&str]); 12] = [
         (
             "HB_JOBS",
             |s| format!("{:?}", s.jobs),
@@ -315,12 +312,6 @@ mod tests {
             |s| format!("{:?}", s.engine_gate),
             &[("1.8", "Some(1.8)"), ("2", "Some(2.0)")],
             &["0", "-1", "fast", "inf", "NaN"],
-        ),
-        (
-            "HB_HIER_GATE",
-            |s| format!("{:?}", s.hier_gate),
-            &[("1.2", "Some(1.2)")],
-            &["x"],
         ),
         (
             "HB_SERVICE_GATE",

@@ -1347,6 +1347,26 @@ mod tests {
             }
             other => panic!("expected a server rejection, got {other}"),
         }
+        // Geometries past the per-structure line cap would allocate
+        // without bound (a 1 TiB L2 is 2^35 lines); both are rejected.
+        bad_tag[0].config.hierarchy.tlb_entries = 256;
+        bad_tag[0].config.hierarchy.tlb_ways = 4;
+        bad_tag[0].config.hierarchy.l2_bytes = 1 << 40;
+        match client.run_jobs(&bad_tag).unwrap_err() {
+            ServeError::Server(msg) => {
+                assert!(msg.contains("L2") && msg.contains("cap of"), "{msg}");
+            }
+            other => panic!("expected a server rejection, got {other}"),
+        }
+        bad_tag[0].config.hierarchy.l2_bytes = 4 << 20;
+        bad_tag[0].config.hierarchy.tlb_entries = 1 << 40;
+        match client.run_jobs(&bad_tag).unwrap_err() {
+            ServeError::Server(msg) => {
+                assert!(msg.contains("TLB") && msg.contains("cap of"), "{msg}");
+            }
+            other => panic!("expected a server rejection, got {other}"),
+        }
+        assert_eq!(scrape(&mut client, "hbserve_cells_executed"), 0);
 
         // The connection survives rejections; a good job still runs.
         let good = vec![WireJob::new(&counting_program(3), cfg, 0, 0)];

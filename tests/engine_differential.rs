@@ -9,18 +9,15 @@
 //! sources) runs under the paper's default configuration, and generated
 //! pointer-soup programs (straight-line and looped) run as properties.
 //!
-//! The **hierarchy lookup machinery** is pinned too: each
-//! program also runs under `HierPath::Walk` (the reference way-walk) on
-//! both execution paths, and must be byte-identical to the default
-//! event-driven residency-proof path (`HierPath::Event`) — the two are
-//! exact twins by construction, differing only in how a set is searched.
+//! The hierarchy has one lookup path; its exactness against a reference
+//! LRU model is pinned in `crates/cache/tests/prop.rs`.
 
 use hardbound::compiler::Mode;
-use hardbound::core::{HierPath, Machine, MachineConfig, PointerEncoding, RunOutcome};
+use hardbound::core::{Machine, MachineConfig, PointerEncoding, RunOutcome};
 use hardbound::exec::Engine;
 use hardbound::isa::{fuzz, layout, FuncId, Function, FunctionBuilder, Inst, Program, Reg};
 use hardbound::isa::{SysCall, Width};
-use hardbound::runtime::{build_machine, build_machine_with_config, compile, machine_config};
+use hardbound::runtime::{build_machine, compile, machine_config};
 use hardbound::workloads::{by_name, Scale};
 use proptest::prelude::*;
 
@@ -54,34 +51,15 @@ fn check_program(label: &str, program: &Program, cfg: &MachineConfig) {
     assert_identical(label, &interp, &engine);
 }
 
-/// Compiles `source` under `mode` and runs it four ways — interpreter and
-/// engine, each under the default hierarchy and the reference hierarchy
-/// walk — asserting all outcomes identical.
+/// Compiles `source` under `mode` and runs it on the interpreter and the
+/// engine, asserting both outcomes identical.
 fn differential_cb(label: &str, source: &str, mode: Mode, encoding: PointerEncoding) {
     let program = compile(source, mode)
         .unwrap_or_else(|e| panic!("{label}: compile failed under {mode}: {e}"));
-    let build = |hier| {
-        let cfg = machine_config(mode, encoding).with_hier_path(hier);
-        build_machine_with_config(program.clone(), mode, cfg)
-    };
-    let interp = build(HierPath::Event).run();
-    let engine = Engine::new(build(HierPath::Event)).run();
-    let label = format!("{label}/{mode}/{encoding}");
-    assert_identical(&label, &interp, &engine);
-    // The hierarchy lookup twin: the reference way-walk must match the
-    // default event-driven path on both execution paths.
-    let interp_hier = build(HierPath::Walk).run();
-    let engine_hier = Engine::new(build(HierPath::Walk)).run();
-    assert_identical(
-        &format!("{label}/interp event-vs-hier-walk"),
-        &interp,
-        &interp_hier,
-    );
-    assert_identical(
-        &format!("{label}/engine event-vs-hier-walk"),
-        &engine,
-        &engine_hier,
-    );
+    let build = || build_machine(program.clone(), mode, encoding);
+    let interp = build().run();
+    let engine = Engine::new(build()).run();
+    assert_identical(&format!("{label}/{mode}/{encoding}"), &interp, &engine);
 }
 
 const BENIGN: &[(&str, &str)] = &[
@@ -246,20 +224,9 @@ fn fuzz_programs_agree_across_modes_and_encodings() {
         for (mode, encoding) in all_configs() {
             // Fuzz programs are raw µop streams — the compiler mode only
             // matters through the machine configuration, so pair each
-            // config via the runtime glue as the drivers do. The hierarchy
-            // walk re-checks the lookup identity on hostile inputs.
+            // config via the runtime glue as the drivers do.
             let cfg = machine_config(mode, encoding).with_fuel(100_000);
-            let hier_cfg = cfg.clone().with_hier_path(HierPath::Walk);
-            let interp = Machine::new(program.clone(), cfg.clone()).run();
-            let engine = Engine::new(Machine::new(program.clone(), cfg.clone())).run();
-            let engine_hier = Engine::new(Machine::new(program.clone(), hier_cfg)).run();
-            let label = format!("fuzz-{seed}/{mode}/{encoding}");
-            assert_identical(&label, &interp, &engine);
-            assert_identical(
-                &format!("{label}/event-vs-hier-walk"),
-                &engine,
-                &engine_hier,
-            );
+            check_program(&format!("fuzz-{seed}/{mode}/{encoding}"), &program, &cfg);
         }
     }
 }

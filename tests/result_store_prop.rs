@@ -134,12 +134,11 @@ proptest! {
             "warm pass must be served by the store: {:?}", stats
         );
 
-        // Cold recompute on a fresh store-less service, and the direct
-        // engine path: all byte-identical.
-        let mut bare = CorpusService::new(1);
-        bare.set_result_cache(false);
-        let recompute = bare.run_batch(&jobs, build);
-        prop_assert_eq!(&cold, &recompute, "store on/off differ");
+        // Cold recompute on a fresh service (an empty store executes
+        // every cell of its first batch), and the direct engine path: all
+        // byte-identical.
+        let recompute = CorpusService::new(1).run_batch(&jobs, build);
+        prop_assert_eq!(&cold, &recompute, "replay and recompute differ");
         for (job, out) in jobs.iter().zip(&cold) {
             let direct: RunOutcome =
                 Engine::new(Machine::new(job.program.clone(), job.config.clone())).run();
