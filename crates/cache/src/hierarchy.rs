@@ -265,6 +265,13 @@ pub struct HierFastStats {
 
 /// The simulated memory system: L1 data cache, tag metadata cache, shared
 /// L2, and a TLB per first-level structure (paper Figure 4).
+///
+/// Two same-block memos sit in front of the lookup. An access to the
+/// block of the previous data access, with no shadow access in between,
+/// is a sure dTLB and L1 hit that changes no LRU order; the tag plane's
+/// memo does the same for the tag TLB and tag cache. Such repeats only
+/// bump the hit counters. Shadow traffic shares the dTLB and L1 with
+/// data (paper §4.4), so it clears the data memo.
 #[derive(Clone, Debug)]
 pub struct Hierarchy {
     cfg: HierarchyConfig,
@@ -274,6 +281,12 @@ pub struct Hierarchy {
     dtlb: Cache,
     tag_tlb: Cache,
     stats: HierarchyStats,
+    /// `log2(block_bytes)`: an address's block for the memos.
+    block_shift: u32,
+    /// Block of the last data access (`u64::MAX` = none).
+    last_data_block: u64,
+    /// Block of the last tag access (`u64::MAX` = none).
+    last_tag_block: u64,
 }
 
 impl Hierarchy {
@@ -287,6 +300,9 @@ impl Hierarchy {
             dtlb: Cache::with_sets(cfg.tlb_entries / cfg.tlb_ways as u64, cfg.tlb_ways, 4096),
             tag_tlb: Cache::with_sets(cfg.tlb_entries / cfg.tlb_ways as u64, cfg.tlb_ways, 4096),
             stats: HierarchyStats::default(),
+            block_shift: cfg.block_bytes.trailing_zeros(),
+            last_data_block: u64::MAX,
+            last_tag_block: u64::MAX,
             cfg,
         }
     }
@@ -294,7 +310,32 @@ impl Hierarchy {
     /// Performs one access of `class` at conceptual address `addr`,
     /// returning the stall cycles it incurs. Loads and stores are charged
     /// identically (write-allocate, penalties dominated by the fill).
+    /// A same-block repeat (see the type docs) is answered here; every
+    /// other access takes the full lookup, which stays out of line.
+    #[inline(always)]
     pub fn access(&mut self, class: AccessClass, addr: u64) -> u64 {
+        let block = addr >> self.block_shift;
+        match class {
+            AccessClass::Data if block == self.last_data_block => {
+                self.dtlb.note_hit();
+                self.l1d.note_hit();
+                self.stats.data_accesses += 1;
+                0
+            }
+            AccessClass::Tag if block == self.last_tag_block => {
+                self.tag_tlb.note_hit();
+                self.tag_cache.note_hit();
+                self.stats.tag_accesses += 1;
+                0
+            }
+            _ => self.lookup(class, addr, block),
+        }
+    }
+
+    /// The full lookup behind [`Hierarchy::access`]; it leaves `block` in
+    /// the memo of its plane (a shadow access clears the data memo).
+    #[inline(never)]
+    fn lookup(&mut self, class: AccessClass, addr: u64, block: u64) -> u64 {
         let mut stall = 0;
         match class {
             AccessClass::Data | AccessClass::Shadow => {
@@ -322,50 +363,22 @@ impl Hierarchy {
         }
         match class {
             AccessClass::Data => {
+                self.last_data_block = block;
                 self.stats.data_accesses += 1;
                 self.stats.data_stall_cycles += stall;
             }
             AccessClass::Tag => {
+                self.last_tag_block = block;
                 self.stats.tag_accesses += 1;
                 self.stats.tag_stall_cycles += stall;
             }
             AccessClass::Shadow => {
+                self.last_data_block = u64::MAX;
                 self.stats.shadow_accesses += 1;
                 self.stats.shadow_stall_cycles += stall;
             }
         }
         stall
-    }
-
-    /// Fused charge for the common load/store shape: one data access at
-    /// `data_addr` followed by one tag-metadata access at `tag_addr`, in a
-    /// single call returning the combined stall. Delegates to
-    /// [`Hierarchy::access`] so there is exactly one definition of the
-    /// penalty model — the shared-L2 ordering (data fill lands before the
-    /// tag fill probes) falls out of the sequencing, and the unit test
-    /// below pins the equivalence against any future divergence.
-    #[inline]
-    pub fn access_pair(&mut self, data_addr: u64, tag_addr: u64) -> u64 {
-        self.access(AccessClass::Data, data_addr) + self.access(AccessClass::Tag, tag_addr)
-    }
-
-    /// Charges a data access that is a proven repeat of the previous data
-    /// access's block (with no intervening dTLB/L1 traffic): both
-    /// first-level structures hit, zero stall, identical statistics to the
-    /// full [`Hierarchy::access`] walk.
-    #[inline]
-    pub fn note_data_repeat(&mut self) {
-        self.dtlb.note_hit();
-        self.l1d.note_hit();
-        self.stats.data_accesses += 1;
-    }
-
-    /// [`Hierarchy::note_data_repeat`] for the tag-metadata structures.
-    #[inline]
-    pub fn note_tag_repeat(&mut self) {
-        self.tag_tlb.note_hit();
-        self.tag_cache.note_hit();
-        self.stats.tag_accesses += 1;
     }
 
     /// Accumulated per-class stall statistics.
@@ -479,32 +492,6 @@ mod tests {
         // resident in the 4 MB L2 → pays exactly the L1-miss penalty.
         let stall = h.access(AccessClass::Tag, base);
         assert_eq!(stall, cfg.l1_miss_penalty);
-    }
-
-    #[test]
-    fn access_pair_is_identical_to_sequential_accesses() {
-        // Drive one hierarchy with fused pairs and a twin with the two
-        // separate calls over a mixed address stream; every observable —
-        // per-class stats, per-structure hit/miss counters, and the
-        // returned stalls — must match, including L2 interaction (tag
-        // blocks evicting data blocks and vice versa).
-        let mut fused = Hierarchy::new(HierarchyConfig::default());
-        let mut split = Hierarchy::new(HierarchyConfig::default());
-        let mut x = 0x2458_1f3du64;
-        for i in 0..4000u64 {
-            // Pseudo-random data addresses over 1 MB, derived tag address.
-            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-            let data = (x >> 16) & 0xF_FFFF;
-            let tag = 0x3_0000_0000 + (data >> 5);
-            let a = fused.access_pair(data, tag);
-            let b = split.access(AccessClass::Data, data) + split.access(AccessClass::Tag, tag);
-            assert_eq!(a, b, "stall divergence at access {i}");
-        }
-        assert_eq!(fused.stats(), split.stats());
-        assert_eq!(fused.l1_stats(), split.l1_stats());
-        assert_eq!(fused.tag_cache_stats(), split.tag_cache_stats());
-        assert_eq!(fused.l2_stats(), split.l2_stats());
-        assert_eq!(fused.dtlb_stats(), split.dtlb_stats());
     }
 
     #[test]

@@ -266,7 +266,7 @@ impl Cache {
     /// this cache since — so the LRU rotation is a no-op and only the
     /// counter moves.
     #[inline]
-    pub fn note_hit(&mut self) {
+    pub(crate) fn note_hit(&mut self) {
         self.stats.hits += 1;
     }
 

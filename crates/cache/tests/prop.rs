@@ -3,8 +3,9 @@
 //! `RefCache` is a naive set-associative LRU array (a recency-ordered
 //! `Vec` per set); `RefHierarchy` wires five of them together with the
 //! penalty rules of `Hierarchy::access`. The real [`Cache`] (residency
-//! filter plus branchless padded-set scan) and [`Hierarchy`] must agree
-//! with them on every hit, miss, returned stall and counter.
+//! filter plus branchless padded-set scan) and [`Hierarchy`] (same-block
+//! memos in front of that lookup) must agree with them on every hit,
+//! miss, returned stall and counter.
 
 use hardbound_cache::{AccessClass, Cache, CacheStats, Hierarchy, HierarchyConfig, HierarchyStats};
 use proptest::prelude::*;
@@ -199,6 +200,76 @@ fn hierarchy_matches_reference_on_a_mixed_stream() {
     }
     assert_eq!(observations(&real), reference.observations());
     assert!(real.fast_stats().fastpath_hits > 0);
+}
+
+/// A small geometry on which shadow traffic often evicts the data block
+/// it follows: a four-set L1 of `l1_ways` ways, a direct-mapped tag
+/// cache, a 1 KiB L2 and four-entry TLBs.
+fn small_geometry(l1_ways: usize) -> HierarchyConfig {
+    HierarchyConfig {
+        l1_bytes: 4 * 32 * l1_ways as u64,
+        l1_ways,
+        l2_bytes: 1024,
+        l2_ways: 2,
+        tlb_entries: 4,
+        tlb_ways: 1,
+        tag_cache_bytes: 64,
+        tag_cache_ways: 1,
+        ..HierarchyConfig::default()
+    }
+}
+
+#[test]
+fn memos_match_reference_on_machine_shaped_traffic() {
+    // The machine's traffic: runs of word accesses within one data block,
+    // each a data access and its tag access, and now and then the shadow
+    // access of an uncompressed pointer. The shadow block shares the data
+    // block's L1 set, so a memo that outlived it would report a hit the
+    // reference misses.
+    for l1_ways in [1, 2] {
+        for seed in [1u64, 0x5eed, 0xdead_beef] {
+            let cfg = small_geometry(l1_ways);
+            assert_eq!(cfg.validate(), Ok(()));
+            let mut real = Hierarchy::new(cfg);
+            let mut reference = RefHierarchy::new(cfg);
+            let mut x = seed;
+            let mut addr = 0u64;
+            for i in 0..4000u64 {
+                x = lcg(x);
+                addr = if x >> 61 == 0 {
+                    (x >> 20) & 0x1FFC
+                } else {
+                    (addr & !31) | ((addr + 4) & 31)
+                };
+                let mut step = vec![
+                    (AccessClass::Data, addr),
+                    (AccessClass::Tag, 0x3_0000_0000 + (addr >> 5)),
+                ];
+                if (x >> 40) & 7 == 0 {
+                    step.push((AccessClass::Shadow, 0x1_0000_0000 + addr));
+                }
+                for (class, a) in step {
+                    assert_eq!(
+                        real.access(class, a),
+                        reference.access(class, a),
+                        "{l1_ways}-way L1, seed {seed:#x}: {class:?} access {i} at {a:#x}"
+                    );
+                }
+            }
+            assert_eq!(observations(&real), reference.observations());
+            // Memo hits happened: the structures counted more accesses
+            // than their filters saw lookups (the tag TLB sees every tag
+            // access the tag cache does).
+            let [l1, tag_cache, l2, dtlb] = observations(&real).1;
+            let counted =
+                l1.accesses() + 2 * tag_cache.accesses() + l2.accesses() + dtlb.accesses();
+            let fast = real.fast_stats();
+            assert!(
+                counted > fast.fastpath_hits + fast.fastpath_misses,
+                "no memo hits: {counted} accesses, {fast:?}"
+            );
+        }
+    }
 }
 
 proptest! {

@@ -196,16 +196,13 @@ impl MachineConfig {
     /// the ones [`MachineConfig::timing`] changes. It is this
     /// configuration with the timing part reset, so a field added to
     /// `MachineConfig` or [`HardboundConfig`] is functional until it is
-    /// explicitly moved to the timing part. `block_bytes` stays
-    /// functional: the machine's same-block memos, which every hierarchy
-    /// of a timing group shares, are only valid for one block size.
+    /// explicitly moved to the timing part. The whole hierarchy
+    /// configuration is timing: each hierarchy keeps its own same-block
+    /// memos, so a timing group may mix block sizes.
     #[must_use]
     pub fn functional_key(&self) -> FunctionalKey {
         let mut key = self.clone();
-        key.hierarchy = HierarchyConfig {
-            block_bytes: self.hierarchy.block_bytes,
-            ..HierarchyConfig::default()
-        };
+        key.hierarchy = HierarchyConfig::default();
         if let Some(hb) = &mut key.hardbound {
             hb.check_uop = false;
         }
@@ -302,13 +299,8 @@ mod tests {
             hardbound: Some(hb),
             ..base.clone()
         };
-        // `HierarchyConfig::to_words` lists every hierarchy field; word 6
-        // is `block_bytes`, the one functional hierarchy field.
-        const BLOCK_BYTES_WORD: usize = 6;
-        assert_eq!(
-            hierarchy.to_words()[BLOCK_BYTES_WORD],
-            hierarchy.block_bytes
-        );
+        // `HierarchyConfig::to_words` lists every hierarchy field, and
+        // every one of them (`block_bytes` too) is timing.
         let with_word_doubled = |i: usize| {
             let mut words = hierarchy.to_words();
             words[i] *= 2;
@@ -317,11 +309,7 @@ mod tests {
         };
 
         let mut timing = vec![with_hb(hb.with_check_uop())];
-        timing.extend(
-            (0..hierarchy.to_words().len())
-                .filter(|&i| i != BLOCK_BYTES_WORD)
-                .map(with_word_doubled),
-        );
+        timing.extend((0..hierarchy.to_words().len()).map(with_word_doubled));
         for cfg in &timing {
             assert_ne!(*cfg, base);
             assert_eq!(cfg.functional_key(), base.functional_key(), "{cfg:?}");
@@ -341,7 +329,6 @@ mod tests {
                 max_call_depth: max_call_depth + 1,
                 ..base.clone()
             },
-            with_word_doubled(BLOCK_BYTES_WORD),
         ];
         for cfg in &functional {
             assert_ne!(cfg.functional_key(), base.functional_key(), "{cfg:?}");

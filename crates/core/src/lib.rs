@@ -535,7 +535,11 @@ mod tests {
         let small_tags = plain
             .clone()
             .with_hierarchy(plain.hierarchy.with_tag_cache_bytes(512));
-        let variants = [plain, small_tags, extern4(true)];
+        let big_blocks = plain.clone().with_hierarchy(HierarchyConfig {
+            block_bytes: 64,
+            ..plain.hierarchy
+        });
+        let variants = [plain, small_tags, big_blocks, extern4(true)];
         let mut m = Machine::new(one_uncompressed_check(), extern4(true));
         m.set_timing_variants(&variants);
         let out = m.run();

@@ -72,6 +72,10 @@ impl RunOutcome {
 /// the implicit bounds check of Figure 3, every memory operation consults
 /// the tag metadata cache, and pointer metadata is compressed per the
 /// configured [`crate::PointerEncoding`].
+///
+/// Every access is charged the same way: record the page touch, then
+/// [`Hierarchy::access`] on the machine's hierarchy and on each timing
+/// variant's. Each hierarchy answers its own same-block repeats.
 pub struct Machine {
     program: Program,
     cfg: MachineConfig,
@@ -90,21 +94,9 @@ pub struct Machine {
     trap: Option<Trap>,
     objtable: Option<Box<dyn ObjectTable>>,
     globals_end: u32,
-    /// L1/tag-cache block shift, cached from the hierarchy configuration.
-    block_shift: u32,
     /// Right-shift mapping a data address to its tag-byte offset (5 for
     /// 1-bit tags, 3 for 4-bit tags); meaningless when HardBound is off.
     tag_down_shift: u32,
-    /// Memo of the last data access's cache block (`u64::MAX` = none).
-    /// Consecutive same-block data accesses are guaranteed TLB/L1 hits
-    /// with a no-op LRU update, so they bypass the full hierarchy walk;
-    /// shadow traffic shares those structures and invalidates the memo.
-    /// Timing variants share the memos: their hierarchies have this
-    /// block size too (`block_bytes` is part of the functional key).
-    last_data_block: u64,
-    /// Same memo for the tag-metadata plane (tag TLB + tag cache are only
-    /// ever touched by tag accesses, so no invalidation is needed).
-    last_tag_block: u64,
     /// Direct-mapped memo of pages known `region_ok`
     /// (`entry[page & MASK] == page`; `u32::MAX` = empty). Region
     /// boundaries are all page-aligned, so one passing check whitelists
@@ -178,12 +170,9 @@ impl Machine {
         let entry = program.entry;
         let mut m = Machine {
             hier: Hierarchy::new(cfg.hierarchy),
-            block_shift: cfg.hierarchy.block_bytes.trailing_zeros(),
             tag_down_shift: cfg
                 .hardbound
                 .map_or(5, |hb| (32 / hb.encoding.tag_bits()).trailing_zeros()),
-            last_data_block: u64::MAX,
-            last_tag_block: u64::MAX,
             ok_pages: [u32::MAX; OK_PAGES_MEMO_SIZE],
             cfg,
             program,
@@ -301,13 +290,6 @@ impl Machine {
                 Some(out)
             })
             .collect()
-    }
-
-    /// Applies one hierarchy event to every variant hierarchy, in lockstep
-    /// with the machine's own.
-    #[inline]
-    fn lockstep(&mut self, event: impl Fn(&mut Hierarchy)) {
-        self.variant_hiers.iter_mut().for_each(event);
     }
 
     /// Installs the object-table hook used by the JK/RL/DA comparison mode.
@@ -643,29 +625,23 @@ impl Machine {
         }
     }
 
+    /// Charges one access to the machine's hierarchy and, in lockstep, to
+    /// every variant hierarchy.
     #[inline]
-    fn charge_data(&mut self, ea: u32) {
-        let block = u64::from(ea) >> self.block_shift;
-        if block == self.last_data_block {
-            // Same block as the previous data access with nothing between
-            // on the shared structures: guaranteed dTLB + L1 hits, zero
-            // stall, no replacement-state change.
-            self.hier.note_data_repeat();
-            self.lockstep(Hierarchy::note_data_repeat);
-            return;
+    fn charge(&mut self, class: AccessClass, addr: u64) {
+        self.hier.access(class, addr);
+        for h in &mut self.variant_hiers {
+            h.access(class, addr);
         }
-        self.last_data_block = block;
-        self.pages.touch_data(ea);
-        self.hier.access(AccessClass::Data, u64::from(ea));
-        self.lockstep(|h| {
-            h.access(AccessClass::Data, u64::from(ea));
-        });
     }
 
-    /// Charges one data access and its tag-metadata access in a single
-    /// fused walk — statistics and replacement state evolve exactly as the
-    /// separate data and tag charges always have (the memos resolve first,
-    /// and a double miss takes [`Hierarchy::access_pair`]).
+    #[inline]
+    fn charge_data(&mut self, ea: u32) {
+        self.pages.touch_data(ea);
+        self.charge(AccessClass::Data, u64::from(ea));
+    }
+
+    /// Charges one data access and then its tag-metadata access.
     #[inline]
     fn charge_data_and_tag(&mut self, ea: u32) {
         debug_assert!(
@@ -677,55 +653,17 @@ impl Machine {
             tag_addr,
             layout::hw_tag_addr(ea, self.cfg.hardbound.expect("checked").encoding.tag_bits())
         );
-        let data_block = u64::from(ea) >> self.block_shift;
-        let tag_block = tag_addr >> self.block_shift;
-        let data_repeat = data_block == self.last_data_block;
-        let tag_repeat = tag_block == self.last_tag_block;
-        if data_repeat {
-            self.hier.note_data_repeat();
-            self.lockstep(Hierarchy::note_data_repeat);
-        } else {
-            self.last_data_block = data_block;
-            self.pages.touch_data(ea);
-        }
-        if tag_repeat {
-            if !data_repeat {
-                self.hier.access(AccessClass::Data, u64::from(ea));
-                self.lockstep(|h| {
-                    h.access(AccessClass::Data, u64::from(ea));
-                });
-            }
-            self.hier.note_tag_repeat();
-            self.lockstep(Hierarchy::note_tag_repeat);
-            return;
-        }
-        self.last_tag_block = tag_block;
+        self.charge_data(ea);
         self.pages.touch_tag(tag_addr);
-        if data_repeat {
-            self.hier.access(AccessClass::Tag, tag_addr);
-            self.lockstep(|h| {
-                h.access(AccessClass::Tag, tag_addr);
-            });
-        } else {
-            self.hier.access_pair(u64::from(ea), tag_addr);
-            self.lockstep(|h| {
-                h.access_pair(u64::from(ea), tag_addr);
-            });
-        }
+        self.charge(AccessClass::Tag, tag_addr);
     }
 
     /// Charges the shadow `{base, bound}` access of an uncompressed
     /// pointer word at `ea`.
     fn charge_shadow(&mut self, ea: u32) {
-        // Shadow traffic shares the dTLB and L1 with ordinary data, so the
-        // data-repeat memo no longer proves anything.
-        self.last_data_block = u64::MAX;
         let addr = layout::hw_shadow_addr(ea);
         self.pages.touch_shadow(addr);
-        self.hier.access(AccessClass::Shadow, addr);
-        self.lockstep(|h| {
-            h.access(AccessClass::Shadow, addr);
-        });
+        self.charge(AccessClass::Shadow, addr);
         // "Any load or store of an uncompressed bounded pointer creates an
         // additional micro-operation to access the bounds metadata" (§5.1).
         self.stats.meta_uops += 1;

@@ -37,8 +37,9 @@ use crate::engine::Engine;
 use crate::slru::SlruIndex;
 
 /// Fingerprint of everything *besides the program image* that determines a
-/// run's outcome: the full [`MachineConfig`] (hierarchy geometry, fuel,
-/// call depth, metadata path, HardBound extension) plus a caller-supplied
+/// run's outcome: the [`MachineConfig`] (HardBound extension, hierarchy
+/// geometry, fuel, call depth; not the one-variant `meta_path` and
+/// `hier_path`, which no simulation code reads) plus a caller-supplied
 /// salt for machine construction the config cannot see (the runtime layer
 /// salts with its compiler `Mode`, which decides e.g. whether an object
 /// table is attached).

@@ -65,6 +65,7 @@ impl PageTouches {
     }
 
     /// Records a touch of the data-plane page containing byte `addr`.
+    #[inline]
     pub fn touch_data(&mut self, addr: u32) {
         let page = u64::from(addr) / 4096;
         if page != self.last_data {
@@ -74,6 +75,7 @@ impl PageTouches {
     }
 
     /// Records a touch of a tag-plane page (conceptual 64-bit address).
+    #[inline]
     pub fn touch_tag(&mut self, conceptual_addr: u64) {
         let page = conceptual_addr / 4096;
         if page != self.last_tag {
@@ -84,6 +86,7 @@ impl PageTouches {
 
     /// Records a touch of a base/bound shadow-plane page (conceptual 64-bit
     /// address).
+    #[inline]
     pub fn touch_shadow(&mut self, conceptual_addr: u64) {
         let page = conceptual_addr / 4096;
         if page != self.last_shadow {

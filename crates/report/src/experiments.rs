@@ -19,7 +19,7 @@ use hardbound_core::{
 };
 use hardbound_exec::batch;
 use hardbound_runtime::{compile, machine_config, run_jobs, settings, SimJob};
-use hardbound_violations::{corpus, Addressing, CaseResult, CorpusReport, TestCase};
+use hardbound_violations::{run_cases, run_corpus, Addressing, CorpusReport};
 use hardbound_workloads::{all, Scale, Workload};
 
 /// Compiles each workload under every distinct mode of `specs` (once per
@@ -368,65 +368,12 @@ pub fn tag_cache_sweep(scale: Scale, sizes: &[u64]) -> Vec<TagCacheRow> {
     rows
 }
 
-/// Compiles and executes the full violation corpus under one scheme
-/// through the corpus service — both twins of every pair, in corpus order
-/// — and judges each pair. The fan-out unit is the *cell* (one program,
-/// one configuration), so the service deduplicates and replays at the
-/// same granularity as the figure pipelines.
-fn corpus_results(mode: Mode, encoding: PointerEncoding) -> Vec<(TestCase, CaseResult)> {
-    let cases = corpus();
-    let config = machine_config(mode, encoding);
-    let compiled = batch::map_with_workers(&cases, settings().workers(), |_, case| {
-        (
-            compile(&case.bad_source, mode).map_err(|e| e.to_string()),
-            compile(&case.ok_source, mode).map_err(|e| e.to_string()),
-        )
-    });
-    let mut jobs = Vec::new();
-    for (bad, ok) in &compiled {
-        for p in [bad, ok].into_iter().flatten() {
-            jobs.push(SimJob {
-                program: p.clone(),
-                mode,
-                config: config.clone(),
-            });
-        }
-    }
-    let outs = run_jobs(jobs);
-    let mut next = outs.iter();
-    cases
-        .into_iter()
-        .zip(compiled)
-        .map(|(case, (bad, ok))| {
-            let bad = bad
-                .as_ref()
-                .map(|_| next.next().expect("outcome per compiled cell"));
-            let ok = ok
-                .as_ref()
-                .map(|_| next.next().expect("outcome per compiled cell"));
-            let result = hardbound_violations::judge_pair(
-                &case,
-                mode,
-                bad.map_err(String::as_str),
-                ok.map_err(String::as_str),
-            );
-            (case, result)
-        })
-        .collect()
-}
-
-/// §5.2: the full correctness corpus under one protection scheme, fanned
-/// across the corpus service one cell at a time. Results aggregate in
-/// corpus order, so the report is byte-identical to the serial run.
-#[must_use]
-pub fn corpus_report(mode: Mode, encoding: PointerEncoding) -> CorpusReport {
-    CorpusReport::collect(corpus_results(mode, encoding).into_iter().map(|(_, r)| r))
-}
-
-/// §5.2: the full correctness corpus under full HardBound protection.
+/// §5.2: the full correctness corpus under full HardBound protection,
+/// fanned across the corpus service one cell at a time (see
+/// [`hardbound_violations::run_cases`]).
 #[must_use]
 pub fn correctness(encoding: PointerEncoding) -> CorpusReport {
-    corpus_report(Mode::HardBound, encoding)
+    run_corpus(Mode::HardBound, encoding)
 }
 
 /// One row of the protection-granularity contrast table (§6): how one
@@ -489,7 +436,7 @@ pub fn granularity(encoding: PointerEncoding) -> Vec<GranularityRow> {
                 other_total: 0,
                 false_positives: 0,
             };
-            for (case, r) in corpus_results(mode, encoding) {
+            for (case, r) in run_cases(mode, encoding, |_| true) {
                 let (detected, total) = if case.addressing == Addressing::SubObject {
                     (&mut row.subobject_detected, &mut row.subobject_total)
                 } else {

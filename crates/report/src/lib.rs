@@ -14,6 +14,6 @@ pub mod experiments;
 pub mod render;
 
 pub use experiments::{
-    ablation_check_uop, corpus_report, correctness, fig5, fig6, fig7, granularity, tag_cache_sweep,
-    AblationRow, Fig5Row, Fig6Row, Fig7Row, GranularityRow, TagCacheRow,
+    ablation_check_uop, correctness, fig5, fig6, fig7, granularity, tag_cache_sweep, AblationRow,
+    Fig5Row, Fig6Row, Fig7Row, GranularityRow, TagCacheRow,
 };

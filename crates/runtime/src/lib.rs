@@ -267,8 +267,8 @@ pub fn emit_violation_span(report: &ViolationReport) {
 
 /// Compile (with runtime), build the paired machine, and run to completion
 /// **on the interpreter**. This is the semantic reference the
-/// engine-vs-interpreter differential suite compares against; use
-/// [`run_machine`] / [`compile_and_run_default`] for the fast path.
+/// engine-vs-interpreter differential suite compares against; the
+/// corpus drivers go through [`run_jobs`].
 ///
 /// # Errors
 ///
@@ -281,18 +281,6 @@ pub fn compile_and_run(
 ) -> Result<RunOutcome, CompileError> {
     let program = compile(user_source, mode)?;
     Ok(build_machine(program, mode, encoding).run())
-}
-
-/// Runs a prepared machine on the basic-block engine (`hardbound-exec`),
-/// which is observationally identical to the interpreter (enforced by
-/// the differential suite). One-shot callers route through here; the
-/// corpus drivers go through [`run_jobs`], which adds the shared decode
-/// cache and the program-hash result store on top of the same engine.
-#[must_use]
-pub fn run_machine(machine: Machine) -> RunOutcome {
-    let mut engine = hardbound_exec::Engine::new(machine);
-    engine.set_profiling(settings().prof);
-    engine.run()
 }
 
 /// The process-wide corpus service: one shared decode-cache shard per
@@ -739,21 +727,6 @@ pub fn service_stats() -> ServiceStats {
         .unwrap_or_else(PoisonError::into_inner)
         .stats()
         .service
-}
-
-/// [`compile_and_run`] on the block engine (see [`run_machine`]).
-///
-/// # Errors
-///
-/// Propagates compilation errors; runtime traps are reported in the
-/// returned [`RunOutcome`].
-pub fn compile_and_run_default(
-    user_source: &str,
-    mode: Mode,
-    encoding: PointerEncoding,
-) -> Result<RunOutcome, CompileError> {
-    let program = compile(user_source, mode)?;
-    Ok(run_machine(build_machine(program, mode, encoding)))
 }
 
 #[cfg(test)]

@@ -18,8 +18,9 @@
 use std::fmt;
 
 use hardbound_compiler::Mode;
-use hardbound_core::{PointerEncoding, Trap};
-use hardbound_runtime::compile_and_run_default;
+use hardbound_core::{PointerEncoding, RunOutcome, Trap};
+use hardbound_exec::batch;
+use hardbound_runtime::{compile, machine_config, run_jobs, settings, SimJob};
 
 /// Which data segment holds the overflowed object.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -341,10 +342,9 @@ pub fn is_detection(mode: Mode, trap: &Trap) -> bool {
     }
 }
 
-/// Outcome of one violation/benign pair under one scheme — the unit the
-/// parallel corpus drivers (`report::experiments` via `exec::batch`) fan
-/// out, aggregated in corpus order by [`CorpusReport::collect`] so the
-/// parallel report is byte-identical to the serial one.
+/// Outcome of one violation/benign pair under one scheme, as
+/// [`run_cases`] judges it. [`CorpusReport::collect`] aggregates them in
+/// corpus order.
 #[derive(Clone, Debug)]
 pub struct CaseResult {
     /// The violating twin trapped with `mode`'s own detection trap.
@@ -358,17 +358,13 @@ pub struct CaseResult {
 }
 
 /// Classifies the outcomes of one violation/benign pair under `mode` into
-/// a [`CaseResult`]. Outcomes arrive as `Result`s so compilation failures
-/// (`Err` carries the diagnostic) land in the error list exactly as the
-/// all-in-one [`run_case`] reports them — which lets drivers that execute
-/// the pair elsewhere (the corpus service) share one judging function with
-/// the direct path.
-#[must_use]
-pub fn judge_pair(
+/// a [`CaseResult`]. An `Err` outcome carries a compile diagnostic, which
+/// lands in the error list.
+fn judge_pair(
     case: &TestCase,
     mode: Mode,
-    bad: Result<&hardbound_core::RunOutcome, &str>,
-    ok: Result<&hardbound_core::RunOutcome, &str>,
+    bad: Result<&RunOutcome, &str>,
+    ok: Result<&RunOutcome, &str>,
 ) -> CaseResult {
     let mut r = CaseResult {
         detected: false,
@@ -397,18 +393,56 @@ pub fn judge_pair(
     r
 }
 
-/// Runs one violation/benign pair under `mode`/`encoding` on the block
-/// engine.
-#[must_use]
-pub fn run_case(case: &TestCase, mode: Mode, encoding: PointerEncoding) -> CaseResult {
-    let bad = compile_and_run_default(&case.bad_source, mode, encoding).map_err(|e| e.to_string());
-    let ok = compile_and_run_default(&case.ok_source, mode, encoding).map_err(|e| e.to_string());
-    judge_pair(
-        case,
-        mode,
-        bad.as_ref().map_err(String::as_str),
-        ok.as_ref().map_err(String::as_str),
-    )
+/// Compiles and executes the cases of the corpus that pass `filter` under
+/// `mode`/`encoding`, both twins of every pair, and judges each pair;
+/// results come back in corpus order. Compilation fans out over
+/// [`batch`], and the compiled cells (one program, one configuration)
+/// run through the corpus service, so they dedup and replay at the same
+/// granularity as the figure pipelines.
+pub fn run_cases(
+    mode: Mode,
+    encoding: PointerEncoding,
+    mut filter: impl FnMut(&TestCase) -> bool,
+) -> Vec<(TestCase, CaseResult)> {
+    let cases: Vec<TestCase> = corpus().into_iter().filter(|c| filter(c)).collect();
+    let config = machine_config(mode, encoding);
+    let compiled = batch::map_with_workers(&cases, settings().workers(), |_, case| {
+        (
+            compile(&case.bad_source, mode).map_err(|e| e.to_string()),
+            compile(&case.ok_source, mode).map_err(|e| e.to_string()),
+        )
+    });
+    let mut jobs = Vec::new();
+    for (bad, ok) in &compiled {
+        for p in [bad, ok].into_iter().flatten() {
+            jobs.push(SimJob {
+                program: p.clone(),
+                mode,
+                config: config.clone(),
+            });
+        }
+    }
+    let outs = run_jobs(jobs);
+    let mut next = outs.iter();
+    cases
+        .into_iter()
+        .zip(compiled)
+        .map(|(case, (bad, ok))| {
+            let bad = bad
+                .as_ref()
+                .map(|_| next.next().expect("outcome per compiled cell"));
+            let ok = ok
+                .as_ref()
+                .map(|_| next.next().expect("outcome per compiled cell"));
+            let result = judge_pair(
+                &case,
+                mode,
+                bad.map_err(String::as_str),
+                ok.map_err(String::as_str),
+            );
+            (case, result)
+        })
+        .collect()
 }
 
 impl CorpusReport {
@@ -431,17 +465,17 @@ impl CorpusReport {
     }
 }
 
-/// Runs one filtered subset of the corpus under `mode`/`encoding`.
+/// Runs one filtered subset of the corpus under `mode`/`encoding` (see
+/// [`run_cases`]).
 pub fn run_filtered(
     mode: Mode,
     encoding: PointerEncoding,
-    mut filter: impl FnMut(&TestCase) -> bool,
+    filter: impl FnMut(&TestCase) -> bool,
 ) -> CorpusReport {
     CorpusReport::collect(
-        corpus()
-            .iter()
-            .filter(|c| filter(c))
-            .map(|case| run_case(case, mode, encoding)),
+        run_cases(mode, encoding, filter)
+            .into_iter()
+            .map(|(_, r)| r),
     )
 }
 
@@ -475,6 +509,22 @@ mod tests {
             hardbound_runtime::compile(&case.ok_source, Mode::HardBound)
                 .unwrap_or_else(|e| panic!("{}: {e}", case.id));
         }
+    }
+
+    #[test]
+    fn compile_errors_land_in_the_error_list() {
+        let case = &corpus()[0];
+        let r = judge_pair(case, Mode::HardBound, Err("bad twin"), Err("ok twin"));
+        assert!(!r.detected && r.missed.is_none() && r.false_positive.is_none());
+        assert_eq!(
+            r.errors,
+            [
+                format!("{}: bad twin", case.id),
+                format!("{} (ok twin): ok twin", case.id)
+            ]
+        );
+        let report = CorpusReport::collect([r]);
+        assert_eq!((report.total, report.errors.len()), (1, 2));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Timing-group differential: a batch that mixes timing-only variants of
-//! one functional run (the §5.4 check-µop ablation and the §5.1 tag-cache
-//! sweep) must give every cell the outcome a separate run of that cell's
-//! full configuration gives, byte for byte on the whole [`RunOutcome`].
+//! one functional run (the §5.4 check-µop ablation, the §5.1 tag-cache
+//! sweep and other cache block sizes) must give every cell the outcome a
+//! separate run of that cell's full configuration gives, byte for byte on
+//! the whole [`RunOutcome`].
 //!
 //! The references are separate runs on both execution tiers: a fresh
 //! interpreter ([`Machine::run`]) and a fresh block engine
@@ -14,6 +15,7 @@
 //! profiling rule — a profiled batch runs every cell on its own — by
 //! comparing profiles.
 
+use hardbound::cache::HierarchyConfig;
 use hardbound::compiler::Mode;
 use hardbound::core::{
     FunctionalKey, HardboundConfig, Machine, MachineConfig, PointerEncoding, RunOutcome, Trap,
@@ -239,6 +241,37 @@ fn figure_grid_cells_match_separate_runs() {
     // encoding; intern-4 also times its check-µop cell and four tag
     // caches, the other encodings their check-µop cell.
     check_batch(&labels, &jobs, 9 * 6);
+}
+
+/// Every hierarchy keeps its own same-block memos, so one timing group
+/// may mix block sizes: each port's Baseline, HardBound and SoftBound
+/// cell with 32-, 16-, 64- and 128-byte blocks.
+#[test]
+fn block_size_variants_match_separate_runs() {
+    let mut labels = Vec::new();
+    let mut jobs = Vec::new();
+    for w in all(Scale::Smoke) {
+        for mode in [Mode::Baseline, Mode::HardBound, Mode::SoftBound] {
+            let program = compile(&w.source, mode)
+                .unwrap_or_else(|e| panic!("{}: compile failed under {mode}: {e}", w.name));
+            let base = machine_config(mode, PointerEncoding::Intern4);
+            for block_bytes in [32, 16, 64, 128] {
+                let config = base.clone().with_hierarchy(HierarchyConfig {
+                    block_bytes,
+                    ..base.hierarchy
+                });
+                assert_eq!(config.hierarchy.validate(), Ok(()));
+                labels.push(format!("{}/{mode}/{block_bytes}-byte blocks", w.name));
+                jobs.push(Job {
+                    program: program.clone(),
+                    config,
+                    salt: mode as u64,
+                    tag: mode,
+                });
+            }
+        }
+    }
+    check_batch(&labels, &jobs, 9 * 3);
 }
 
 #[test]
