@@ -127,7 +127,7 @@ impl HierarchyConfig {
     /// constructors under it) would otherwise `assert!`: every cache's
     /// size and the block size are powers of two, way counts are in
     /// `1..=255` and divide the block count, and the TLB's set count is a
-    /// power of two. It also caps every structure at [`MAX_LINES`] lines.
+    /// power of two. It also caps every structure at `MAX_LINES` (2^20) lines.
     /// Untrusted configurations (the `hbserve` wire protocol) are
     /// validated with this before any machine is built, so a malformed
     /// request is a rejection, not a worker panic or a huge allocation.

@@ -109,7 +109,7 @@ impl ProgramId {
     /// The hash runs on the **stable serialization**
     /// (`hardbound_core::fingerprint`): the program contributes the
     /// FNV-1a of its assembly listing (memoized per distinct image —
-    /// see [`stable_program_hash`]) and the configuration is mixed field
+    /// see `stable_program_hash`) and the configuration is mixed field
     /// by field, with the format version folded in — so a `ProgramId`
     /// computed by another process, another toolchain, or the far side
     /// of an `hbserve` socket is byte-identical, which is what lets the

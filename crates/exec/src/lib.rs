@@ -30,7 +30,7 @@
 //!    input-ordered results, and
 //! 5. [`service`] turns the one-shot simulator into a long-lived corpus
 //!    backend: per-worker shared decode-cache shards plus a
-//!    [`ResultStore`](service::ResultStore) keyed by program hash, so a
+//!    [`ResultStore`] keyed by program hash, so a
 //!    warm corpus re-run replays identical cells instead of simulating
 //!    them and incremental re-runs execute only invalidated keys.
 //!

@@ -2,7 +2,7 @@
 //!
 //! The paper's evaluation is corpus-shaped — hundreds of violation pairs
 //! and nine Olden ports re-simulated under every mode × encoding — yet a
-//! bare [`Engine`](crate::Engine) treats each run as a throwaway: decode
+//! bare [`Engine`] treats each run as a throwaway: decode
 //! work and results are rediscovered from scratch on every job, every
 //! figure, every CI invocation. [`CorpusService`] amortizes both:
 //!
@@ -83,7 +83,7 @@ pub struct ResultStoreStats {
 /// sweep would be a leak. Past [`ResultStore::DEFAULT_CAPACITY`] (or the
 /// explicit [`ResultStore::with_capacity`] bound) entries are evicted by
 /// **segmented LRU** — the probation/protected scheme of the decoded-block
-/// cache ([`crate::slru`]): fresh results sit in a probationary segment
+/// cache (the crate's `slru` index): fresh results sit in a probationary segment
 /// and are promoted on their first replay, so a figure grid's re-used
 /// cells outlive an arbitrarily long one-shot sweep that a FIFO order
 /// would let wash them out.

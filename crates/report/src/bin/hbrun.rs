@@ -51,8 +51,8 @@ use hardbound_core::{checked_ratio, PointerEncoding};
 use hardbound_exec::Engine;
 use hardbound_isa::Program;
 use hardbound_runtime::{
-    build_machine_with_config, compile, machine_config, metrics_snapshot, remote_stats, run_job,
-    service_stats, store_log_stats,
+    build_machine_with_config, compile, machine_config, metrics_snapshot, run_job, service_stats,
+    store_log_stats,
 };
 
 struct Args {
@@ -304,18 +304,22 @@ fn main() -> ExitCode {
             );
         }
         if through_service {
-            let remote = remote_stats();
-            if remote.round_trips > 0 {
+            let round_trips = registry.counter("hb_remote_round_trips");
+            if round_trips > 0 {
                 // The run was offloaded (`HB_SERVE_ADDR`); the store and
                 // cache counters live in the server's process, not here.
                 eprintln!(
                     "remote server:   {} round-trips, {} cells shipped",
-                    remote.round_trips, remote.cells
+                    round_trips,
+                    registry.counter("hb_remote_cells")
                 );
-                if remote.retries + remote.reroutes > 0 {
+                let (retries, reroutes) = (
+                    registry.counter("hb_remote_retries"),
+                    registry.counter("hb_remote_reroutes"),
+                );
+                if retries + reroutes > 0 {
                     eprintln!(
-                        "remote failover: {} retries, {} re-routed submissions",
-                        remote.retries, remote.reroutes
+                        "remote failover: {retries} retries, {reroutes} re-routed submissions"
                     );
                 }
             } else {

@@ -19,7 +19,8 @@ use hardbound_compiler::Mode;
 use hardbound_core::{PointerEncoding, RunOutcome};
 use hardbound_exec::CorpusService;
 use hardbound_runtime::{
-    build_machine_with_config, compile, machine_config, remote_stats, run_jobs_remote_to, SimJob,
+    build_machine_with_config, compile, machine_config, metrics_snapshot, run_jobs_remote_to,
+    SimJob,
 };
 use hardbound_serve::Client;
 use hardbound_telemetry::{scrape_value, trace, SpanEvent};
@@ -235,16 +236,16 @@ fn dead_shard_reroutes_to_survivors_with_zero_wrong_cells() {
         dead.child.kill().expect("kill");
         dead.child.wait().expect("reap");
     }
-    let before = remote_stats();
+    let before = metrics_snapshot().counter("hb_remote_reroutes");
     let out = run_jobs_remote_to(&addrs, &sim_jobs);
     assert_eq!(
         out, expected,
         "losing a shard must not change a single outcome"
     );
-    let after = remote_stats();
+    let after = metrics_snapshot().counter("hb_remote_reroutes");
     assert!(
-        after.reroutes > before.reroutes,
-        "the dead shard's cells must re-route: {after:?}"
+        after > before,
+        "the dead shard's cells must re-route: {before} -> {after} re-routes"
     );
 
     // The survivors picked up the dead shard's cells as foreign traffic.

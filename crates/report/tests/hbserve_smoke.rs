@@ -9,9 +9,9 @@ use std::process::{Child, Command, Stdio};
 
 use hardbound_compiler::Mode;
 use hardbound_core::PointerEncoding;
-use hardbound_exec::CorpusService;
+use hardbound_exec::{CorpusService, Job};
 use hardbound_runtime::{build_machine_with_config, compile, machine_config};
-use hardbound_serve::{Client, WireJob};
+use hardbound_serve::Client;
 use hardbound_telemetry::scrape_value;
 
 /// An `hbserve` child that dies with the test (no orphaned listeners when
@@ -82,38 +82,40 @@ const PROGRAMS: &[&str] = &[
 
 const MODES: [Mode; 3] = [Mode::Baseline, Mode::HardBound, Mode::ObjectTable];
 
-/// The test grid: every program × mode × encoding, as wire jobs plus the
-/// matching in-process service jobs.
-fn grid() -> (Vec<WireJob>, Vec<hardbound_exec::Job<Mode>>) {
-    let mut wire = Vec::new();
+/// The test grid: every program × mode × encoding, as remote jobs
+/// (tagged with the mode's number, as `hbserve` expects) plus the matching
+/// in-process service jobs.
+fn grid() -> (Vec<Job<u64>>, Vec<Job<Mode>>) {
     let mut local = Vec::new();
     for source in PROGRAMS {
         for mode in MODES {
             let program = compile(source, mode).expect("compiles");
             for encoding in PointerEncoding::ALL {
-                let config = machine_config(mode, encoding);
-                wire.push(WireJob::new(
-                    &program,
-                    config.clone(),
-                    mode as u64,
-                    mode as u64,
-                ));
-                local.push(hardbound_exec::Job {
+                local.push(Job {
                     program: program.clone(),
-                    config,
+                    config: machine_config(mode, encoding),
                     salt: mode as u64,
                     tag: mode,
                 });
             }
         }
     }
-    (wire, local)
+    let remote = local
+        .iter()
+        .map(|j| Job {
+            program: j.program.clone(),
+            config: j.config.clone(),
+            salt: j.salt,
+            tag: j.tag as u64,
+        })
+        .collect();
+    (remote, local)
 }
 
 #[test]
 fn remote_grid_is_byte_identical_to_in_process_service() {
     let server = spawn_server(&[]);
-    let (wire_jobs, local_jobs) = grid();
+    let (remote_jobs, local_jobs) = grid();
 
     // The in-process reference: the same grid through a local service —
     // what `run_jobs` runs without `HB_SERVE_ADDR`.
@@ -123,7 +125,7 @@ fn remote_grid_is_byte_identical_to_in_process_service() {
     });
 
     let mut client = Client::connect(&server.addr).expect("connects");
-    let cold = client.run_jobs(&wire_jobs).expect("remote batch runs");
+    let cold = client.run_jobs(&remote_jobs).expect("remote batch runs");
     assert_eq!(
         cold, expected,
         "hbserve outcomes must be byte-identical to the in-process service"
@@ -132,11 +134,13 @@ fn remote_grid_is_byte_identical_to_in_process_service() {
     // Warm pass: every cell replays from the server's store.
     let hits_before = scrape(&mut client, "hbserve_store_hits");
     let misses_before = scrape(&mut client, "hbserve_store_misses");
-    let warm = client.run_jobs(&wire_jobs).expect("remote warm batch runs");
+    let warm = client
+        .run_jobs(&remote_jobs)
+        .expect("remote warm batch runs");
     assert_eq!(warm, expected, "warm replay must be byte-identical");
     assert_eq!(
         scrape(&mut client, "hbserve_store_hits") - hits_before,
-        wire_jobs.len() as u64,
+        remote_jobs.len() as u64,
         "the warm pass must be pure replay"
     );
     assert_eq!(
@@ -193,20 +197,20 @@ fn hbrun_offloads_transparently_via_hb_serve_addr() {
 fn persistent_server_restarts_warm() {
     let store = std::env::temp_dir().join(format!("hbserve-store-{}.bin", std::process::id()));
     let _ = std::fs::remove_file(&store);
-    let (wire_jobs, local_jobs) = grid();
+    let (remote_jobs, local_jobs) = grid();
     // Distinct store keys: cells sharing a `(program, config, salt)` —
     // the software modes run one baseline config for all encodings —
     // dedup within the batch, so only the distinct keys execute cold.
     let distinct = local_jobs
         .iter()
-        .map(hardbound_exec::Job::key)
+        .map(Job::key)
         .collect::<std::collections::HashSet<_>>()
         .len() as u64;
 
     // First server: cold, computes and persists.
     let server = spawn_server(&["--store", store.to_str().unwrap()]);
     let mut client = Client::connect(&server.addr).expect("connects");
-    let cold = client.run_jobs(&wire_jobs).expect("cold batch");
+    let cold = client.run_jobs(&remote_jobs).expect("cold batch");
     assert_eq!(scrape(&mut client, "hbserve_store_misses"), distinct);
     client.shutdown().expect("shutdown");
     drop(client);
@@ -217,7 +221,7 @@ fn persistent_server_restarts_warm() {
     // Second server process: the store file is its only warm state.
     let server = spawn_server(&["--store", store.to_str().unwrap()]);
     let mut client = Client::connect(&server.addr).expect("connects");
-    let warm = client.run_jobs(&wire_jobs).expect("warm batch");
+    let warm = client.run_jobs(&remote_jobs).expect("warm batch");
     assert_eq!(
         warm, cold,
         "a restarted hbserve must replay byte-identically from disk"
@@ -229,7 +233,7 @@ fn persistent_server_restarts_warm() {
     );
     assert_eq!(
         scrape(&mut client, "hbserve_store_hits"),
-        wire_jobs.len() as u64
+        remote_jobs.len() as u64
     );
     client.shutdown().expect("shutdown");
     let _ = std::fs::remove_file(&store);

@@ -56,11 +56,11 @@ use hardbound_core::{
     BoundsOrigin, HardboundConfig, Machine, MachineConfig, MetaPath, PointerEncoding, RunOutcome,
     ViolationReport,
 };
-use hardbound_exec::service::{config_fingerprint, Job};
-use hardbound_exec::{ProgramId, ServiceStats};
+use hardbound_exec::service::Job;
+use hardbound_exec::ServiceStats;
 use hardbound_isa::Program;
 use hardbound_serve::{
-    Client, PersistStats, PersistentService, ServeError, ShardRing, StoreLogStats, WireJob,
+    Client, PersistStats, PersistentService, ServeError, ShardRing, StoreLogStats,
 };
 use hardbound_telemetry::{trace, Counter, Field, Histogram, SpanId, SpanTimer, TraceCtx};
 
@@ -348,35 +348,6 @@ fn register_service_gauges() {
     }
 }
 
-/// Counters of the remote-offload client path (`HB_SERVE_ADDR`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RemoteStats {
-    /// Submissions sent to servers (one per shard group on the happy
-    /// path; resubmissions count again).
-    pub round_trips: u64,
-    /// Cells shipped across all submissions (resubmitted cells count
-    /// again).
-    pub cells: u64,
-    /// Repeat attempts against a shard after a transient failure.
-    pub retries: u64,
-    /// Submissions re-routed to a fallback shard after the preferred
-    /// shard's attempts exhausted.
-    pub reroutes: u64,
-}
-
-/// Snapshot of this process's remote-offload counters (reads the
-/// `hb_remote_*` registry cells).
-#[must_use]
-pub fn remote_stats() -> RemoteStats {
-    let m = metrics();
-    RemoteStats {
-        round_trips: m.remote_round_trips.get(),
-        cells: m.remote_cells.get(),
-        retries: m.remote_retries.get(),
-        reroutes: m.remote_reroutes.get(),
-    }
-}
-
 /// Snapshot of the persistent store log's counters — `None` when the
 /// process runs without `HB_STORE_PATH`.
 #[must_use]
@@ -479,7 +450,7 @@ const ATTEMPTS_PER_SHARD: usize = 2;
 /// retry/re-route is attributable to the shard that died.
 fn try_shard_once(
     addr: &str,
-    sub: &[WireJob],
+    sub: &[Job<u64>],
     out: &mut [Option<RunOutcome>],
     ctx: Option<TraceCtx>,
     (shard, hop, attempt): (u64, u64, u64),
@@ -519,7 +490,7 @@ fn try_shard_once(
     result
 }
 
-/// Fetches one shard group's cells (`idxs` into `wire_jobs`), walking the
+/// Fetches one shard group's cells (`idxs` into `jobs`), walking the
 /// ring's fallback route: bounded attempts per shard, resubmitting only
 /// the cells still missing (results the cluster already streamed — or
 /// already computed into a surviving shard's store — are never thrown
@@ -528,7 +499,7 @@ fn try_shard_once(
 fn fetch_group(
     addrs: &[String],
     order: &[usize],
-    wire_jobs: &[WireJob],
+    jobs: &[Job<u64>],
     idxs: &[usize],
     ctx: Option<TraceCtx>,
 ) -> Result<Vec<(usize, RunOutcome)>, String> {
@@ -546,10 +517,7 @@ fn fetch_group(
             } else if hop > 0 {
                 metrics().remote_reroutes.inc();
             }
-            let sub: Vec<WireJob> = missing
-                .iter()
-                .map(|&k| wire_jobs[idxs[k]].clone())
-                .collect();
+            let sub: Vec<Job<u64>> = missing.iter().map(|&k| jobs[idxs[k]].clone()).collect();
             let mut sub_results: Vec<Option<RunOutcome>> = vec![None; sub.len()];
             let outcome = try_shard_once(
                 addr,
@@ -599,7 +567,7 @@ fn fetch_group(
 /// cluster by consistent hashing over each cell's store key, gather the
 /// streams, and merge outcomes back into input order. Shard groups fetch
 /// concurrently; a shard's transient failure retries and then re-routes
-/// along the ring (see [`fetch_group`]).
+/// along the ring (see `fetch_group`).
 ///
 /// Public so the cluster differential tests can drive an explicit shard
 /// list without racing on the process environment.
@@ -615,15 +583,19 @@ pub fn run_jobs_remote_to(addrs: &[String], jobs: &[SimJob]) -> Vec<RunOutcome> 
     if jobs.is_empty() {
         return Vec::new();
     }
-    let wire_jobs: Vec<WireJob> = jobs
+    let cells: Vec<Job<u64>> = jobs
         .iter()
-        .map(|j| WireJob::new(&j.program, j.config.clone(), j.mode as u64, j.mode as u64))
+        .map(|j| Job {
+            program: j.program.clone(),
+            config: j.config.clone(),
+            salt: j.mode as u64,
+            tag: j.mode as u64,
+        })
         .collect();
     let ring = ShardRing::new(addrs.len());
     let mut groups: Vec<Vec<usize>> = vec![Vec::new(); addrs.len()];
-    for (i, j) in jobs.iter().enumerate() {
-        let pid = ProgramId::of(&j.program, &j.config);
-        let fp = config_fingerprint(&j.config, j.mode as u64);
+    for (i, cell) in cells.iter().enumerate() {
+        let (pid, fp) = cell.key();
         groups[ring.owner_of_cell(pid.0, fp)].push(i);
     }
     // The whole scatter/gather runs under one fresh trace: the `grid` root
@@ -643,8 +615,8 @@ pub fn run_jobs_remote_to(addrs: &[String], jobs: &[SimJob]) -> Vec<RunOutcome> 
             .filter(|(_, idxs)| !idxs.is_empty())
             .map(|(shard, idxs)| {
                 let order = ring.route_from(shard);
-                let wire_jobs = &wire_jobs;
-                scope.spawn(move || fetch_group(addrs, &order, wire_jobs, idxs, ctx))
+                let cells = &cells;
+                scope.spawn(move || fetch_group(addrs, &order, cells, idxs, ctx))
             })
             .collect();
         handles

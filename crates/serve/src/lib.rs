@@ -26,8 +26,10 @@
 //!   `METRICS`, `PROFILE`, `SHUTDOWN`): clients submit cell grids, the
 //!   server dedups against the store and drains misses through the
 //!   lock-free `exec::batch` scheduler, and results stream back in chunks
-//!   on the submitting connection. One `SUBMIT` frame carries a
-//!   deduplicated listing table plus an optional trace context, and every
+//!   on the submitting connection. Clients submit the same
+//!   [`Job<u64>`](hardbound_exec::Job) cells the server decodes; the
+//!   codec renders each distinct program once into the `SUBMIT` frame's
+//!   deduplicated listing table, next to an optional trace context. Every
 //!   connection starts with a `HELLO` version check. Counters reach
 //!   clients only through the `METRICS` exposition. `hbserve` (in
 //!   `hardbound-report`) is the binary;
@@ -51,7 +53,7 @@ pub mod shard;
 pub mod store;
 pub mod wire;
 
-pub use net::{Client, ServeError, Server, WireJob, MAX_GRID, PROTOCOL_VERSION};
+pub use net::{Client, ServeError, Server, MAX_GRID, PROTOCOL_VERSION};
 pub use persist::{PersistStats, PersistentService};
 pub use shard::{cell_point, ShardRing, POINTS_PER_SHARD};
 pub use store::{StoreLog, StoreLogStats};

@@ -30,8 +30,10 @@
 //! Every payload has a fixed layout and both sides parse it strictly:
 //! short or trailing bytes are errors, never guesses.
 //!
-//! Cells reference the listing table, so a mode sweep over one program
-//! ships — and parses — the listing once instead of per cell. A
+//! Both ends hold the grid as [`Job<u64>`](Job): [`Client::run_into`]
+//! takes the cells the server's decoder returns. Cells reference a table
+//! of distinct listings, so a mode sweep over one program ships — and
+//! parses — the listing once instead of per cell. A
 //! submission lives only as long as its connection: when the connection
 //! drops, the server stops after the chunk it is running, and the client
 //! resubmits the cells it is missing on a new one — the cells the server
@@ -56,17 +58,19 @@
 //! program serialization (round-trips through `isa::parse_program`, and
 //! its bytes are exactly what `ProgramId` hashes), so a re-parsed program
 //! lands on the same store keys as the client's and byte-identity holds
-//! end to end.
+//! end to end. The `SUBMIT` encoder renders each distinct program once
+//! per submission; callers never handle listings.
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::BuildHasherDefault;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use hardbound_core::{Machine, MachineConfig, RunOutcome};
+use hardbound_core::{Fnv64, Machine, MachineConfig, RunOutcome};
 use hardbound_exec::service::Job;
 use hardbound_isa::Program;
 use hardbound_telemetry::{
@@ -123,32 +127,6 @@ const FRAME_RESERVE: u64 = 64 << 10;
 /// protocol's count fields can never truncate a grid the client accepted.
 /// Larger corpora split into multiple submissions.
 pub const MAX_GRID: usize = 1 << 16;
-
-/// One cell of a remote submission.
-#[derive(Clone, Debug)]
-pub struct WireJob {
-    /// The program as its assembly listing (`Program::disassemble`).
-    pub listing: String,
-    /// Full machine configuration.
-    pub config: MachineConfig,
-    /// Result-store key salt (see `exec::service::config_fingerprint`).
-    pub salt: u64,
-    /// Opaque machine-builder tag (the runtime sends its compiler mode).
-    pub tag: u64,
-}
-
-impl WireJob {
-    /// A wire job for `program` (rendered to its listing here).
-    #[must_use]
-    pub fn new(program: &Program, config: MachineConfig, salt: u64, tag: u64) -> WireJob {
-        WireJob {
-            listing: program.disassemble(),
-            config,
-            salt,
-            tag,
-        }
-    }
-}
 
 /// Why a client call failed.
 #[derive(Debug)]
@@ -773,28 +751,37 @@ fn decode_submission(
 }
 
 /// Encodes a `SUBMIT` payload: the trace context (zeros when untraced),
-/// then the grid, with identical listings collapsed into one table entry
+/// then the grid, with equal programs collapsed into one table entry
 /// referenced by index (a mode×encoding sweep over one program ships the
-/// listing once, not once per cell).
-fn encode_submission(jobs: &[WireJob], ctx: Option<TraceCtx>) -> Vec<u8> {
-    let mut table: Vec<&str> = Vec::new();
-    let mut index: HashMap<&str, u32> = HashMap::new();
-    for job in jobs {
-        index.entry(job.listing.as_str()).or_insert_with(|| {
-            table.push(&job.listing);
-            (table.len() - 1) as u32
-        });
-    }
+/// listing once, not once per cell). Each distinct program is rendered to
+/// its listing exactly once, here. A listing round-trips through
+/// `isa::parse_program`, so programs are equal exactly when their listings
+/// are: keying the table by program gives the same entries, in the same
+/// first-use order, as keying it by listing text.
+fn encode_submission(jobs: &[Job<u64>], ctx: Option<TraceCtx>) -> Vec<u8> {
+    let mut table: Vec<&Program> = Vec::new();
+    let mut index: HashMap<&Program, u32, BuildHasherDefault<Fnv64>> = HashMap::default();
+    // Hashing a program walks all of it, so each cell is hashed once, here,
+    // and the cell loop below reads its index back from `cells`.
+    let cells: Vec<u32> = jobs
+        .iter()
+        .map(|job| {
+            *index.entry(&job.program).or_insert_with(|| {
+                table.push(&job.program);
+                (table.len() - 1) as u32
+            })
+        })
+        .collect();
     let mut w = Writer::new();
     w.put_u64(ctx.map_or(0, |c| c.trace.0));
     w.put_u64(ctx.map_or(0, |c| c.parent.0));
     w.put_u32(table.len() as u32);
-    for listing in &table {
-        w.put_str(listing);
+    for program in table {
+        w.put_str(&program.disassemble());
     }
     w.put_u32(jobs.len() as u32);
-    for job in jobs {
-        w.put_u32(index[job.listing.as_str()]);
+    for (job, cell) in jobs.iter().zip(cells) {
+        w.put_u32(cell);
         encode_config(&mut w, &job.config);
         w.put_u64(job.salt);
         w.put_u64(job.tag);
@@ -919,7 +906,7 @@ impl Client {
     /// sent), socket failures, malformed frames, or a server rejection.
     pub fn run_into(
         &mut self,
-        jobs: &[WireJob],
+        jobs: &[Job<u64>],
         ctx: Option<TraceCtx>,
         results: &mut [Option<RunOutcome>],
         spans: &mut Vec<SpanEvent>,
@@ -959,7 +946,7 @@ impl Client {
     /// # Errors
     ///
     /// [`ServeError`] as for [`Client::run_into`].
-    pub fn run_jobs(&mut self, jobs: &[WireJob]) -> Result<Vec<RunOutcome>, ServeError> {
+    pub fn run_jobs(&mut self, jobs: &[Job<u64>]) -> Result<Vec<RunOutcome>, ServeError> {
         let mut results: Vec<Option<RunOutcome>> = vec![None; jobs.len()];
         self.run_into(jobs, None, &mut results, &mut Vec::new())?;
         results
@@ -1041,11 +1028,19 @@ mod tests {
         (addr, handle)
     }
 
-    fn expected_outcomes(jobs: &[WireJob]) -> Vec<RunOutcome> {
+    fn job(program: Program, config: MachineConfig, salt: u64, tag: u64) -> Job<u64> {
+        Job {
+            program,
+            config,
+            salt,
+            tag,
+        }
+    }
+
+    fn expected_outcomes(jobs: &[Job<u64>]) -> Vec<RunOutcome> {
         jobs.iter()
             .map(|j| {
-                let p = hardbound_isa::parse_program(&j.listing).unwrap();
-                hardbound_exec::Engine::new(Machine::new(p, j.config.clone())).run()
+                hardbound_exec::Engine::new(Machine::new(j.program.clone(), j.config.clone())).run()
             })
             .collect()
     }
@@ -1082,17 +1077,13 @@ mod tests {
             .unwrap_or_else(|| panic!("the exposition lacks {name}:\n{text}"))
     }
 
-    fn jobs_over_two_listings(cells: usize) -> Vec<WireJob> {
+    /// `cells` cells alternating between two programs; every cell holds
+    /// its own clone, so the codec must dedup by value, not by address.
+    fn jobs_over_two_listings(cells: usize) -> Vec<Job<u64>> {
         let cfg = MachineConfig::default().with_fuel(1_000_000);
+        let programs = [counting_program(5), counting_program(6)];
         (0..cells)
-            .map(|k| {
-                WireJob::new(
-                    &counting_program(5 + (k % 2) as i32),
-                    cfg.clone(),
-                    k as u64,
-                    0,
-                )
-            })
+            .map(|k| job(programs[k % 2].clone(), cfg.clone(), k as u64, 0))
             .collect()
     }
 
@@ -1109,7 +1100,7 @@ mod tests {
             assert_eq!(got_ctx, ctx);
             assert_eq!(decoded.len(), jobs.len());
             for (job, cell) in jobs.iter().zip(&decoded) {
-                assert_eq!(cell.program.disassemble(), job.listing);
+                assert_eq!(cell.program, job.program);
                 assert_eq!(cell.config, job.config);
                 assert_eq!((cell.salt, cell.tag), (job.salt, job.tag));
             }
@@ -1212,9 +1203,9 @@ mod tests {
     fn submit_streams_byte_identical_results_and_replays_warm() {
         let (addr, handle) = spawn_server();
         let cfg = MachineConfig::default().with_fuel(1_000_000);
-        let jobs: Vec<WireJob> =
+        let jobs: Vec<Job<u64>> =
             (0..67) // > 2 chunks
-                .map(|k| WireJob::new(&counting_program(5 + k), cfg.clone(), 0, 0))
+                .map(|k| job(counting_program(5 + k), cfg.clone(), 0, 0))
                 .collect();
         let expected = expected_outcomes(&jobs);
 
@@ -1239,18 +1230,14 @@ mod tests {
     }
 
     #[test]
-    fn ticket_flow_is_byte_identical_and_dedups_listings() {
+    fn submit_dedups_listings_and_is_byte_identical() {
         let (addr, handle) = spawn_server();
-        // 40 cells over 2 distinct programs: the payload carries 2
-        // listings, not 40 copies.
+        // 40 cells over 2 distinct programs: the payload's listing table
+        // (the count after the two trace words) holds 2 entries, not 40.
         let jobs = jobs_over_two_listings(40);
         let payload = encode_submission(&jobs, None);
-        let per_cell_overhead = 4 + 8 + 8 + 256; // index + salt + tag + config upper bound
-        assert!(
-            payload.len() < 16 + 2 * jobs[0].listing.len() + 40 * per_cell_overhead,
-            "the listing table must be deduplicated: {} bytes",
-            payload.len()
-        );
+        let table = u32::from_le_bytes(payload[16..20].try_into().unwrap());
+        assert_eq!(table, 2, "the listing table must be deduplicated");
 
         let expected = expected_outcomes(&jobs);
         let mut client = Client::connect(addr).unwrap();
@@ -1271,8 +1258,8 @@ mod tests {
         let cfg = MachineConfig::default().with_fuel(1_000_000);
         // Five chunks of cells slow enough that the server is still
         // running the grid when the client walks away.
-        let jobs: Vec<WireJob> = (0..5 * CHUNK as i32)
-            .map(|k| WireJob::new(&counting_program(2_000 + k), cfg.clone(), 0, 0))
+        let jobs: Vec<Job<u64>> = (0..5 * CHUNK as i32)
+            .map(|k| job(counting_program(2_000 + k), cfg.clone(), 0, 0))
             .collect();
         let expected = expected_outcomes(&jobs);
 
@@ -1311,20 +1298,36 @@ mod tests {
         let mut client = Client::connect(addr).unwrap();
 
         // Rejected before anything executes.
-        let mut bad_tag = vec![WireJob::new(&counting_program(3), cfg.clone(), 0, 99)];
+        let mut bad_tag = vec![job(counting_program(3), cfg.clone(), 0, 99)];
         match client.run_jobs(&bad_tag).unwrap_err() {
             ServeError::Server(msg) => assert!(msg.contains("tag 99"), "{msg}"),
             other => panic!("expected a server rejection, got {other}"),
         }
         bad_tag[0].tag = 0;
-        bad_tag[0].listing = "frobnicate a0\n".to_owned();
-        match client.run_jobs(&bad_tag).unwrap_err() {
-            ServeError::Server(msg) => assert!(msg.contains("unparseable"), "{msg}"),
-            other => panic!("expected a server rejection, got {other}"),
+        // A listing that does not parse: `Client` only sends rendered
+        // programs, so the frame goes out on a raw socket.
+        {
+            let mut w = Writer::new();
+            w.put_u64(0); // untraced
+            w.put_u64(0);
+            w.put_u32(1);
+            w.put_str("frobnicate a0\n");
+            w.put_u32(1);
+            w.put_u32(0);
+            encode_config(&mut w, &cfg);
+            w.put_u64(0);
+            w.put_u64(0);
+            let mut raw = TcpStream::connect(addr).unwrap();
+            write_frame(&mut raw, REQ_SUBMIT, &w.into_bytes()).unwrap();
+            let (kind, payload) = read_frame(&mut raw).unwrap().unwrap();
+            assert_eq!(kind, RESP_ERR);
+            match server_error(&payload) {
+                ServeError::Server(msg) => assert!(msg.contains("unparseable"), "{msg}"),
+                other => panic!("expected a server rejection, got {other}"),
+            }
         }
         // A config whose geometry would panic the cache constructors is
         // rejected up front, not executed.
-        bad_tag[0].listing = counting_program(3).disassemble();
         bad_tag[0].config.hierarchy.l1_ways = 0;
         match client.run_jobs(&bad_tag).unwrap_err() {
             ServeError::Server(msg) => assert!(msg.contains("invalid hierarchy"), "{msg}"),
@@ -1369,7 +1372,7 @@ mod tests {
         assert_eq!(scrape(&mut client, "hbserve_cells_executed"), 0);
 
         // The connection survives rejections; a good job still runs.
-        let good = vec![WireJob::new(&counting_program(3), cfg, 0, 0)];
+        let good = vec![job(counting_program(3), cfg, 0, 0)];
         let outs = client.run_jobs(&good).unwrap();
         assert_eq!(outs[0].ints, vec![3]);
         assert_eq!(
@@ -1386,7 +1389,7 @@ mod tests {
     fn two_clients_share_the_store() {
         let (addr, handle) = spawn_server();
         let cfg = MachineConfig::default().with_fuel(1_000_000);
-        let jobs = vec![WireJob::new(&counting_program(9), cfg, 0, 0)];
+        let jobs = vec![job(counting_program(9), cfg, 0, 0)];
         let mut a = Client::connect(addr).unwrap();
         let mut b = Client::connect(addr).unwrap();
         let out_a = a.run_jobs(&jobs).unwrap();
@@ -1409,7 +1412,7 @@ mod tests {
     fn torn_frames_do_not_wedge_the_server() {
         let (addr, handle) = spawn_server();
         let cfg = MachineConfig::default().with_fuel(1_000_000);
-        let jobs = vec![WireJob::new(&counting_program(9), cfg.clone(), 0, 0)];
+        let jobs = vec![job(counting_program(9), cfg.clone(), 0, 0)];
 
         // Warm the store so we can verify it survives the abuse.
         let mut warmup = Client::connect(addr).unwrap();
@@ -1473,8 +1476,8 @@ mod tests {
     fn duplicate_result_delivery_is_a_protocol_error() {
         let cfg = MachineConfig::default().with_fuel(1_000_000);
         let jobs = vec![
-            WireJob::new(&counting_program(3), cfg.clone(), 0, 0),
-            WireJob::new(&counting_program(4), cfg.clone(), 0, 0),
+            job(counting_program(3), cfg.clone(), 0, 0),
+            job(counting_program(4), cfg.clone(), 0, 0),
         ];
         let outcome = {
             let p = counting_program(3);
@@ -1506,7 +1509,7 @@ mod tests {
     #[test]
     fn out_of_range_results_are_a_protocol_error() {
         let cfg = MachineConfig::default().with_fuel(1_000_000);
-        let jobs = vec![WireJob::new(&counting_program(3), cfg.clone(), 0, 0)];
+        let jobs = vec![job(counting_program(3), cfg.clone(), 0, 0)];
         let outcome = {
             let p = counting_program(3);
             hardbound_exec::Engine::new(Machine::new(p, cfg)).run()
@@ -1528,12 +1531,12 @@ mod tests {
     }
 
     #[test]
-    fn traced_ticket_returns_enclosed_server_spans() {
+    fn traced_submission_returns_enclosed_server_spans() {
         let (addr, handle) = spawn_server_sharded(Some((1, 3)));
         let cfg = MachineConfig::default().with_fuel(1_000_000);
-        let jobs: Vec<WireJob> =
+        let jobs: Vec<Job<u64>> =
             (0..40) // > 1 chunk
-                .map(|k| WireJob::new(&counting_program(5 + k), cfg.clone(), 0, 0))
+                .map(|k| job(counting_program(5 + k), cfg.clone(), 0, 0))
                 .collect();
         let expected = expected_outcomes(&jobs);
 
@@ -1582,11 +1585,11 @@ mod tests {
     }
 
     #[test]
-    fn untraced_tickets_never_see_a_spans_frame() {
+    fn untraced_submissions_never_see_a_spans_frame() {
         let (addr, handle) = spawn_server();
         let cfg = MachineConfig::default().with_fuel(1_000_000);
-        let jobs: Vec<WireJob> = (0..3)
-            .map(|k| WireJob::new(&counting_program(5 + k), cfg.clone(), 0, 0))
+        let jobs: Vec<Job<u64>> = (0..3)
+            .map(|k| job(counting_program(5 + k), cfg.clone(), 0, 0))
             .collect();
         let mut client = Client::connect(addr).unwrap();
         let mut results: Vec<Option<RunOutcome>> = vec![None; jobs.len()];
@@ -1603,8 +1606,8 @@ mod tests {
     fn metrics_report_submissions_and_cells() {
         let (addr, handle) = spawn_server();
         let cfg = MachineConfig::default().with_fuel(1_000_000);
-        let jobs: Vec<WireJob> = (0..9)
-            .map(|k| WireJob::new(&counting_program(5 + k), cfg.clone(), 0, 0))
+        let jobs: Vec<Job<u64>> = (0..9)
+            .map(|k| job(counting_program(5 + k), cfg.clone(), 0, 0))
             .collect();
         let mut client = Client::connect(addr).unwrap();
         client.run_jobs(&jobs).unwrap();
@@ -1643,8 +1646,8 @@ mod tests {
         use hardbound_telemetry::{BlockKey, BlockStat, Profile};
         let (addr, handle) = spawn_server();
         let cfg = MachineConfig::default().with_fuel(1_000_000);
-        let jobs: Vec<WireJob> = (0..96)
-            .map(|k| WireJob::new(&counting_program(200 + k), cfg.clone(), 0, 0))
+        let jobs: Vec<Job<u64>> = (0..96)
+            .map(|k| job(counting_program(200 + k), cfg.clone(), 0, 0))
             .collect();
         // The grid runs on its own connection while the scrapers below
         // hammer the server.
@@ -1728,8 +1731,8 @@ mod tests {
         let (addr, handle) = spawn_server_sharded(Some((0, 3)));
         let cfg = MachineConfig::default().with_fuel(1_000_000);
         // Enough distinct cells that both ownership classes occur.
-        let jobs: Vec<WireJob> = (0..24)
-            .map(|k| WireJob::new(&counting_program(5 + k), cfg.clone(), 0, 0))
+        let jobs: Vec<Job<u64>> = (0..24)
+            .map(|k| job(counting_program(5 + k), cfg.clone(), 0, 0))
             .collect();
         let mut client = Client::connect(addr).unwrap();
         client.run_jobs(&jobs).unwrap();

@@ -29,13 +29,15 @@
 //! * [`violations`] — the spatial-violation corpus generator of §5.2.
 //! * [`report`] — experiment drivers that regenerate every table and figure.
 //! * [`serve`] — the persistent result store (`HB_STORE_PATH`) and the
-//!   `hbserve` networked corpus service (wire codec, append-only log,
-//!   TCP work-queue front end).
+//!   `hbserve` networked corpus service (wire codec, append-only log, and
+//!   a TCP front end that streams each submission's results back in
+//!   chunks on the submitting connection).
 //! * [`telemetry`] — the metrics registry (counters, gauges, latency
 //!   histograms; Prometheus-style exposition) and `HB_TRACE` span
 //!   tracing with cross-shard trace propagation.
-//! * [`bench`] — bench-harness support (`cargo bench` targets regenerate
-//!   the paper artefacts; `HB_SCALE=smoke` shrinks inputs for CI).
+//! * [`bench`](mod@bench) — bench-harness support (`cargo bench` targets
+//!   regenerate the paper artefacts; `HB_SCALE=smoke` shrinks inputs for
+//!   CI).
 //!
 //! ## Quick start
 //!
