@@ -1,4 +1,5 @@
-//! Stable, versioned fingerprints of the simulator's cacheable inputs.
+//! Stable, versioned fingerprints of the simulator's cacheable inputs, and
+//! the in-process structural hasher that memoizes them.
 //!
 //! The corpus service keys its result store on hashes of the program image
 //! and the machine configuration. Inside one process any hash works; the
@@ -26,6 +27,18 @@
 //!
 //! **Never** reorder, add or remove mixing steps without bumping
 //! [`FINGERPRINT_VERSION`].
+//!
+//! # Two hashers
+//!
+//! * [`Fnv64`] is the only hasher whose output may be **persisted or
+//!   sent**: program listing hashes, `ProgramId`s, configuration
+//!   fingerprints, store-log checksums and the shard ring all use it.
+//! * [`FoldHasher`] is a fast **in-process** hasher for `#[derive(Hash)]`
+//!   walks of a whole program image. It keys the process-local memo from
+//!   an image to its listing hash and the `SUBMIT` encoder's program
+//!   table. It is deterministic, but it hashes whatever `#[derive(Hash)]`
+//!   feeds it, so its values are **never** persisted, sent or compared
+//!   across processes.
 
 use std::fmt;
 use std::hash::Hasher;
@@ -102,6 +115,91 @@ impl Hasher for Fnv64 {
 
     fn write(&mut self, bytes: &[u8]) {
         self.mix_raw(bytes);
+    }
+}
+
+/// Multiplier of [`FoldHasher`]'s fold: the 64-bit golden ratio (odd,
+/// with bits spread over the whole word).
+const FOLD_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The 64×64→128-bit product of `x` and `y`, its halves XORed together.
+#[inline]
+fn folded_mul(x: u64, y: u64) -> u64 {
+    let product = u128::from(x) * u128::from(y);
+    (product as u64) ^ ((product >> 64) as u64)
+}
+
+/// A fast, deterministic [`Hasher`] for **in-process** structural keys
+/// (see the module docs: its values are never persisted or sent).
+///
+/// Each `write_*` of an integer folds it into the state with one
+/// 64×64→128-bit multiply whose halves are XORed together; a byte slice
+/// folds its length, then 8 bytes at a time (the zero-padded tail last).
+/// Writes alternate between two lanes, so each multiply waits on the one
+/// two writes back and consecutive multiplies overlap in the pipeline.
+/// A `#[derive(Hash)]` walk of a program image is mostly small-integer
+/// writes (discriminants, registers, immediates), which `Fnv64` would mix
+/// one byte at a time. The output is a full 64-bit mix of both lanes.
+#[derive(Clone, Debug)]
+pub struct FoldHasher {
+    lanes: [u64; 2],
+}
+
+impl Default for FoldHasher {
+    fn default() -> FoldHasher {
+        // The first 128 bits of pi's fraction: any fixed nonzero seeds.
+        FoldHasher {
+            lanes: [0x243f_6a88_85a3_08d3, 0x1319_8a2e_0370_7344],
+        }
+    }
+}
+
+impl FoldHasher {
+    #[inline]
+    fn fold(&mut self, word: u64) {
+        let [older, newer] = self.lanes;
+        self.lanes = [newer, folded_mul(older ^ word, FOLD_MUL)];
+    }
+}
+
+impl Hasher for FoldHasher {
+    fn finish(&self) -> u64 {
+        // Unequal masks keep two swapped lanes from hashing alike.
+        folded_mul(
+            self.lanes[0] ^ FOLD_MUL,
+            self.lanes[1] ^ FOLD_MUL.rotate_left(32),
+        )
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // The length keeps zero padding from aliasing a shorter slice.
+        self.fold(bytes.len() as u64);
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.fold(u64::from_le_bytes(word.try_into().expect("8 bytes")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut word = [0; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            self.fold(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, v: u8) {
+        self.fold(u64::from(v));
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.fold(u64::from(v));
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.fold(v);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.fold(v as u64);
     }
 }
 
@@ -215,6 +313,31 @@ mod tests {
         let mut h = Fnv64::default();
         h.mix_raw(b"foobar");
         assert_eq!(h.value(), 0x85944171f73967e8, "FNV-1a of \"foobar\"");
+    }
+
+    fn fold_hash<T: std::hash::Hash + ?Sized>(value: &T) -> u64 {
+        use std::hash::BuildHasher;
+        std::hash::BuildHasherDefault::<FoldHasher>::default().hash_one(value)
+    }
+
+    #[test]
+    fn fold_hasher_is_deterministic_and_splits_near_inputs() {
+        assert_eq!(fold_hash("listing"), fold_hash("listing"));
+        assert_ne!(fold_hash(&0u32), fold_hash(&1u32));
+        assert_ne!(fold_hash(&(1u8, 2u8)), fold_hash(&(2u8, 1u8)));
+        // Zero padding of a short tail does not alias a longer slice.
+        let mut a = FoldHasher::default();
+        a.write(b"ab");
+        let mut b = FoldHasher::default();
+        b.write(b"ab\0");
+        assert_ne!(a.finish(), b.finish());
+        // Every byte of a multi-word slice reaches the state.
+        let base = [7u8; 19];
+        for i in 0..base.len() {
+            let mut flipped = base;
+            flipped[i] ^= 1;
+            assert_ne!(fold_hash(&base[..]), fold_hash(&flipped[..]), "byte {i}");
+        }
     }
 
     /// The golden fingerprint of the default configuration — computed

@@ -56,7 +56,7 @@ pub use config::{FunctionalKey, HardboundConfig, MachineConfig, MetaPath, Safety
 pub use encoding::{
     intern4_compress, intern4_decompress, intern_eligible, Intern4Word, PointerEncoding,
 };
-pub use fingerprint::{stable_fingerprint, Fnv64, StableHash, FINGERPRINT_VERSION};
+pub use fingerprint::{stable_fingerprint, Fnv64, FoldHasher, StableHash, FINGERPRINT_VERSION};
 pub use forensics::{
     BoundsOrigin, FlightEvent, FlightRecorder, OobDistance, PageMetaSummary, ViolationReport,
     WindowLine,

@@ -31,7 +31,7 @@
 
 use std::collections::HashMap;
 
-use hardbound_core::{Fnv64, MachineConfig, StableHash, FINGERPRINT_VERSION};
+use hardbound_core::{Fnv64, FoldHasher, MachineConfig, StableHash, FINGERPRINT_VERSION};
 use hardbound_isa::{FuncId, Program};
 
 use crate::slru::SlruIndex;
@@ -57,26 +57,26 @@ use crate::uop::Uop;
 pub struct ProgramId(pub u64);
 
 /// Process-local memo of the **stable** program hash (FNV-1a over the
-/// assembly listing — see `core::fingerprint`), keyed by the cheap
-/// structural `#[derive(Hash)]` walk. Rendering a multi-thousand-line
-/// listing per [`ProgramId::of`] call would tax exactly the path the
-/// result store exists to make cheap (key computation on warm replays),
-/// so each distinct image is rendered once per process. The structural
-/// key is process-internal only — nothing derived from it is persisted —
-/// and its 64-bit collision exposure matches what the pre-stable
-/// `ProgramId` itself carried.
+/// assembly listing — see `core::fingerprint`), keyed by a
+/// `#[derive(Hash)]` walk of the image under `core::FoldHasher`.
+/// Rendering a multi-thousand-line listing per [`ProgramId::of`] call
+/// would tax exactly the path the result store exists to make cheap (key
+/// computation on warm replays), so each distinct image is rendered once
+/// per process. The walk itself runs on every call, so it uses the
+/// word-at-a-time `FoldHasher`.
+/// The structural key is process-internal only — nothing derived from it
+/// is persisted or sent — and its 64-bit collision exposure matches what
+/// the pre-stable `ProgramId` itself carried.
 fn stable_program_hash(program: &Program) -> u64 {
     use std::collections::hash_map::Entry;
-    use std::hash::{Hash, Hasher};
+    use std::hash::{BuildHasher, BuildHasherDefault};
     use std::sync::{Mutex, OnceLock, PoisonError};
 
     /// Distinct images memoized before the memo resets (fuzz sweeps over
     /// unbounded generated programs must not leak).
     const MEMO_CAP: usize = 1 << 14;
 
-    let mut fast = Fnv64::default();
-    program.hash(&mut fast);
-    let fast = fast.finish();
+    let fast = BuildHasherDefault::<FoldHasher>::default().hash_one(program);
 
     static MEMO: OnceLock<Mutex<HashMap<u64, u64>>> = OnceLock::new();
     let memo = MEMO.get_or_init(|| Mutex::new(HashMap::new()));
@@ -445,6 +445,28 @@ mod tests {
 
     fn uops() -> Box<[Uop]> {
         vec![Uop::Nop, Uop::Ret].into_boxed_slice()
+    }
+
+    /// The golden `ProgramId` of one fixed image under the default
+    /// (HardBound) configuration. Like the configuration fingerprint pin in
+    /// `core::fingerprint`, this is the cross-process contract: persisted
+    /// stores and `hbserve` peers agree on it, so it may only change with a
+    /// `FINGERPRINT_VERSION` bump. The in-process memo key in front of the
+    /// listing hash must not move it.
+    #[test]
+    fn program_id_is_pinned() {
+        let mut p = two_function_program();
+        p.globals_size = 8;
+        p.data.push(hardbound_isa::DataInit {
+            addr: hardbound_isa::layout::GLOBALS_BASE,
+            bytes: b"hb\0".to_vec(),
+        });
+        assert_eq!(
+            ProgramId::of(&p, &MachineConfig::default()),
+            ProgramId(0x14a3_a3a3_b1df_d97b),
+            "ProgramId drifted — if this is intentional, bump \
+             FINGERPRINT_VERSION and update the pin"
+        );
     }
 
     #[test]

@@ -25,6 +25,40 @@ impl Hasher for PageHasher {
 
 type PageSet = HashSet<u64, BuildHasherDefault<PageHasher>>;
 
+/// Slots in each plane's memo of recently recorded pages.
+const MEMO_SLOTS: usize = 64;
+
+/// One plane's distinct pages, behind a direct-mapped memo of pages
+/// already in the set: consecutive accesses overwhelmingly revisit a
+/// recent page, and interleaved stack, heap and global pages each keep
+/// their own slot. A memo hit only skips re-inserting a page the set
+/// holds, so the count is exact.
+#[derive(Clone, Debug)]
+struct PlanePages {
+    set: PageSet,
+    memo: [u64; MEMO_SLOTS],
+}
+
+impl PlanePages {
+    fn new() -> PlanePages {
+        PlanePages {
+            set: PageSet::default(),
+            // No page number reaches `u64::MAX` (addresses are at most
+            // 64-bit, pages 4 KB), so it marks an empty slot.
+            memo: [u64::MAX; MEMO_SLOTS],
+        }
+    }
+
+    #[inline]
+    fn touch(&mut self, page: u64) {
+        let slot = &mut self.memo[page as usize % MEMO_SLOTS];
+        if *slot != page {
+            *slot = page;
+            self.set.insert(page);
+        }
+    }
+}
+
 /// Distinct-4 KB-page accounting for the three metadata planes.
 ///
 /// The paper's Figure 6 reports "the number of additional distinct pages
@@ -34,14 +68,9 @@ type PageSet = HashSet<u64, BuildHasherDefault<PageHasher>>;
 /// layer differences the counts against a baseline run.
 #[derive(Clone, Debug)]
 pub struct PageTouches {
-    data: PageSet,
-    tag: PageSet,
-    shadow: PageSet,
-    // One-entry caches: consecutive accesses overwhelmingly hit the same
-    // page, and this tracker sits on the simulator's hot path.
-    last_data: u64,
-    last_tag: u64,
-    last_shadow: u64,
+    data: PlanePages,
+    tag: PlanePages,
+    shadow: PlanePages,
 }
 
 impl Default for PageTouches {
@@ -55,62 +84,47 @@ impl PageTouches {
     #[must_use]
     pub fn new() -> PageTouches {
         PageTouches {
-            data: PageSet::default(),
-            tag: PageSet::default(),
-            shadow: PageSet::default(),
-            last_data: u64::MAX,
-            last_tag: u64::MAX,
-            last_shadow: u64::MAX,
+            data: PlanePages::new(),
+            tag: PlanePages::new(),
+            shadow: PlanePages::new(),
         }
     }
 
     /// Records a touch of the data-plane page containing byte `addr`.
     #[inline]
     pub fn touch_data(&mut self, addr: u32) {
-        let page = u64::from(addr) / 4096;
-        if page != self.last_data {
-            self.last_data = page;
-            self.data.insert(page);
-        }
+        self.data.touch(u64::from(addr) / 4096);
     }
 
     /// Records a touch of a tag-plane page (conceptual 64-bit address).
     #[inline]
     pub fn touch_tag(&mut self, conceptual_addr: u64) {
-        let page = conceptual_addr / 4096;
-        if page != self.last_tag {
-            self.last_tag = page;
-            self.tag.insert(page);
-        }
+        self.tag.touch(conceptual_addr / 4096);
     }
 
     /// Records a touch of a base/bound shadow-plane page (conceptual 64-bit
     /// address).
     #[inline]
     pub fn touch_shadow(&mut self, conceptual_addr: u64) {
-        let page = conceptual_addr / 4096;
-        if page != self.last_shadow {
-            self.last_shadow = page;
-            self.shadow.insert(page);
-        }
+        self.shadow.touch(conceptual_addr / 4096);
     }
 
     /// Number of distinct data pages touched.
     #[must_use]
     pub fn data_pages(&self) -> usize {
-        self.data.len()
+        self.data.set.len()
     }
 
     /// Number of distinct tag-metadata pages touched.
     #[must_use]
     pub fn tag_pages(&self) -> usize {
-        self.tag.len()
+        self.tag.set.len()
     }
 
     /// Number of distinct base/bound shadow pages touched.
     #[must_use]
     pub fn shadow_pages(&self) -> usize {
-        self.shadow.len()
+        self.shadow.set.len()
     }
 
     /// Total distinct pages across all planes.
@@ -144,6 +158,49 @@ mod tests {
         assert_eq!(t.tag_pages(), 1);
         assert_eq!(t.shadow_pages(), 1);
         assert_eq!(t.total_pages(), 3);
+    }
+
+    /// A long seeded stream interleaving the three planes over a few
+    /// hundred pages (many sharing a memo slot) counts exactly what a
+    /// plain set of every touched page counts.
+    #[test]
+    fn memo_counts_match_a_reference_set() {
+        use std::collections::BTreeSet;
+        let mut t = PageTouches::new();
+        let mut reference: [BTreeSet<u64>; 3] = Default::default();
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for _ in 0..200_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            // Mostly eight hot pages, one touch in four any of 400.
+            let page = if state.is_multiple_of(4) {
+                (state >> 8) % 400
+            } else {
+                (state >> 40) % 8
+            };
+            let offset = (state >> 20) % 4096;
+            match (state >> 4) % 3 {
+                0 => {
+                    t.touch_data((page * 4096 + offset) as u32);
+                    reference[0].insert(page);
+                }
+                1 => {
+                    let base = 0x3_0000_0000 / 4096;
+                    t.touch_tag((base + page) * 4096 + offset);
+                    reference[1].insert(base + page);
+                }
+                _ => {
+                    let base = 0x1_0000_0000 / 4096;
+                    t.touch_shadow((base + page) * 4096 + offset);
+                    reference[2].insert(base + page);
+                }
+            }
+        }
+        assert_eq!(t.data_pages(), reference[0].len());
+        assert_eq!(t.tag_pages(), reference[1].len());
+        assert_eq!(t.shadow_pages(), reference[2].len());
+        assert!(reference.iter().all(|r| r.len() > MEMO_SLOTS));
     }
 
     #[test]

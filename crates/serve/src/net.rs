@@ -70,7 +70,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use hardbound_core::{Fnv64, Machine, MachineConfig, RunOutcome};
+use hardbound_core::{FoldHasher, Machine, MachineConfig, RunOutcome};
 use hardbound_exec::service::Job;
 use hardbound_isa::Program;
 use hardbound_telemetry::{
@@ -671,8 +671,10 @@ fn serve_submission(
         }
         write_frame(stream, RESP_SPANS, &w.into_bytes())?;
     }
-    write_frame(stream, RESP_DONE, &(jobs.len() as u32).to_le_bytes())?;
+    // Counted before `DONE` goes out: a client that has read `DONE` and
+    // then scrapes `METRICS` must see its submission.
     m.submissions.inc();
+    write_frame(stream, RESP_DONE, &(jobs.len() as u32).to_le_bytes())?;
     Ok(())
 }
 
@@ -760,9 +762,11 @@ fn decode_submission(
 /// first-use order, as keying it by listing text.
 fn encode_submission(jobs: &[Job<u64>], ctx: Option<TraceCtx>) -> Vec<u8> {
     let mut table: Vec<&Program> = Vec::new();
-    let mut index: HashMap<&Program, u32, BuildHasherDefault<Fnv64>> = HashMap::default();
+    let mut index: HashMap<&Program, u32, BuildHasherDefault<FoldHasher>> = HashMap::default();
     // Hashing a program walks all of it, so each cell is hashed once, here,
-    // and the cell loop below reads its index back from `cells`.
+    // and the cell loop below reads its index back from `cells`. The hash
+    // only buckets the table (`Eq` decides), so the fast in-process
+    // `FoldHasher` serves; no hash value reaches the frame.
     let cells: Vec<u32> = jobs
         .iter()
         .map(|job| {
