@@ -1,5 +1,6 @@
 use std::fmt;
 
+use crate::disasm::{put_dec, put_hex};
 use crate::inst::Inst;
 use crate::layout;
 use crate::reg::Reg;
@@ -259,6 +260,11 @@ impl Program {
     /// Streams the annotated assembly listing of [`Program::disassemble`]
     /// into any [`std::fmt::Write`] sink, without materializing the string.
     ///
+    /// Each instruction line is `  <idx>: <text>` with the text written by
+    /// [`Inst::write_to`] — the one writer `Display for Inst` also uses —
+    /// and instruction indices and data bytes go through its hand-written
+    /// number formatting, so the per-line work costs no `format_args!`.
+    ///
     /// Because the listing fully round-trips through
     /// [`crate::asm::parse_program`], its text uniquely determines the
     /// program image — which makes it a *pinned serialization* of the
@@ -277,10 +283,11 @@ impl Program {
         }
         for init in &self.data {
             write!(out, "; data {:#010x}:", init.addr)?;
-            for b in &init.bytes {
-                write!(out, " {b:02x}")?;
+            for &b in &init.bytes {
+                out.write_str(" ")?;
+                put_hex(out, u32::from(b), 2)?;
             }
-            writeln!(out)?;
+            out.write_str("\n")?;
         }
         for (fi, func) in self.functions.iter().enumerate() {
             writeln!(
@@ -292,7 +299,11 @@ impl Program {
                 func.frame_size
             )?;
             for (ii, inst) in func.insts.iter().enumerate() {
-                writeln!(out, "  {ii:4}: {inst}")?;
+                out.write_str("  ")?;
+                put_dec(out, ii as u64, 4)?;
+                out.write_str(": ")?;
+                inst.write_to(out)?;
+                out.write_str("\n")?;
             }
         }
         Ok(())

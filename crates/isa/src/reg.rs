@@ -120,18 +120,22 @@ impl Reg {
     pub fn is_zero(self) -> bool {
         self.0 == 0
     }
+
+    /// The assembly name: `zero`, `sp`, `fp`, `gp`, `a0`–`a7`, `t0`–`t19`.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        const NAMES: [&str; Reg::COUNT] = [
+            "zero", "sp", "fp", "gp", "a0", "a1", "a2", "a3", "a4", "a5", "a6", "a7", "t0", "t1",
+            "t2", "t3", "t4", "t5", "t6", "t7", "t8", "t9", "t10", "t11", "t12", "t13", "t14",
+            "t15", "t16", "t17", "t18", "t19",
+        ];
+        NAMES[self.0 as usize]
+    }
 }
 
 impl fmt::Display for Reg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            Reg::ZERO => write!(f, "zero"),
-            Reg::SP => write!(f, "sp"),
-            Reg::FP => write!(f, "fp"),
-            Reg::GP => write!(f, "gp"),
-            Reg(n @ 4..=11) => write!(f, "a{}", n - 4),
-            Reg(n) => write!(f, "t{}", n - Reg::FIRST_TEMP),
-        }
+        f.write_str(self.name())
     }
 }
 
@@ -164,6 +168,17 @@ mod tests {
         assert_eq!(Reg::arg(3).to_string(), "a3");
         assert_eq!(Reg::temp(2).to_string(), "t2");
         assert_eq!(Reg::new(31).to_string(), "t19");
+        for i in 0..Reg::COUNT as u8 {
+            let name = match i {
+                0 => "zero".to_owned(),
+                1 => "sp".to_owned(),
+                2 => "fp".to_owned(),
+                3 => "gp".to_owned(),
+                4..=11 => format!("a{}", i - 4),
+                _ => format!("t{}", i - Reg::FIRST_TEMP),
+            };
+            assert_eq!(Reg::new(i).name(), name);
+        }
     }
 
     #[test]

@@ -48,6 +48,7 @@ pub use settings::{settings, Settings};
 pub use source::RUNTIME_SOURCE;
 pub use splay::SplayTable;
 
+use std::borrow::Cow;
 use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
@@ -490,25 +491,26 @@ fn try_shard_once(
     result
 }
 
-/// Fetches one shard group's cells (`idxs` into `jobs`), walking the
-/// ring's fallback route: bounded attempts per shard, resubmitting only
-/// the cells still missing (results the cluster already streamed — or
-/// already computed into a surviving shard's store — are never thrown
-/// away). A server *rejection* (invalid job) is non-transient and fails
-/// immediately; connection/stream failures try the next attempt or shard.
+/// Fetches one shard group's `cells`, walking the ring's fallback route:
+/// bounded attempts per shard, resubmitting only the cells still missing
+/// (results the cluster already streamed — or already computed into a
+/// surviving shard's store — are never thrown away). A submission of the
+/// whole group borrows `cells`; only a retry of part of it copies the
+/// missing cells. A server *rejection* (invalid job) is non-transient and
+/// fails immediately; connection/stream failures try the next attempt or
+/// shard. The outcomes come back in `cells` order.
 fn fetch_group(
     addrs: &[String],
     order: &[usize],
-    jobs: &[Job<u64>],
-    idxs: &[usize],
+    cells: &[Job<u64>],
     ctx: Option<TraceCtx>,
-) -> Result<Vec<(usize, RunOutcome)>, String> {
-    let mut results: Vec<Option<RunOutcome>> = vec![None; idxs.len()];
+) -> Result<Vec<RunOutcome>, String> {
+    let mut results: Vec<Option<RunOutcome>> = vec![None; cells.len()];
     let mut errors: Vec<String> = Vec::new();
     for (hop, &shard) in order.iter().enumerate() {
         let addr = &addrs[shard];
         for attempt in 0..ATTEMPTS_PER_SHARD {
-            let missing: Vec<usize> = (0..idxs.len()).filter(|&k| results[k].is_none()).collect();
+            let missing: Vec<usize> = (0..cells.len()).filter(|&k| results[k].is_none()).collect();
             if missing.is_empty() {
                 break;
             }
@@ -517,7 +519,11 @@ fn fetch_group(
             } else if hop > 0 {
                 metrics().remote_reroutes.inc();
             }
-            let sub: Vec<Job<u64>> = missing.iter().map(|&k| jobs[idxs[k]].clone()).collect();
+            let sub: Cow<'_, [Job<u64>]> = if missing.len() == cells.len() {
+                Cow::Borrowed(cells)
+            } else {
+                missing.iter().map(|&k| cells[k].clone()).collect()
+            };
             let mut sub_results: Vec<Option<RunOutcome>> = vec![None; sub.len()];
             let outcome = try_shard_once(
                 addr,
@@ -533,10 +539,9 @@ fn fetch_group(
             }
             match outcome {
                 Ok(()) if results.iter().all(Option::is_some) => {
-                    return Ok(idxs
-                        .iter()
-                        .zip(results)
-                        .map(|(&i, out)| (i, out.expect("checked above")))
+                    return Ok(results
+                        .into_iter()
+                        .map(|out| out.expect("checked above"))
                         .collect());
                 }
                 // A DONE with holes is a server bug; treat as transient
@@ -567,7 +572,8 @@ fn fetch_group(
 /// cluster by consistent hashing over each cell's store key, gather the
 /// streams, and merge outcomes back into input order. Shard groups fetch
 /// concurrently; a shard's transient failure retries and then re-routes
-/// along the ring (see `fetch_group`).
+/// along the ring (see `fetch_group`). With a single shard every cell
+/// belongs to it, so no store key is computed.
 ///
 /// Public so the cluster differential tests can drive an explicit shard
 /// list without racing on the process environment.
@@ -583,20 +589,25 @@ pub fn run_jobs_remote_to(addrs: &[String], jobs: &[SimJob]) -> Vec<RunOutcome> 
     if jobs.is_empty() {
         return Vec::new();
     }
-    let cells: Vec<Job<u64>> = jobs
-        .iter()
-        .map(|j| Job {
+    let ring = ShardRing::new(addrs.len());
+    // Each shard's cells, laid out contiguously so the group submits as
+    // one borrowed slice, with the input index of each.
+    let mut groups: Vec<(Vec<usize>, Vec<Job<u64>>)> = vec![(Vec::new(), Vec::new()); addrs.len()];
+    for (i, j) in jobs.iter().enumerate() {
+        let cell = Job {
             program: j.program.clone(),
             config: j.config.clone(),
             salt: j.mode as u64,
             tag: j.mode as u64,
-        })
-        .collect();
-    let ring = ShardRing::new(addrs.len());
-    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); addrs.len()];
-    for (i, cell) in cells.iter().enumerate() {
-        let (pid, fp) = cell.key();
-        groups[ring.owner_of_cell(pid.0, fp)].push(i);
+        };
+        let owner = if addrs.len() == 1 {
+            0
+        } else {
+            let (pid, fp) = cell.key();
+            ring.owner_of_cell(pid.0, fp)
+        };
+        groups[owner].0.push(i);
+        groups[owner].1.push(cell);
     }
     // The whole scatter/gather runs under one fresh trace: the `grid` root
     // span parents every per-attempt `remote_rt` span, and the server
@@ -608,34 +619,32 @@ pub fn run_jobs_remote_to(addrs: &[String], jobs: &[SimJob]) -> Vec<RunOutcome> 
         trace: t.trace(),
         parent: t.span(),
     });
-    let fetched: Vec<Result<Vec<(usize, RunOutcome)>, String>> = std::thread::scope(|scope| {
+    let mut results: Vec<Option<RunOutcome>> = vec![None; jobs.len()];
+    let mut failures: Vec<String> = Vec::new();
+    std::thread::scope(|scope| {
         let handles: Vec<_> = groups
             .iter()
             .enumerate()
-            .filter(|(_, idxs)| !idxs.is_empty())
-            .map(|(shard, idxs)| {
+            .filter(|(_, (idxs, _))| !idxs.is_empty())
+            .map(|(shard, (idxs, cells))| {
                 let order = ring.route_from(shard);
-                let cells = &cells;
-                scope.spawn(move || fetch_group(addrs, &order, cells, idxs, ctx))
+                (
+                    idxs,
+                    scope.spawn(move || fetch_group(addrs, &order, cells, ctx)),
+                )
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("no panics"))
-            .collect()
-    });
-    let mut results: Vec<Option<RunOutcome>> = vec![None; jobs.len()];
-    let mut failures: Vec<String> = Vec::new();
-    for group in fetched {
-        match group {
-            Ok(cells) => {
-                for (i, out) in cells {
-                    results[i] = Some(out);
+        for (idxs, handle) in handles {
+            match handle.join().expect("no panics") {
+                Ok(outs) => {
+                    for (&i, out) in idxs.iter().zip(outs) {
+                        results[i] = Some(out);
+                    }
                 }
+                Err(msg) => failures.push(msg),
             }
-            Err(msg) => failures.push(msg),
         }
-    }
+    });
     if let Some(t) = grid_timer {
         t.emit(vec![
             ("cells".to_owned(), Field::from(jobs.len() as u64)),

@@ -31,9 +31,11 @@
 //! short or trailing bytes are errors, never guesses.
 //!
 //! Both ends hold the grid as [`Job<u64>`](Job): [`Client::run_into`]
-//! takes the cells the server's decoder returns. Cells reference a table
-//! of distinct listings, so a mode sweep over one program ships — and
-//! parses — the listing once instead of per cell. A
+//! takes the cells the server runs. Cells reference a table of distinct
+//! listings, so a mode sweep over one program ships — and parses — the
+//! listing once instead of per cell. The server turns cells back into
+//! jobs one chunk at a time, so a submission holds at most one chunk of
+//! program copies. A
 //! submission lives only as long as its connection: when the connection
 //! drops, the server stops after the chunk it is running, and the client
 //! resubmits the cells it is missing on a new one — the cells the server
@@ -60,8 +62,23 @@
 //! lands on the same store keys as the client's and byte-identity holds
 //! end to end. The `SUBMIT` encoder renders each distinct program once
 //! per submission; callers never handle listings.
+//!
+//! ## Listing cache
+//!
+//! A warm server receives the same listings again and again (a figure
+//! grid runs each image under every encoding, ablation and tag-cache
+//! size, one submission per figure). Each [`Server`] therefore keeps a
+//! cache from the exact listing text to its parsed, validated program; a
+//! hit skips the parse and the validation, and every cell of the listing
+//! shares the one parsed program. Entries are found by string equality —
+//! a listing one byte off is a miss — and only listings of a submission
+//! that decoded in full are admitted, so a rejected submission leaves the
+//! cache unchanged. The cache holds at most a constant 16 MiB of listing
+//! text, evicting the oldest entries first. The counters
+//! `hbserve_listings_parsed` and `hbserve_listing_cache_hits` in the
+//! server's `METRICS` show whether it is hit.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::hash::BuildHasherDefault;
 use std::io::{self, Read, Write};
@@ -121,6 +138,12 @@ const MAX_FRAME: u32 = 1 << 30;
 /// buffer grows only with the bytes actually received, so a header that
 /// merely *declares* a huge frame commits no memory.
 const FRAME_RESERVE: u64 = 64 << 10;
+
+/// Total listing text the per-server listing cache holds (see
+/// `ListingCache`). A figure grid's 252 distinct smoke images are ~7 MiB
+/// of listings, so a warm grid stays resident with room to spare; the
+/// parsed programs the entries own add somewhat less than that again.
+const LISTING_CACHE_BYTES: usize = 16 << 20;
 
 /// Hard cap on cells per submission. Well beyond any figure grid (a full
 /// pipeline is a few thousand cells), comfortably inside `u32` — the
@@ -253,6 +276,8 @@ struct Metrics {
     submissions: Counter,
     cells_executed: Counter,
     cells_in_flight: Gauge,
+    listings_parsed: Counter,
+    listing_cache_hits: Counter,
     chunk_us: Histogram,
 }
 
@@ -267,6 +292,8 @@ impl Metrics {
             submissions: registry.counter("hbserve_submissions"),
             cells_executed: registry.counter("hbserve_cells_executed"),
             cells_in_flight: registry.gauge("hbserve_cells_in_flight"),
+            listings_parsed: registry.counter("hbserve_listings_parsed"),
+            listing_cache_hits: registry.counter("hbserve_listing_cache_hits"),
             chunk_us: registry.histogram("hbserve_chunk_us"),
             registry,
         }
@@ -280,6 +307,87 @@ impl Metrics {
     }
 }
 
+/// A server's parsed listings, keyed by their exact text: a warm server
+/// that receives a listing it has seen before skips the parse and the
+/// validation and shares the one parsed [`Program`].
+///
+/// Entries are found by string equality — [`FoldHasher`] only picks the
+/// bucket — so two listings share an entry only when every byte agrees.
+/// Only listings that parsed and validated are admitted, and only once
+/// the whole submission has decoded, so a rejected submission leaves the
+/// cache as it found it. The listing text held is capped at `cap` bytes;
+/// past it the oldest entries go first. Lookups and admissions take the
+/// lock briefly; parsing runs outside it.
+struct ListingCache {
+    cap: usize,
+    entries: Mutex<ListingEntries>,
+    /// Listings parsed (cache misses, rejected listings included).
+    parsed: Counter,
+    /// Listings served from the cache.
+    hits: Counter,
+}
+
+#[derive(Default)]
+struct ListingEntries {
+    map: HashMap<Arc<str>, Arc<Program>, BuildHasherDefault<FoldHasher>>,
+    /// Admission order, oldest first (the eviction order).
+    order: VecDeque<Arc<str>>,
+    /// Listing bytes held: the sum of the keys' lengths.
+    bytes: usize,
+}
+
+impl ListingCache {
+    fn new(cap: usize, parsed: Counter, hits: Counter) -> ListingCache {
+        ListingCache {
+            cap,
+            entries: Mutex::default(),
+            parsed,
+            hits,
+        }
+    }
+
+    fn entries(&self) -> std::sync::MutexGuard<'_, ListingEntries> {
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The program `listing` renders, from the cache or freshly parsed and
+    /// validated; a fresh one comes back with `true` so the caller can
+    /// [`ListingCache::admit`] it once its submission is accepted.
+    fn program(&self, listing: &str) -> Result<(Arc<Program>, bool), String> {
+        if let Some(program) = self.entries().map.get(listing) {
+            self.hits.inc();
+            return Ok((Arc::clone(program), false));
+        }
+        self.parsed.inc();
+        let program = hardbound_isa::parse_program(listing)
+            .map_err(|e| format!("unparseable program listing: {e}"))?;
+        program
+            .validate()
+            .map_err(|e| format!("invalid program: {e}"))?;
+        Ok((Arc::new(program), true))
+    }
+
+    /// Admits freshly parsed listings, evicting the oldest entries past
+    /// the byte cap. A listing larger than the whole cap is not kept.
+    fn admit<'a>(&self, fresh: impl IntoIterator<Item = (&'a str, Arc<Program>)>) {
+        let mut e = self.entries();
+        for (listing, program) in fresh {
+            if listing.len() > self.cap || e.map.contains_key(listing) {
+                continue;
+            }
+            while e.bytes + listing.len() > self.cap {
+                let oldest = e.order.pop_front().expect("held bytes imply an entry");
+                e.bytes -= oldest.len();
+                e.map.remove(&oldest);
+            }
+            let key: Arc<str> = Arc::from(listing);
+            e.bytes += key.len();
+            e.order.push_back(Arc::clone(&key));
+            e.map.insert(key, program);
+        }
+    }
+}
+
 /// The `hbserve` TCP front end: owns the shared [`PersistentService`]
 /// and serves until a `SHUTDOWN` request.
 pub struct Server {
@@ -290,6 +398,7 @@ pub struct Server {
     shutdown: Arc<AtomicBool>,
     shard: Option<Arc<ShardState>>,
     metrics: Arc<Metrics>,
+    listings: Arc<ListingCache>,
     /// Requests currently being served (not idle connections); `run`
     /// waits for this to reach zero after the accept loop stops, so a
     /// shutdown never cuts an in-flight submission mid-stream.
@@ -383,6 +492,11 @@ impl Server {
                 }
             });
         }
+        let listings = Arc::new(ListingCache::new(
+            LISTING_CACHE_BYTES,
+            metrics.listings_parsed.clone(),
+            metrics.listing_cache_hits.clone(),
+        ));
         Ok(Server {
             listener: TcpListener::bind(addr)?,
             svc,
@@ -391,6 +505,7 @@ impl Server {
             shutdown: Arc::new(AtomicBool::new(false)),
             shard: None,
             metrics,
+            listings,
             busy: Arc::new(AtomicUsize::new(0)),
         })
     }
@@ -476,6 +591,7 @@ impl Server {
                 shutdown: Arc::clone(&self.shutdown),
                 shard: self.shard.as_ref().map(Arc::clone),
                 metrics: Arc::clone(&self.metrics),
+                listings: Arc::clone(&self.listings),
                 busy: Arc::clone(&self.busy),
                 wake: self.listener.local_addr(),
             };
@@ -502,6 +618,7 @@ struct ConnCtx {
     shutdown: Arc<AtomicBool>,
     shard: Option<Arc<ShardState>>,
     metrics: Arc<Metrics>,
+    listings: Arc<ListingCache>,
     busy: Arc<AtomicUsize>,
     wake: io::Result<std::net::SocketAddr>,
 }
@@ -609,6 +726,10 @@ fn note_ownership(shard: &Option<Arc<ShardState>>, jobs: &[Job<u64>]) {
 /// ends the submission; the cells it already ran are in the store, so the
 /// client's resubmission replays them.
 ///
+/// Cells reference the decoded listing table; each chunk's jobs take their
+/// own copy of the program just before the chunk runs, so a submission
+/// holds at most [`CHUNK`] copies however large its grid.
+///
 /// A traced submission stamps one `submit_exec` span covering the run
 /// plus a `chunk` span per service-lock acquisition — shipped back in the
 /// `SPANS` frame and mirrored to the server's own `HB_TRACE` sink, if any.
@@ -617,23 +738,42 @@ fn serve_submission(
     ctx: &ConnCtx,
     payload: &[u8],
 ) -> Result<(), ServeError> {
-    let (trace_ctx, jobs) = match decode_submission(payload, &*ctx.tag_ok) {
+    let Submission {
+        trace: trace_ctx,
+        programs,
+        cells,
+    } = match decode_submission(payload, &*ctx.tag_ok, &ctx.listings) {
         Ok(decoded) => decoded,
         Err(msg) => return reject(stream, &msg),
     };
-    note_ownership(&ctx.shard, &jobs);
+    let total = cells.len();
     let m = &ctx.metrics;
-    let mut in_flight = InFlight::enter(&m.cells_in_flight, jobs.len());
+    let mut in_flight = InFlight::enter(&m.cells_in_flight, total);
     let exec_timer = trace_ctx.map(|c| SpanTimer::start(c.trace, c.parent, "submit_exec"));
     let mut spans = Vec::new();
-    for (chunk_index, chunk) in jobs.chunks(CHUNK).enumerate() {
+    let mut cells = cells.into_iter();
+    for chunk_index in 0.. {
+        let chunk: Vec<Job<u64>> = cells
+            .by_ref()
+            .take(CHUNK)
+            .map(|c| Job {
+                program: Program::clone(&programs[c.program]),
+                config: c.config,
+                salt: c.salt,
+                tag: c.tag,
+            })
+            .collect();
+        if chunk.is_empty() {
+            break;
+        }
+        note_ownership(&ctx.shard, &chunk);
         let chunk_timer = exec_timer
             .as_ref()
             .map(|exec| SpanTimer::start(exec.trace(), exec.span(), "chunk"));
         let t0 = Instant::now();
         let outs = {
             let mut svc = ctx.svc.lock().unwrap_or_else(PoisonError::into_inner);
-            svc.run_batch(chunk, |program, config, &tag| {
+            svc.run_batch(&chunk, |program, config, &tag| {
                 (ctx.build)(program, config, tag)
             })
         };
@@ -657,7 +797,7 @@ fn serve_submission(
         write_frame(stream, RESP_RESULTS, &w.into_bytes())?;
     }
     if let Some(timer) = exec_timer {
-        let mut fields = vec![("cells".into(), (jobs.len() as u64).into())];
+        let mut fields = vec![("cells".into(), (total as u64).into())];
         if let Some(shard) = &ctx.shard {
             fields.push(("shard_index".into(), (shard.index as u64).into()));
         }
@@ -674,23 +814,42 @@ fn serve_submission(
     // Counted before `DONE` goes out: a client that has read `DONE` and
     // then scrapes `METRICS` must see its submission.
     m.submissions.inc();
-    write_frame(stream, RESP_DONE, &(jobs.len() as u32).to_le_bytes())?;
+    write_frame(stream, RESP_DONE, &(total as u32).to_le_bytes())?;
     Ok(())
 }
 
-/// Decodes a `SUBMIT` payload into its trace context and service jobs,
-/// validating every program, config and tag before anything executes, so
-/// a bad grid comes back as an `ERR` frame, never a worker panic. The
-/// deduplicated listing table parses (and validates) once per distinct
-/// program; cells then reference table entries by index.
+/// A decoded `SUBMIT`: the trace context, the listing table as parsed
+/// programs, and the cells that reference it.
+struct Submission {
+    trace: Option<TraceCtx>,
+    programs: Vec<Arc<Program>>,
+    cells: Vec<Cell>,
+}
+
+/// One submitted cell: an index into [`Submission::programs`] plus the
+/// rest of a [`Job`].
+struct Cell {
+    program: usize,
+    config: MachineConfig,
+    salt: u64,
+    tag: u64,
+}
+
+/// Decodes a `SUBMIT` payload, validating every program, config and tag
+/// before anything executes, so a bad grid comes back as an `ERR` frame,
+/// never a worker panic. Each entry of the deduplicated listing table is
+/// looked up in the server's `listings` cache and parsed (and validated)
+/// only on a miss; the entries it parsed join the cache once the whole
+/// payload has decoded.
 fn decode_submission(
     payload: &[u8],
     tag_ok: &TagCheck,
-) -> Result<(Option<TraceCtx>, Vec<Job<u64>>), String> {
+    listings: &ListingCache,
+) -> Result<Submission, String> {
     let mut r = Reader::new(payload);
     let trace = r.get_u64().map_err(|e| format!("trace id: {e}"))?;
     let parent = r.get_u64().map_err(|e| format!("parent span: {e}"))?;
-    let trace_ctx = match (trace, parent) {
+    let trace = match (trace, parent) {
         (0, 0) => None,
         (0, _) => return Err("parent span without a trace id".to_owned()),
         (trace, parent) => Some(TraceCtx {
@@ -698,35 +857,38 @@ fn decode_submission(
             parent: SpanId(parent),
         }),
     };
-    let listings = r.get_u32().map_err(|e| format!("listing count: {e}"))?;
-    if listings as usize > MAX_GRID {
-        return Err(format!(
-            "listing table of {listings} entries exceeds the {MAX_GRID}-entry limit"
-        ));
-    }
-    let mut programs = Vec::with_capacity(listings.min(4096) as usize);
-    for i in 0..listings {
-        let listing = r.get_str().map_err(|e| format!("listing {i}: {e}"))?;
-        let program = hardbound_isa::parse_program(listing)
-            .map_err(|e| format!("listing {i}: unparseable program listing: {e}"))?;
-        program
-            .validate()
-            .map_err(|e| format!("listing {i}: invalid program: {e}"))?;
-        programs.push(program);
-    }
-    let count = r.get_u32().map_err(|e| format!("job count: {e}"))?;
+    let count = r.get_u32().map_err(|e| format!("listing count: {e}"))?;
     if count as usize > MAX_GRID {
         return Err(format!(
-            "grid of {count} cells exceeds the {MAX_GRID}-cell limit"
+            "listing table of {count} entries exceeds the {MAX_GRID}-entry limit"
         ));
     }
-    let mut jobs = Vec::with_capacity(count.min(4096) as usize);
+    let mut programs = Vec::with_capacity(count.min(4096) as usize);
+    let mut fresh = Vec::new();
     for i in 0..count {
+        let listing = r.get_str().map_err(|e| format!("listing {i}: {e}"))?;
+        let (program, parsed) = listings
+            .program(listing)
+            .map_err(|e| format!("listing {i}: {e}"))?;
+        if parsed {
+            fresh.push((listing, Arc::clone(&program)));
+        }
+        programs.push(program);
+    }
+    let jobs = r.get_u32().map_err(|e| format!("job count: {e}"))?;
+    if jobs as usize > MAX_GRID {
+        return Err(format!(
+            "grid of {jobs} cells exceeds the {MAX_GRID}-cell limit"
+        ));
+    }
+    let mut cells = Vec::with_capacity(jobs.min(4096) as usize);
+    for i in 0..jobs {
         let idx = r.get_u32().map_err(|e| format!("job {i}: {e}"))?;
-        let program = programs
-            .get(idx as usize)
-            .ok_or_else(|| format!("job {i}: listing index {idx} out of range 0..{listings}"))?
-            .clone();
+        if idx >= count {
+            return Err(format!(
+                "job {i}: listing index {idx} out of range 0..{count}"
+            ));
+        }
         let config = decode_config(&mut r).map_err(|e| format!("job {i}: {e}"))?;
         let salt = r.get_u64().map_err(|e| format!("job {i}: {e}"))?;
         let tag = r.get_u64().map_err(|e| format!("job {i}: {e}"))?;
@@ -739,8 +901,8 @@ fn decode_submission(
         if !tag_ok(tag) {
             return Err(format!("job {i}: unknown machine-builder tag {tag}"));
         }
-        jobs.push(Job {
-            program,
+        cells.push(Cell {
+            program: idx as usize,
             config,
             salt,
             tag,
@@ -749,7 +911,12 @@ fn decode_submission(
     if !r.is_exhausted() {
         return Err("trailing bytes after the last job".to_owned());
     }
-    Ok((trace_ctx, jobs))
+    listings.admit(fresh);
+    Ok(Submission {
+        trace,
+        programs,
+        cells,
+    })
 }
 
 /// Encodes a `SUBMIT` payload: the trace context (zeros when untraced),
@@ -1091,6 +1258,53 @@ mod tests {
             .collect()
     }
 
+    /// A listing cache of `cap` bytes with counters of its own.
+    fn listing_cache(cap: usize) -> ListingCache {
+        ListingCache::new(cap, Counter::default(), Counter::default())
+    }
+
+    /// The cache's listings, oldest first, and the bytes it holds.
+    fn cached(cache: &ListingCache) -> (Vec<String>, usize) {
+        let e = cache.entries();
+        assert_eq!(e.map.len(), e.order.len());
+        assert_eq!(e.bytes, e.order.iter().map(|k| k.len()).sum::<usize>());
+        (e.order.iter().map(|k| k.to_string()).collect(), e.bytes)
+    }
+
+    /// Decodes `payload` against `cache` and materializes its jobs.
+    fn decode_jobs(
+        payload: &[u8],
+        cache: &ListingCache,
+    ) -> Result<(Option<TraceCtx>, Vec<Job<u64>>), String> {
+        let sub = decode_submission(payload, &|tag| tag < 5, cache)?;
+        let jobs = sub
+            .cells
+            .into_iter()
+            .map(|c| job((*sub.programs[c.program]).clone(), c.config, c.salt, c.tag))
+            .collect();
+        Ok((sub.trace, jobs))
+    }
+
+    /// A `SUBMIT` payload built by hand, so a listing can be any text.
+    fn raw_submission(listings: &[&str], cells: &[(u32, u64)]) -> Vec<u8> {
+        let cfg = MachineConfig::default().with_fuel(1_000_000);
+        let mut w = Writer::new();
+        w.put_u64(0); // untraced
+        w.put_u64(0);
+        w.put_u32(listings.len() as u32);
+        for listing in listings {
+            w.put_str(listing);
+        }
+        w.put_u32(cells.len() as u32);
+        for &(index, tag) in cells {
+            w.put_u32(index);
+            encode_config(&mut w, &cfg);
+            w.put_u64(0);
+            w.put_u64(tag);
+        }
+        w.into_bytes()
+    }
+
     #[test]
     fn submit_frame_round_trips_cells_and_trace_context() {
         let jobs = jobs_over_two_listings(5);
@@ -1098,9 +1312,9 @@ mod tests {
             trace: TraceId(7),
             parent: SpanId(9),
         };
+        let cache = listing_cache(LISTING_CACHE_BYTES);
         for ctx in [Some(traced), None] {
-            let (got_ctx, decoded) =
-                decode_submission(&encode_submission(&jobs, ctx), &|_| true).unwrap();
+            let (got_ctx, decoded) = decode_jobs(&encode_submission(&jobs, ctx), &cache).unwrap();
             assert_eq!(got_ctx, ctx);
             assert_eq!(decoded.len(), jobs.len());
             for (job, cell) in jobs.iter().zip(&decoded) {
@@ -1109,6 +1323,8 @@ mod tests {
                 assert_eq!((cell.salt, cell.tag), (job.salt, job.tag));
             }
         }
+        assert_eq!(cache.parsed.get(), 2, "the second decode parses nothing");
+        assert_eq!(cache.hits.get(), 2);
     }
 
     #[test]
@@ -1118,9 +1334,10 @@ mod tests {
             parent: SpanId(9),
         };
         let payload = encode_submission(&jobs_over_two_listings(3), Some(ctx));
+        let cache = listing_cache(LISTING_CACHE_BYTES);
         for n in 0..payload.len() {
-            let err = decode_submission(&payload[..n], &|_| true)
-                .expect_err("a truncated SUBMIT must not decode");
+            let err =
+                decode_jobs(&payload[..n], &cache).expect_err("a truncated SUBMIT must not decode");
             assert!(
                 !err.is_empty(),
                 "prefix {n} was rejected without a diagnostic"
@@ -1248,6 +1465,180 @@ mod tests {
         let out = client.run_jobs(&jobs).unwrap();
         assert_eq!(out, expected, "remote execution must be byte-identical");
 
+        client.shutdown().unwrap();
+        handle.join().unwrap();
+    }
+
+    /// A repeated `SUBMIT` — on another connection, since the cache is the
+    /// server's — is served from the listing cache: it parses no listing
+    /// and returns the same outcomes.
+    #[test]
+    fn repeated_submit_parses_no_listings() {
+        let (addr, handle) = spawn_server();
+        let jobs = jobs_over_two_listings(12);
+        let mut client = Client::connect(addr).unwrap();
+        let first = client.run_jobs(&jobs).unwrap();
+        assert_eq!(first, expected_outcomes(&jobs));
+        assert_eq!(scrape(&mut client, "hbserve_listings_parsed"), 2);
+        assert_eq!(scrape(&mut client, "hbserve_listing_cache_hits"), 0);
+
+        let mut again = Client::connect(addr).unwrap();
+        let second = again.run_jobs(&jobs).unwrap();
+        assert_eq!(
+            second, first,
+            "a cached listing must give identical outcomes"
+        );
+        assert_eq!(
+            scrape(&mut again, "hbserve_listings_parsed"),
+            2,
+            "the repeat parsed a listing"
+        );
+        assert_eq!(scrape(&mut again, "hbserve_listing_cache_hits"), 2);
+
+        again.shutdown().unwrap();
+        handle.join().unwrap();
+    }
+
+    /// A listing one byte away from a cached one (an extra space that
+    /// parses to the same program) is a miss: it is parsed and kept as an
+    /// entry of its own.
+    #[test]
+    fn a_listing_one_byte_off_is_a_cache_miss() {
+        let program = counting_program(5);
+        let listing = program.disassemble();
+        let spaced = listing.replacen("li    a0", "li     a0", 1);
+        assert_eq!(spaced.len(), listing.len() + 1);
+        let cache = listing_cache(LISTING_CACHE_BYTES);
+        let (_, a) = decode_jobs(&raw_submission(&[&listing], &[(0, 0)]), &cache).unwrap();
+        let (_, b) = decode_jobs(&raw_submission(&[&spaced], &[(0, 0)]), &cache).unwrap();
+        assert_eq!((cache.parsed.get(), cache.hits.get()), (2, 0));
+        assert_eq!(a[0].program, program);
+        assert_eq!(b[0].program, program);
+        assert_eq!(cached(&cache).0, [listing.clone(), spaced.clone()]);
+        // Each text now hits its own entry.
+        decode_jobs(&raw_submission(&[&spaced, &listing], &[(1, 0)]), &cache).unwrap();
+        assert_eq!((cache.parsed.get(), cache.hits.get()), (2, 2));
+    }
+
+    /// A listing that does not parse, or parses but fails validation, is
+    /// rejected on every submission and never cached — nor is a good
+    /// listing whose submission was rejected.
+    #[test]
+    fn rejected_listings_are_never_cached() {
+        let cache = listing_cache(LISTING_CACHE_BYTES);
+        let good = counting_program(5).disassemble();
+        let falls_off = "; entry: fn#0\nfn#0 <main> (args=0, frame=0):\n     0: nop\n";
+        for round in 1..=3 {
+            let err =
+                decode_jobs(&raw_submission(&["frobnicate a0\n"], &[(0, 0)]), &cache).unwrap_err();
+            assert!(err.contains("unparseable"), "{err}");
+            let err = decode_jobs(&raw_submission(&[falls_off], &[(0, 0)]), &cache).unwrap_err();
+            assert!(err.contains("invalid program"), "{err}");
+            let err =
+                decode_jobs(&raw_submission(&[&good, falls_off], &[(0, 0)]), &cache).unwrap_err();
+            assert!(err.contains("listing 1: invalid program"), "{err}");
+            assert_eq!(
+                cache.parsed.get(),
+                4 * round,
+                "every rejected listing parses again"
+            );
+            assert_eq!(cache.hits.get(), 0);
+            assert_eq!(cached(&cache), (Vec::new(), 0), "round {round}");
+        }
+    }
+
+    /// Filling the cache past its byte cap evicts the oldest listings: it
+    /// never holds more than the cap, a listing larger than the whole cap
+    /// is served but not kept, and every decoded program still runs to
+    /// the outcome of the program that was sent.
+    #[test]
+    fn the_listing_cache_stays_within_its_byte_cap() {
+        let programs: Vec<Program> = (0..12).map(|k| counting_program(100 + k)).collect();
+        let listings: Vec<String> = programs.iter().map(Program::disassemble).collect();
+        assert!(listings.iter().all(|l| l.len() == listings[0].len()));
+        let cap = 3 * listings[0].len() + listings[0].len() / 2;
+        let cache = listing_cache(cap);
+        let mut admitted = 0;
+        for round in 0..2 {
+            for (program, listing) in programs.iter().zip(&listings) {
+                let (_, jobs) =
+                    decode_jobs(&raw_submission(&[listing], &[(0, 0)]), &cache).unwrap();
+                assert_eq!(jobs[0].program, *program, "round {round}");
+                assert_eq!(
+                    expected_outcomes(&jobs),
+                    expected_outcomes(&[job(program.clone(), jobs[0].config.clone(), 0, 0)])
+                );
+                admitted += 1;
+                let (held, bytes) = cached(&cache);
+                assert!(bytes <= cap, "{bytes} bytes held over a cap of {cap}");
+                assert_eq!(held.len(), admitted.min(3));
+                assert_eq!(held.last(), Some(listing), "the newest listing is kept");
+            }
+        }
+        // Twelve listings cycling through three slots never hit.
+        assert_eq!((cache.parsed.get(), cache.hits.get()), (24, 0));
+
+        let small = listing_cache(listings[0].len() - 1);
+        let (_, jobs) = decode_jobs(&raw_submission(&[&listings[0]], &[(0, 0)]), &small).unwrap();
+        assert_eq!(jobs[0].program, programs[0]);
+        assert_eq!(cached(&small), (Vec::new(), 0));
+    }
+
+    /// Truncated and bit-flipped `SUBMIT` payloads are rejected with a
+    /// diagnostic, never a panic, and a rejection leaves the listing cache
+    /// exactly as it was — directly at the decoder and through a live
+    /// server, which keeps serving from its cache afterwards.
+    #[test]
+    fn malformed_submits_leave_the_listing_cache_unchanged() {
+        let jobs = jobs_over_two_listings(3);
+        let payload = encode_submission(&jobs, None);
+        let cold = listing_cache(LISTING_CACHE_BYTES);
+        let warm = listing_cache(LISTING_CACHE_BYTES);
+        decode_jobs(&payload, &warm).unwrap();
+        let warmed = cached(&warm);
+        assert_eq!(warmed.0.len(), 2);
+        for n in 0..payload.len() {
+            assert!(decode_jobs(&payload[..n], &cold).is_err(), "prefix {n}");
+            assert!(decode_jobs(&payload[..n], &warm).is_err(), "prefix {n}");
+            assert_eq!(cached(&cold), (Vec::new(), 0), "prefix {n}");
+            assert_eq!(cached(&warm), warmed, "prefix {n}");
+        }
+        let mut rejected = 0;
+        for bit in 0..payload.len() * 8 {
+            let mut flipped = payload.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let before = cached(&warm);
+            if let Err(msg) = decode_jobs(&flipped, &warm) {
+                assert!(!msg.is_empty(), "bit {bit}");
+                assert_eq!(cached(&warm), before, "bit {bit}");
+                rejected += 1;
+            }
+        }
+        assert!(rejected > payload.len(), "{rejected} flips rejected");
+
+        let (addr, handle) = spawn_server();
+        let mut client = Client::connect(addr).unwrap();
+        let expected = client.run_jobs(&jobs).unwrap();
+        assert_eq!(scrape(&mut client, "hbserve_listings_parsed"), 2);
+        // The last eight bytes are the last cell's tag: a set top bit makes
+        // it unknown.
+        let mut bad_tag = payload.clone();
+        let last = bad_tag.len() - 1;
+        bad_tag[last] ^= 0x80;
+        for bad in [&payload[..payload.len() - 1], &payload[..20], &bad_tag[..]] {
+            let mut raw = TcpStream::connect(addr).unwrap();
+            write_frame(&mut raw, REQ_SUBMIT, bad).unwrap();
+            let (kind, reply) = read_frame(&mut raw).unwrap().unwrap();
+            assert_eq!(kind, RESP_ERR);
+            assert!(matches!(server_error(&reply), ServeError::Server(_)));
+        }
+        assert_eq!(client.run_jobs(&jobs).unwrap(), expected);
+        assert_eq!(
+            scrape(&mut client, "hbserve_listings_parsed"),
+            2,
+            "the rejected payloads changed the cache"
+        );
+        assert_eq!(scrape(&mut client, "hbserve_cells_executed"), 6);
         client.shutdown().unwrap();
         handle.join().unwrap();
     }
