@@ -1,45 +1,31 @@
 //! Criterion wall-clock benchmarks of the simulator infrastructure itself
-//! (not a paper artefact): how fast the two execution paths — the
-//! one-µop-per-step interpreter and the pre-decoded basic-block engine —
-//! run instrumented vs baseline binaries, and how expensive compilation is.
+//! (not a paper artefact): how fast the interpreter runs instrumented vs
+//! baseline binaries, and how expensive compilation is.
 //!
-//! Ends with the engine-vs-interpreter throughput report at `HB_SCALE`
-//! (default `Full`):
-//!
-//! 1. **dispatch-bound** — a call/ALU-heavy microloop where instruction
-//!    dispatch dominates; the block engine's home turf,
-//! 2. **per-workload** — Olden ports, where the shared memory-hierarchy
-//!    simulation (identical on both paths by construction) bounds the gap,
-//! 3. **fleet** — the whole Olden suite, serial interpreter vs the
-//!    `exec::batch` parallel engine driver: the configuration every figure
-//!    pipeline actually runs.
-//!
-//! Set `HB_ENGINE_GATE=<ratio>` to turn the report into a hard gate: the
-//! dispatch-bound speedup must reach `<ratio>` (CI pins `1.8` — the ≥ 2×
-//! acceptance threshold minus 10% runner-noise headroom) and the fleet
-//! must never fall below 0.9× of the serial interpreter, so an engine-path
-//! throughput regression of more than 10% fails the build.
+//! Ends with the result-store warm-vs-cold reports (`HB_SERVICE_GATE`,
+//! `HB_PERSIST_GATE`) at `HB_SCALE` (default `Full`) and two overhead
+//! reports:
 //!
 //! Set `HB_TRACE_GATE=<ratio>` to gate the **tracing overhead**: an
-//! identical engine fleet with the `HB_TRACE` JSONL sink installed must
-//! stay within `<ratio>`× of the untraced baseline (CI pins `1.1` —
-//! tracing-enabled throughput within 10%), so span emission can never
-//! creep into the hot path.
+//! identical fleet of cold corpus-service batches with the `HB_TRACE`
+//! JSONL sink installed must stay within `<ratio>`× of the untraced
+//! baseline (CI pins `1.1` — tracing-enabled throughput within 10%), so
+//! span emission can never creep into the hot path.
 //!
 //! Set `HB_PROF_GATE=<ratio>` to gate the **profiling overhead**: an
-//! identical engine fleet with the per-superblock hot-spot profiler armed
-//! must stay within `<ratio>`× of the unprofiled baseline (CI pins `1.1`
-//! — profiled throughput within 10%), so retire-counter bookkeeping can
-//! never creep into the dispatch loop.
+//! identical fleet of `Machine::run`s with the per-basic-block hot-spot
+//! profiler armed must stay within `<ratio>`× of the unprofiled baseline
+//! (CI pins `1.1` — profiled throughput within 10%), so retire-counter
+//! bookkeeping can never creep into the interpreter loop.
 
 use std::time::{Duration, Instant};
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 
 use hardbound_compiler::Mode;
-use hardbound_core::{Machine, MachineConfig, PointerEncoding};
-use hardbound_exec::{batch, CorpusService, Engine, Job};
-use hardbound_isa::{BinOp, CmpOp, FuncId, FunctionBuilder, Program, Reg};
+use hardbound_core::PointerEncoding;
+use hardbound_exec::{run_machine, CorpusService, Job};
+use hardbound_isa::Program;
 use hardbound_runtime::{build_machine, compile, machine_config, settings};
 use hardbound_workloads::{all, by_name, Scale};
 
@@ -52,14 +38,6 @@ fn bench_simulation(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("interp", mode), &program, |b, p| {
             b.iter(|| {
                 let out = build_machine(p.clone(), mode, PointerEncoding::Intern4).run();
-                assert!(out.trap.is_none());
-                out.stats.cycles()
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("engine", mode), &program, |b, p| {
-            b.iter(|| {
-                let machine = build_machine(p.clone(), mode, PointerEncoding::Intern4);
-                let out = Engine::new(machine).run();
                 assert!(out.trap.is_none());
                 out.stats.cycles()
             });
@@ -94,142 +72,6 @@ fn compare<R>(
         best_b = best_b.min(t0.elapsed());
     }
     (best_a, best_b)
-}
-
-/// A dispatch-bound microloop: leaf calls + straight ALU runs, the shape
-/// where per-instruction decode/dispatch dominates simulated time.
-fn dispatch_loop(iters: i32) -> Program {
-    let mut leaf = FunctionBuilder::new("leaf", 0);
-    leaf.addi(Reg::A1, Reg::A1, 3);
-    leaf.ret();
-    let mut main = FunctionBuilder::new("main", 0);
-    main.li(Reg::A0, 0);
-    main.li(Reg::A1, 1);
-    let head = main.bind_label();
-    main.call(FuncId(1));
-    main.addi(Reg::A2, Reg::A1, 5);
-    main.bin(BinOp::Xor, Reg::A3, Reg::A2, Reg::A1);
-    main.bin(BinOp::And, Reg::A4, Reg::A3, Reg::A2);
-    main.bin(BinOp::Or, Reg::A5, Reg::A4, Reg::A2);
-    main.mov(Reg::A6, Reg::A5);
-    main.addi(Reg::A0, Reg::A0, 1);
-    let done = main.new_label();
-    main.branch(CmpOp::Ge, Reg::A0, iters, done);
-    main.jump(head);
-    main.bind(done);
-    main.li(Reg::A0, 0);
-    main.halt();
-    Program::with_entry(vec![main.finish(), leaf.finish()])
-}
-
-/// The engine-vs-interpreter throughput comparison (and optional CI gate).
-fn engine_speedup_report() {
-    let scale = settings().scale;
-    let gate = settings().engine_gate;
-    let samples = match scale {
-        Scale::Smoke => 10,
-        Scale::Full => 3,
-    };
-    println!("\nengine vs interpreter throughput ({scale:?} inputs):");
-
-    // 1. Dispatch-bound microloop — the gated engine-vs-interpreter
-    //    number (single-machine, so it holds on single-core runners too).
-    let p = dispatch_loop(1_000_000);
-    let (interp, engine) = compare(
-        5,
-        || {
-            let out = Machine::new(p.clone(), MachineConfig::default()).run();
-            assert!(out.is_success());
-        },
-        || {
-            let out = Engine::new(Machine::new(p.clone(), MachineConfig::default())).run();
-            assert!(out.is_success());
-        },
-    );
-    let dispatch_speedup = interp.as_secs_f64() / engine.as_secs_f64();
-    println!(
-        "  {:<24} interp {interp:>10.2?}  engine {engine:>10.2?}  speedup {dispatch_speedup:>5.2}x",
-        "dispatch-bound loop"
-    );
-
-    // 2. Individual Olden ports (shared memory-hierarchy simulation
-    //    bounds the single-machine gap).
-    for (bench, mode) in [("treeadd", Mode::HardBound), ("em3d", Mode::HardBound)] {
-        let w = by_name(bench, scale).expect("workload exists");
-        let program = compile(&w.source, mode).expect("compiles");
-        let (interp, engine) = compare(
-            samples,
-            || {
-                let out = build_machine(program.clone(), mode, PointerEncoding::Intern4).run();
-                assert!(out.trap.is_none());
-            },
-            || {
-                let machine = build_machine(program.clone(), mode, PointerEncoding::Intern4);
-                let out = Engine::new(machine).run();
-                assert!(out.trap.is_none());
-            },
-        );
-        println!(
-            "  {:<24} interp {interp:>10.2?}  engine {engine:>10.2?}  speedup {:>5.2}x",
-            format!("{bench}/{mode}"),
-            interp.as_secs_f64() / engine.as_secs_f64()
-        );
-    }
-
-    // 3. The fleet: all nine Olden ports under full HardBound — serial
-    //    interpreter vs the parallel engine batch driver (what the figure
-    //    pipelines run). This is the gated number.
-    let programs: Vec<Program> = all(scale)
-        .iter()
-        .map(|w| compile(&w.source, Mode::HardBound).expect("compiles"))
-        .collect();
-    let (serial_interp, parallel_engine) = compare(
-        3,
-        || {
-            for p in &programs {
-                let out = build_machine(p.clone(), Mode::HardBound, PointerEncoding::Intern4).run();
-                assert!(out.trap.is_none());
-            }
-        },
-        || {
-            let outs = batch::map_with_workers(&programs, settings().workers(), |_, p| {
-                Engine::new(build_machine(
-                    p.clone(),
-                    Mode::HardBound,
-                    PointerEncoding::Intern4,
-                ))
-                .run()
-            });
-            assert!(outs.iter().all(|o| o.trap.is_none()));
-        },
-    );
-    let fleet_speedup = serial_interp.as_secs_f64() / parallel_engine.as_secs_f64();
-    println!(
-        "  {:<24} interp {serial_interp:>10.2?}  engine {parallel_engine:>10.2?}  speedup {fleet_speedup:>5.2}x  ({} workers)",
-        "fleet (9 workloads)",
-        settings().workers()
-    );
-
-    if let Some(required) = gate {
-        // The dispatch-bound ratio is core-count independent; the fleet
-        // ratio scales with workers, so it is gated only against outright
-        // regression (engine path more than 10% slower than the serial
-        // interpreter would be a bug even on one core).
-        assert!(
-            dispatch_speedup >= required,
-            "engine throughput gate: dispatch-bound speedup {dispatch_speedup:.2}x \
-             below the required {required:.2}x"
-        );
-        assert!(
-            fleet_speedup >= 0.9,
-            "engine throughput gate: parallel-engine fleet is {fleet_speedup:.2}x \
-             of the serial interpreter — a >10% regression of the engine path"
-        );
-        println!(
-            "  gate: dispatch {dispatch_speedup:.2}x >= {required:.2}x, \
-             fleet {fleet_speedup:.2}x >= 0.90x — ok"
-        );
-    }
 }
 
 /// The corpus-service warm-vs-cold comparison (and optional CI gate): the
@@ -279,10 +121,6 @@ fn service_warm_cold_report() {
          ({replayed} hits for {} cells)",
         jobs.len()
     );
-    assert_eq!(
-        after_warm.cache.decoded, after_cold.cache.decoded,
-        "warm re-run must add no decode work"
-    );
     let speedup = cold.as_secs_f64() / warm.as_secs_f64();
     println!(
         "\ncorpus service warm vs cold ({scale:?} inputs, {} cells):",
@@ -293,8 +131,8 @@ fn service_warm_cold_report() {
         "figure grid"
     );
     println!(
-        "  store: {} executed cold, {replayed} replayed warm; shards decoded {} blocks",
-        after_cold.store.misses, after_cold.cache.decoded
+        "  store: {} executed cold, {replayed} replayed warm",
+        after_cold.store.misses
     );
     if let Some(required) = gate {
         assert!(
@@ -367,10 +205,6 @@ fn persist_warm_report() {
         after_warm.service.store.misses, 0,
         "a warm start must re-simulate zero cells: {after_warm:?}"
     );
-    assert_eq!(
-        after_warm.service.cache.decoded, 0,
-        "a pure replay decodes nothing"
-    );
     let loaded = after_warm.log.expect("persistent").loaded;
     assert_eq!(
         loaded, after_cold.service.store.misses,
@@ -398,11 +232,12 @@ fn persist_warm_report() {
 }
 
 /// The tracing overhead comparison (and optional CI gate): identical
-/// engine fleet runs with the `HB_TRACE` JSONL sink installed vs
-/// disabled. Each pass builds fresh engines, so every block re-decodes
-/// and stamps a decode span — the traced side pays real span emission,
-/// not just a disabled-flag check. Gated via `HB_TRACE_GATE=<ratio>`,
-/// CI pins `1.1` (traced throughput within 10% of baseline).
+/// fleet runs with the `HB_TRACE` JSONL sink installed vs disabled. Each
+/// pass runs the Olden suite as one batch on a fresh one-worker
+/// [`CorpusService`], so every cell simulates and the batch stamps its
+/// spans — the traced side pays real span emission, not just a
+/// disabled-flag check. Gated via `HB_TRACE_GATE=<ratio>`, CI pins `1.1`
+/// (traced throughput within 10% of baseline).
 fn trace_overhead_report() {
     use hardbound_telemetry::trace;
     let gate = settings().trace_gate;
@@ -411,16 +246,21 @@ fn trace_overhead_report() {
         Scale::Smoke => 10,
         Scale::Full => 3,
     };
-    let programs: Vec<Program> = all(scale)
+    let mode = Mode::HardBound;
+    let jobs: Vec<Job<Mode>> = all(scale)
         .iter()
-        .map(|w| compile(&w.source, Mode::HardBound).expect("compiles"))
+        .map(|w| Job {
+            program: compile(&w.source, mode).expect("compiles"),
+            config: machine_config(mode, PointerEncoding::Intern4),
+            salt: mode as u64,
+            tag: mode,
+        })
         .collect();
     let fleet = || {
-        for p in &programs {
-            let machine = build_machine(p.clone(), Mode::HardBound, PointerEncoding::Intern4);
-            let out = Engine::new(machine).run();
-            assert!(out.trap.is_none());
-        }
+        let outs = CorpusService::new(1).run_batch(&jobs, |program, config, &mode| {
+            hardbound_runtime::build_machine_with_config(program, mode, config)
+        });
+        assert!(outs.iter().all(|o| o.trap.is_none()));
     };
     let path = std::env::temp_dir().join(format!("hb-trace-bench-{}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&path);
@@ -441,7 +281,7 @@ fn trace_overhead_report() {
     let spans = std::fs::read_to_string(&path).map_or(0, |t| t.lines().count());
     let _ = std::fs::remove_file(&path);
     let ratio = on.as_secs_f64() / off.as_secs_f64();
-    println!("\ntracing overhead ({scale:?} fleet, engine; {spans} spans emitted):");
+    println!("\ntracing overhead ({scale:?} fleet, service batches; {spans} spans emitted):");
     println!(
         "  {:<24} off {off:>10.2?}  on {on:>10.2?}  ratio {ratio:>5.2}x",
         "HB_TRACE sink"
@@ -458,9 +298,9 @@ fn trace_overhead_report() {
 }
 
 /// The profiling overhead comparison (and optional CI gate): identical
-/// engine fleet runs with the per-superblock hot-spot profiler armed vs
-/// off. Each pass builds fresh engines, so the profiled side pays the
-/// full per-block bookkeeping (retire counters, cycle attribution, the
+/// fleet runs with the per-basic-block hot-spot profiler armed vs off.
+/// Each pass builds fresh machines, so the profiled side pays the full
+/// per-block bookkeeping (retire counters, cycle attribution, the
 /// end-of-run flush into the process accumulator), not just a disabled
 /// `Option` check. Gated via `HB_PROF_GATE=<ratio>`, CI pins `1.1`
 /// (profiled throughput within 10% of baseline). Independent of the
@@ -480,10 +320,9 @@ fn prof_overhead_report() {
         .collect();
     let fleet = |profiled: bool| {
         for p in &programs {
-            let machine = build_machine(p.clone(), Mode::HardBound, PointerEncoding::Intern4);
-            let mut engine = Engine::new(machine);
-            engine.set_profiling(profiled);
-            let out = engine.run();
+            let mut machine = build_machine(p.clone(), Mode::HardBound, PointerEncoding::Intern4);
+            machine.set_profiling(profiled);
+            let out = run_machine(&mut machine);
             assert!(out.trap.is_none());
         }
     };
@@ -496,7 +335,7 @@ fn prof_overhead_report() {
     );
     let ratio = on.as_secs_f64() / off.as_secs_f64();
     println!(
-        "\nprofiling overhead ({scale:?} fleet, engine; {} blocks profiled):",
+        "\nprofiling overhead ({scale:?} fleet, interpreter; {} blocks profiled):",
         recorded.blocks.len()
     );
     println!(
@@ -517,7 +356,6 @@ criterion_group!(benches, bench_simulation, bench_compilation);
 
 fn main() {
     benches();
-    engine_speedup_report();
     service_warm_cold_report();
     persist_warm_report();
     trace_overhead_report();

@@ -64,7 +64,7 @@ pub use forensics::{
 pub use hardbound_cache::{
     checked_ratio, HierFastStats, HierPath, HierarchyConfig, HierarchyStats,
 };
-pub use machine::{ExecState, Machine, RunOutcome};
+pub use machine::{BlockCount, Machine, RunOutcome};
 pub use meta::{propagate_binop, Meta};
 pub use objtable::{NullObjectTable, ObjectTable};
 pub use stats::ExecStats;
@@ -835,5 +835,46 @@ mod tests {
         f.li(Reg::A0, 1);
         f.halt();
         assert!(!run_program(single(f), MachineConfig::default()).is_success());
+    }
+
+    /// The interpreter profiler on a hand-built loop of two blocks: each
+    /// block's entry counts once per trip, profiling changes no outcome,
+    /// and the per-block counters sum to the run's totals.
+    #[test]
+    fn profiler_counts_each_block_once_per_trip() {
+        const TRIPS: i32 = 25;
+        let build = || {
+            let mut f = FunctionBuilder::new("loop", 0);
+            f.li(Reg::A0, 0);
+            f.li(Reg::T0, HEAP);
+            f.setbound_imm(Reg::A1, Reg::T0, 64);
+            let body = f.new_label();
+            f.jump(body);
+            f.bind(body); // 4: first block of the loop
+            f.load(Width::Word, Reg::A2, Reg::A1, 0);
+            f.addi(Reg::A0, Reg::A0, 1);
+            let test = f.new_label();
+            f.jump(test);
+            f.bind(test); // 7: second block of the loop
+            f.branch(CmpOp::Lt, Reg::A0, TRIPS, body);
+            f.li(Reg::A0, 0);
+            f.halt();
+            single(f)
+        };
+        let plain = run_program(build(), MachineConfig::default());
+        let mut m = Machine::new(build(), MachineConfig::default());
+        m.set_profiling(true);
+        let out = m.run();
+        assert_eq!(out, plain, "profiling must be invisible to outcomes");
+        let blocks = m.take_block_profile();
+        let execs: Vec<(u32, u64)> = blocks.iter().map(|b| (b.entry, b.execs)).collect();
+        let trips = TRIPS as u64;
+        assert_eq!(execs, vec![(0, 1), (4, trips), (7, trips), (8, 1)]);
+        assert!(blocks.iter().all(|b| b.func == FuncId(0)));
+        let cycles: u64 = blocks.iter().map(|b| b.cycles).sum();
+        assert_eq!(cycles, out.stats.uops, "every retired µop is attributed");
+        let taken: Vec<u64> = blocks.iter().map(|b| b.taken).collect();
+        assert_eq!(taken, vec![0, trips, 0, 0], "one checked load per trip");
+        assert!(m.take_block_profile().is_empty(), "taking drains");
     }
 }

@@ -2,7 +2,7 @@ use std::collections::HashMap;
 
 use hardbound_cache::{AccessClass, Hierarchy};
 use hardbound_isa::layout;
-use hardbound_isa::{FuncId, Inst, Operand, Program, Reg, SysCall, Width};
+use hardbound_isa::{BinOp, FuncId, Inst, Operand, Program, Reg, SysCall, Width};
 use hardbound_mem::{Memory, PageTouches};
 
 use crate::config::{MachineConfig, SafetyMode, TimingPart};
@@ -63,6 +63,27 @@ impl RunOutcome {
     }
 }
 
+/// The interpreter profiler's counters, `[execs, cycles, taken]` per
+/// `(function, entry pc)`: a dense table, so entering a block costs two
+/// array reads.
+type BlockProfile = Vec<Vec<[u64; 3]>>;
+
+/// One basic block's counters from the interpreter's profiler (see
+/// [`Machine::set_profiling`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BlockCount {
+    /// The function the block is in.
+    pub func: FuncId,
+    /// The instruction index the block was entered at.
+    pub entry: u32,
+    /// Times the block was entered.
+    pub execs: u64,
+    /// µops retired in the block, check and metadata µops included.
+    pub cycles: u64,
+    /// Bounds checks the block performed.
+    pub taken: u64,
+}
+
 /// The HardBound machine: an in-order, one-µop-per-cycle 32-bit processor
 /// with sidecar `{base, bound}` metadata on every register and memory word
 /// (paper §3–4).
@@ -114,6 +135,8 @@ pub struct Machine {
     /// The `HB_FLIGHT` ring of recent memory events (`None` = off, the
     /// default: one discriminant test per access, nothing recorded).
     flight: Option<FlightRecorder>,
+    /// The basic-block profiler; `None` (the default) when it is off.
+    profile: Option<BlockProfile>,
     /// Timing variants of this run (see [`Machine::set_timing_variants`]);
     /// empty on the single-configuration path.
     variants: Vec<TimingVariant>,
@@ -193,6 +216,7 @@ impl Machine {
             bounds_origins: HashMap::new(),
             next_origin: 0,
             flight: None,
+            profile: None,
             variants: Vec::new(),
             variant_hiers: Vec::new(),
         };
@@ -297,36 +321,55 @@ impl Machine {
         self.objtable = Some(table);
     }
 
-    /// Runs until halt, trap, or fuel exhaustion.
-    pub fn run(&mut self) -> RunOutcome {
-        self.run_steps();
-        self.finish_outcome()
+    /// Arms (or disarms) the per-basic-block profiler for the next run.
+    /// Off by default; arming it changes nothing observable. A block is
+    /// a dynamic run of instructions from an entry pc to the next
+    /// control transfer (branch, jump, call or return); see
+    /// [`Machine::take_block_profile`].
+    pub fn set_profiling(&mut self, on: bool) {
+        let functions = &self.program.functions;
+        self.profile = on.then(|| {
+            functions
+                .iter()
+                .map(|f| vec![[0; 3]; f.insts.len()])
+                .collect()
+        });
     }
 
-    /// The interpreter loop: [`Machine::step`]s until halt, trap, or fuel
-    /// exhaustion, recording the stopping trap, and returns how many
-    /// instructions it stepped. The block engine (`hardbound-exec`)
-    /// finishes runs near the fuel limit with this loop.
-    pub fn run_steps(&mut self) -> u64 {
-        let mut steps = 0;
-        while self.halted.is_none() && self.trap.is_none() {
-            if self.stats.uops >= self.cfg.fuel {
-                self.trap = Some(Trap::OutOfFuel);
-                break;
-            }
-            steps += 1;
-            if let Err(t) = self.step() {
-                self.trap = Some(t);
+    /// Drains the profiler's per-block counters in `(function, entry pc)`
+    /// order; empty when the profiler is off.
+    pub fn take_block_profile(&mut self) -> Vec<BlockCount> {
+        let mut blocks = Vec::new();
+        for (func, counts) in self.profile.iter_mut().flatten().enumerate() {
+            for (entry, c) in counts.iter_mut().enumerate() {
+                if c[0] != 0 {
+                    let [execs, cycles, taken] = std::mem::take(c);
+                    blocks.push(BlockCount {
+                        func: FuncId(func as u32),
+                        entry: entry as u32,
+                        execs,
+                        cycles,
+                        taken,
+                    });
+                }
             }
         }
-        steps
+        blocks
     }
 
-    /// Finalizes page/stall accounting and assembles the [`RunOutcome`] for
-    /// the machine's current state. [`Machine::run`] ends with this; the
-    /// block engine (`hardbound-exec`) drives the machine through
-    /// [`ExecState`] and calls it directly.
-    pub fn finish_outcome(&mut self) -> RunOutcome {
+    /// Runs until halt, trap, or fuel exhaustion.
+    ///
+    /// The interpreter branches once per run on whether the HardBound
+    /// extension is active and steps with a `step` instantiation
+    /// specialised for it: the paper's decode-time µop insertion (§4.4),
+    /// resolved once per run rather than once per µop.
+    pub fn run(&mut self) -> RunOutcome {
+        match (self.cfg.hardbound.is_some(), self.profile.is_some()) {
+            (true, false) => self.run_steps::<true>(),
+            (false, false) => self.run_steps::<false>(),
+            (true, true) => self.run_profiled::<true>(),
+            (false, true) => self.run_profiled::<false>(),
+        }
         self.finalize_stats();
         RunOutcome {
             exit_code: self.halted,
@@ -335,6 +378,56 @@ impl Machine {
             output: self.output.clone(),
             ints: self.ints.clone(),
         }
+    }
+
+    /// Whether the run may step once more; records `OutOfFuel` when the
+    /// fuel is spent.
+    #[inline]
+    fn may_step(&mut self) -> bool {
+        if self.halted.is_some() || self.trap.is_some() {
+            return false;
+        }
+        if self.stats.uops >= self.cfg.fuel {
+            self.trap = Some(Trap::OutOfFuel);
+            return false;
+        }
+        true
+    }
+
+    /// The interpreter loop: steps until halt, trap, or fuel exhaustion.
+    fn run_steps<const HB: bool>(&mut self) {
+        while self.may_step() {
+            if let Err(t) = self.step::<HB>() {
+                self.trap = Some(t);
+            }
+        }
+    }
+
+    /// [`Machine::run_steps`] with the block profiler armed. Each pass of
+    /// the outer loop runs one block, from its entry to the next control
+    /// transfer (or the end of the run), and credits it with one
+    /// execution plus the µops and bounds checks it retired, so the
+    /// counters sum to the run's totals.
+    fn run_profiled<const HB: bool>(&mut self) {
+        let mut prof = self.profile.take().expect("profiler armed");
+        while self.may_step() {
+            let (func, entry) = (self.func, self.pc);
+            let (uops, checks) = (self.stats.uops, self.stats.bounds_checks);
+            loop {
+                let transfer = self.step::<HB>().unwrap_or_else(|t| {
+                    self.trap = Some(t);
+                    true
+                });
+                if transfer || !self.may_step() {
+                    break;
+                }
+            }
+            let cell = &mut prof[func.0 as usize][entry as usize];
+            cell[0] += 1;
+            cell[1] += self.stats.uops - uops;
+            cell[2] += self.stats.bounds_checks - checks;
+        }
+        self.profile = Some(prof);
     }
 
     /// The program image this machine executes.
@@ -347,13 +440,6 @@ impl Machine {
     #[must_use]
     pub fn config(&self) -> &MachineConfig {
         &self.cfg
-    }
-
-    /// The narrow state interface the block execution engine drives; see
-    /// [`ExecState`].
-    #[must_use]
-    pub fn exec_state(&mut self) -> ExecState<'_> {
-        ExecState { m: self }
     }
 
     /// Execution statistics so far (page counts are finalized by
@@ -670,26 +756,8 @@ impl Machine {
         self.stats.uops += 1;
     }
 
-    fn exec_load(
-        &mut self,
-        fpc: Pc,
-        width: Width,
-        rd: Reg,
-        addr: Reg,
-        offset: i32,
-    ) -> Result<(), Trap> {
-        if self.cfg.hardbound.is_some() {
-            self.exec_load_g::<true>(fpc, width, rd, addr, offset)
-        } else {
-            self.exec_load_g::<false>(fpc, width, rd, addr, offset)
-        }
-    }
-
     /// Load semantics, monomorphized over "is the HardBound extension
-    /// active". The interpreter dispatches on the configuration each step;
-    /// the block engine resolves `HB` once at decode time and calls the
-    /// right instantiation directly (paper §4.4's µop-insertion pipeline,
-    /// applied per static instruction).
+    /// active" (see [`Machine::run`]).
     fn exec_load_g<const HB: bool>(
         &mut self,
         fpc: Pc,
@@ -760,21 +828,6 @@ impl Machine {
                     self.set(rd, raw, Meta::NONE);
                 }
             }
-        }
-    }
-
-    fn exec_store(
-        &mut self,
-        fpc: Pc,
-        width: Width,
-        src: Reg,
-        addr: Reg,
-        offset: i32,
-    ) -> Result<(), Trap> {
-        if self.cfg.hardbound.is_some() {
-            self.exec_store_g::<true>(fpc, width, src, addr, offset)
-        } else {
-            self.exec_store_g::<false>(fpc, width, src, addr, offset)
         }
     }
 
@@ -991,12 +1044,11 @@ impl Machine {
         Ok(())
     }
 
-    /// Executes one instruction.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`Trap`] raised by the instruction, if any.
-    pub fn step(&mut self) -> Result<(), Trap> {
+    /// Executes one instruction, specialised over whether the HardBound
+    /// extension is active. Returns whether it was a control transfer
+    /// (branch, jump, call or return), which ends a profiled block.
+    #[inline(always)]
+    fn step<const HB: bool>(&mut self) -> Result<bool, Trap> {
         let f = &self.program.functions[self.func.0 as usize];
         debug_assert!(
             (self.pc as usize) < f.insts.len(),
@@ -1014,6 +1066,27 @@ impl Machine {
         match inst {
             Inst::Li { rd, imm } => self.set(rd, imm, Meta::NONE),
             Inst::Mov { rd, rs } => self.set(rd, self.r(rs), self.m(rs)),
+            // `add` is the hottest ALU µop (address arithmetic, counters);
+            // these arms let it skip the generic operator and operand
+            // dispatch below.
+            Inst::Bin {
+                op: BinOp::Add,
+                rd,
+                rs1,
+                rs2: Operand::Reg(rs2),
+            } => {
+                let meta = propagate_binop(BinOp::Add, self.m(rs1), Some(self.m(rs2)));
+                self.set(rd, self.r(rs1).wrapping_add(self.r(rs2)), meta);
+            }
+            Inst::Bin {
+                op: BinOp::Add,
+                rd,
+                rs1,
+                rs2: Operand::Imm(imm),
+            } => {
+                let meta = propagate_binop(BinOp::Add, self.m(rs1), None);
+                self.set(rd, self.r(rs1).wrapping_add(imm as u32), meta);
+            }
             Inst::Bin { op, rd, rs1, rs2 } => {
                 let a = self.r(rs1);
                 let am = self.m(rs1);
@@ -1032,7 +1105,7 @@ impl Machine {
                 addr,
                 offset,
             } => {
-                self.exec_load(fpc, width, rd, addr, offset)?;
+                self.exec_load_g::<HB>(fpc, width, rd, addr, offset)?;
             }
             Inst::Store {
                 width,
@@ -1040,7 +1113,7 @@ impl Machine {
                 addr,
                 offset,
             } => {
-                self.exec_store(fpc, width, src, addr, offset)?;
+                self.exec_store_g::<HB>(fpc, width, src, addr, offset)?;
             }
             Inst::SetBound { rd, rs, size } => {
                 let (size, _) = self.resolve(size);
@@ -1075,7 +1148,7 @@ impl Machine {
             Inst::CallInd { rs } => {
                 let value = self.r(rs);
                 let meta = self.m(rs);
-                if self.cfg.hardbound.is_some() && !meta.is_code() {
+                if HB && !meta.is_code() {
                     // §6.1: only genuine code pointers are callable. In
                     // malloc-only mode legacy binaries carry no metadata,
                     // so non-pointers are allowed through.
@@ -1097,206 +1170,13 @@ impl Machine {
             Inst::Sys { call } => self.exec_sys(fpc, call)?,
             Inst::Nop => {}
         }
-        Ok(())
-    }
-}
-
-/// The narrow mutable interface the basic-block execution engine
-/// (`hardbound-exec`) drives.
-///
-/// The engine owns instruction *dispatch* only (pre-decoded µop blocks);
-/// the machine keeps sole ownership of *semantics* — register/metadata
-/// state, the memory planes, the cache hierarchy, statistics, and trap
-/// plumbing. Everything here delegates to exactly the code
-/// [`Machine::step`] runs, and the engine takes ALU values and Figure 3
-/// propagation from the same `BinOp::eval`/`CmpOp::eval` and
-/// [`propagate_binop`] the interpreter calls, so the two execution paths
-/// cannot drift: the engine-vs-interpreter differential suite holds them
-/// observationally identical (output, traps, and every
-/// [`ExecStats`](crate::ExecStats) counter).
-pub struct ExecState<'m> {
-    m: &'m mut Machine,
-}
-
-impl ExecState<'_> {
-    /// Register value.
-    #[inline]
-    #[must_use]
-    pub fn reg(&self, r: Reg) -> u32 {
-        self.m.regs[r.index()]
-    }
-
-    /// Register sidecar metadata.
-    #[inline]
-    #[must_use]
-    pub fn reg_meta(&self, r: Reg) -> Meta {
-        self.m.metas[r.index()]
-    }
-
-    /// Writes a register and its sidecar metadata (writes to `zero` are
-    /// discarded, as in the interpreter).
-    #[inline]
-    pub fn set_reg(&mut self, r: Reg, value: u32, meta: Meta) {
-        self.m.set(r, value, meta);
-    }
-
-    /// Current control-flow position.
-    #[inline]
-    #[must_use]
-    pub fn pc(&self) -> (FuncId, u32) {
-        (self.m.func, self.m.pc)
-    }
-
-    /// Moves control to `pc` within `func`. The engine uses this to commit
-    /// block-local control flow and to position the machine before a
-    /// [`Machine::step`] fallback.
-    #[inline]
-    pub fn set_pc(&mut self, func: FuncId, pc: u32) {
-        self.m.func = func;
-        self.m.pc = pc;
-    }
-
-    /// Exit code if the machine has halted.
-    #[inline]
-    #[must_use]
-    pub fn halted(&self) -> Option<i32> {
-        self.m.halted
-    }
-
-    /// The pending trap, if any.
-    #[inline]
-    #[must_use]
-    pub fn trap(&self) -> Option<Trap> {
-        self.m.trap
-    }
-
-    /// Records a trap, stopping the run (mirrors [`Machine::run`]'s
-    /// handling of a `step` error).
-    #[inline]
-    pub fn set_trap(&mut self, trap: Trap) {
-        self.m.trap = Some(trap);
-    }
-
-    /// µops retired so far (the fuel meter reading).
-    #[inline]
-    #[must_use]
-    pub fn uops(&self) -> u64 {
-        self.m.stats.uops
-    }
-
-    /// The configured fuel limit.
-    #[inline]
-    #[must_use]
-    pub fn fuel(&self) -> u64 {
-        self.m.cfg.fuel
-    }
-
-    /// Retires `n` µops at once (the engine batches a block's worth of
-    /// straight-line µops into one counter update).
-    #[inline]
-    pub fn retire_uops(&mut self, n: u64) {
-        self.m.stats.uops += n;
-    }
-
-    /// `setbound rd, rs, size` as [`Machine::step`] runs it, provenance
-    /// (`site`, for [`Machine::violation_report`]) included.
-    #[inline]
-    pub fn setbound(&mut self, site: Pc, rd: Reg, rs: Reg, size: u32) {
-        self.m.exec_setbound(site, rd, rs, size);
-    }
-
-    /// `unbound rd, rs` as [`Machine::step`] runs it.
-    #[inline]
-    pub fn unbound(&mut self, rd: Reg, rs: Reg) {
-        self.m.exec_unbound(rd, rs);
-    }
-
-    /// Load with the HardBound extension statically known inactive
-    /// (decode-time resolution of the baseline configuration).
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`Trap`] the access raises, if any.
-    #[inline]
-    pub fn load_raw(
-        &mut self,
-        fpc: Pc,
-        width: Width,
-        rd: Reg,
-        addr: Reg,
-        offset: i32,
-    ) -> Result<(), Trap> {
-        self.m.exec_load_g::<false>(fpc, width, rd, addr, offset)
-    }
-
-    /// Load with the HardBound extension statically known active.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`Trap`] the access raises, if any.
-    #[inline]
-    pub fn load_hb(
-        &mut self,
-        fpc: Pc,
-        width: Width,
-        rd: Reg,
-        addr: Reg,
-        offset: i32,
-    ) -> Result<(), Trap> {
-        self.m.exec_load_g::<true>(fpc, width, rd, addr, offset)
-    }
-
-    /// Store with the HardBound extension statically known inactive.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`Trap`] the access raises, if any.
-    #[inline]
-    pub fn store_raw(
-        &mut self,
-        fpc: Pc,
-        width: Width,
-        src: Reg,
-        addr: Reg,
-        offset: i32,
-    ) -> Result<(), Trap> {
-        self.m.exec_store_g::<false>(fpc, width, src, addr, offset)
-    }
-
-    /// Store with the HardBound extension statically known active.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`Trap`] the access raises, if any.
-    #[inline]
-    pub fn store_hb(
-        &mut self,
-        fpc: Pc,
-        width: Width,
-        src: Reg,
-        addr: Reg,
-        offset: i32,
-    ) -> Result<(), Trap> {
-        self.m.exec_store_g::<true>(fpc, width, src, addr, offset)
-    }
-
-    /// Performs the calling sequence into `callee`. The return address is
-    /// the machine's current position, so the engine must
-    /// [`ExecState::set_pc`] to the instruction *after* the call first.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Trap::CallDepthExceeded`] / [`Trap::StackOverflow`].
-    #[inline]
-    pub fn call(&mut self, callee: FuncId) -> Result<(), Trap> {
-        self.m.do_call(callee)
-    }
-
-    /// Returns from the current function. Reports whether the machine
-    /// halted (i.e. the entry function returned).
-    #[inline]
-    pub fn ret(&mut self) -> bool {
-        self.m.do_ret();
-        self.m.halted.is_some()
+        Ok(matches!(
+            inst,
+            Inst::Branch { .. }
+                | Inst::Jump { .. }
+                | Inst::Call { .. }
+                | Inst::CallInd { .. }
+                | Inst::Ret
+        ))
     }
 }

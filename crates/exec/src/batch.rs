@@ -18,8 +18,7 @@
 //! even though neither slot was ever contended.
 //!
 //! [`map_with_states`] additionally threads a per-worker mutable state
-//! through the claim loop — the corpus service hands each worker its own
-//! [`SharedBlockCache`](crate::SharedBlockCache) shard this way.
+//! (a cache, a scratch buffer, statistics) through the claim loop.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;

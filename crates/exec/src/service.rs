@@ -2,27 +2,22 @@
 //!
 //! The paper's evaluation is corpus-shaped — hundreds of violation pairs
 //! and nine Olden ports re-simulated under every mode × encoding — yet a
-//! bare [`Engine`] treats each run as a throwaway: decode
-//! work and results are rediscovered from scratch on every job, every
-//! figure, every CI invocation. [`CorpusService`] amortizes both:
-//!
-//! * a **shared decode cache** — one segmented-LRU
-//!   [`SharedBlockCache`] *shard per worker*, so every machine a worker
-//!   runs reuses the blocks of every image that worker has decoded before
-//!   (no cross-thread locking on the block-transition path), and
-//! * a **result store** — a map from `(`[`ProgramId`]`, configuration
-//!   fingerprint)` to the full [`RunOutcome`], so re-running a corpus
-//!   replays identical cells instead of simulating them. Execution is
-//!   deterministic in the key, which makes replay *byte-identical* to
-//!   recomputation — pinned by the service differential suite and the
-//!   result-store proptests at the workspace root.
+//! bare [`Machine::run`] treats each run as a throwaway: results are
+//! rediscovered from scratch on every job, every figure, every CI
+//! invocation. [`CorpusService`] keeps a **result store** — a map from
+//! `(`[`ProgramId`]`, configuration fingerprint)` to the full
+//! [`RunOutcome`] — so re-running a corpus replays identical cells instead
+//! of simulating them. Execution is deterministic in the key, which makes
+//! replay *byte-identical* to recomputation — pinned by the service
+//! differential suite and the result-store proptests at the workspace
+//! root.
 //!
 //! The **incremental re-run** story falls out of the keying: after one
 //! scheme or program changes, only the keys it invalidates miss the store
 //! ([`CorpusService::invalidate_program`] drops exactly one image's
-//! results and decoded blocks); everything else replays. Batches run on
-//! the lock-free [`batch`] scheduler with a deterministic, input-ordered
-//! merge of store hits and fresh executions.
+//! results); everything else replays. Misses run through
+//! [`run_machine`] on the lock-free [`batch`] scheduler with a
+//! deterministic, input-ordered merge of store hits and fresh executions.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -31,10 +26,8 @@ use hardbound_core::{stable_fingerprint, FunctionalKey, Machine, MachineConfig, 
 use hardbound_isa::Program;
 use hardbound_telemetry::{trace, Field, SpanId, SpanTimer};
 
-use crate::batch;
-use crate::block::{BlockCacheStats, ProgramId, SharedBlockCache};
-use crate::engine::Engine;
 use crate::slru::SlruIndex;
+use crate::{batch, run_machine, ProgramId};
 
 /// Fingerprint of everything *besides the program image* that determines a
 /// run's outcome: the [`MachineConfig`] (HardBound extension, hierarchy
@@ -54,7 +47,7 @@ pub fn config_fingerprint(config: &MachineConfig, salt: u64) -> u64 {
     stable_fingerprint(config, salt)
 }
 
-/// A result-store key: the program's decode identity plus the full
+/// A result-store key: the program's identity plus the full
 /// configuration fingerprint (see [`config_fingerprint`]).
 pub type StoreKey = (ProgramId, u64);
 
@@ -82,11 +75,10 @@ pub struct ResultStoreStats {
 /// a long-lived service, so unchecked growth across an open-ended corpus
 /// sweep would be a leak. Past [`ResultStore::DEFAULT_CAPACITY`] (or the
 /// explicit [`ResultStore::with_capacity`] bound) entries are evicted by
-/// **segmented LRU** — the probation/protected scheme of the decoded-block
-/// cache (the crate's `slru` index): fresh results sit in a probationary segment
-/// and are promoted on their first replay, so a figure grid's re-used
-/// cells outlive an arbitrarily long one-shot sweep that a FIFO order
-/// would let wash them out.
+/// **segmented LRU** (the crate's `slru` index): fresh results sit in a
+/// probationary segment and are promoted on their first replay, so a
+/// figure grid's re-used cells outlive an arbitrarily long one-shot sweep
+/// that a FIFO order would let wash them out.
 ///
 /// For persistence (`hardbound-serve`), the store exposes a write
 /// **journal** ([`ResultStore::set_journal`] /
@@ -358,13 +350,6 @@ pub struct ServiceStats {
     pub store: ResultStoreStats,
     /// Stored results currently resident.
     pub store_len: usize,
-    /// Block-cache behaviour summed over all worker shards.
-    pub cache: BlockCacheStats,
-    /// Programs registered across all shards (an image a second worker
-    /// runs registers again in that worker's shard).
-    pub programs: usize,
-    /// Decoded blocks resident across all shards.
-    pub blocks_resident: usize,
     /// Simulations run for executed cells: one per timing group (see
     /// [`CorpusService::run_batch`]) plus one per cell that fell back to
     /// a run of its own. Executed cells beyond this count were timed in
@@ -375,37 +360,27 @@ pub struct ServiceStats {
 /// The long-lived multi-program execution service (see the module docs).
 #[derive(Debug)]
 pub struct CorpusService {
-    shards: Vec<SharedBlockCache>,
+    workers: usize,
     store: ResultStore,
     profiling: bool,
     functional_runs: u64,
 }
 
 impl CorpusService {
-    /// A service with `workers` block-cache shards of default capacity and
-    /// the result store enabled.
+    /// A service that runs store misses on `workers` threads, with the
+    /// result store enabled.
     #[must_use]
     pub fn new(workers: usize) -> CorpusService {
-        CorpusService::with_capacity(workers, SharedBlockCache::DEFAULT_CAPACITY)
-    }
-
-    /// [`CorpusService::new`] with an explicit per-shard block capacity
-    /// (small capacities exercise eviction under corpus pressure).
-    #[must_use]
-    pub fn with_capacity(workers: usize, blocks_per_shard: usize) -> CorpusService {
-        let workers = workers.max(1);
         CorpusService {
-            shards: (0..workers)
-                .map(|_| SharedBlockCache::new(blocks_per_shard))
-                .collect(),
+            workers: workers.max(1),
             store: ResultStore::default(),
             profiling: false,
             functional_runs: 0,
         }
     }
 
-    /// Arms the hot-spot profiler on every engine this service runs (see
-    /// [`Engine::set_profiling`]); off by default. While it is on, every
+    /// Arms the per-basic-block profiler on every machine this service
+    /// runs (see [`Machine::set_profiling`]); off by default. While it is on, every
     /// cell runs on its own rather than as a timing variant of another
     /// cell's run, so profile counts are those of separate runs: the
     /// profile is keyed by [`ProgramId`], which includes the check-µop
@@ -436,7 +411,7 @@ impl CorpusService {
     }
 
     /// Runs `jobs` and returns their outcomes in input order: store hits
-    /// replay, misses execute on the per-worker shards via the lock-free
+    /// replay, misses execute on the service's workers via the lock-free
     /// batch scheduler, and fresh outcomes are stored for next time.
     /// Duplicate keys *within* the batch execute once and replay for the
     /// other occurrences (counted as store hits). `build` constructs the
@@ -500,8 +475,8 @@ impl CorpusService {
             .map(|b| SpanTimer::start(b.trace(), b.span(), "batch_exec"));
         let profiling = self.profiling;
         let groups = timing_groups(jobs, &missing, profiling);
-        let fresh = batch::map_with_states(&groups, &mut self.shards, |shard, _, group| {
-            run_group(jobs, group, shard, &build, profiling)
+        let fresh = batch::map_with_workers(&groups, self.workers, |_, group| {
+            run_group(jobs, group, &build, profiling)
         });
         let mut functional_runs = 0;
         for (group, (outs, runs)) in groups.iter().zip(fresh) {
@@ -546,40 +521,22 @@ impl CorpusService {
             .expect("one job, one outcome")
     }
 
-    /// Invalidates one program image everywhere: its stored results (every
-    /// configuration) and its decoded blocks in every shard. Other
-    /// programs' keys are untouched — this is the incremental-re-run
-    /// primitive: after mutating one program, re-running the corpus
-    /// executes only its cells and replays the rest.
+    /// Invalidates one program image: its stored results under every
+    /// configuration. Other programs' keys are untouched — this is the
+    /// incremental-re-run primitive: after mutating one program,
+    /// re-running the corpus executes only its cells and replays the rest.
     ///
-    /// Returns `(stored results dropped, decoded blocks dropped)`.
-    pub fn invalidate_program(&mut self, pid: ProgramId) -> (usize, u64) {
-        let results = self.store.invalidate_program(pid);
-        let blocks = self
-            .shards
-            .iter_mut()
-            .map(|s| s.invalidate_program(pid))
-            .sum();
-        (results, blocks)
+    /// Returns how many stored results were dropped.
+    pub fn invalidate_program(&mut self, pid: ProgramId) -> usize {
+        self.store.invalidate_program(pid)
     }
 
-    /// Snapshot of the service's counters (store + shards).
+    /// Snapshot of the service's counters.
     #[must_use]
     pub fn stats(&self) -> ServiceStats {
-        let mut cache = BlockCacheStats::default();
-        let mut programs = 0;
-        let mut blocks_resident = 0;
-        for s in &self.shards {
-            cache.absorb(s.stats());
-            programs += s.program_count();
-            blocks_resident += s.resident();
-        }
         ServiceStats {
             store: self.store.stats(),
             store_len: self.store.len(),
-            cache,
-            programs,
-            blocks_resident,
             functional_runs: self.functional_runs,
         }
     }
@@ -618,38 +575,36 @@ fn timing_groups<T>(jobs: &[Job<T>], missing: &[usize], profiling: bool) -> Vec<
     groups
 }
 
-/// Runs one timing group on `shard`: its first cell's machine, timing
-/// the others as variants, then a run of its own for each variant the
-/// machine could not time exactly. Returns the outcomes in group order
-/// and the number of simulations run.
+/// Runs one timing group: its first cell's machine, timing the others as
+/// variants, then a run of its own for each variant the machine could not
+/// time exactly. Returns the outcomes in group order and the number of
+/// simulations run.
 fn run_group<T, F>(
     jobs: &[Job<T>],
     group: &[usize],
-    shard: &mut SharedBlockCache,
     build: &F,
     profiling: bool,
 ) -> (Vec<RunOutcome>, u64)
 where
     F: Fn(Program, MachineConfig, &T) -> Machine,
 {
-    let run = |shard: &mut SharedBlockCache, job: &Job<T>, variants: &[MachineConfig]| {
+    let run = |job: &Job<T>, variants: &[MachineConfig]| {
         let mut machine = build(job.program.clone(), job.config.clone(), &job.tag);
         machine.set_timing_variants(variants);
-        let mut engine = Engine::with_shared_cache(machine, shard);
-        engine.set_profiling(profiling);
-        let out = engine.run();
-        let derived = engine.machine().timing_variant_outcomes(&out);
+        machine.set_profiling(profiling);
+        let out = run_machine(&mut machine);
+        let derived = machine.timing_variant_outcomes(&out);
         (out, derived)
     };
     let (lead, rest) = group.split_first().expect("groups are non-empty");
     let variants: Vec<MachineConfig> = rest.iter().map(|&i| jobs[i].config.clone()).collect();
-    let (out, derived) = run(shard, &jobs[*lead], &variants);
+    let (out, derived) = run(&jobs[*lead], &variants);
     let mut runs = 1;
     let mut outs = vec![out];
     for (&i, out) in rest.iter().zip(derived) {
         outs.push(out.unwrap_or_else(|| {
             runs += 1;
-            run(shard, &jobs[i], &[]).0
+            run(&jobs[i], &[]).0
         }));
     }
     (outs, runs)
@@ -701,10 +656,6 @@ mod tests {
         let after_warm = svc.stats();
         assert_eq!(after_warm.store.hits, 8, "warm run is pure replay");
         assert_eq!(after_warm.store.misses, 8, "no new executions");
-        assert_eq!(
-            after_warm.cache.decoded, after_cold.cache.decoded,
-            "no new decode work either"
-        );
     }
 
     #[test]
@@ -714,21 +665,12 @@ mod tests {
         let mut b = job(10, 1_000_000);
         b.config = b.config.clone().with_fuel(999_999);
         assert_ne!(a.key(), b.key(), "fuel is part of the result identity");
-        assert_eq!(
-            a.key().0,
-            b.key().0,
-            "…but not of the decode identity (blocks are shared)"
-        );
+        assert_eq!(a.key().0, b.key().0, "…but not of the program identity");
         svc.run_one(&a, build);
         svc.run_one(&b, build);
         let s = svc.stats();
         assert_eq!(s.store_len, 2);
         assert_eq!((s.store.hits, s.store.misses), (0, 2), "b is a store miss");
-        assert!(s.cache.decoded > 0);
-        // The same image under both fuels decoded once: the store miss
-        // still ran on the shared decode cache.
-        assert_eq!(s.programs, 1);
-        assert!(s.cache.hits > 0, "b reuses a's decoded blocks: {s:?}");
     }
 
     #[test]
@@ -878,9 +820,8 @@ mod tests {
         let mut svc = CorpusService::new(1);
         svc.run_batch(&[a.clone(), b.clone()], build);
         assert_eq!(svc.stats().store_len, 2);
-        let (results, blocks) = svc.invalidate_program(a.key().0);
+        let results = svc.invalidate_program(a.key().0);
         assert_eq!(results, 1, "exactly a's stored result dies");
-        assert!(blocks > 0, "a's decoded blocks die with it");
         svc.run_batch(&[a, b], build);
         let s = svc.stats();
         assert_eq!(s.store.hits, 1, "b replays");

@@ -1,9 +1,8 @@
 //! A reusable **segmented-LRU recency index** over slab slot ids.
 //!
-//! The decoded-block cache ([`crate::SharedBlockCache`]) and the result
-//! store both run this probation/protected policy: fresh entries enter a
-//! *probationary* segment and are promoted to a *protected* segment on
-//! their first re-use, so a one-shot stream (an open-ended corpus sweep, a
+//! The result store ([`crate::ResultStore`]) runs this probation/protected
+//! policy: fresh entries enter a *probationary* segment and are promoted
+//! to a *protected* segment on their first re-use, so a one-shot stream (an open-ended corpus sweep, a
 //! cold figure grid) cannot wash a long-lived store's re-used entries out.
 //! Eviction takes the probationary LRU first and touches the protected
 //! segment only when probation is empty.

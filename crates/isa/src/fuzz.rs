@@ -213,10 +213,10 @@ pub fn insts(seed: u64, n: usize) -> Vec<Inst> {
 ///
 /// Where [`insts`] produces unstructured instruction soup (good at
 /// straight-line redundancy, terrible at loops), this family keeps the
-/// same bounds checks hot inside one self-loop superblock — while the
+/// same bounds checks hot inside one self-loop block — while the
 /// randomized object sizes, field counts, strides, and trip counts make
 /// some walks run off their array's bound mid-loop, which pins trap-site
-/// identity inside cached blocks. The result is a complete,
+/// identity inside hot blocks. The result is a complete,
 /// structurally valid function body (branch targets in range, `Halt`
 /// last); everything is a pure function of `seed`.
 #[must_use]
@@ -260,8 +260,7 @@ pub fn loop_insts(seed: u64) -> Vec<Inst> {
     ];
     let head = insts.len() as u32;
     // Adjacent struct fields off the invariant base, re-checked every
-    // iteration once the back edge makes the decoded superblock a
-    // self-loop.
+    // iteration of the self-loop.
     for field in 0..2 + rng.below(3) {
         insts.push(Inst::Load {
             width: Width::Word,

@@ -5,7 +5,7 @@
 //! cargo run -p hardbound-report --bin hbrun -- program.cb \
 //!     [--mode baseline|malloc-only|hardbound|softbound|objtable] \
 //!     [--encoding extern-4|intern-4|intern-11] [--stats] [--metrics] \
-//!     [--disasm] [--interp | --profile]
+//!     [--disasm] [--profile]
 //! ```
 //!
 //! Inputs ending in `.s` are treated as assembly listings in the
@@ -21,20 +21,18 @@
 //! paper's evaluation.
 //!
 //! `--disasm` prints the (merged) listing and nothing else instead of
-//! running. Execution goes through the corpus service — the pre-decoded
-//! basic-block engine plus the process-wide decode cache and result store
-//! (or the `HB_SERVE_ADDR` server); `--interp` selects the
-//! one-µop-per-step interpreter (all paths are observationally identical —
-//! see `tests/engine_differential.rs` and `tests/service_differential.rs`).
-//! With `--stats`, service runs also report result-store and block-cache
-//! counters; `--metrics` dumps the full process-global metrics registry
-//! (the same cells, Prometheus text form) to stderr after the run.
+//! running. Execution goes through the corpus service — the interpreter
+//! behind the process-wide result store (or the `HB_SERVE_ADDR` server;
+//! both are byte-identical to a bare `Machine::run`, see
+//! `tests/service_differential.rs`). With `--stats`, service runs also
+//! report result-store counters; `--metrics` dumps the full process-global
+//! metrics registry (the same cells, Prometheus text form) to stderr after
+//! the run.
 //!
-//! `--profile` runs the program on a bare engine with its per-superblock
+//! `--profile` runs the program on a bare machine with its per-basic-block
 //! hot-spot profiler armed — never from the result store, which would
 //! leave nothing to attribute — and, after the run, prints the ranked-PC
-//! table and the folded-stack (flamegraph collapse) text to stderr. It
-//! profiles the engine, so it cannot be combined with `--interp`. On
+//! table and the folded-stack (flamegraph collapse) text to stderr. On
 //! any trap, `hbrun` re-runs the program on a forensics interpreter and
 //! prints the structured violation report — faulting PC with a
 //! disassembled window, out-of-bounds distance, originating `setbound`
@@ -48,7 +46,7 @@ use std::process::ExitCode;
 
 use hardbound_compiler::Mode;
 use hardbound_core::{checked_ratio, PointerEncoding};
-use hardbound_exec::Engine;
+use hardbound_exec::run_machine;
 use hardbound_isa::Program;
 use hardbound_runtime::{
     build_machine_with_config, compile, machine_config, metrics_snapshot, run_job, service_stats,
@@ -62,12 +60,11 @@ struct Args {
     stats: bool,
     metrics: bool,
     disasm: bool,
-    interp: bool,
     profile: bool,
 }
 
 const USAGE: &str = "usage: hbrun FILE.{cb,s} [FILE.{cb,s} ...] [--mode M] [--encoding E] \
-                     [--stats] [--metrics] [--disasm] [--interp | --profile]";
+                     [--stats] [--metrics] [--disasm] [--profile]";
 
 fn parse_args() -> Result<Args, String> {
     let mut paths = Vec::new();
@@ -77,7 +74,6 @@ fn parse_args() -> Result<Args, String> {
     let mut metrics = false;
     let mut disasm = false;
     let mut profile = false;
-    let mut interp = false;
 
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -106,7 +102,6 @@ fn parse_args() -> Result<Args, String> {
             "--metrics" => metrics = true,
             "--disasm" => disasm = true,
             "--profile" => profile = true,
-            "--interp" => interp = true,
             "--help" | "-h" => return Err(USAGE.to_owned()),
             other if !other.starts_with('-') => paths.push(other.to_owned()),
             other => return Err(format!("unexpected argument `{other}`\n{USAGE}")),
@@ -115,9 +110,6 @@ fn parse_args() -> Result<Args, String> {
     if paths.is_empty() {
         return Err("no input file (try --help)".to_owned());
     }
-    if interp && profile {
-        return Err("--profile profiles the block engine; drop --interp".to_owned());
-    }
     Ok(Args {
         paths,
         mode,
@@ -125,7 +117,6 @@ fn parse_args() -> Result<Args, String> {
         stats,
         metrics,
         disasm,
-        interp,
         profile,
     })
 }
@@ -204,11 +195,11 @@ fn main() -> ExitCode {
     }
 
     let config = machine_config(args.mode, args.encoding);
-    // Three execution paths, all observationally identical: the corpus
-    // service (engine + shared decode cache + result store) by default, a
-    // bare profiled engine under `--profile` (a store hit would execute
-    // nothing to attribute), and the interpreter under `--interp`.
-    let through_service = !args.interp && !args.profile;
+    // Two execution paths, observationally identical: the corpus service
+    // (the interpreter behind the result store) by default, and a bare
+    // profiled machine under `--profile` (a store hit would execute
+    // nothing to attribute).
+    let through_service = !args.profile;
     // `--stats` reports *this run's* registry activity: snapshot the
     // process-global cells before executing and print the delta after, so
     // a long-lived embedder (or a test running two grids back to back)
@@ -221,13 +212,8 @@ fn main() -> ExitCode {
         run_job(program, args.mode, config)
     } else {
         let mut machine = build_machine_with_config(program, args.mode, config);
-        if args.interp {
-            machine.run()
-        } else {
-            let mut engine = Engine::new(machine);
-            engine.set_profiling(true);
-            engine.run()
-        }
+        machine.set_profiling(true);
+        run_machine(&mut machine)
     };
     print!("{}", out.output);
     if let Some(trap) = &out.trap {
@@ -251,10 +237,8 @@ fn main() -> ExitCode {
             args.encoding,
             if through_service {
                 "service"
-            } else if args.interp {
-                "interpreter"
             } else {
-                "engine"
+                "profiled"
             }
         );
         eprintln!("cycles:          {}", s.cycles());
@@ -288,21 +272,19 @@ fn main() -> ExitCode {
             checked_ratio(s.hierarchy.tag_stall_cycles, s.hierarchy.tag_accesses),
             checked_ratio(s.hierarchy.shadow_stall_cycles, s.hierarchy.shadow_accesses),
         );
-        if !args.interp {
-            // Hierarchy lookup-machinery activity, read back from the
-            // process registry (the engine records residency-filter
-            // counters there after each run).
-            let (fast_hits, fast_misses) = (
-                registry.counter("hb_hier_fastpath_hits"),
-                registry.counter("hb_hier_fastpath_misses"),
-            );
-            eprintln!(
-                "hier fast path:  {} proofs, {} scans ({:.1}% proved)",
-                fast_hits,
-                fast_misses,
-                100.0 * checked_ratio(fast_hits, fast_hits + fast_misses),
-            );
-        }
+        // Hierarchy lookup-machinery activity, read back from the process
+        // registry (`run_machine` records residency-filter counters there
+        // after each run; a store hit or a remote run records none).
+        let (fast_hits, fast_misses) = (
+            registry.counter("hb_hier_fastpath_hits"),
+            registry.counter("hb_hier_fastpath_misses"),
+        );
+        eprintln!(
+            "hier fast path:  {} proofs, {} scans ({:.1}% proved)",
+            fast_hits,
+            fast_misses,
+            100.0 * checked_ratio(fast_hits, fast_hits + fast_misses),
+        );
         if through_service {
             let round_trips = registry.counter("hb_remote_round_trips");
             if round_trips > 0 {
@@ -352,14 +334,6 @@ fn main() -> ExitCode {
                         },
                     );
                 }
-                eprintln!(
-                    "block cache:     {} hits, {} decoded, {} evicted, {} invalidated",
-                    svc.cache.hits, svc.cache.decoded, svc.cache.evicted, svc.cache.invalidated
-                );
-                eprintln!(
-                    "programs:        {} registered, {} blocks resident",
-                    svc.programs, svc.blocks_resident
-                );
             }
         }
     }
@@ -369,8 +343,8 @@ fn main() -> ExitCode {
         eprint!("{}", metrics_snapshot().render());
     }
     if args.profile {
-        // The engine flushed its per-block counters into the process-wide
-        // accumulator at the end of the run; both renders read the same
+        // `run_machine` flushed the per-block counters into the
+        // process-wide accumulator at the end of the run; both renders read the same
         // snapshot so the table and the folded stacks agree exactly.
         let p = hardbound_telemetry::profile::global().snapshot();
         eprintln!("-- hot-spot profile (ranked blocks) --");
@@ -379,7 +353,7 @@ fn main() -> ExitCode {
         eprint!("{}", p.render_folded());
     }
     // The HB_TRACE sink is a static BufWriter with no exit destructor;
-    // flush here so bare-engine/interpreter runs keep their spans too.
+    // flush here so profiled runs keep their spans too.
     hardbound_telemetry::trace::flush();
     match out.trap {
         Some(_) => ExitCode::from(3),

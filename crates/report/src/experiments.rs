@@ -8,7 +8,7 @@
 //! Cells shared between figures (every figure re-simulates the baseline
 //! and full-HardBound runs of every Olden port) therefore execute **once
 //! per process**: the second figure replays them from the service's
-//! program-hash result store. Every cell's outcome equals a fresh engine's
+//! program-hash result store. Every cell's outcome equals a fresh machine's
 //! (pinned by `tests/service_differential.rs`), and grids aggregate in
 //! input order, so replayed and re-simulated tables are byte-identical
 //! (`tests/service_figures_differential.rs`).

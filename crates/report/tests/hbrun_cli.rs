@@ -1,6 +1,6 @@
 //! End-to-end smoke tests of the `hbrun` binary: `.s` listing input and
-//! the `--disasm` → `.s` → run round trip, the `--interp` interpreter
-//! agreeing with the default path, `--profile` always executing, usage
+//! the `--disasm` → `.s` → run round trip, a bare profiled run agreeing
+//! with the default service path, `--profile` always executing, usage
 //! errors, and the `HB_*` settings as a spawned process sees them.
 
 use std::path::PathBuf;
@@ -78,31 +78,27 @@ fn disasm_listing_round_trips_through_dot_s() {
     );
     assert_eq!(String::from_utf8_lossy(&from_cb.stdout), "18\n");
 
-    // The interpreter agrees with the default path (the service path
-    // appends its own counters — result store, block cache — which the
-    // interpreter path does not have; the simulated stats must agree).
-    let interp = hbrun(&[s.to_str().unwrap(), "--interp", "--stats"]);
-    let engine = hbrun(&[s.to_str().unwrap(), "--stats"]);
-    assert!(interp.status.success());
-    assert_eq!(interp.stdout, engine.stdout);
+    // A bare profiled machine agrees with the default service path (the
+    // service appends its result-store counters and the profiled run its
+    // profile; the simulated stats must agree).
+    let bare = hbrun(&[s.to_str().unwrap(), "--profile", "--stats"]);
+    let service = hbrun(&[s.to_str().unwrap(), "--stats"]);
+    assert!(bare.status.success());
+    assert_eq!(bare.stdout, service.stdout);
     let strip = |o: &Output| {
         String::from_utf8_lossy(&o.stderr)
             .lines()
             .skip(1) // the header names the execution path
-            .filter(|l| {
-                !l.starts_with("result store:")
-                    && !l.starts_with("block cache:")
-                    && !l.starts_with("programs:")
-                    && !l.starts_with("hier fast path:")
-            })
+            .take_while(|l| !l.starts_with("-- hot-spot profile"))
+            .filter(|l| !l.starts_with("result store:"))
             .collect::<Vec<_>>()
             .join("\n")
     };
-    assert_eq!(strip(&interp), strip(&engine), "stats must be identical");
+    assert_eq!(strip(&bare), strip(&service), "stats must be identical");
     assert!(
-        String::from_utf8_lossy(&engine.stderr).contains("result store:"),
+        String::from_utf8_lossy(&service.stderr).contains("result store:"),
         "the service path surfaces its counters under --stats: {:?}",
-        engine.stderr
+        service.stderr
     );
 
     let _ = std::fs::remove_file(cb);
@@ -283,7 +279,7 @@ fn an_invalid_hb_flight_is_a_usage_error() {
 #[test]
 fn profile_executes_even_when_the_store_is_warm() {
     // A result-store hit executes nothing, so a profile served from the
-    // store would be empty. `--profile` runs a bare profiled engine
+    // store would be empty. `--profile` runs a bare profiled machine
     // instead: a second run on the same persistent store still lists the
     // program's blocks.
     let cb = write_temp("profile.cb", COUNTDOWN_CB);
@@ -315,9 +311,9 @@ fn profile_executes_even_when_the_store_is_warm() {
     }
     assert_eq!(first.stdout, second.stdout);
 
-    // The interpreter has no blocks to profile.
-    let both = hbrun(&[cb.to_str().unwrap(), "--interp", "--profile"]);
-    assert_eq!(both.status.code(), Some(2), "{both:?}");
+    // `--interp` is gone: the interpreter is the only execution path.
+    let interp = hbrun(&[cb.to_str().unwrap(), "--interp", "--profile"]);
+    assert_eq!(interp.status.code(), Some(2), "{interp:?}");
 
     let _ = std::fs::remove_file(&store);
     let _ = std::fs::remove_file(store.with_extension("lock"));

@@ -1,6 +1,6 @@
 //! Profiling differential: arming the hot-spot profiler must be invisible
 //! to execution. For every cell of the full protection matrix (5 modes ×
-//! 3 pointer encodings) the engine runs the same workload twice — profiler
+//! 3 pointer encodings) the machine runs the same workload twice — profiler
 //! off, profiler on — and the two [`RunOutcome`]s must be **equal**, which
 //! is the repo's observational identity (exit code, trap, output, printed
 //! ints, and every simulation statistic including cycle counts). The
@@ -11,7 +11,7 @@
 
 use hardbound_compiler::Mode;
 use hardbound_core::PointerEncoding;
-use hardbound_exec::Engine;
+use hardbound_exec::run_machine;
 use hardbound_runtime::{build_machine_with_config, compile, machine_config};
 use hardbound_telemetry::profile;
 use hardbound_workloads::{all, Scale};
@@ -30,22 +30,18 @@ fn profiling_is_byte_identical_across_the_matrix() {
             .unwrap_or_else(|e| panic!("{} ({mode}): compile failed: {e}", workload.name));
         for enc in PointerEncoding::ALL {
             let config = machine_config(mode, enc);
-            let mut off = Engine::new(build_machine_with_config(
-                program.clone(),
-                mode,
-                config.clone(),
-            ));
+            let mut off = build_machine_with_config(program.clone(), mode, config.clone());
             off.set_profiling(false);
             let _ = profile::global().take();
-            let plain = off.run();
+            let plain = run_machine(&mut off);
             assert_eq!(
                 profile::global().snapshot().total_execs(),
                 0,
                 "{mode}/{enc}: unprofiled run recorded profile data"
             );
-            let mut on = Engine::new(build_machine_with_config(program.clone(), mode, config));
+            let mut on = build_machine_with_config(program.clone(), mode, config);
             on.set_profiling(true);
-            let profiled = on.run();
+            let profiled = run_machine(&mut on);
             assert_eq!(
                 plain, profiled,
                 "{mode}/{enc}: profiling perturbed the outcome"

@@ -84,7 +84,7 @@ fn hb_trace_env_runs_to_completion_and_sink_parses() {
         kinds.insert(ev.kind);
     }
     // A local service run stamps at least the compile and batch kinds.
-    for kind in ["compile", "batch", "store_lookup", "batch_exec", "decode"] {
+    for kind in ["compile", "batch", "store_lookup", "batch_exec"] {
         assert!(kinds.contains(kind), "missing `{kind}` spans: {kinds:?}");
     }
 

@@ -208,7 +208,7 @@ pub fn build_machine_with_config(program: Program, mode: Mode, config: MachineCo
 /// [`Machine::violation_report`]. `None` when the run does not trap.
 ///
 /// The re-run is how forensics stay free on the hot paths: outcomes from
-/// the engine, the result store, or a remote shard carry no machine state,
+/// the service, the result store, or a remote shard carry no machine state,
 /// so the (rare, already-failed) trapping cell is replayed once, in full,
 /// with the provenance table and flight recorder live.
 #[must_use]
@@ -266,10 +266,9 @@ pub fn emit_violation_span(report: &ViolationReport) {
     trace::flush();
 }
 
-/// Compile (with runtime), build the paired machine, and run to completion
-/// **on the interpreter**. This is the semantic reference the
-/// engine-vs-interpreter differential suite compares against; the
-/// corpus drivers go through [`run_jobs`].
+/// Compile (with runtime), build the paired machine, and run it to
+/// completion with [`Machine::run`]. The corpus drivers go through
+/// [`run_jobs`], which replays from the result store.
 ///
 /// # Errors
 ///
@@ -284,12 +283,12 @@ pub fn compile_and_run(
     Ok(build_machine(program, mode, encoding).run())
 }
 
-/// The process-wide corpus service: one shared decode-cache shard per
-/// [`Settings::workers`] worker plus the result store, living for the
+/// The process-wide corpus service: [`Settings::workers`] workers plus
+/// the result store, living for the
 /// whole process so every figure driver, corpus sweep and CI invocation
 /// in it reuses earlier work. With `HB_STORE_PATH` set the store is
 /// persistent — loaded here once, appended after every batch. `HB_PROF`
-/// arms the profiler on its engines.
+/// arms the profiler on its machines.
 ///
 /// # Panics
 ///
@@ -314,23 +313,19 @@ fn service() -> &'static Mutex<PersistentService> {
 
 /// Mirrors the process-wide service's counters into the global registry
 /// as `hb_*` gauges, so one `METRICS`-style snapshot carries the result
-/// store and decode cache story without a second bookkeeping path. Each
+/// store story without a second bookkeeping path. Each
 /// closure locks the service mutex at snapshot time — never snapshot the
 /// registry while holding that lock.
 fn register_service_gauges() {
     let g = hardbound_telemetry::global();
     type Sel = fn(&PersistStats) -> u64;
-    let gauges: [(&str, Sel); 12] = [
+    let gauges: [(&str, Sel); 8] = [
         ("hb_store_hits", |s| s.service.store.hits),
         ("hb_store_misses", |s| s.service.store.misses),
         ("hb_store_stored", |s| s.service.store.stored),
         ("hb_store_evicted", |s| s.service.store.evicted),
         ("hb_store_expired", |s| s.service.store.expired),
         ("hb_store_len", |s| s.service.store_len as u64),
-        ("hb_block_hits", |s| s.service.cache.hits),
-        ("hb_block_decoded", |s| s.service.cache.decoded),
-        ("hb_block_evicted", |s| s.service.cache.evicted),
-        ("hb_blocks_resident", |s| s.service.blocks_resident as u64),
         ("hb_log_appended", |s| {
             s.log.as_ref().map_or(0, |l| l.appended)
         }),
@@ -396,7 +391,7 @@ impl SimJob {
 ///    against its shared warm store and streams outcomes back.
 /// 2. **Local service** (default) — the process-wide persistent
 ///    [`PersistentService`]: result-store hits replay, misses run on
-///    per-worker shared-cache shards, fresh outcomes append to
+///    its worker threads, fresh outcomes append to
 ///    `HB_STORE_PATH` when set.
 ///
 /// # Panics

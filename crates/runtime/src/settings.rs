@@ -5,7 +5,7 @@
 //! reads the environment once, checks each set `HB_*` variable against its
 //! row, warns about names not in the table, and installs the `HB_TRACE`
 //! sink. No other crate reads the environment: the lower layers take their
-//! values through setters (`Engine::set_profiling`, worker counts) filled
+//! values through setters (`CorpusService::set_profiling`, worker counts) filled
 //! from here. An unset, empty or whitespace-only value means "not set";
 //! any other value must fit its grammar, or loading fails with a
 //! diagnostic that names the variable and quotes the value.
@@ -94,19 +94,18 @@ pub(crate) type Var = (&'static str, Grammar, &'static str);
 
 /// Every `HB_*` variable the workspace reads.
 #[rustfmt::skip]
-pub(crate) const VARS: [Var; 12] = [
+pub(crate) const VARS: [Var; 11] = [
     ("HB_JOBS", Grammar::Count(1, |s| &mut s.jobs), "Worker threads of the batch drivers and the corpus service. Unset: all cores; `1` runs serially."),
-    ("HB_PROF", Grammar::Flag(|s| &mut s.prof), "Arm the block engine's per-superblock hot-spot profiler on the corpus service (`hbserve` answers `PROFILE` with it). Unset: off."),
+    ("HB_PROF", Grammar::Flag(|s| &mut s.prof), "Arm the interpreter's per-basic-block hot-spot profiler on the corpus service (`hbserve` answers `PROFILE` with it). Unset: off."),
     ("HB_FLIGHT", Grammar::Count(0, |s| &mut s.flight), "Arm an `N`-event memory flight recorder on every machine; a trap's violation report prints its tail. Unset or `0`: off."),
-    ("HB_TRACE", Grammar::Path(|s| &mut s.trace), "Append JSONL spans (compile, decode, batch, remote round trips and the servers' own spans) to this file. Unset: tracing off."),
+    ("HB_TRACE", Grammar::Path(|s| &mut s.trace), "Append JSONL spans (compile, batch, remote round trips and the servers' own spans) to this file. Unset: tracing off."),
     ("HB_STORE_PATH", Grammar::Path(|s| &mut s.store_path), "Persist the result store in this log so warm starts survive the process (the default of `hbserve --store`). Unset: in memory."),
     ("HB_SERVE_ADDR", Grammar::AddrList(|s| &mut s.serve_addrs), "Offload cell grids to these `hbserve` shards by consistent hash, with retry and re-route; an unreachable cluster fails loudly. Unset: run locally."),
     ("HB_SCALE", Grammar::Scale(|s| &mut s.scale), "Workload inputs of the bench targets; `smoke` keeps CI runs short. Unset: `full`."),
-    ("HB_ENGINE_GATE", Grammar::Ratio(|s| &mut s.engine_gate), "`simulator_throughput`: the dispatch-bound engine speedup must reach this, and the fleet must stay ≥ 0.9× the interpreter (CI: `1.8`)."),
     ("HB_SERVICE_GATE", Grammar::Ratio(|s| &mut s.service_gate), "`simulator_throughput`: a warm grid re-run must replay from the result store this much faster than the cold pass (CI: `2`)."),
     ("HB_PERSIST_GATE", Grammar::Ratio(|s| &mut s.persist_gate), "`simulator_throughput`: a grid re-run on a service reopened from its store log must beat the cold pass by this much (CI: `2`)."),
-    ("HB_TRACE_GATE", Grammar::Ratio(|s| &mut s.trace_gate), "`simulator_throughput`: an engine fleet writing a trace must stay within this factor of the untraced fleet (CI: `1.1`)."),
-    ("HB_PROF_GATE", Grammar::Ratio(|s| &mut s.prof_gate), "`simulator_throughput`: an engine fleet with the profiler armed must stay within this factor of the unprofiled fleet (CI: `1.1`)."),
+    ("HB_TRACE_GATE", Grammar::Ratio(|s| &mut s.trace_gate), "`simulator_throughput`: a fleet of cold corpus-service batches writing a trace must stay within this factor of the untraced fleet (CI: `1.1`)."),
+    ("HB_PROF_GATE", Grammar::Ratio(|s| &mut s.prof_gate), "`simulator_throughput`: a fleet of `Machine::run`s with the profiler armed must stay within this factor of the unprofiled fleet (CI: `1.1`)."),
 ];
 
 /// The resolved settings: each field is its variable's value, or the
@@ -115,7 +114,7 @@ pub(crate) const VARS: [Var; 12] = [
 pub struct Settings {
     /// `HB_JOBS` (see [`Settings::workers`]).
     pub jobs: Option<usize>,
-    /// `HB_PROF`: whether the corpus service profiles its engines.
+    /// `HB_PROF`: whether the corpus service profiles its runs.
     pub prof: bool,
     /// `HB_FLIGHT`: the flight-recorder depth; `None` or `Some(0)` is off.
     pub flight: Option<usize>,
@@ -127,8 +126,6 @@ pub struct Settings {
     pub serve_addrs: Option<Vec<String>>,
     /// `HB_SCALE`: the bench targets' input scale.
     pub scale: Scale,
-    /// `HB_ENGINE_GATE`: the dispatch-bound engine speedup floor.
-    pub engine_gate: Option<f64>,
     /// `HB_SERVICE_GATE`: the warm result-store replay speedup floor.
     pub service_gate: Option<f64>,
     /// `HB_PERSIST_GATE`: the reopened-store replay speedup floor.
@@ -253,7 +250,7 @@ mod tests {
     /// One case per row of [`VARS`]: the field it sets, each valid
     /// spelling with the field it yields, and values it must reject.
     #[allow(clippy::type_complexity)]
-    const CASES: [(&str, Field, &[(&str, &str)], &[&str]); 12] = [
+    const CASES: [(&str, Field, &[(&str, &str)], &[&str]); 11] = [
         (
             "HB_JOBS",
             |s| format!("{:?}", s.jobs),
@@ -308,16 +305,10 @@ mod tests {
             &["smok", "1"],
         ),
         (
-            "HB_ENGINE_GATE",
-            |s| format!("{:?}", s.engine_gate),
-            &[("1.8", "Some(1.8)"), ("2", "Some(2.0)")],
-            &["0", "-1", "fast", "inf", "NaN"],
-        ),
-        (
             "HB_SERVICE_GATE",
             |s| format!("{:?}", s.service_gate),
-            &[("2", "Some(2.0)")],
-            &["x"],
+            &[("1.8", "Some(1.8)"), ("2", "Some(2.0)")],
+            &["0", "-1", "fast", "inf", "NaN"],
         ),
         (
             "HB_PERSIST_GATE",

@@ -10,7 +10,7 @@
 
 use hardbound_compiler::Mode;
 use hardbound_core::PointerEncoding;
-use hardbound_exec::Engine;
+use hardbound_exec::run_machine;
 use hardbound_runtime::{build_machine_with_config, compile, machine_config, metrics_snapshot};
 
 const SRC: &str = "
@@ -30,14 +30,15 @@ int main() {
 ";
 
 /// One grid: the source under two protection modes and every encoding,
-/// run on the bare block engine (no result store, so both grids really
-/// execute and their registry contributions are equal).
+/// run on bare machines (no result store, so both grids really execute
+/// and their registry contributions are equal).
 fn run_grid() {
     for mode in [Mode::HardBound, Mode::SoftBound] {
         let program = compile(SRC, mode).unwrap();
         for enc in PointerEncoding::ALL {
             let config = machine_config(mode, enc);
-            let out = Engine::new(build_machine_with_config(program.clone(), mode, config)).run();
+            let mut machine = build_machine_with_config(program.clone(), mode, config);
+            let out = run_machine(&mut machine);
             assert_eq!(out.trap, None, "{mode}/{enc} trapped");
         }
     }
@@ -53,9 +54,8 @@ fn per_run_deltas_are_stable_across_back_to_back_grids() {
 
     let first = after_first.delta(&before_first);
     let second = after_second.delta(&after_first);
-    // The hierarchy fast-path counters are recorded per memory access at
-    // run time (not at decode time, which the process-wide block cache
-    // would dedup), so identical grids contribute identical deltas.
+    // The hierarchy fast-path counters are recorded per run, so identical
+    // grids contribute identical deltas.
     for name in ["hb_hier_fastpath_hits", "hb_hier_fastpath_misses"] {
         assert!(
             first.counter(name) > 0,

@@ -1,8 +1,8 @@
 //! `hardbound-serve` — the corpus service across process and machine
 //! boundaries.
 //!
-//! The corpus service (`hardbound_exec::service`) amortizes decode work
-//! and whole-run results *within* one process; every fresh `hbrun` and
+//! The corpus service (`hardbound_exec::service`) amortizes whole-run
+//! results *within* one process; every fresh `hbrun` and
 //! every CI invocation still starts cold. This crate extends the service
 //! across the two remaining boundaries:
 //!

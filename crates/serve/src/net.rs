@@ -692,7 +692,7 @@ fn serve_metrics(stream: &mut TcpStream, ctx: &ConnCtx) -> Result<(), ServeError
 /// Answers a `PROFILE` request with the process-global hot-spot profile
 /// accumulator in its parseable text form. The snapshot is taken under
 /// the accumulator's lock, so a mid-grid scrape is atomic with respect to
-/// engine flushes: counts are a consistent prefix of the work done, never
+/// each run's flush: counts are a consistent prefix of the work done, never
 /// a torn read.
 fn serve_profile(stream: &mut TcpStream) -> Result<(), ServeError> {
     let mut w = Writer::new();
@@ -1210,9 +1210,7 @@ mod tests {
 
     fn expected_outcomes(jobs: &[Job<u64>]) -> Vec<RunOutcome> {
         jobs.iter()
-            .map(|j| {
-                hardbound_exec::Engine::new(Machine::new(j.program.clone(), j.config.clone())).run()
-            })
+            .map(|j| Machine::new(j.program.clone(), j.config.clone()).run())
             .collect()
     }
 
@@ -1876,7 +1874,7 @@ mod tests {
         ];
         let outcome = {
             let p = counting_program(3);
-            hardbound_exec::Engine::new(Machine::new(p, cfg)).run()
+            Machine::new(p, cfg).run()
         };
         let (addr, fake) = fake_server(PROTOCOL_VERSION, move |stream| {
             fake_submit(stream);
@@ -1907,7 +1905,7 @@ mod tests {
         let jobs = vec![job(counting_program(3), cfg.clone(), 0, 0)];
         let outcome = {
             let p = counting_program(3);
-            hardbound_exec::Engine::new(Machine::new(p, cfg)).run()
+            Machine::new(p, cfg).run()
         };
         let (addr, fake) = fake_server(PROTOCOL_VERSION, move |stream| {
             fake_submit(stream);
@@ -2047,7 +2045,7 @@ mod tests {
         // The grid runs on its own connection while the scrapers below
         // hammer the server.
         let grid = std::thread::spawn(move || Client::connect(addr).unwrap().run_jobs(&jobs));
-        // Concurrent "engine flush" traffic into the profile accumulator:
+        // Concurrent per-run flush traffic into the profile accumulator:
         // each flush adds 1 exec / 5 cycles to one block, so any snapshot
         // that tore a flush in half would break `cycles == 5 * execs`.
         const PROG: u64 = 0x5eed;

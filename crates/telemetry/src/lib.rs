@@ -14,7 +14,7 @@
 //!   for `HB_TRACE`). Trace context crosses the
 //!   `hbserve` wire so one grid submission yields a single merged trace
 //!   spanning client and every shard.
-//! * [`profile`] — cluster-mergeable per-superblock hot-spot [`Profile`]s
+//! * [`profile`] — cluster-mergeable per-basic-block hot-spot [`Profile`]s
 //!   (exec counts, attributed cycles, checks taken), rendered as
 //!   ranked-PC tables and folded-stack flamegraph text, shipped over the
 //!   `PROFILE` wire verb and summed client-side with exact count

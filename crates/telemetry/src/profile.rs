@@ -1,7 +1,8 @@
 //! Cluster-mergeable hot-spot profiles.
 //!
-//! The block engine attributes retire work to the superblock it executed
-//! (see `exec::Engine`): exec count, retired-µop cycles, and bounds checks
+//! The interpreter's profiler attributes retire work to the basic block
+//! it executed (see `core::Machine::set_profiling` and
+//! `exec::run_machine`): exec count, retired-µop cycles, and bounds checks
 //! taken. Those per-block counters land here as a [`Profile`] —
 //! a map keyed by `(program fingerprint, function, entry index)`, which is
 //! stable across processes because the program fingerprint is the same
@@ -20,7 +21,7 @@
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-/// Identifies one superblock across processes: the stable program
+/// Identifies one basic block across processes: the stable program
 /// fingerprint (see `core::fingerprint`), the function id, and the entry
 /// instruction index of the block within that function.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
@@ -29,11 +30,11 @@ pub struct BlockKey {
     pub prog: u64,
     /// Function id within the program.
     pub func: u32,
-    /// Entry instruction index of the superblock.
+    /// Entry instruction index of the block.
     pub entry: u32,
 }
 
-/// Counters attributed to one superblock.
+/// Counters attributed to one basic block.
 #[derive(Clone, Default, PartialEq, Eq, Debug)]
 pub struct BlockStat {
     /// Function name (for rendering; the identity lives in [`BlockKey`]).
@@ -59,7 +60,7 @@ impl BlockStat {
     }
 }
 
-/// A mergeable per-superblock profile.
+/// A mergeable per-basic-block profile.
 #[derive(Clone, Default, PartialEq, Eq, Debug)]
 pub struct Profile {
     /// Per-block counters.
@@ -229,7 +230,7 @@ impl Profile {
 }
 
 /// A lock-protected profile accumulator; [`global()`] is the process-wide
-/// instance every enabled engine flushes into at the end of its run.
+/// instance every profiled run flushes into at its end.
 pub struct SharedProfile {
     inner: Mutex<Profile>,
 }
@@ -255,7 +256,7 @@ impl SharedProfile {
     }
 
     /// A consistent copy of the accumulated profile (the lock makes a
-    /// scrape atomic with respect to engine flushes — no torn reads).
+    /// scrape atomic with respect to run flushes — no torn reads).
     #[must_use]
     pub fn snapshot(&self) -> Profile {
         self.inner.lock().unwrap().clone()

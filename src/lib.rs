@@ -15,9 +15,9 @@
 //! * [`core`] — the HardBound machine: sidecar register metadata, implicit
 //!   bounds checks, metadata propagation, and the three compressed pointer
 //!   encodings (`extern-4`, `intern-4`, `intern-11`).
-//! * [`exec`] — the pre-decoded basic-block execution engine (block cache +
-//!   tight dispatch loop, observationally identical to the interpreter) and
-//!   the deterministic parallel batch driver.
+//! * [`exec`] — the one execution path (the interpreter, with per-run
+//!   metrics and profiles), program identity, the corpus service's result
+//!   store and the deterministic parallel batch driver.
 //! * [`lang`] — the *Cb* language front end (a C subset) used in place of
 //!   the paper's CIL/GCC toolchain.
 //! * [`compiler`] — Cb → ISA code generation with four instrumentation

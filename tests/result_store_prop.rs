@@ -6,7 +6,7 @@
 //!    mode/encoding perturbation, a warm [`CorpusService`]
 //!    answering from its result store returns the byte-identical
 //!    [`RunOutcome`] — full `ExecStats` and `HierarchyStats` included —
-//!    that a cold service (and the direct engine path) computes.
+//!    that a cold service (and a direct `Machine::run`) computes.
 //! 2. **Invalidation is exact.** Mutating one program invalidates exactly
 //!    its keys: after `invalidate_program`, that image's cells re-execute
 //!    while every other program's cells still replay, and the store drops
@@ -15,7 +15,7 @@
 use hardbound::compiler::Mode;
 use hardbound::core::{Machine, MachineConfig, PointerEncoding, RunOutcome};
 use hardbound::exec::service::Job;
-use hardbound::exec::{CorpusService, Engine, ProgramId};
+use hardbound::exec::{CorpusService, ProgramId};
 use hardbound::isa::{layout, FunctionBuilder, Program, Reg, Width};
 use hardbound::runtime::machine_config;
 use proptest::prelude::*;
@@ -112,7 +112,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Invariant 1: a warm service replay is byte-identical to a cold
-    /// recompute — and to the direct engine path — across perturbations.
+    /// recompute — and to a direct `Machine::run` — across perturbations.
     #[test]
     fn warm_replay_is_byte_identical_to_cold_recompute(
         ops in prop::collection::vec(op(), 1..40),
@@ -135,14 +135,13 @@ proptest! {
         );
 
         // Cold recompute on a fresh service (an empty store executes
-        // every cell of its first batch), and the direct engine path: all
+        // every cell of its first batch), and a direct run: all
         // byte-identical.
         let recompute = CorpusService::new(1).run_batch(&jobs, build);
         prop_assert_eq!(&cold, &recompute, "replay and recompute differ");
         for (job, out) in jobs.iter().zip(&cold) {
-            let direct: RunOutcome =
-                Engine::new(Machine::new(job.program.clone(), job.config.clone())).run();
-            prop_assert_eq!(out, &direct, "service differs from the direct engine");
+            let direct: RunOutcome = Machine::new(job.program.clone(), job.config.clone()).run();
+            prop_assert_eq!(out, &direct, "service differs from a direct run");
         }
     }
 
@@ -174,15 +173,14 @@ proptest! {
 
         // "Mutate" a: drop its cells, as a re-compiled image's new
         // ProgramIds would leave them stranded. One image owns one
-        // ProgramId *per decode identity* (the HardBound extension is part
-        // of it), so a full mutation invalidates
-        // each of them.
+        // ProgramId per HardBound extension configuration, so a full
+        // mutation invalidates each of them.
         prop_assert_eq!(ProgramId::of(&a, &jobs[0].config), jobs[0].key().0);
         let pids: std::collections::HashSet<ProgramId> =
             a_keys.iter().map(|&(pid, _)| pid).collect();
         let mut dropped = 0;
         for &pid in &pids {
-            dropped += svc.invalidate_program(pid).0;
+            dropped += svc.invalidate_program(pid);
         }
         prop_assert_eq!(
             dropped, a_keys.len(),

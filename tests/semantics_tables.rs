@@ -1,20 +1,27 @@
-//! The engine-vs-interpreter differential suite: the pre-decoded
-//! basic-block engine (`hardbound-exec`) must be observationally identical
-//! to `Machine::run` — same exit code, same console output, same traps at
-//! the same program counters, and the same `ExecStats` down to every
-//! counter (µops, bounds checks, stall cycles, distinct pages) — across
-//! **all 15 mode × encoding configurations**, over benign programs, the
-//! violation corpus, compiled workloads, sanitized fuzz programs, and the
-//! loop-heavy `isa::fuzz` family. The **full** corpus (every pair, both
-//! sources) runs under the paper's default configuration, and generated
-//! pointer-soup programs (straight-line and looped) run as properties.
+//! Pinned semantics of the interpreter (`Machine::run`), the one
+//! execution path:
+//!
+//! * **Value tables.** Every ALU operator in both operand forms over the
+//!   signed and shift-mask corners, against a 64-bit specification that
+//!   shares no expression with the simulator, and the bounds µops with
+//!   Figure 3's `add`/`sub` propagation, under all five modes.
+//! * **Cross-configuration agreement.** Benign programs and workloads give
+//!   the same results under **all 15 mode × encoding configurations**, and
+//!   a violation corpus program behaves the same under every pointer
+//!   encoding of one mode (compression is invisible to the program).
+//! * **Profiled ≡ plain.** Arming the per-basic-block profiler steps
+//!   through a second interpreter loop. Over the full violation corpus,
+//!   sanitized fuzz programs, the loop-heavy `isa::fuzz` family and
+//!   generated pointer-soup programs it must leave every outcome
+//!   byte-identical — exit code, output, traps with their program
+//!   counters and every `ExecStats` counter — and attribute every retired
+//!   µop and bounds check to some block.
 //!
 //! The hierarchy has one lookup path; its exactness against a reference
 //! LRU model is pinned in `crates/cache/tests/prop.rs`.
 
 use hardbound::compiler::Mode;
-use hardbound::core::{Machine, MachineConfig, PointerEncoding, RunOutcome};
-use hardbound::exec::Engine;
+use hardbound::core::{BlockCount, Machine, MachineConfig, PointerEncoding, RunOutcome, Trap};
 use hardbound::isa::{fuzz, layout, FuncId, Function, FunctionBuilder, Inst, Program, Reg};
 use hardbound::isa::{SysCall, Width};
 use hardbound::runtime::{build_machine, compile, machine_config};
@@ -36,30 +43,53 @@ fn all_configs() -> impl Iterator<Item = (Mode, PointerEncoding)> {
         .flat_map(|m| PointerEncoding::ALL.into_iter().map(move |e| (m, e)))
 }
 
-fn assert_identical(label: &str, interp: &RunOutcome, engine: &RunOutcome) {
-    assert_eq!(engine.exit_code, interp.exit_code, "{label}: exit code");
-    assert_eq!(engine.trap, interp.trap, "{label}: trap (incl. pc)");
-    assert_eq!(engine.output, interp.output, "{label}: console output");
-    assert_eq!(engine.ints, interp.ints, "{label}: print_int stream");
-    assert_eq!(engine.stats, interp.stats, "{label}: ExecStats");
+/// The program-visible part of an outcome: everything but the
+/// simulation statistics, which legitimately differ between modes and
+/// encodings.
+fn results(out: &RunOutcome) -> (Option<i32>, Option<Trap>, &str, &[i32]) {
+    (out.exit_code, out.trap, &out.output, &out.ints)
 }
 
-/// Interpreter vs engine on one prebuilt machine configuration.
-fn check_program(label: &str, program: &Program, cfg: &MachineConfig) {
-    let interp = Machine::new(program.clone(), cfg.clone()).run();
-    let engine = Engine::new(Machine::new(program.clone(), cfg.clone())).run();
-    assert_identical(label, &interp, &engine);
+/// Runs `program` under `cfg` plain and with the block profiler armed,
+/// asserts the two outcomes identical and the profile conserved, and
+/// returns the outcome.
+fn check_program(label: &str, program: &Program, cfg: &MachineConfig) -> RunOutcome {
+    let plain = Machine::new(program.clone(), cfg.clone()).run();
+    let mut machine = Machine::new(program.clone(), cfg.clone());
+    machine.set_profiling(true);
+    let profiled = machine.run();
+    assert_eq!(profiled, plain, "{label}: profiling changed the outcome");
+    let blocks = machine.take_block_profile();
+    let sum = |f: fn(&BlockCount) -> u64| blocks.iter().map(f).sum::<u64>();
+    assert_eq!(sum(|b| b.cycles), plain.stats.uops, "{label}: µops");
+    assert_eq!(
+        sum(|b| b.taken),
+        plain.stats.bounds_checks,
+        "{label}: bounds checks"
+    );
+    plain
 }
 
-/// Compiles `source` under `mode` and runs it on the interpreter and the
-/// engine, asserting both outcomes identical.
-fn differential_cb(label: &str, source: &str, mode: Mode, encoding: PointerEncoding) {
+/// Compiles `source` under `mode` and runs it under `encoding`.
+fn run_cb(label: &str, source: &str, mode: Mode, encoding: PointerEncoding) -> RunOutcome {
     let program = compile(source, mode)
         .unwrap_or_else(|e| panic!("{label}: compile failed under {mode}: {e}"));
-    let build = || build_machine(program.clone(), mode, encoding);
-    let interp = build().run();
-    let engine = Engine::new(build()).run();
-    assert_identical(&format!("{label}/{mode}/{encoding}"), &interp, &engine);
+    build_machine(program, mode, encoding).run()
+}
+
+/// Runs `source` under all 15 configurations; asserts each runs clean and
+/// gives the Baseline run's results.
+fn agrees_everywhere(label: &str, source: &str) {
+    let base = run_cb(label, source, Mode::Baseline, PointerEncoding::Intern4);
+    assert!(base.is_success(), "{label}: {:?}", base.trap);
+    for (mode, encoding) in all_configs() {
+        let out = run_cb(label, source, mode, encoding);
+        assert_eq!(
+            results(&out),
+            results(&base),
+            "{label}/{mode}/{encoding}: results differ from Baseline"
+        );
+    }
 }
 
 const BENIGN: &[(&str, &str)] = &[
@@ -118,9 +148,7 @@ const BENIGN: &[(&str, &str)] = &[
 #[test]
 fn benign_programs_agree_on_all_15_configurations() {
     for (name, source) in BENIGN {
-        for (mode, encoding) in all_configs() {
-            differential_cb(name, source, mode, encoding);
-        }
+        agrees_everywhere(name, source);
     }
 }
 
@@ -136,22 +164,27 @@ fn violation_corpus_sample_agrees_on_all_15_configurations() {
         .collect();
     assert!(cases.len() >= 14);
     for case in &cases {
-        for (mode, encoding) in all_configs() {
-            differential_cb(
-                &format!("{}-bad", case.id),
-                &case.bad_source,
-                mode,
-                encoding,
-            );
-            differential_cb(&format!("{}-ok", case.id), &case.ok_source, mode, encoding);
+        agrees_everywhere(&format!("{}-ok", case.id), &case.ok_source);
+        let label = format!("{}-bad", case.id);
+        for mode in ALL_MODES {
+            let outs: Vec<RunOutcome> = PointerEncoding::ALL
+                .into_iter()
+                .map(|encoding| run_cb(&label, &case.bad_source, mode, encoding))
+                .collect();
+            for out in &outs[1..] {
+                assert_eq!(
+                    results(out),
+                    results(&outs[0]),
+                    "{label}/{mode}: pointer encodings disagree"
+                );
+            }
         }
     }
 }
 
 /// The **full** violation corpus — all pairs, both sources — under the
-/// paper's default configuration: the bad programs must trap at the same
-/// instruction with the same trap kind, and the ok programs must stay
-/// clean with identical statistics.
+/// paper's default configuration, plain and profiled: the ok programs
+/// must run clean.
 #[test]
 fn full_violation_corpus_agrees_under_hardbound() {
     let cfg = machine_config(Mode::HardBound, PointerEncoding::Intern4);
@@ -159,7 +192,10 @@ fn full_violation_corpus_agrees_under_hardbound() {
         for (source, flavor) in [(&case.bad_source, "bad"), (&case.ok_source, "ok")] {
             let program = compile(source, Mode::HardBound)
                 .unwrap_or_else(|e| panic!("{}-{flavor}: compile failed: {e}", case.id));
-            check_program(&format!("{}-{flavor}", case.id), &program, &cfg);
+            let out = check_program(&format!("{}-{flavor}", case.id), &program, &cfg);
+            if flavor == "ok" {
+                assert!(out.is_success(), "{}-ok: {:?}", case.id, out.trap);
+            }
         }
     }
 }
@@ -168,17 +204,15 @@ fn full_violation_corpus_agrees_under_hardbound() {
 fn workloads_agree_on_all_15_configurations() {
     for bench in ["treeadd", "health", "power"] {
         let w = by_name(bench, Scale::Smoke).expect("workload exists");
-        for (mode, encoding) in all_configs() {
-            differential_cb(bench, &w.source, mode, encoding);
-        }
+        agrees_everywhere(bench, &w.source);
     }
 }
 
 /// Builds a structurally valid program from a raw fuzz instruction stream:
 /// control-flow targets are clamped into range and a terminating halt is
 /// appended. Everything else (wild addresses, bad call targets, divide by
-/// zero, runaway recursion) is left in — the two execution paths must agree
-/// on every trap.
+/// zero, runaway recursion) is left in — the profiled loop must agree on
+/// every trap.
 fn fuzz_program(seed: u64) -> Program {
     let mut insts = fuzz::insts(seed, 48);
     let len = insts.len() as u32 + 1; // + the appended halt
@@ -246,7 +280,7 @@ fn loop_family_program(seed: u64) -> Program {
 
 /// The loop-heavy family across the full matrix: self-loops over bounded
 /// arrays, where some seeds walk off their array mid-loop, pinning
-/// trap-site identity inside hot superblocks.
+/// trap-site identity inside hot blocks.
 #[test]
 fn loop_family_agrees_across_modes_and_encodings() {
     for seed in 0..64 {
@@ -255,40 +289,6 @@ fn loop_family_agrees_across_modes_and_encodings() {
             let cfg = machine_config(mode, encoding).with_fuel(100_000);
             check_program(&format!("loop-{seed}/{mode}/{encoding}"), &program, &cfg);
         }
-    }
-}
-
-#[test]
-fn engine_stats_expose_the_block_cache() {
-    let w = by_name("treeadd", Scale::Smoke).expect("workload exists");
-    let program = compile(&w.source, Mode::HardBound).expect("compiles");
-    let mut engine = Engine::new(build_machine(
-        program,
-        Mode::HardBound,
-        PointerEncoding::Intern4,
-    ));
-    let out = engine.run();
-    assert!(out.trap.is_none());
-    let stats = engine.stats();
-    assert!(stats.cache.decoded > 0, "{stats:?}");
-    assert!(
-        stats.cache.hit_ratio() > 0.9,
-        "hot loops must hit the block cache: {stats:?}"
-    );
-    assert!(stats.fast_uops > out.stats.uops / 2, "{stats:?}");
-}
-
-/// A machine configuration differential at tiny fuel: the engine's
-/// interpreter fallback near the fuel limit must count µops exactly.
-#[test]
-fn fuel_edge_agrees_at_every_limit() {
-    let w = by_name("power", Scale::Smoke).expect("workload exists");
-    let program = compile(&w.source, Mode::HardBound).expect("compiles");
-    for fuel in [1, 7, 63, 512, 4093] {
-        let cfg = MachineConfig::default().with_fuel(fuel);
-        let interp = Machine::new(program.clone(), cfg.clone()).run();
-        let engine = Engine::new(Machine::new(program.clone(), cfg)).run();
-        assert_identical(&format!("fuel={fuel}"), &interp, &engine);
     }
 }
 
@@ -351,7 +351,7 @@ fn pop() -> impl Strategy<Value = POp> {
 }
 
 /// Lowers the ops, optionally wrapped in a counted loop (the loop flavour
-/// re-runs the same checks every iteration from one hot superblock).
+/// re-runs the same checks every iteration from one hot block).
 fn build_pop_program(ops: &[POp], loop_trips: Option<u32>) -> Program {
     let mut f = FunctionBuilder::new("gen", 0);
     for (i, &r) in PTRS.iter().enumerate() {
@@ -413,7 +413,7 @@ proptest! {
     }
 
     /// The same soup inside a counted loop: a trap may strike on any
-    /// iteration of a cached superblock.
+    /// iteration of a hot block.
     #[test]
     fn looped_programs_agree(
         ops in prop::collection::vec(pop(), 1..24),
@@ -464,8 +464,7 @@ fn alu_spec(op: hardbound::isa::BinOp, a: i32, b: i32) -> Option<i32> {
 }
 
 /// Runs a program printing `op(a, b)` for each pair, in register or
-/// immediate form, on both tiers; asserts they agree and returns the
-/// interpreter's outcome.
+/// immediate form.
 fn run_alu(
     cfg: &MachineConfig,
     op: hardbound::isa::BinOp,
@@ -486,15 +485,11 @@ fn run_alu(
     f.li(Reg::A0, 0);
     f.halt();
     let program = Program::with_entry(vec![f.finish()]);
-    let label = format!("alu/{op:?}/imm={imm_form}/{pairs:?}");
-    let interp = Machine::new(program.clone(), cfg.clone()).run();
-    let engine = Engine::new(Machine::new(program, cfg.clone())).run();
-    assert_identical(&label, &interp, &engine);
-    interp
+    Machine::new(program, cfg.clone()).run()
 }
 
 /// Hand-checked rows of the table: the signed-overflow and shift-mask
-/// corners both tiers must hit exactly.
+/// corners the machine must hit exactly.
 #[test]
 fn alu_corners_match_hand_written_values() {
     use hardbound::isa::BinOp::*;
@@ -532,8 +527,8 @@ fn alu_corners_match_hand_written_values() {
 /// divisor, under all five modes; and every zero divisor must trap
 /// `DivideByZero` at the dividing instruction.
 #[test]
-fn alu_table_is_exact_on_both_tiers() {
-    use hardbound::core::{Pc, Trap};
+fn alu_table_is_exact() {
+    use hardbound::core::Pc;
     use hardbound::isa::BinOp;
     for mode in ALL_MODES {
         let cfg = machine_config(mode, PointerEncoding::Intern4);
@@ -576,7 +571,7 @@ fn alu_table_is_exact_on_both_tiers() {
 /// `readbase`, `readbound`) and Figure 3's `add`/`sub` propagation, under
 /// all five modes. Each case prints the result's value, base and bound.
 #[test]
-fn bounds_uop_table_is_exact_on_both_tiers() {
+fn bounds_uop_table_is_exact() {
     use hardbound::isa::BinOp;
     let p = layout::HEAP_BASE + 16;
     let q = layout::HEAP_BASE + 0x100;
@@ -636,13 +631,11 @@ fn bounds_uop_table_is_exact_on_both_tiers() {
         f.halt();
         let program = Program::with_entry(vec![f.finish()]);
         let label = format!("bounds/{mode}");
-        let interp = Machine::new(program.clone(), cfg.clone()).run();
-        let engine = Engine::new(Machine::new(program, cfg)).run();
-        assert_identical(&label, &interp, &engine);
-        assert!(interp.is_success(), "{label}: {:?}", interp.trap);
-        assert_eq!(interp.ints, want, "{label}");
+        let out = Machine::new(program, cfg).run();
+        assert!(out.is_success(), "{label}: {:?}", out.trap);
+        assert_eq!(out.ints, want, "{label}");
         assert_eq!(
-            interp.stats.setbound_uops, 3,
+            out.stats.setbound_uops, 3,
             "{label}: two setbounds, one unbound"
         );
     }

@@ -1,7 +1,7 @@
 //! The corpus-service differential suite: executing through
-//! [`CorpusService`](hardbound::exec::CorpusService) — shared decode-cache
-//! shards plus the program-hash result store — must be observationally
-//! identical to the direct one-machine-one-engine path, across **all 15
+//! [`CorpusService`](hardbound::exec::CorpusService) — worker threads
+//! behind the program-hash result store — must be observationally
+//! identical to a direct [`Machine::run`](hardbound::core::Machine::run), across **all 15
 //! mode × encoding configurations**, for hand-written programs and every
 //! Olden port at smoke scale, and a warm service must *replay*
 //! (result-store hits > 0) rather than re-simulate.
@@ -12,7 +12,7 @@
 use hardbound::compiler::Mode;
 use hardbound::core::{MachineConfig, PointerEncoding, RunOutcome};
 use hardbound::exec::service::Job;
-use hardbound::exec::{CorpusService, Engine};
+use hardbound::exec::CorpusService;
 use hardbound::runtime::{build_machine_with_config, compile, machine_config};
 use hardbound::workloads::{all, Scale};
 
@@ -68,20 +68,15 @@ fn build(
     build_machine_with_config(program, *mode, cfg)
 }
 
-/// Direct path: a fresh machine and a fresh private engine cache per run.
+/// Direct path: a fresh machine per run.
 fn direct(program: &hardbound::isa::Program, mode: Mode, cfg: &MachineConfig) -> RunOutcome {
-    Engine::new(build_machine_with_config(
-        program.clone(),
-        mode,
-        cfg.clone(),
-    ))
-    .run()
+    build_machine_with_config(program.clone(), mode, cfg.clone()).run()
 }
 
 #[test]
 fn service_matches_direct_path_across_the_full_matrix() {
     // One long-lived service across the whole matrix: later configs run
-    // against a cache already warm with other programs and configs, which
+    // against a store already warm with other programs and configs, which
     // is exactly the sharing the identity must survive.
     let mut svc = CorpusService::new(3);
     let olden = all(Scale::Smoke);
@@ -149,5 +144,5 @@ fn batch_and_one_by_one_agree() {
     let batched = batch_svc.run_batch(&jobs, build);
     let mut serial_svc = CorpusService::new(1);
     let serial: Vec<RunOutcome> = jobs.iter().map(|j| serial_svc.run_one(j, build)).collect();
-    assert_eq!(batched, serial, "sharding must not change outcomes");
+    assert_eq!(batched, serial, "worker count must not change outcomes");
 }

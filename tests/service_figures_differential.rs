@@ -1,7 +1,7 @@
 //! The figure-pipeline half of the corpus-service differential: every
 //! rendered table must come out byte-identical on a warm second pass
 //! served from the result store, which must report replays and execute
-//! nothing new. That each cell's outcome equals a fresh engine's is pinned
+//! nothing new. That each cell's outcome equals a fresh machine's is pinned
 //! cell by cell in `tests/service_differential.rs`.
 
 use hardbound::core::PointerEncoding;

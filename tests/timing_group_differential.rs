@@ -4,12 +4,11 @@
 //! separate run of that cell's full configuration gives, byte for byte on
 //! the whole [`RunOutcome`].
 //!
-//! The references are separate runs on both execution tiers: a fresh
-//! interpreter ([`Machine::run`]) and a fresh block engine
-//! ([`Engine::run`]) per cell. The grouped runs are checked three ways:
-//! through [`CorpusService::run_batch`], the path the figure grid, hbrun
-//! and hbserve take, and as one machine per group with
-//! [`Machine::set_timing_variants`] on each tier. The fuel rule — a
+//! The reference is a separate run of a fresh machine ([`Machine::run`])
+//! per cell. The grouped runs are checked two ways: through
+//! [`CorpusService::run_batch`], the path the figure grid, hbrun and
+//! hbserve take, and as one machine per group with
+//! [`Machine::set_timing_variants`]. The fuel rule — a
 //! variant whose separate run could stop elsewhere runs on its own — is
 //! pinned with a fuel limit only the check-µop cell exceeds, and the
 //! profiling rule — a profiled batch runs every cell on its own — by
@@ -21,7 +20,7 @@ use hardbound::core::{
     FunctionalKey, HardboundConfig, Machine, MachineConfig, PointerEncoding, RunOutcome, Trap,
 };
 use hardbound::exec::service::Job;
-use hardbound::exec::{CorpusService, Engine, ProgramId};
+use hardbound::exec::{run_machine, CorpusService, ProgramId};
 use hardbound::isa::Program;
 use hardbound::runtime::{build_machine_with_config, compile, machine_config};
 use hardbound::telemetry::profile;
@@ -103,13 +102,9 @@ fn corpus_variants() -> Vec<MachineConfig> {
     cfgs
 }
 
-/// Separate reference runs of one cell on both tiers; asserts the tiers
-/// agree and returns the outcome.
-fn separate(label: &str, job: &Job<Mode>) -> RunOutcome {
-    let interp = build(job.program.clone(), job.config.clone(), &job.tag).run();
-    let engine = Engine::new(build(job.program.clone(), job.config.clone(), &job.tag)).run();
-    assert_eq!(interp, engine, "{label}: engine differs from interpreter");
-    interp
+/// The separate reference run of one cell.
+fn separate(job: &Job<Mode>) -> RunOutcome {
+    build(job.program.clone(), job.config.clone(), &job.tag).run()
 }
 
 /// The cells of `jobs` that share a program image, salt and functional
@@ -141,36 +136,24 @@ fn groups_of(jobs: &[Job<Mode>]) -> Vec<Vec<usize>> {
         .collect()
 }
 
-/// One grouped run on one tier: `group[0]`'s machine times the other
-/// cells as variants. Returns each cell's outcome in group order, `None`
-/// for a variant the machine declined to time.
-fn grouped(jobs: &[Job<Mode>], group: &[usize], on_engine: bool) -> Vec<Option<RunOutcome>> {
+/// One grouped run: `group[0]`'s machine times the other cells as
+/// variants. Returns each cell's outcome in group order, `None` for a
+/// variant the machine declined to time.
+fn grouped(jobs: &[Job<Mode>], group: &[usize]) -> Vec<Option<RunOutcome>> {
     let lead = &jobs[group[0]];
     let variants: Vec<MachineConfig> = group[1..].iter().map(|&i| jobs[i].config.clone()).collect();
     let mut machine = build(lead.program.clone(), lead.config.clone(), &lead.tag);
     machine.set_timing_variants(&variants);
-    let (out, derived) = if on_engine {
-        let mut engine = Engine::new(machine);
-        let out = engine.run();
-        let derived = engine.machine().timing_variant_outcomes(&out);
-        (out, derived)
-    } else {
-        let out = machine.run();
-        let derived = machine.timing_variant_outcomes(&out);
-        (out, derived)
-    };
+    let out = machine.run();
+    let derived = machine.timing_variant_outcomes(&out);
     std::iter::once(Some(out)).chain(derived).collect()
 }
 
-/// Checks every cell of `jobs` against its separate runs three ways: as
-/// one service batch, and as grouped runs on the interpreter and on the
-/// engine. The batch must simulate `functional_runs` times.
+/// Checks every cell of `jobs` against its separate run two ways: as one
+/// service batch, and as grouped runs. The batch must simulate
+/// `functional_runs` times.
 fn check_batch(labels: &[String], jobs: &[Job<Mode>], functional_runs: u64) {
-    let expected: Vec<RunOutcome> = labels
-        .iter()
-        .zip(jobs)
-        .map(|(label, job)| separate(label, job))
-        .collect();
+    let expected: Vec<RunOutcome> = jobs.iter().map(separate).collect();
 
     let mut svc = CorpusService::new(2);
     let batched = svc.run_batch(jobs, build);
@@ -195,17 +178,14 @@ fn check_batch(labels: &[String], jobs: &[Job<Mode>], functional_runs: u64) {
         "one simulation per timing group"
     );
 
-    for on_engine in [false, true] {
-        let tier = if on_engine { "engine" } else { "interpreter" };
-        for group in groups_of(jobs) {
-            for (&i, out) in group.iter().zip(grouped(jobs, &group, on_engine)) {
-                let label = &labels[i];
-                let out = out.unwrap_or_else(|| panic!("{label}: no grouped outcome ({tier})"));
-                assert_eq!(
-                    out, expected[i],
-                    "{label}: grouped {tier} run differs from a separate run"
-                );
-            }
+    for group in groups_of(jobs) {
+        for (&i, out) in group.iter().zip(grouped(jobs, &group)) {
+            let label = &labels[i];
+            let out = out.unwrap_or_else(|| panic!("{label}: no grouped outcome"));
+            assert_eq!(
+                out, expected[i],
+                "{label}: grouped run differs from a separate run"
+            );
         }
     }
 }
@@ -343,12 +323,7 @@ fn fuel_limit_only_the_check_uop_cell_exceeds_falls_back_to_separate_runs() {
             tag: mode,
         })
         .collect();
-    let labels = ["plain".to_owned(), "check-µop".to_owned()];
-    let expected: Vec<RunOutcome> = labels
-        .iter()
-        .zip(&jobs)
-        .map(|(label, job)| separate(label, job))
-        .collect();
+    let expected: Vec<RunOutcome> = jobs.iter().map(separate).collect();
     assert!(expected[0].is_success(), "{:?}", expected[0].trap);
     assert_eq!(expected[0].stats.uops, fuel);
     assert_eq!(expected[1].trap, Some(Trap::OutOfFuel));
@@ -358,11 +333,9 @@ fn fuel_limit_only_the_check_uop_cell_exceeds_falls_back_to_separate_runs() {
     // out of fuel, and the machine declines to time the plain cell.
     let group = groups_of(&jobs).pop().expect("one group");
     assert_eq!(group, [1, 0]);
-    for on_engine in [false, true] {
-        let outs = grouped(&jobs, &group, on_engine);
-        assert_eq!(outs[0].as_ref(), Some(&expected[1]));
-        assert_eq!(outs[1], None, "the plain cell must run on its own");
-    }
+    let outs = grouped(&jobs, &group);
+    assert_eq!(outs[0].as_ref(), Some(&expected[1]));
+    assert_eq!(outs[1], None, "the plain cell must run on its own");
 
     let mut svc = CorpusService::new(1);
     let batched = svc.run_batch(&jobs, build);
@@ -402,9 +375,9 @@ fn profiled_batches_run_every_cell_on_its_own() {
     let separate: Vec<RunOutcome> = jobs
         .iter()
         .map(|job| {
-            let mut engine = Engine::new(build(job.program.clone(), job.config.clone(), &job.tag));
-            engine.set_profiling(true);
-            engine.run()
+            let mut machine = build(job.program.clone(), job.config.clone(), &job.tag);
+            machine.set_profiling(true);
+            run_machine(&mut machine)
         })
         .collect();
     let separate_profile = profile::global().take();

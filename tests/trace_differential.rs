@@ -57,8 +57,7 @@ fn tracing_does_not_perturb_local_grid_results() {
     );
 
     // Every emitted line re-parses, and the local service path stamped
-    // its own span kinds (batch + store-lookup sweep + parallel exec;
-    // the fresh cells add decode spans).
+    // its own span kinds (batch + store-lookup sweep + parallel exec).
     let text = std::fs::read_to_string(&path).expect("trace sink written");
     let _ = std::fs::remove_file(&path);
     let mut kinds = std::collections::BTreeSet::new();
@@ -67,7 +66,7 @@ fn tracing_does_not_perturb_local_grid_results() {
             .unwrap_or_else(|e| panic!("unparseable trace line {line:?}: {e}"));
         kinds.insert(ev.kind);
     }
-    for kind in ["batch", "store_lookup", "batch_exec", "decode"] {
+    for kind in ["batch", "store_lookup", "batch_exec"] {
         assert!(kinds.contains(kind), "missing `{kind}` spans: {kinds:?}");
     }
 }
