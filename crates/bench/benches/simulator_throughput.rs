@@ -24,9 +24,10 @@ use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 
 use hardbound_compiler::Mode;
 use hardbound_core::PointerEncoding;
-use hardbound_exec::{run_machine, CorpusService, Job};
+use hardbound_exec::{run_machine, Job};
 use hardbound_isa::Program;
 use hardbound_runtime::{build_machine, compile, machine_config, settings};
+use hardbound_serve::PersistentService;
 use hardbound_workloads::{all, by_name, Scale};
 
 fn bench_simulation(c: &mut Criterion) {
@@ -76,7 +77,7 @@ fn compare<R>(
 
 /// The corpus-service warm-vs-cold comparison (and optional CI gate): the
 /// full figure-style grid — every workload × (baseline + HardBound per
-/// encoding) — runs twice on one fresh [`CorpusService`]. The cold pass
+/// encoding) — runs twice on one fresh [`PersistentService`]. The cold pass
 /// simulates every cell; the warm pass must replay each one from the
 /// program-hash result store, byte-identically and (gated via
 /// `HB_SERVICE_GATE=<ratio>`, CI pins `2`) at least `<ratio>`× faster.
@@ -103,15 +104,15 @@ fn service_warm_cold_report() {
         hardbound_runtime::build_machine_with_config(program, mode, config)
     };
 
-    let mut svc = CorpusService::new(settings().workers());
+    let mut svc = PersistentService::new(settings().workers());
     let t0 = Instant::now();
     let cold_outs = svc.run_batch(&jobs, build);
     let cold = t0.elapsed();
-    let after_cold = svc.stats();
+    let after_cold = svc.stats().service;
     let t1 = Instant::now();
     let warm_outs = svc.run_batch(&jobs, build);
     let warm = t1.elapsed().max(Duration::from_nanos(1));
-    let after_warm = svc.stats();
+    let after_warm = svc.stats().service;
 
     assert_eq!(cold_outs, warm_outs, "warm replay must be byte-identical");
     let replayed = after_warm.store.hits - after_cold.store.hits;
@@ -155,7 +156,6 @@ fn service_warm_cold_report() {
 /// than the cold pass. Both passes compile every image; the warm pass
 /// skips simulation only.
 fn persist_warm_report() {
-    use hardbound_serve::PersistentService;
     let gate = settings().persist_gate;
     let scale = settings().scale;
     let workloads = all(scale);
@@ -234,7 +234,7 @@ fn persist_warm_report() {
 /// The tracing overhead comparison (and optional CI gate): identical
 /// fleet runs with the `HB_TRACE` JSONL sink installed vs disabled. Each
 /// pass runs the Olden suite as one batch on a fresh one-worker
-/// [`CorpusService`], so every cell simulates and the batch stamps its
+/// [`PersistentService`], so every cell simulates and the batch stamps its
 /// spans — the traced side pays real span emission, not just a
 /// disabled-flag check. Gated via `HB_TRACE_GATE=<ratio>`, CI pins `1.1`
 /// (traced throughput within 10% of baseline).
@@ -257,7 +257,7 @@ fn trace_overhead_report() {
         })
         .collect();
     let fleet = || {
-        let outs = CorpusService::new(1).run_batch(&jobs, |program, config, &mode| {
+        let outs = PersistentService::new(1).run_batch(&jobs, |program, config, &mode| {
             hardbound_runtime::build_machine_with_config(program, mode, config)
         });
         assert!(outs.iter().all(|o| o.trap.is_none()));

@@ -16,9 +16,6 @@
 //! in its own write-once [`OnceLock`] slot. The previous scheme took two
 //! `Mutex` locks per job (one to take the input, one to store the output)
 //! even though neither slot was ever contended.
-//!
-//! [`map_with_states`] additionally threads a per-worker mutable state
-//! (a cache, a scratch buffer, statistics) through the claim loop.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -36,49 +33,23 @@ where
     R: Send + Sync,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let mut states = vec![(); workers.clamp(1, items.len().max(1))];
-    map_with_states(items, &mut states, |(), i, t| f(i, t))
-}
-
-/// [`map_with_workers`] with one mutable state per worker: `states.len()`
-/// workers run, each claiming jobs off the shared cursor and threading its
-/// own `&mut S` through every job it claims. Results are still returned in input
-/// order, and — because job results must not depend on which worker ran
-/// them — a state may only carry *transparent* mutable context (caches,
-/// scratch buffers, statistics).
-///
-/// # Panics
-///
-/// Panics if `states` is empty; propagates a panic raised by `f`.
-pub fn map_with_states<S, T, R, F>(items: &[T], states: &mut [S], f: F) -> Vec<R>
-where
-    S: Send,
-    T: Sync,
-    R: Send + Sync,
-    F: Fn(&mut S, usize, &T) -> R + Sync,
-{
-    assert!(!states.is_empty(), "need at least one worker state");
     let n = items.len();
-    if states.len() == 1 || n <= 1 {
-        let state = &mut states[0];
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, t)| f(state, i, t))
-            .collect();
+    let workers = workers.clamp(1, n.max(1));
+    if workers == 1 {
+        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
     let next = AtomicUsize::new(0);
     let results: Vec<OnceLock<R>> = (0..n).map(|_| OnceLock::new()).collect();
     {
-        let (next, results, f, items) = (&next, &results, &f, items);
+        let (next, results, f) = (&next, &results, &f);
         std::thread::scope(|scope| {
-            for state in states.iter_mut() {
+            for _ in 0..workers {
                 scope.spawn(move || loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= n {
                         break;
                     }
-                    let r = f(state, i, &items[i]);
+                    let r = f(i, &items[i]);
                     // `i` was claimed exactly once, so the slot is empty.
                     assert!(results[i].set(r).is_ok(), "job slot set twice");
                 });
@@ -156,29 +127,32 @@ mod tests {
         }
     }
 
-    #[test]
-    fn per_worker_states_cover_every_job_exactly_once() {
-        let items: Vec<usize> = (0..500).collect();
-        let mut tallies = vec![0usize; 4];
-        let out = map_with_states(&items, &mut tallies, |count, i, &x| {
+    /// Runs `len` jobs on `workers` workers and checks that each job ran
+    /// exactly once and its result landed in its input slot.
+    fn assert_every_job_runs_once(len: usize, workers: usize) {
+        use std::sync::atomic::AtomicU32;
+        let runs: Vec<AtomicU32> = (0..len).map(|_| AtomicU32::new(0)).collect();
+        let items: Vec<usize> = (0..len).collect();
+        let out = map_with_workers(&items, workers, |i, &x| {
             assert_eq!(i, x);
-            *count += 1;
-            x + 1
+            runs[i].fetch_add(1, Ordering::Relaxed);
+            x * 10
         });
-        assert_eq!(out, (1..=500).collect::<Vec<_>>());
-        assert_eq!(
-            tallies.iter().sum::<usize>(),
-            500,
-            "each job touched exactly one worker's state: {tallies:?}"
+        assert_eq!(out, (0..len).map(|x| x * 10).collect::<Vec<_>>());
+        assert!(
+            runs.iter().all(|r| r.load(Ordering::Relaxed) == 1),
+            "{len} jobs on {workers} workers: every job runs exactly once"
         );
     }
 
     #[test]
+    fn per_worker_states_cover_every_job_exactly_once() {
+        assert_every_job_runs_once(500, 4);
+    }
+
+    #[test]
     fn more_states_than_items_is_fine() {
-        let mut states = vec![(); 16];
-        assert_eq!(
-            map_with_states(&[1, 2], &mut states, |(), _, &x| x * 10),
-            vec![10, 20]
-        );
+        assert_every_job_runs_once(2, 16);
+        assert_every_job_runs_once(3, 64);
     }
 }

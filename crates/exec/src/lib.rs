@@ -16,10 +16,12 @@
 //!    corpus, the 9 Olden ports × 3 encodings) across threads with a
 //!    lock-free claimed-by-atomic-index scheduler and deterministic,
 //!    input-ordered results, and
-//! 4. [`service`] turns the one-shot simulator into a long-lived corpus
-//!    backend: a [`ResultStore`] keyed by program hash, so a warm corpus
-//!    re-run replays identical cells instead of simulating them and
-//!    incremental re-runs execute only invalidated keys.
+//! 4. [`service`] holds the [`ResultStore`] keyed by program hash, so a
+//!    warm corpus re-run replays identical cells instead of simulating
+//!    them and incremental re-runs execute only invalidated keys.
+//!
+//! The corpus service itself — the store, its worker threads and its
+//! optional on-disk log — is `hardbound_serve::PersistentService`.
 //!
 //! ```
 //! use hardbound_core::{Machine, MachineConfig};
@@ -49,6 +51,4 @@ mod slru;
 pub use compat::{BlockCacheStats, Engine, EngineStats, SharedBlockCache};
 pub use program_id::ProgramId;
 pub use run::run_machine;
-pub use service::{
-    config_fingerprint, CorpusService, Job, ResultStore, ResultStoreStats, ServiceStats, StoreKey,
-};
+pub use service::{config_fingerprint, Job, ResultStore, ResultStoreStats, StoreKey};

@@ -3,7 +3,7 @@
 //! ```sh
 //! cargo run -p hardbound_report --bin hbserve -- \
 //!     [--listen 127.0.0.1:7878] [--store PATH] [--workers N] \
-//!     [--shard K/N] [--ttl SECS] [--metrics-addr ADDR]
+//!     [--shard K/N] [--metrics-addr ADDR]
 //! ```
 //!
 //! Binds a TCP front end around one shared (optionally persistent)
@@ -28,16 +28,13 @@
 //!   cluster (`K` in `0..N`): submitted cells are classified as owned vs
 //!   foreign in its metrics. Routing is advisory — foreign cells still
 //!   execute, which is exactly how clients fail over a dead shard.
-//! * `--ttl SECS` — expire store entries idle for `SECS` seconds (off
-//!   by default; `SECS` must be at least 1, since a zero TTL would expire
-//!   every entry before each batch and the store would never replay).
 //! * `--metrics-addr ADDR` — also serve the Prometheus-style text
 //!   exposition over plain HTTP at `GET /` on `ADDR` (off by default).
 //!   The bound address is printed as a second stdout line
 //!   (`hbserve metrics on ADDR`). The same text is available in-protocol
 //!   via the `METRICS` request; it carries every server counter
-//!   (`hbserve_submissions`, `hbserve_cells_executed`, store, log and
-//!   shard counters).
+//!   (`hbserve_submissions`, `hbserve_cells_executed`, the
+//!   `hbserve_store_*` and `hbserve_log_*` gauges, shard counters).
 //!
 //! The flags layer over the `HB_*` settings (`hardbound_runtime::settings`):
 //! `HB_STORE_PATH` and `HB_JOBS` give the defaults above, `HB_PROF=1` arms
@@ -60,7 +57,6 @@ struct Args {
     store: Option<String>,
     workers: usize,
     shard: Option<(usize, usize)>,
-    ttl: Option<std::time::Duration>,
     metrics_addr: Option<String>,
 }
 
@@ -78,7 +74,6 @@ fn parse_args(settings: &Settings) -> Result<Args, String> {
     let mut store = settings.store_path.clone();
     let mut workers = settings.workers();
     let mut shard = None;
-    let mut ttl = None;
     let mut metrics_addr = None;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -98,20 +93,13 @@ fn parse_args(settings: &Settings) -> Result<Args, String> {
                     format!("--shard must be K/N with K < N (e.g. 0/3), got `{v}`")
                 })?);
             }
-            "--ttl" => {
-                let v = it.next().ok_or("--ttl needs seconds")?;
-                let secs = v.parse::<u64>().ok().filter(|&s| s >= 1).ok_or_else(|| {
-                    format!("--ttl must be a positive whole number of seconds, got `{v}`")
-                })?;
-                ttl = Some(std::time::Duration::from_secs(secs));
-            }
             "--metrics-addr" => {
                 metrics_addr = Some(it.next().ok_or("--metrics-addr needs an address")?);
             }
             "--help" | "-h" => {
                 return Err(
                     "usage: hbserve [--listen ADDR] [--store PATH] [--workers N] \
-                     [--shard K/N] [--ttl SECS] [--metrics-addr ADDR]"
+                     [--shard K/N] [--metrics-addr ADDR]"
                         .to_owned(),
                 )
             }
@@ -123,7 +111,6 @@ fn parse_args(settings: &Settings) -> Result<Args, String> {
         store,
         workers,
         shard,
-        ttl,
         metrics_addr,
     })
 }
@@ -187,7 +174,6 @@ fn main() -> ExitCode {
         },
         None => PersistentService::new(args.workers),
     };
-    svc.set_ttl(args.ttl);
     svc.set_profiling(settings.prof);
     let build: Arc<Builder> = Arc::new(|program, config, tag| {
         let mode = mode_of(tag).expect("tags are validated before any build");

@@ -17,12 +17,11 @@ use std::process::{Child, Command, Stdio};
 
 use hardbound_compiler::Mode;
 use hardbound_core::{PointerEncoding, RunOutcome};
-use hardbound_exec::CorpusService;
 use hardbound_runtime::{
     build_machine_with_config, compile, machine_config, metrics_snapshot, run_jobs_remote_to,
     SimJob,
 };
-use hardbound_serve::Client;
+use hardbound_serve::{Client, PersistentService};
 use hardbound_telemetry::{scrape_value, trace, SpanEvent};
 
 /// An `hbserve` child that dies with the test.
@@ -138,7 +137,7 @@ fn grid() -> (Vec<SimJob>, Vec<hardbound_exec::Job<Mode>>) {
 
 /// The single in-process reference run the cluster is measured against.
 fn reference(local_jobs: &[hardbound_exec::Job<Mode>]) -> Vec<RunOutcome> {
-    let mut svc = CorpusService::new(2);
+    let mut svc = PersistentService::new(2);
     svc.run_batch(local_jobs, |program, config, &mode| {
         build_machine_with_config(program, mode, config)
     })

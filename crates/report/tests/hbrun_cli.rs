@@ -226,7 +226,7 @@ fn a_misspelt_variable_warns_with_the_nearest_name() {
 
 #[test]
 fn a_deleted_variable_warns_instead_of_being_ignored() {
-    // `hbserve --ttl` is the only spelling of the store TTL.
+    // The store has no TTL, so the variable that once set one only warns.
     let cb = write_temp("ttl.cb", COUNTDOWN_CB);
     let plain = hbrun(&[cb.to_str().unwrap()]);
     let out = hbrun_env(&cb, &[("HB_STORE_TTL", "60")]);
@@ -316,8 +316,25 @@ fn profile_executes_even_when_the_store_is_warm() {
     assert_eq!(interp.status.code(), Some(2), "{interp:?}");
 
     let _ = std::fs::remove_file(&store);
-    let _ = std::fs::remove_file(store.with_extension("lock"));
+    let _ = std::fs::remove_file(format!("{}.lock", store.display()));
     let _ = std::fs::remove_file(cb);
+}
+
+#[test]
+fn hbserve_ttl_is_an_unknown_flag() {
+    // The store has no idle TTL: capacity is its one residency bound, so
+    // `hbserve --ttl` is rejected like any unknown flag, before binding.
+    let out = Command::new(env!("CARGO_BIN_EXE_hbserve"))
+        .args(["--listen", "127.0.0.1:0", "--ttl", "5"])
+        .output()
+        .expect("hbserve runs");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(out.stdout.is_empty(), "nothing bound: {out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unexpected argument `--ttl`"),
+        "stderr: {stderr}"
+    );
 }
 
 #[test]

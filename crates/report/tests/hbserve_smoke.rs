@@ -9,9 +9,9 @@ use std::process::{Child, Command, Stdio};
 
 use hardbound_compiler::Mode;
 use hardbound_core::PointerEncoding;
-use hardbound_exec::{CorpusService, Job};
+use hardbound_exec::Job;
 use hardbound_runtime::{build_machine_with_config, compile, machine_config};
-use hardbound_serve::Client;
+use hardbound_serve::{Client, PersistentService};
 use hardbound_telemetry::scrape_value;
 
 /// An `hbserve` child that dies with the test (no orphaned listeners when
@@ -119,7 +119,7 @@ fn remote_grid_is_byte_identical_to_in_process_service() {
 
     // The in-process reference: the same grid through a local service —
     // what `run_jobs` runs without `HB_SERVE_ADDR`.
-    let mut svc = CorpusService::new(2);
+    let mut svc = PersistentService::new(2);
     let expected = svc.run_batch(&local_jobs, |program, config, &mode| {
         build_machine_with_config(program, mode, config)
     });
@@ -237,26 +237,4 @@ fn persistent_server_restarts_warm() {
     );
     client.shutdown().expect("shutdown");
     let _ = std::fs::remove_file(&store);
-}
-
-/// A zero TTL would expire every store entry before each batch, so the
-/// server would never replay: `--ttl 0` is a usage error, reported before
-/// the server binds.
-#[test]
-fn zero_ttl_is_a_usage_error() {
-    let out = Command::new(env!("CARGO_BIN_EXE_hbserve"))
-        .args(["--listen", "127.0.0.1:0", "--ttl", "0"])
-        .output()
-        .expect("hbserve runs");
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        !stdout.contains("hbserve listening on"),
-        "a rejected --ttl must not bind: {stdout}"
-    );
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("--ttl"),
-        "the reason names the flag: {stderr}"
-    );
 }

@@ -58,10 +58,9 @@ use hardbound_core::{
     ViolationReport,
 };
 use hardbound_exec::service::Job;
-use hardbound_exec::ServiceStats;
 use hardbound_isa::Program;
 use hardbound_serve::{
-    Client, PersistStats, PersistentService, ServeError, ShardRing, StoreLogStats,
+    register_gauges, Client, PersistentService, ServeError, ServiceStats, ShardRing, StoreLogStats,
 };
 use hardbound_telemetry::{trace, Counter, Field, Histogram, SpanId, SpanTimer, TraceCtx};
 
@@ -287,7 +286,7 @@ pub fn compile_and_run(
 /// the result store, living for the
 /// whole process so every figure driver, corpus sweep and CI invocation
 /// in it reuses earlier work. With `HB_STORE_PATH` set the store is
-/// persistent — loaded here once, appended after every batch. `HB_PROF`
+/// persistent — loaded here once, appended to by every batch. `HB_PROF`
 /// arms the profiler on its machines.
 ///
 /// # Panics
@@ -306,42 +305,16 @@ fn service() -> &'static Mutex<PersistentService> {
             None => PersistentService::new(workers),
         };
         svc.set_profiling(s.prof);
-        register_service_gauges();
-        Mutex::new(svc)
-    })
-}
-
-/// Mirrors the process-wide service's counters into the global registry
-/// as `hb_*` gauges, so one `METRICS`-style snapshot carries the result
-/// store story without a second bookkeeping path. Each
-/// closure locks the service mutex at snapshot time — never snapshot the
-/// registry while holding that lock.
-fn register_service_gauges() {
-    let g = hardbound_telemetry::global();
-    type Sel = fn(&PersistStats) -> u64;
-    let gauges: [(&str, Sel); 8] = [
-        ("hb_store_hits", |s| s.service.store.hits),
-        ("hb_store_misses", |s| s.service.store.misses),
-        ("hb_store_stored", |s| s.service.store.stored),
-        ("hb_store_evicted", |s| s.service.store.evicted),
-        ("hb_store_expired", |s| s.service.store.expired),
-        ("hb_store_len", |s| s.service.store_len as u64),
-        ("hb_log_appended", |s| {
-            s.log.as_ref().map_or(0, |l| l.appended)
-        }),
-        ("hb_log_flushes", |s| {
-            s.log.as_ref().map_or(0, |l| l.flushes)
-        }),
-    ];
-    for (name, sel) in gauges {
-        g.gauge_fn(name, move || {
-            let stats = service()
+        // Each gauge locks the service: never snapshot the global
+        // registry while holding that lock.
+        register_gauges(hardbound_telemetry::global(), "hb", || {
+            service()
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
-                .stats();
-            sel(&stats)
+                .stats()
         });
-    }
+        Mutex::new(svc)
+    })
 }
 
 /// Snapshot of the persistent store log's counters — `None` when the
@@ -693,7 +666,7 @@ pub fn run_job(program: Program, mode: Mode, config: MachineConfig) -> RunOutcom
 }
 
 /// Snapshot of the process-wide service's counters (result-store
-/// hits/misses/evictions, block-cache behaviour over all shards) —
+/// hits/misses/evictions, simulations run) —
 /// surfaced by `hbrun --stats` and the bench harness. The persistent
 /// log's counters ride along via [`store_log_stats`].
 #[must_use]

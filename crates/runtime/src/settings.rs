@@ -5,7 +5,7 @@
 //! reads the environment once, checks each set `HB_*` variable against its
 //! row, warns about names not in the table, and installs the `HB_TRACE`
 //! sink. No other crate reads the environment: the lower layers take their
-//! values through setters (`CorpusService::set_profiling`, worker counts) filled
+//! values through setters (`PersistentService::set_profiling`, worker counts) filled
 //! from here. An unset, empty or whitespace-only value means "not set";
 //! any other value must fit its grammar, or loading fails with a
 //! diagnostic that names the variable and quotes the value.

@@ -1,10 +1,11 @@
 //! `hardbound-serve` — the corpus service across process and machine
 //! boundaries.
 //!
-//! The corpus service (`hardbound_exec::service`) amortizes whole-run
-//! results *within* one process; every fresh `hbrun` and
-//! every CI invocation still starts cold. This crate extends the service
-//! across the two remaining boundaries:
+//! This crate holds the corpus service, [`PersistentService`]: the
+//! result store (`hardbound_exec::service`) with its worker threads,
+//! which amortizes whole-run results *within* one process. It extends the
+//! service across the two remaining boundaries — fresh `hbrun`s and CI
+//! invocations, and other machines:
 //!
 //! * [`wire`] — a pinned, versioned **binary codec** (std-only; the build
 //!   container has no serde) for [`RunOutcome`](hardbound_core::RunOutcome),
@@ -16,11 +17,10 @@
 //!   (`HB_STORE_PATH`): corruption-tolerant load (truncate at the first
 //!   bad record), version/salt mismatch → clean cold start, and atomic
 //!   rewrite-compaction.
-//! * [`persist`] — [`PersistentService`], a
-//!   [`CorpusService`](hardbound_exec::CorpusService) whose store survives
-//!   the process: entries load at open, fresh results append after every
-//!   batch, and the log flushes on drop and on an explicit
-//!   [`PersistentService::checkpoint`].
+//! * [`persist`] — [`PersistentService`], the corpus service, whose store
+//!   can survive the process: entries load at open, each fresh result is
+//!   appended where it is stored and the log is flushed once per batch,
+//!   on drop and on an explicit [`PersistentService::checkpoint`].
 //! * [`net`] — a `TcpListener` front end speaking a length-prefixed
 //!   request/response protocol of five verbs (`HELLO`, `SUBMIT`,
 //!   `METRICS`, `PROFILE`, `SHUTDOWN`): clients submit cell grids, the
@@ -54,7 +54,7 @@ pub mod store;
 pub mod wire;
 
 pub use net::{Client, ServeError, Server, MAX_GRID, PROTOCOL_VERSION};
-pub use persist::{PersistStats, PersistentService};
+pub use persist::{register_gauges, PersistStats, PersistentService, ServiceStats};
 pub use shard::{cell_point, ShardRing, POINTS_PER_SHARD};
 pub use store::{StoreLog, StoreLogStats};
 pub use wire::{Reader, WireError, Writer, WIRE_VERSION};

@@ -94,7 +94,7 @@ use hardbound_telemetry::{
     trace, Counter, Gauge, Histogram, Registry, SpanEvent, SpanId, SpanTimer, TraceCtx, TraceId,
 };
 
-use crate::persist::PersistentService;
+use crate::persist::{register_gauges, PersistentService};
 use crate::shard::ShardRing;
 use crate::wire::{
     decode_config, decode_outcome, decode_span, encode_config, encode_outcome, encode_span, Reader,
@@ -468,30 +468,13 @@ impl Server {
     ) -> io::Result<Server> {
         let svc = Arc::new(Mutex::new(svc));
         let metrics = Arc::new(Metrics::new());
-        // Computed gauges over the service, so one scrape sees store state
-        // without extra locking APIs.
-        for (name, read) in [
-            ("hbserve_store_hits", 0usize),
-            ("hbserve_store_misses", 1),
-            ("hbserve_store_evicted", 2),
-            ("hbserve_store_len", 3),
-            ("hbserve_log_appended", 4),
-            ("hbserve_log_flushes", 5),
-        ] {
-            let s = Arc::clone(&svc);
-            metrics.registry.gauge_fn(name, move || {
-                let stats = s.lock().unwrap_or_else(PoisonError::into_inner).stats();
-                let log = stats.log.unwrap_or_default();
-                match read {
-                    0 => stats.service.store.hits,
-                    1 => stats.service.store.misses,
-                    2 => stats.service.store.evicted,
-                    3 => stats.service.store_len as u64,
-                    4 => log.appended,
-                    _ => log.flushes,
-                }
-            });
-        }
+        let shared = Arc::clone(&svc);
+        register_gauges(&metrics.registry, "hbserve", move || {
+            shared
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .stats()
+        });
         let listings = Arc::new(ListingCache::new(
             LISTING_CACHE_BYTES,
             metrics.listings_parsed.clone(),

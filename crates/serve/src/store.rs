@@ -21,13 +21,16 @@
 //!   file is truncated at the last good byte, so a crash mid-append (or a
 //!   flipped bit) costs exactly the damaged tail, never the whole store.
 //! * **Atomic rewrite-compaction.** [`StoreLog::compact`] writes a
-//!   temporary file next to the log and `rename`s it over — readers and
-//!   crashes observe either the old log or the new one, never a torn mix.
-//! * **Single writer.** A sibling `.lock` file (holder PID inside)
-//!   guards the log: the first opener owns appends; a concurrent opener
-//!   **degrades to read-only** — it seeds from the log but appends
-//!   nothing, so overlapping processes share warm state instead of
-//!   appending at stale offsets and truncating each other's live file.
+//!   temporary file next to the log (the log's file name plus `.tmp`)
+//!   and `rename`s it over — readers and crashes observe either the old
+//!   log or the new one, never a torn mix.
+//! * **Single writer.** A sibling lock file — the log's file name plus
+//!   `.lock`, so `store.bin` and `store.log` get distinct locks — holds
+//!   the holder's PID and guards the log: the first opener owns appends;
+//!   a concurrent opener **degrades to read-only** — it seeds from the
+//!   log but appends nothing, so overlapping processes share warm state
+//!   instead of appending at stale offsets and truncating each other's
+//!   live file.
 //!   A lock whose holder PID is dead (crash) is stolen.
 
 use std::fs::{File, OpenOptions};
@@ -175,7 +178,7 @@ impl StoreLog {
     /// corruption and lock contention are handled, not reported.
     pub fn open(path: impl AsRef<Path>) -> io::Result<LoadedStore> {
         let path = path.as_ref().to_path_buf();
-        let lock_path = path.with_extension("lock");
+        let lock_path = sibling(&path, "lock");
         let owns_lock = acquire_lock(&lock_path)?;
         let mut stats = StoreLogStats::default();
         let bytes = match std::fs::read(&path) {
@@ -327,7 +330,7 @@ impl StoreLog {
             // owned handle reports itself instead.
             return self.no_writer();
         };
-        let tmp_path = self.path.with_extension("tmp");
+        let tmp_path = sibling(&self.path, "tmp");
         {
             let mut tmp = BufWriter::new(File::create(&tmp_path)?);
             tmp.write_all(&header_bytes())?;
@@ -372,6 +375,17 @@ impl Drop for StoreLog {
             let _ = std::fs::remove_file(lock);
         }
     }
+}
+
+/// `path` with `.{suffix}` appended to its full file name: `store.bin` →
+/// `store.bin.lock`. Replacing the extension instead would give
+/// `store.bin` and `store.log` one lock, and make a log named `x.lock`
+/// its own lock file.
+fn sibling(path: &Path, suffix: &str) -> PathBuf {
+    let mut name = path.as_os_str().to_owned();
+    name.push(".");
+    name.push(suffix);
+    PathBuf::from(name)
 }
 
 fn header_bytes() -> Vec<u8> {
@@ -556,7 +570,7 @@ mod tests {
     fn concurrent_opener_degrades_to_read_only() {
         let path = temp_path("locked");
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(path.with_extension("lock"));
+        let _ = std::fs::remove_file(sibling(&path, "lock"));
         let mut owner = StoreLog::open(&path).unwrap();
         assert!(owner.log.is_writable());
         owner.log.append(key(1), &outcome(1)).unwrap();
@@ -585,14 +599,14 @@ mod tests {
         assert!(reopened.log.is_writable(), "released lock is re-acquired");
         assert_eq!(reopened.entries.len(), 2);
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(path.with_extension("lock"));
+        let _ = std::fs::remove_file(sibling(&path, "lock"));
     }
 
     #[test]
     fn stale_lock_from_a_dead_process_is_stolen() {
         let path = temp_path("stale");
         let _ = std::fs::remove_file(&path);
-        let lock = path.with_extension("lock");
+        let lock = sibling(&path, "lock");
         // A PID that cannot be a live process (PID_MAX_LIMIT is 2^22).
         std::fs::write(&lock, "4194999").unwrap();
         let loaded = StoreLog::open(&path).unwrap();
@@ -603,6 +617,64 @@ mod tests {
         drop(loaded);
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&lock);
+    }
+
+    #[test]
+    fn logs_sharing_a_stem_are_both_writable() {
+        let bin = temp_path("stem");
+        let log = bin.with_extension("log");
+        for p in [&bin, &log] {
+            let _ = std::fs::remove_file(p);
+        }
+        let mut a = StoreLog::open(&bin).unwrap();
+        let mut b = StoreLog::open(&log).unwrap();
+        assert!(a.log.is_writable() && b.log.is_writable());
+        a.log.append(key(1), &outcome(1)).unwrap();
+        b.log.append(key(2), &outcome(2)).unwrap();
+        a.log.compact([(key(3), &outcome(3))].into_iter()).unwrap();
+        drop((a, b));
+        assert_eq!(
+            StoreLog::open(&bin).unwrap().entries,
+            vec![(key(3), outcome(3))]
+        );
+        assert_eq!(
+            StoreLog::open(&log).unwrap().entries,
+            vec![(key(2), outcome(2))]
+        );
+        for p in [&bin, &log] {
+            let _ = std::fs::remove_file(p);
+        }
+    }
+
+    #[test]
+    fn a_log_named_like_its_lock_or_temp_file_survives_reopen() {
+        for ext in ["lock", "tmp"] {
+            let path = temp_path("named").with_extension(ext);
+            let _ = std::fs::remove_file(&path);
+            {
+                let mut loaded = StoreLog::open(&path).unwrap();
+                assert!(loaded.log.is_writable(), "{ext}");
+                loaded.log.append(key(1), &outcome(1)).unwrap();
+                loaded.log.flush().unwrap();
+                // Buffered when the compaction starts.
+                loaded.log.append(key(2), &outcome(2)).unwrap();
+                loaded
+                    .log
+                    .compact([(key(2), &outcome(2))].into_iter())
+                    .unwrap();
+                loaded.log.append(key(3), &outcome(3)).unwrap();
+                loaded.log.flush().unwrap();
+            }
+            let reopened = StoreLog::open(&path).unwrap();
+            assert!(reopened.log.is_writable(), "{ext}");
+            assert_eq!(
+                reopened.entries,
+                vec![(key(2), outcome(2)), (key(3), outcome(3))],
+                "{ext}"
+            );
+            drop(reopened);
+            let _ = std::fs::remove_file(&path);
+        }
     }
 
     #[test]

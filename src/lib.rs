@@ -28,8 +28,9 @@
 //! * [`workloads`] — ports of the nine Olden benchmarks used in §5.
 //! * [`violations`] — the spatial-violation corpus generator of §5.2.
 //! * [`report`] — experiment drivers that regenerate every table and figure.
-//! * [`serve`] — the persistent result store (`HB_STORE_PATH`) and the
-//!   `hbserve` networked corpus service (wire codec, append-only log, and
+//! * [`serve`] — the corpus service (`PersistentService`: the result
+//!   store, its worker threads and the optional `HB_STORE_PATH` log) and
+//!   the `hbserve` networked front end (wire codec, append-only log, and
 //!   a TCP front end that streams each submission's results back in
 //!   chunks on the submitting connection).
 //! * [`telemetry`] — the metrics registry (counters, gauges, latency

@@ -3,7 +3,7 @@
 //! Two invariants carry the whole design:
 //!
 //! 1. **Replay ≡ recompute.** For any generated program and any
-//!    mode/encoding perturbation, a warm [`CorpusService`]
+//!    mode/encoding perturbation, a warm [`PersistentService`]
 //!    answering from its result store returns the byte-identical
 //!    [`RunOutcome`] — full `ExecStats` and `HierarchyStats` included —
 //!    that a cold service (and a direct `Machine::run`) computes.
@@ -15,9 +15,10 @@
 use hardbound::compiler::Mode;
 use hardbound::core::{Machine, MachineConfig, PointerEncoding, RunOutcome};
 use hardbound::exec::service::Job;
-use hardbound::exec::{CorpusService, ProgramId};
+use hardbound::exec::ProgramId;
 use hardbound::isa::{layout, FunctionBuilder, Program, Reg, Width};
 use hardbound::runtime::machine_config;
+use hardbound::serve::PersistentService;
 use proptest::prelude::*;
 
 /// One generated op over a small bounded working region: pointer spills,
@@ -124,11 +125,11 @@ proptest! {
             .map(|&(mode, encoding)| cell(&program, mode, encoding))
             .collect();
 
-        let mut svc = CorpusService::new(2);
+        let mut svc = PersistentService::new(2);
         let cold = svc.run_batch(&jobs, build);
         let warm = svc.run_batch(&jobs, build);
         prop_assert_eq!(&cold, &warm, "replay differs from recompute");
-        let stats = svc.stats();
+        let stats = svc.stats().service;
         prop_assert!(
             stats.store.hits >= jobs.len() as u64,
             "warm pass must be served by the store: {:?}", stats
@@ -137,7 +138,7 @@ proptest! {
         // Cold recompute on a fresh service (an empty store executes
         // every cell of its first batch), and a direct run: all
         // byte-identical.
-        let recompute = CorpusService::new(1).run_batch(&jobs, build);
+        let recompute = PersistentService::new(1).run_batch(&jobs, build);
         prop_assert_eq!(&cold, &recompute, "replay and recompute differ");
         for (job, out) in jobs.iter().zip(&cold) {
             let direct: RunOutcome = Machine::new(job.program.clone(), job.config.clone()).run();
@@ -162,9 +163,9 @@ proptest! {
             .iter()
             .flat_map(|&(mode, encoding)| [cell(&a, mode, encoding), cell(&b, mode, encoding)])
             .collect();
-        let mut svc = CorpusService::new(2);
+        let mut svc = PersistentService::new(2);
         let first = svc.run_batch(&jobs, build);
-        let stored = svc.store().len();
+        let stored = svc.stats().service.store_len;
         let a_keys: std::collections::HashSet<_> = jobs
             .iter()
             .filter(|j| j.program == a)
@@ -186,12 +187,12 @@ proptest! {
             dropped, a_keys.len(),
             "exactly a's stored cells die (one per distinct key)"
         );
-        prop_assert_eq!(svc.store().len(), stored - dropped, "b's cells survive");
+        prop_assert_eq!(svc.stats().service.store_len, stored - dropped, "b's cells survive");
 
-        let before = svc.stats().store;
+        let before = svc.stats().service.store;
         let second = svc.run_batch(&jobs, build);
         prop_assert_eq!(&first, &second, "re-run after invalidation changes nothing");
-        let after = svc.stats().store;
+        let after = svc.stats().service.store;
         prop_assert_eq!(
             after.misses - before.misses,
             a_keys.len() as u64,

@@ -1,5 +1,5 @@
 //! The corpus-service differential suite: executing through
-//! [`CorpusService`](hardbound::exec::CorpusService) — worker threads
+//! [`PersistentService`](hardbound::serve::PersistentService) — worker threads
 //! behind the program-hash result store — must be observationally
 //! identical to a direct [`Machine::run`](hardbound::core::Machine::run), across **all 15
 //! mode × encoding configurations**, for hand-written programs and every
@@ -12,8 +12,8 @@
 use hardbound::compiler::Mode;
 use hardbound::core::{MachineConfig, PointerEncoding, RunOutcome};
 use hardbound::exec::service::Job;
-use hardbound::exec::CorpusService;
 use hardbound::runtime::{build_machine_with_config, compile, machine_config};
+use hardbound::serve::PersistentService;
 use hardbound::workloads::{all, Scale};
 
 const ALL_MODES: [Mode; 5] = [
@@ -78,7 +78,7 @@ fn service_matches_direct_path_across_the_full_matrix() {
     // One long-lived service across the whole matrix: later configs run
     // against a store already warm with other programs and configs, which
     // is exactly the sharing the identity must survive.
-    let mut svc = CorpusService::new(3);
+    let mut svc = PersistentService::new(3);
     let olden = all(Scale::Smoke);
     let inputs: Vec<(&str, &str)> = PROGRAMS
         .iter()
@@ -111,7 +111,7 @@ fn service_matches_direct_path_across_the_full_matrix() {
             }
         }
     }
-    let stats = svc.stats();
+    let stats = svc.stats().service;
     let runs = (inputs.len() * ALL_MODES.len() * 3 * 2) as u64;
     assert_eq!(
         stats.store.hits + stats.store.misses,
@@ -140,9 +140,9 @@ fn batch_and_one_by_one_agree() {
             tag: mode,
         })
         .collect();
-    let mut batch_svc = CorpusService::new(4);
+    let mut batch_svc = PersistentService::new(4);
     let batched = batch_svc.run_batch(&jobs, build);
-    let mut serial_svc = CorpusService::new(1);
+    let mut serial_svc = PersistentService::new(1);
     let serial: Vec<RunOutcome> = jobs.iter().map(|j| serial_svc.run_one(j, build)).collect();
     assert_eq!(batched, serial, "worker count must not change outcomes");
 }

@@ -6,7 +6,7 @@
 //!
 //! The reference is a separate run of a fresh machine ([`Machine::run`])
 //! per cell. The grouped runs are checked two ways: through
-//! [`CorpusService::run_batch`], the path the figure grid, hbrun and
+//! [`PersistentService::run_batch`], the path the figure grid, hbrun and
 //! hbserve take, and as one machine per group with
 //! [`Machine::set_timing_variants`]. The fuel rule — a
 //! variant whose separate run could stop elsewhere runs on its own — is
@@ -20,9 +20,10 @@ use hardbound::core::{
     FunctionalKey, HardboundConfig, Machine, MachineConfig, PointerEncoding, RunOutcome, Trap,
 };
 use hardbound::exec::service::Job;
-use hardbound::exec::{run_machine, CorpusService, ProgramId};
+use hardbound::exec::{run_machine, ProgramId};
 use hardbound::isa::Program;
 use hardbound::runtime::{build_machine_with_config, compile, machine_config};
+use hardbound::serve::PersistentService;
 use hardbound::telemetry::profile;
 use hardbound::violations::corpus;
 use hardbound::workloads::{all, Scale};
@@ -155,7 +156,7 @@ fn grouped(jobs: &[Job<Mode>], group: &[usize]) -> Vec<Option<RunOutcome>> {
 fn check_batch(labels: &[String], jobs: &[Job<Mode>], functional_runs: u64) {
     let expected: Vec<RunOutcome> = jobs.iter().map(separate).collect();
 
-    let mut svc = CorpusService::new(2);
+    let mut svc = PersistentService::new(2);
     let batched = svc.run_batch(jobs, build);
     assert_eq!(batched.len(), jobs.len());
     for ((label, out), want) in labels.iter().zip(&batched).zip(&expected) {
@@ -167,7 +168,7 @@ fn check_batch(labels: &[String], jobs: &[Job<Mode>], functional_runs: u64) {
     let mut keys: Vec<_> = jobs.iter().map(Job::key).collect();
     keys.sort_unstable();
     keys.dedup();
-    let stats = svc.stats();
+    let stats = svc.stats().service;
     assert_eq!(
         stats.store.misses as usize,
         keys.len(),
@@ -337,10 +338,14 @@ fn fuel_limit_only_the_check_uop_cell_exceeds_falls_back_to_separate_runs() {
     assert_eq!(outs[0].as_ref(), Some(&expected[1]));
     assert_eq!(outs[1], None, "the plain cell must run on its own");
 
-    let mut svc = CorpusService::new(1);
+    let mut svc = PersistentService::new(1);
     let batched = svc.run_batch(&jobs, build);
     assert_eq!(batched, expected, "fallback cells match separate runs");
-    assert_eq!(svc.stats().functional_runs, 2, "the group fell back");
+    assert_eq!(
+        svc.stats().service.functional_runs,
+        2,
+        "the group fell back"
+    );
 }
 
 /// With profiling on, the service runs every cell on its own, so the
@@ -366,11 +371,11 @@ fn profiled_batches_run_every_cell_on_its_own() {
     .collect();
 
     let _ = profile::global().take();
-    let mut svc = CorpusService::new(1);
+    let mut svc = PersistentService::new(1);
     svc.set_profiling(true);
     let batched = svc.run_batch(&jobs, build);
     let grouped_profile = profile::global().take();
-    assert_eq!(svc.stats().functional_runs, 3, "one run per cell");
+    assert_eq!(svc.stats().service.functional_runs, 3, "one run per cell");
 
     let separate: Vec<RunOutcome> = jobs
         .iter()
