@@ -32,7 +32,7 @@
 //!
 //! * [`Fnv64`] is the only hasher whose output may be **persisted or
 //!   sent**: program listing hashes, `ProgramId`s, configuration
-//!   fingerprints, store-log checksums and the shard ring all use it.
+//!   fingerprints and store-log checksums all use it.
 //! * [`FoldHasher`] is a fast **in-process** hasher for `#[derive(Hash)]`
 //!   walks of a whole program image. It keys the process-local memo from
 //!   an image to its listing hash and the `SUBMIT` encoder's program

@@ -18,7 +18,7 @@ use hardbound_isa::Program;
 /// `hardbound_core::fingerprint`, so a `ProgramId` is byte-identical across
 /// processes and toolchains. That is what lets the result store persist,
 /// the wire protocol dedup against it, and hot-spot profiles from
-/// different shards merge.
+/// different processes merge.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ProgramId(pub u64);
 

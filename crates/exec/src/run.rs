@@ -36,7 +36,7 @@ fn run_metrics() -> &'static RunMetrics {
 /// ([`Machine::set_profiling`]), its per-block counters. Those go to the
 /// process-wide [`profile::global`] accumulator, keyed by the program's
 /// [`ProgramId`] and labelled with function names, so profiles of one
-/// image from different runs, processes or shards merge exactly.
+/// image from different runs or processes merge exactly.
 pub fn run_machine(machine: &mut Machine) -> RunOutcome {
     let start = Instant::now();
     let before = machine.hier_fast_stats();

@@ -295,15 +295,6 @@ fn main() -> ExitCode {
                     round_trips,
                     registry.counter("hb_remote_cells")
                 );
-                let (retries, reroutes) = (
-                    registry.counter("hb_remote_retries"),
-                    registry.counter("hb_remote_reroutes"),
-                );
-                if retries + reroutes > 0 {
-                    eprintln!(
-                        "remote failover: {retries} retries, {reroutes} re-routed submissions"
-                    );
-                }
             } else {
                 let svc = service_stats();
                 eprintln!(

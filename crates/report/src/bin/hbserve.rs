@@ -3,7 +3,7 @@
 //! ```sh
 //! cargo run -p hardbound_report --bin hbserve -- \
 //!     [--listen 127.0.0.1:7878] [--store PATH] [--workers N] \
-//!     [--shard K/N] [--metrics-addr ADDR]
+//!     [--metrics-addr ADDR]
 //! ```
 //!
 //! Binds a TCP front end around one shared (optionally persistent)
@@ -22,19 +22,15 @@
 //!   (`hbserve listening on ADDR`), so wrappers can parse it.
 //! * `--store PATH` — persist the result store at `PATH` (defaults to
 //!   `HB_STORE_PATH` when set); the log is compacted on shutdown.
-//! * `--workers N` — execution worker shards (default: `HB_JOBS` or all
+//! * `--workers N` — execution worker threads (default: `HB_JOBS` or all
 //!   cores).
-//! * `--shard K/N` — declare this server shard *K* of an *N*-shard
-//!   cluster (`K` in `0..N`): submitted cells are classified as owned vs
-//!   foreign in its metrics. Routing is advisory — foreign cells still
-//!   execute, which is exactly how clients fail over a dead shard.
 //! * `--metrics-addr ADDR` — also serve the Prometheus-style text
 //!   exposition over plain HTTP at `GET /` on `ADDR` (off by default).
 //!   The bound address is printed as a second stdout line
 //!   (`hbserve metrics on ADDR`). The same text is available in-protocol
 //!   via the `METRICS` request; it carries every server counter
 //!   (`hbserve_submissions`, `hbserve_cells_executed`, the
-//!   `hbserve_store_*` and `hbserve_log_*` gauges, shard counters).
+//!   `hbserve_store_*` and `hbserve_log_*` gauges).
 //!
 //! The flags layer over the `HB_*` settings (`hardbound_runtime::settings`):
 //! `HB_STORE_PATH` and `HB_JOBS` give the defaults above, `HB_PROF=1` arms
@@ -56,16 +52,7 @@ struct Args {
     listen: String,
     store: Option<String>,
     workers: usize,
-    shard: Option<(usize, usize)>,
     metrics_addr: Option<String>,
-}
-
-/// Parses `K/N` with `K < N` (the `--shard` form).
-fn parse_shard(v: &str) -> Option<(usize, usize)> {
-    let (k, n) = v.split_once('/')?;
-    let k = k.trim().parse::<usize>().ok()?;
-    let n = n.trim().parse::<usize>().ok()?;
-    (k < n).then_some((k, n))
 }
 
 /// Parses the command line over the defaults `settings` gives.
@@ -73,7 +60,6 @@ fn parse_args(settings: &Settings) -> Result<Args, String> {
     let mut listen = "127.0.0.1:0".to_owned();
     let mut store = settings.store_path.clone();
     let mut workers = settings.workers();
-    let mut shard = None;
     let mut metrics_addr = None;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -87,19 +73,13 @@ fn parse_args(settings: &Settings) -> Result<Args, String> {
                         format!("--workers must be a positive integer, got `{v}`")
                     })?;
             }
-            "--shard" => {
-                let v = it.next().ok_or("--shard needs K/N")?;
-                shard = Some(parse_shard(&v).ok_or_else(|| {
-                    format!("--shard must be K/N with K < N (e.g. 0/3), got `{v}`")
-                })?);
-            }
             "--metrics-addr" => {
                 metrics_addr = Some(it.next().ok_or("--metrics-addr needs an address")?);
             }
             "--help" | "-h" => {
                 return Err(
                     "usage: hbserve [--listen ADDR] [--store PATH] [--workers N] \
-                     [--shard K/N] [--metrics-addr ADDR]"
+                     [--metrics-addr ADDR]"
                         .to_owned(),
                 )
             }
@@ -110,7 +90,6 @@ fn parse_args(settings: &Settings) -> Result<Args, String> {
         listen,
         store,
         workers,
-        shard,
         metrics_addr,
     })
 }
@@ -180,16 +159,13 @@ fn main() -> ExitCode {
         build_machine_with_config(program, mode, config)
     });
     let tag_ok: Arc<TagCheck> = Arc::new(|tag| mode_of(tag).is_some());
-    let mut server = match Server::bind(&args.listen, svc, build, tag_ok) {
+    let server = match Server::bind(&args.listen, svc, build, tag_ok) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("cannot bind {}: {e}", args.listen);
             return ExitCode::from(2);
         }
     };
-    if let Some((index, count)) = args.shard {
-        server.set_shard(index, count);
-    }
     match server.local_addr() {
         Ok(addr) => {
             // The first stdout line is the contract wrappers parse; flush

@@ -2,17 +2,21 @@
 //! process, drive cell grids through the `hardbound_serve` client, and
 //! hold the remote path **byte-identical** to in-process execution — the
 //! `HB_SERVE_ADDR` acceptance criterion. Also exercises `hbrun` as a
-//! transparent client via the environment variable.
+//! transparent client via the environment variable, the runtime client
+//! (`run_jobs_remote_to`) traced and against a profiling server, and the
+//! store-log lock across processes.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
 
 use hardbound_compiler::Mode;
-use hardbound_core::PointerEncoding;
+use hardbound_core::{PointerEncoding, RunOutcome};
 use hardbound_exec::Job;
-use hardbound_runtime::{build_machine_with_config, compile, machine_config};
-use hardbound_serve::{Client, PersistentService};
-use hardbound_telemetry::scrape_value;
+use hardbound_runtime::{
+    build_machine_with_config, compile, machine_config, run_jobs_remote_to, SimJob,
+};
+use hardbound_serve::{Client, PersistentService, StoreLog};
+use hardbound_telemetry::{scrape_value, trace, SpanEvent};
 
 /// An `hbserve` child that dies with the test (no orphaned listeners when
 /// an assertion fails before the explicit shutdown).
@@ -29,9 +33,14 @@ impl Drop for ServerGuard {
 }
 
 fn spawn_server(extra: &[&str]) -> ServerGuard {
+    spawn_server_with_env(extra, &[])
+}
+
+fn spawn_server_with_env(extra: &[&str], env: &[(&str, &str)]) -> ServerGuard {
     let mut child = Command::new(env!("CARGO_BIN_EXE_hbserve"))
         .args(["--listen", "127.0.0.1:0"])
         .args(extra)
+        .envs(env.iter().copied())
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()
@@ -237,4 +246,184 @@ fn persistent_server_restarts_warm() {
     );
     client.shutdown().expect("shutdown");
     let _ = std::fs::remove_file(&store);
+    let _ = std::fs::remove_file(format!("{}.lock", store.display()));
+}
+
+/// The in-process reference for `local`, and the same cells as runtime
+/// jobs for `run_jobs_remote_to`.
+fn reference(local: &[Job<Mode>]) -> (Vec<SimJob>, Vec<RunOutcome>) {
+    let sim = local
+        .iter()
+        .map(|j| SimJob {
+            program: j.program.clone(),
+            mode: j.tag,
+            config: j.config.clone(),
+        })
+        .collect();
+    let mut svc = PersistentService::new(2);
+    let expected = svc.run_batch(local, |program, config, &mode| {
+        build_machine_with_config(program, mode, config)
+    });
+    (sim, expected)
+}
+
+#[test]
+fn traced_grid_is_one_trace_with_enclosed_server_spans() {
+    // A grid size no other test in this binary submits, so this grid's
+    // root span is identifiable in the process-global trace sink.
+    const CELLS: u64 = 14;
+    let local: Vec<Job<Mode>> = (0..CELLS)
+        .map(|k| {
+            let source = format!(
+                "int main() {{\n\
+                   int *a = (int*)malloc({n} * sizeof(int));\n\
+                   int s = 0;\n\
+                   for (int i = 0; i < {n}; i = i + 1) {{ a[i] = i * {k}; s = s + a[i]; }}\n\
+                   print_int(s);\n\
+                   return 0;\n\
+                 }}",
+                n = 4 + k,
+            );
+            Job {
+                program: compile(&source, Mode::HardBound).expect("compiles"),
+                config: machine_config(Mode::HardBound, PointerEncoding::Intern4),
+                salt: Mode::HardBound as u64,
+                tag: Mode::HardBound,
+            }
+        })
+        .collect();
+    let (sim_jobs, expected) = reference(&local);
+    let server = spawn_server(&[]);
+    let addrs = [server.addr.clone()];
+
+    let untraced = run_jobs_remote_to(&addrs, &sim_jobs);
+    assert_eq!(untraced, expected, "untraced remote run disagrees");
+
+    let path = std::env::temp_dir().join(format!("hbserve-trace-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    trace::install(&path).expect("trace sink installs");
+    let traced = run_jobs_remote_to(&addrs, &sim_jobs);
+    trace::disable();
+    assert_eq!(traced, untraced, "tracing must not change an outcome");
+
+    // Every emitted line re-parses under the documented schema.
+    let text = std::fs::read_to_string(&path).expect("trace file exists");
+    let _ = std::fs::remove_file(&path);
+    let events: Vec<SpanEvent> = text
+        .lines()
+        .map(|l| SpanEvent::parse(l).unwrap_or_else(|e| panic!("bad trace line {l:?}: {e}")))
+        .collect();
+    let grids: Vec<&SpanEvent> = events
+        .iter()
+        .filter(|e| e.kind == "grid" && e.field_u64("cells") == Some(CELLS))
+        .collect();
+    assert_eq!(grids.len(), 1, "expected one {CELLS}-cell grid root");
+    let grid = grids[0];
+    let in_trace: Vec<&SpanEvent> = events.iter().filter(|e| e.trace == grid.trace).collect();
+
+    // One successful round trip under the root, naming the server.
+    let rts: Vec<&&SpanEvent> = in_trace.iter().filter(|e| e.kind == "remote_rt").collect();
+    assert_eq!(rts.len(), 1, "{rts:?}");
+    let rt = rts[0];
+    assert_eq!(rt.parent, grid.span);
+    assert!(!rt.fields.iter().any(|(k, _)| k == "err"), "{rt:?}");
+    assert_eq!(rt.field_u64("cells"), Some(CELLS));
+
+    // The server's execution span sits under the round trip and inside
+    // its wall-clock window (slack for µs rounding across processes),
+    // with its chunk spans under it.
+    const SLACK_US: u64 = 5_000;
+    let execs: Vec<&&SpanEvent> = in_trace
+        .iter()
+        .filter(|e| e.kind == "submit_exec")
+        .collect();
+    assert_eq!(execs.len(), 1, "{execs:?}");
+    let ex = execs[0];
+    assert_eq!(ex.parent, rt.span);
+    assert_eq!(ex.field_u64("cells"), Some(CELLS));
+    assert!(ex.start_us + SLACK_US >= rt.start_us, "{ex:?} vs {rt:?}");
+    assert!(ex.end_us() <= rt.end_us() + SLACK_US, "{ex:?} vs {rt:?}");
+    let chunk_cells: u64 = in_trace
+        .iter()
+        .filter(|c| c.kind == "chunk" && c.parent == ex.span)
+        .map(|c| c.field_u64("cells").expect("chunk spans carry cells"))
+        .sum();
+    assert_eq!(chunk_cells, CELLS, "the chunks cover every cell once");
+}
+
+#[test]
+fn profiled_server_returns_identical_outcomes_and_a_profile() {
+    let server = spawn_server_with_env(&[], &[("HB_PROF", "1")]);
+    let (_, local_jobs) = grid();
+    let (sim_jobs, expected) = reference(&local_jobs);
+    let out = run_jobs_remote_to(std::slice::from_ref(&server.addr), &sim_jobs);
+    assert_eq!(
+        out, expected,
+        "profiling on the server must not change a single outcome"
+    );
+    let mut client = Client::connect(&server.addr).expect("connects");
+    let profile = client.profile().expect("profile scrape");
+    assert!(profile.total_execs() > 0, "the server profiled its runs");
+    client.shutdown().expect("shutdown");
+}
+
+#[test]
+fn shard_flag_is_unknown_to_hbserve() {
+    // One hbserve serves every cell; there is no cluster to place it in.
+    let out = Command::new(env!("CARGO_BIN_EXE_hbserve"))
+        .args(["--listen", "127.0.0.1:0", "--shard", "0/3"])
+        .output()
+        .expect("hbserve runs");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(out.stdout.is_empty(), "nothing bound: {out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unexpected argument `--shard`"),
+        "stderr: {stderr}"
+    );
+}
+
+#[test]
+#[should_panic(expected = "HB_SERVE_ADDR accepts one hbserve address, got 2")]
+fn two_addresses_panic_with_the_one_address_diagnostic() {
+    let program = compile(PROGRAMS[0], Mode::HardBound).expect("compiles");
+    let sim_jobs = [SimJob::new(
+        program,
+        Mode::HardBound,
+        PointerEncoding::Intern4,
+    )];
+    let addrs = ["127.0.0.1:1".to_owned(), "127.0.0.1:2".to_owned()];
+    let _ = run_jobs_remote_to(&addrs, &sim_jobs);
+}
+
+#[test]
+fn killed_server_releases_its_store_lock() {
+    let store = std::env::temp_dir().join(format!("hbserve-lock-{}.bin", std::process::id()));
+    let lock = format!("{}.lock", store.display());
+    let _ = std::fs::remove_file(&store);
+    let (remote_jobs, local_jobs) = grid();
+    let distinct = local_jobs
+        .iter()
+        .map(Job::key)
+        .collect::<std::collections::HashSet<_>>()
+        .len();
+
+    let mut server = spawn_server(&["--store", store.to_str().unwrap()]);
+    let mut client = Client::connect(&server.addr).expect("connects");
+    client.run_jobs(&remote_jobs).expect("grid runs");
+    // The live server owns the log: this process may read it, not write.
+    let shared = StoreLog::open(&store).expect("log opens");
+    assert!(!shared.log.is_writable(), "the server holds the lock");
+    assert_eq!(shared.entries.len(), distinct, "flushed once per batch");
+    drop(shared);
+
+    // SIGKILL: no shutdown, no checkpoint, no clean-up of any kind.
+    server.child.kill().expect("kill");
+    server.child.wait().expect("reap");
+    let reopened = StoreLog::open(&store).expect("log reopens");
+    assert!(reopened.log.is_writable(), "a dead server holds no lock");
+    assert_eq!(reopened.entries.len(), distinct);
+    drop(reopened);
+    let _ = std::fs::remove_file(&store);
+    let _ = std::fs::remove_file(&lock);
 }

@@ -91,7 +91,7 @@ fn hb_trace_env_runs_to_completion_and_sink_parses() {
     // Two *processes* must never mint the same ids: a second traced run
     // (fresh process, fresh sink) shares no trace or span id with the
     // first. The id generator once hashed its pre-seed counter value, so
-    // every process's first id — a client's first trace and the shard
+    // every process's first id — a client's first trace and the server
     // serving it's first span — was one deterministic constant.
     let sink2 = temp("trace2.jsonl");
     let _ = std::fs::remove_file(&sink2);

@@ -48,7 +48,6 @@ pub use settings::{settings, Settings};
 pub use source::RUNTIME_SOURCE;
 pub use splay::SplayTable;
 
-use std::borrow::Cow;
 use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
@@ -60,7 +59,7 @@ use hardbound_core::{
 use hardbound_exec::service::Job;
 use hardbound_isa::Program;
 use hardbound_serve::{
-    register_gauges, Client, PersistentService, ServeError, ServiceStats, ShardRing, StoreLogStats,
+    register_gauges, Client, PersistentService, ServeError, ServiceStats, StoreLogStats,
 };
 use hardbound_telemetry::{trace, Counter, Field, Histogram, SpanId, SpanTimer, TraceCtx};
 
@@ -128,8 +127,6 @@ struct RuntimeMetrics {
     compile_us: Histogram,
     remote_round_trips: Counter,
     remote_cells: Counter,
-    remote_retries: Counter,
-    remote_reroutes: Counter,
     remote_rt_us: Histogram,
 }
 
@@ -141,8 +138,6 @@ fn metrics() -> &'static RuntimeMetrics {
             compile_us: g.histogram("hb_compile_us"),
             remote_round_trips: g.counter("hb_remote_round_trips"),
             remote_cells: g.counter("hb_remote_cells"),
-            remote_retries: g.counter("hb_remote_retries"),
-            remote_reroutes: g.counter("hb_remote_reroutes"),
             remote_rt_us: g.histogram("hb_remote_rt_us"),
         }
     })
@@ -207,7 +202,7 @@ pub fn build_machine_with_config(program: Program, mode: Mode, config: MachineCo
 /// [`Machine::violation_report`]. `None` when the run does not trap.
 ///
 /// The re-run is how forensics stay free on the hot paths: outcomes from
-/// the service, the result store, or a remote shard carry no machine state,
+/// the service, the result store, or a remote server carry no machine state,
 /// so the (rare, already-failed) trapping cell is replayed once, in full,
 /// with the provenance table and flight recorder live.
 #[must_use]
@@ -226,7 +221,7 @@ pub fn violation_report(
 }
 
 /// Emits one `violation` span carrying the report's forensics fields into
-/// the JSONL trace sink (no-op when `HB_TRACE` is off), so traced cluster
+/// the JSONL trace sink (no-op when `HB_TRACE` is off), so traced remote
 /// runs ship structured forensics alongside their timing spans.
 pub fn emit_violation_span(report: &ViolationReport) {
     if !trace::enabled() {
@@ -374,8 +369,8 @@ impl SimJob {
 /// hide that the warm server is not being used.
 #[must_use]
 pub fn run_jobs(jobs: Vec<SimJob>) -> Vec<RunOutcome> {
-    if let Some(addrs) = &settings().serve_addrs {
-        return run_jobs_remote_to(addrs, &jobs);
+    if let Some(addr) = &settings().serve_addr {
+        return run_jobs_remote_to(std::slice::from_ref(addr), &jobs);
     }
     let jobs: Vec<Job<Mode>> = jobs
         .into_iter()
@@ -401,256 +396,86 @@ pub fn run_jobs(jobs: Vec<SimJob>) -> Vec<RunOutcome> {
     outs
 }
 
-/// Attempts per shard address before falling through to the next shard on
-/// the ring's fallback route: one initial submission plus one
-/// reconnect-and-resubmit of the still-missing cells.
-const ATTEMPTS_PER_SHARD: usize = 2;
-
-/// One submission attempt against `addr`: connect (checking the protocol
-/// version), submit, and stream the outcomes into `out` on the same
-/// connection. On a mid-stream failure the slots filled so far stay
-/// filled — the caller resubmits only the rest.
+/// The `HB_SERVE_ADDR` client path: submits the grid to the one `hbserve`
+/// in `addrs` on the calling thread and returns the outcomes in input
+/// order. `addrs` must hold exactly one address.
 ///
-/// With `ctx` present the attempt runs under a `remote_rt` span: the
-/// submission carries the span as the server-side parent, the
-/// returned server spans are re-emitted into the local sink so the grid's
-/// trace is one merged file, and a failed attempt records the error (an
-/// `err` field, which a successful attempt lacks) so the following
-/// retry/re-route is attributable to the shard that died.
-fn try_shard_once(
-    addr: &str,
-    sub: &[Job<u64>],
-    out: &mut [Option<RunOutcome>],
-    ctx: Option<TraceCtx>,
-    (shard, hop, attempt): (u64, u64, u64),
-) -> Result<(), ServeError> {
-    let m = metrics();
-    let started = Instant::now();
-    let timer = ctx.map(|c| SpanTimer::start(c.trace, c.parent, "remote_rt"));
-    let result = (|| {
-        let mut client = Client::connect(addr)?;
-        let sub_ctx = ctx.zip(timer.as_ref()).map(|(c, t)| TraceCtx {
-            trace: c.trace,
-            parent: t.span(),
-        });
-        m.remote_round_trips.inc();
-        m.remote_cells.add(sub.len() as u64);
-        let mut spans = Vec::new();
-        let ran = client.run_into(sub, sub_ctx, out, &mut spans);
-        for ev in &spans {
-            trace::emit(ev);
-        }
-        ran
-    })();
-    m.remote_rt_us.record_duration(started.elapsed());
-    if let Some(t) = timer {
-        let mut fields = vec![
-            ("addr".to_owned(), Field::from(addr)),
-            ("shard".to_owned(), Field::from(shard)),
-            ("hop".to_owned(), Field::from(hop)),
-            ("attempt".to_owned(), Field::from(attempt)),
-            ("cells".to_owned(), Field::from(sub.len() as u64)),
-        ];
-        if let Err(e) = &result {
-            fields.push(("err".to_owned(), Field::from(e.to_string())));
-        }
-        t.emit(fields);
-    }
-    result
-}
-
-/// Fetches one shard group's `cells`, walking the ring's fallback route:
-/// bounded attempts per shard, resubmitting only the cells still missing
-/// (results the cluster already streamed — or already computed into a
-/// surviving shard's store — are never thrown away). A submission of the
-/// whole group borrows `cells`; only a retry of part of it copies the
-/// missing cells. A server *rejection* (invalid job) is non-transient and
-/// fails immediately; connection/stream failures try the next attempt or
-/// shard. The outcomes come back in `cells` order.
-fn fetch_group(
-    addrs: &[String],
-    order: &[usize],
-    cells: &[Job<u64>],
-    ctx: Option<TraceCtx>,
-) -> Result<Vec<RunOutcome>, String> {
-    let mut results: Vec<Option<RunOutcome>> = vec![None; cells.len()];
-    let mut errors: Vec<String> = Vec::new();
-    for (hop, &shard) in order.iter().enumerate() {
-        let addr = &addrs[shard];
-        for attempt in 0..ATTEMPTS_PER_SHARD {
-            let missing: Vec<usize> = (0..cells.len()).filter(|&k| results[k].is_none()).collect();
-            if missing.is_empty() {
-                break;
-            }
-            if attempt > 0 {
-                metrics().remote_retries.inc();
-            } else if hop > 0 {
-                metrics().remote_reroutes.inc();
-            }
-            let sub: Cow<'_, [Job<u64>]> = if missing.len() == cells.len() {
-                Cow::Borrowed(cells)
-            } else {
-                missing.iter().map(|&k| cells[k].clone()).collect()
-            };
-            let mut sub_results: Vec<Option<RunOutcome>> = vec![None; sub.len()];
-            let outcome = try_shard_once(
-                addr,
-                &sub,
-                &mut sub_results,
-                ctx,
-                (shard as u64, hop as u64, attempt as u64),
-            );
-            for (&k, out) in missing.iter().zip(sub_results) {
-                if out.is_some() {
-                    results[k] = out;
-                }
-            }
-            match outcome {
-                Ok(()) if results.iter().all(Option::is_some) => {
-                    return Ok(results
-                        .into_iter()
-                        .map(|out| out.expect("checked above"))
-                        .collect());
-                }
-                // A DONE with holes is a server bug; treat as transient
-                // and resubmit the holes.
-                Ok(()) => errors.push(format!("{addr}: incomplete result stream")),
-                // A rejection means the submission itself is invalid —
-                // every shard would reject it the same way. A version
-                // mismatch is a deployment error, never worth a re-route.
-                Err(
-                    e @ (ServeError::Server(_)
-                    | ServeError::Oversized { .. }
-                    | ServeError::VersionMismatch { .. }),
-                ) => {
-                    return Err(format!("{addr}: {e}"));
-                }
-                Err(e) => errors.push(format!("{addr}: {e}")),
-            }
-        }
-    }
-    Err(format!(
-        "all shards exhausted for {} cells [{}]",
-        results.iter().filter(|r| r.is_none()).count(),
-        errors.join("; ")
-    ))
-}
-
-/// The `HB_SERVE_ADDR` client path: scatter the grid across the shard
-/// cluster by consistent hashing over each cell's store key, gather the
-/// streams, and merge outcomes back into input order. Shard groups fetch
-/// concurrently; a shard's transient failure retries and then re-routes
-/// along the ring (see `fetch_group`). With a single shard every cell
-/// belongs to it, so no store key is computed.
-///
-/// Public so the cluster differential tests can drive an explicit shard
-/// list without racing on the process environment.
+/// With tracing on, the submission runs under a fresh `grid` root span and
+/// one `remote_rt` span (`addr`, `cells`, and `err` when it failed). The
+/// submission carries the `remote_rt` span as the server-side parent, and
+/// the server spans that come back are re-emitted into the local sink, so
+/// a single JSONL file holds the grid's whole tree.
 ///
 /// # Panics
 ///
-/// Panics with per-shard diagnostics when a submission is rejected or
-/// every shard's attempts exhaust — a silent local fallback (or a silent
-/// hole in the grid) would hide that the cluster is not being used.
+/// Panics unless `addrs` holds exactly one address, and with a diagnostic
+/// naming the address when the server is unreachable, rejects the
+/// submission or breaks off the stream — a silent local fallback (or a
+/// silent hole in the grid) would hide that the server is not being used.
 #[must_use]
 pub fn run_jobs_remote_to(addrs: &[String], jobs: &[SimJob]) -> Vec<RunOutcome> {
-    assert!(!addrs.is_empty(), "empty hbserve shard list");
+    let [addr] = addrs else {
+        panic!(
+            "HB_SERVE_ADDR accepts one hbserve address, got {}: [{}]",
+            addrs.len(),
+            addrs.join(", ")
+        );
+    };
     if jobs.is_empty() {
         return Vec::new();
     }
-    let ring = ShardRing::new(addrs.len());
-    // Each shard's cells, laid out contiguously so the group submits as
-    // one borrowed slice, with the input index of each.
-    let mut groups: Vec<(Vec<usize>, Vec<Job<u64>>)> = vec![(Vec::new(), Vec::new()); addrs.len()];
-    for (i, j) in jobs.iter().enumerate() {
-        let cell = Job {
+    let cells: Vec<Job<u64>> = jobs
+        .iter()
+        .map(|j| Job {
             program: j.program.clone(),
             config: j.config.clone(),
             salt: j.mode as u64,
             tag: j.mode as u64,
-        };
-        let owner = if addrs.len() == 1 {
-            0
-        } else {
-            let (pid, fp) = cell.key();
-            ring.owner_of_cell(pid.0, fp)
-        };
-        groups[owner].0.push(i);
-        groups[owner].1.push(cell);
-    }
-    // The whole scatter/gather runs under one fresh trace: the `grid` root
-    // span parents every per-attempt `remote_rt` span, and the server
-    // spans each attempt brings back are re-emitted locally, so a single
-    // JSONL file tells the cluster-wide story of this grid.
+        })
+        .collect();
+    let m = metrics();
     let grid_timer =
         trace::enabled().then(|| SpanTimer::start(trace::new_trace(), SpanId::NONE, "grid"));
-    let ctx = grid_timer.as_ref().map(|t| TraceCtx {
+    let rt_timer = grid_timer
+        .as_ref()
+        .map(|g| SpanTimer::start(g.trace(), g.span(), "remote_rt"));
+    let ctx = rt_timer.as_ref().map(|t| TraceCtx {
         trace: t.trace(),
         parent: t.span(),
     });
-    let mut results: Vec<Option<RunOutcome>> = vec![None; jobs.len()];
-    let mut failures: Vec<String> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = groups
-            .iter()
-            .enumerate()
-            .filter(|(_, (idxs, _))| !idxs.is_empty())
-            .map(|(shard, (idxs, cells))| {
-                let order = ring.route_from(shard);
-                (
-                    idxs,
-                    scope.spawn(move || fetch_group(addrs, &order, cells, ctx)),
-                )
-            })
-            .collect();
-        for (idxs, handle) in handles {
-            match handle.join().expect("no panics") {
-                Ok(outs) => {
-                    for (&i, out) in idxs.iter().zip(outs) {
-                        results[i] = Some(out);
-                    }
-                }
-                Err(msg) => failures.push(msg),
-            }
-        }
+    let started = Instant::now();
+    let mut results: Vec<Option<RunOutcome>> = vec![None; cells.len()];
+    let mut spans = Vec::new();
+    let ran = Client::connect(addr.as_str()).and_then(|mut client| {
+        m.remote_round_trips.inc();
+        m.remote_cells.add(cells.len() as u64);
+        client.run_into(&cells, ctx, &mut results, &mut spans)
     });
+    m.remote_rt_us.record_duration(started.elapsed());
+    for ev in &spans {
+        trace::emit(ev);
+    }
+    if let Some(t) = rt_timer {
+        let mut fields = vec![
+            ("addr".to_owned(), Field::from(addr.as_str())),
+            ("cells".to_owned(), Field::from(cells.len() as u64)),
+        ];
+        if let Err(e) = &ran {
+            fields.push(("err".to_owned(), Field::from(e.to_string())));
+        }
+        t.emit(fields);
+    }
     if let Some(t) = grid_timer {
-        t.emit(vec![
-            ("cells".to_owned(), Field::from(jobs.len() as u64)),
-            ("shards".to_owned(), Field::from(addrs.len() as u64)),
-            ("failures".to_owned(), Field::from(failures.len() as u64)),
-        ]);
+        t.emit(vec![("cells".to_owned(), Field::from(jobs.len() as u64))]);
         trace::flush();
     }
-    assert!(
-        failures.is_empty(),
-        "HB_SERVE_ADDR={}: remote batch failed: {}",
-        addrs.join(","),
-        failures.join(" | ")
-    );
-    results
-        .into_iter()
-        .map(|r| r.expect("every group resolved or failed loudly"))
-        .collect()
-}
-
-/// Scrapes and merges the hot-spot profiles of every reachable shard in
-/// `addrs` into one cluster-wide [`hardbound_telemetry::Profile`]. Merging
-/// is exact summation key-by-key, so the merged block counts equal the
-/// sums of the per-shard counts. Unreachable shards contribute an empty
-/// profile — the same degradation path the result fetchers use for a
-/// killed shard; their addresses come back in the second element.
-#[must_use]
-pub fn cluster_profile(addrs: &[String]) -> (hardbound_telemetry::Profile, Vec<String>) {
-    let mut merged = hardbound_telemetry::Profile::new();
-    let mut skipped = Vec::new();
-    for addr in addrs {
-        let scraped = Client::connect(addr).and_then(|mut c| c.profile());
-        match scraped {
-            Ok(p) => merged.merge(&p),
-            Err(_) => skipped.push(addr.clone()),
-        }
-    }
-    (merged, skipped)
+    let outs = ran.and_then(|()| {
+        results
+            .into_iter()
+            .collect::<Option<Vec<RunOutcome>>>()
+            .ok_or(ServeError::Protocol("server omitted results"))
+    });
+    outs.unwrap_or_else(|e| panic!("HB_SERVE_ADDR={addr}: remote batch failed: {e}"))
 }
 
 /// [`run_jobs`] for a single cell (`hbrun`, one-shot tools).

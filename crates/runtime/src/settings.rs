@@ -30,8 +30,8 @@ pub(crate) enum Grammar {
     /// A file path with no control characters (a stray newline or tab
     /// is a quoting accident, not a file name).
     Path(fn(&mut Settings) -> &mut Option<String>),
-    /// One or more comma-separated `host:port` addresses.
-    AddrList(fn(&mut Settings) -> &mut Option<Vec<String>>),
+    /// One `host:port` address.
+    Addr(fn(&mut Settings) -> &mut Option<String>),
     /// `smoke` or `full`, in any case.
     Scale(fn(&mut Settings) -> &mut Scale),
 }
@@ -46,7 +46,7 @@ impl Grammar {
             Grammar::Count(min, _) => format!("a whole number ≥ {min}"),
             Grammar::Ratio(_) => "a positive number".to_owned(),
             Grammar::Path(_) => "a path without control characters".to_owned(),
-            Grammar::AddrList(_) => "a comma-separated host:port list".to_owned(),
+            Grammar::Addr(_) => "one host:port address".to_owned(),
             Grammar::Scale(_) => "`smoke` or `full`".to_owned(),
         }
     }
@@ -71,16 +71,14 @@ impl Grammar {
                 let path = (!v.contains(char::is_control)).then(|| v.to_owned())?;
                 *field(s) = Some(path);
             }
-            Grammar::AddrList(field) => {
-                let addrs = v
-                    .split(',')
-                    .map(|a| {
-                        let (host, port) = a.trim().rsplit_once(':')?;
-                        (!host.is_empty() && port.parse::<u16>().is_ok())
-                            .then(|| a.trim().to_owned())
-                    })
-                    .collect::<Option<_>>()?;
-                *field(s) = Some(addrs);
+            Grammar::Addr(field) => {
+                // A comma or a blank in the host is a list of addresses.
+                let (host, port) = v.rsplit_once(':')?;
+                let list = host.contains(|c: char| c == ',' || c.is_whitespace());
+                if host.is_empty() || list || port.parse::<u16>().is_err() {
+                    return None;
+                }
+                *field(s) = Some(v.to_owned());
             }
             Grammar::Scale(field) => *field(s) = v.parse().ok()?,
         }
@@ -100,7 +98,7 @@ pub(crate) const VARS: [Var; 11] = [
     ("HB_FLIGHT", Grammar::Count(0, |s| &mut s.flight), "Arm an `N`-event memory flight recorder on every machine; a trap's violation report prints its tail. Unset or `0`: off."),
     ("HB_TRACE", Grammar::Path(|s| &mut s.trace), "Append JSONL spans (compile, batch, remote round trips and the servers' own spans) to this file. Unset: tracing off."),
     ("HB_STORE_PATH", Grammar::Path(|s| &mut s.store_path), "Persist the result store in this log so warm starts survive the process (the default of `hbserve --store`). Unset: in memory."),
-    ("HB_SERVE_ADDR", Grammar::AddrList(|s| &mut s.serve_addrs), "Offload cell grids to these `hbserve` shards by consistent hash, with retry and re-route; an unreachable cluster fails loudly. Unset: run locally."),
+    ("HB_SERVE_ADDR", Grammar::Addr(|s| &mut s.serve_addr), "Offload cell grids to this `hbserve`; an unreachable or failing server fails loudly. Unset: run locally."),
     ("HB_SCALE", Grammar::Scale(|s| &mut s.scale), "Workload inputs of the bench targets; `smoke` keeps CI runs short. Unset: `full`."),
     ("HB_SERVICE_GATE", Grammar::Ratio(|s| &mut s.service_gate), "`simulator_throughput`: a warm grid re-run must replay from the result store this much faster than the cold pass (CI: `2`)."),
     ("HB_PERSIST_GATE", Grammar::Ratio(|s| &mut s.persist_gate), "`simulator_throughput`: a grid re-run on a service reopened from its store log must beat the cold pass by this much (CI: `2`)."),
@@ -122,8 +120,8 @@ pub struct Settings {
     pub trace: Option<String>,
     /// `HB_STORE_PATH`: the persistent result-store log.
     pub store_path: Option<String>,
-    /// `HB_SERVE_ADDR`: the `hbserve` shard list, in shard order.
-    pub serve_addrs: Option<Vec<String>>,
+    /// `HB_SERVE_ADDR`: the `hbserve` address.
+    pub serve_addr: Option<String>,
     /// `HB_SCALE`: the bench targets' input scale.
     pub scale: Scale,
     /// `HB_SERVICE_GATE`: the warm result-store replay speedup floor.
@@ -290,13 +288,20 @@ mod tests {
         ),
         (
             "HB_SERVE_ADDR",
-            |s| format!("{:?}", s.serve_addrs),
+            |s| format!("{:?}", s.serve_addr),
             &[
-                ("127.0.0.1:7878", "Some([\"127.0.0.1:7878\"])"),
-                ("a:1, b:2", "Some([\"a:1\", \"b:2\"])"),
-                ("[::1]:9", "Some([\"[::1]:9\"])"),
+                ("127.0.0.1:7878", "Some(\"127.0.0.1:7878\")"),
+                (" [::1]:9 ", "Some(\"[::1]:9\")"),
             ],
-            &["7878", "a:1,", "host:port", ":80", "a:99999"],
+            &[
+                "7878",
+                "a:1,",
+                "a:1,b:2",
+                "a:1, b:2",
+                "host:port",
+                ":80",
+                "a:99999",
+            ],
         ),
         (
             "HB_SCALE",
@@ -352,6 +357,8 @@ mod tests {
                 assert!(err.contains(&format!("`{raw}`")), "{err}");
             }
         }
+        let err = Settings::from_vars([("HB_SERVE_ADDR", "a:1,b:2")]).expect_err("a list");
+        assert!(err.contains("one host:port address"), "{err}");
     }
 
     #[test]

@@ -33,12 +33,8 @@
 //!   connection starts with a `HELLO` version check. Counters reach
 //!   clients only through the `METRICS` exposition. `hbserve` (in
 //!   `hardbound-report`) is the binary;
-//!   `hardbound_runtime::run_jobs` is the transparent client
-//!   (`HB_SERVE_ADDR`).
-//! * [`shard`] — consistent-hash routing for the **hbserve cluster**: a
-//!   comma-separated `HB_SERVE_ADDR` shard list partitions the store key
-//!   space by [`ShardRing`], and clients fail over a dead shard's cells
-//!   along the ring's deterministic fallback route.
+//!   `hardbound_runtime::run_jobs` is the transparent client of the one
+//!   server `HB_SERVE_ADDR` names.
 //!
 //! Replay — from disk or from the far side of a socket — is
 //! **byte-identical** to in-process execution; the differential suites at
@@ -49,12 +45,10 @@
 
 pub mod net;
 pub mod persist;
-pub mod shard;
 pub mod store;
 pub mod wire;
 
 pub use net::{Client, ServeError, Server, MAX_GRID, PROTOCOL_VERSION};
 pub use persist::{register_gauges, PersistStats, PersistentService, ServiceStats};
-pub use shard::{cell_point, ShardRing, POINTS_PER_SHARD};
 pub use store::{StoreLog, StoreLogStats};
 pub use wire::{Reader, WireError, Writer, WIRE_VERSION};

@@ -35,13 +35,12 @@
 //! listings, so a mode sweep over one program ships — and parses — the
 //! listing once instead of per cell. The server turns cells back into
 //! jobs one chunk at a time, so a submission holds at most one chunk of
-//! program copies. A
-//! submission lives only as long as its connection: when the connection
-//! drops, the server stops after the chunk it is running, and the client
-//! resubmits the cells it is missing on a new one — the cells the server
-//! already ran come back from the store. With a trace context the server
-//! stamps its spans under the submitter's `TraceId` and ships them back in
-//! the `SPANS` frame, so the merged JSONL reads as one tree.
+//! program copies. A submission lives only as long as its connection:
+//! when the connection drops, the server stops after the chunk it is
+//! running. The cells it already ran stay in the store, so a later
+//! submission replays them. With a trace context the server stamps its
+//! spans under the submitter's `TraceId` and ships them back in the
+//! `SPANS` frame, so the merged JSONL reads as one tree.
 //!
 //! ## Versioning
 //!
@@ -83,7 +82,7 @@ use std::fmt;
 use std::hash::BuildHasherDefault;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -95,7 +94,6 @@ use hardbound_telemetry::{
 };
 
 use crate::persist::{register_gauges, PersistentService};
-use crate::shard::ShardRing;
 use crate::wire::{
     decode_config, decode_outcome, decode_span, encode_config, encode_outcome, encode_span, Reader,
     WireError, Writer,
@@ -254,18 +252,6 @@ pub type Builder = dyn Fn(Program, MachineConfig, u64) -> Machine + Send + Sync;
 /// whole submission with a diagnostic instead of a builder panic.
 pub type TagCheck = dyn Fn(u64) -> bool + Send + Sync;
 
-/// Shard identity of a cluster member (`hbserve --shard k/n`): used to
-/// classify submitted cells as owned vs foreign (re-routed) in the
-/// server's metrics. Foreign cells are **served, not rejected** — they
-/// are exactly how clients fail over a dead shard's cells.
-#[derive(Debug)]
-struct ShardState {
-    index: usize,
-    ring: ShardRing,
-    owned: AtomicU64,
-    foreign: AtomicU64,
-}
-
 /// Per-server metric handles plus the server-local [`Registry`] they are
 /// registered in. Each [`Server`] owns its own registry (test binaries run
 /// several servers in one process; their counters must not alias) — the
@@ -396,7 +382,6 @@ pub struct Server {
     build: Arc<Builder>,
     tag_ok: Arc<TagCheck>,
     shutdown: Arc<AtomicBool>,
-    shard: Option<Arc<ShardState>>,
     metrics: Arc<Metrics>,
     listings: Arc<ListingCache>,
     /// Requests currently being served (not idle connections); `run`
@@ -486,47 +471,10 @@ impl Server {
             build,
             tag_ok,
             shutdown: Arc::new(AtomicBool::new(false)),
-            shard: None,
             metrics,
             listings,
             busy: Arc::new(AtomicUsize::new(0)),
         })
-    }
-
-    /// Declares this server shard `index` of a `count`-shard cluster
-    /// (`hbserve --shard k/n`): submitted cells are classified as owned
-    /// vs foreign in the metrics. Routing is advisory — foreign cells
-    /// still execute, so client-side failover works.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `index >= count`.
-    pub fn set_shard(&mut self, index: usize, count: usize) {
-        assert!(index < count, "shard index {index} out of range 0..{count}");
-        let shard = Arc::new(ShardState {
-            index,
-            ring: ShardRing::new(count),
-            owned: AtomicU64::new(0),
-            foreign: AtomicU64::new(0),
-        });
-        let r = &self.metrics.registry;
-        r.gauge_fn("hbserve_shard_index", {
-            let s = Arc::clone(&shard);
-            move || s.index as u64
-        });
-        r.gauge_fn("hbserve_shard_count", {
-            let s = Arc::clone(&shard);
-            move || s.ring.shards() as u64
-        });
-        r.gauge_fn("hbserve_owned_cells", {
-            let s = Arc::clone(&shard);
-            move || s.owned.load(Ordering::Relaxed)
-        });
-        r.gauge_fn("hbserve_foreign_cells", {
-            let s = Arc::clone(&shard);
-            move || s.foreign.load(Ordering::Relaxed)
-        });
-        self.shard = Some(shard);
     }
 
     /// A detached renderer for the Prometheus-style text exposition
@@ -572,7 +520,6 @@ impl Server {
                 build: Arc::clone(&self.build),
                 tag_ok: Arc::clone(&self.tag_ok),
                 shutdown: Arc::clone(&self.shutdown),
-                shard: self.shard.as_ref().map(Arc::clone),
                 metrics: Arc::clone(&self.metrics),
                 listings: Arc::clone(&self.listings),
                 busy: Arc::clone(&self.busy),
@@ -599,7 +546,6 @@ struct ConnCtx {
     build: Arc<Builder>,
     tag_ok: Arc<TagCheck>,
     shutdown: Arc<AtomicBool>,
-    shard: Option<Arc<ShardState>>,
     metrics: Arc<Metrics>,
     listings: Arc<ListingCache>,
     busy: Arc<AtomicUsize>,
@@ -684,24 +630,6 @@ fn serve_profile(stream: &mut TcpStream) -> Result<(), ServeError> {
     Ok(())
 }
 
-/// Classifies each decoded cell as owned vs foreign under the cluster
-/// ring (no-op for unsharded servers).
-fn note_ownership(shard: &Option<Arc<ShardState>>, jobs: &[Job<u64>]) {
-    let Some(shard) = shard else { return };
-    let mut owned = 0;
-    let mut foreign = 0;
-    for job in jobs {
-        let (pid, fp) = job.key();
-        if shard.ring.owner_of_cell(pid.0, fp) == shard.index {
-            owned += 1;
-        } else {
-            foreign += 1;
-        }
-    }
-    shard.owned.fetch_add(owned, Ordering::Relaxed);
-    shard.foreign.fetch_add(foreign, Ordering::Relaxed);
-}
-
 /// Serves a `SUBMIT` on its own connection: decodes and validates the
 /// grid, runs it in [`CHUNK`]-cell batches with the service lock held for
 /// each chunk only, and writes each chunk's `RESULTS` frame outside the
@@ -749,7 +677,6 @@ fn serve_submission(
         if chunk.is_empty() {
             break;
         }
-        note_ownership(&ctx.shard, &chunk);
         let chunk_timer = exec_timer
             .as_ref()
             .map(|exec| SpanTimer::start(exec.trace(), exec.span(), "chunk"));
@@ -780,11 +707,7 @@ fn serve_submission(
         write_frame(stream, RESP_RESULTS, &w.into_bytes())?;
     }
     if let Some(timer) = exec_timer {
-        let mut fields = vec![("cells".into(), (total as u64).into())];
-        if let Some(shard) = &ctx.shard {
-            fields.push(("shard_index".into(), (shard.index as u64).into()));
-        }
-        let ev = timer.finish(fields);
+        let ev = timer.finish(vec![("cells".into(), (total as u64).into())]);
         trace::emit(&ev);
         spans.push(ev);
         let mut w = Writer::new();
@@ -989,7 +912,7 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects to `addr` (one `HB_SERVE_ADDR` entry) and checks with
+    /// Connects to `addr` (an `HB_SERVE_ADDR` value) and checks with
     /// `HELLO` that the server speaks this build's [`PROTOCOL_VERSION`].
     ///
     /// # Errors
@@ -1050,9 +973,8 @@ impl Client {
     /// server stamps its spans under `ctx.trace`, with `ctx.parent` as
     /// their root's parent. Already-filled slots are kept; a re-delivery
     /// for one of them is a protocol error. On a mid-stream failure the
-    /// slots filled so far remain — callers reconnect and resubmit only
-    /// the missing cells, and the ones the server already ran replay from
-    /// its store.
+    /// slots filled so far remain, and the cells the server already ran
+    /// replay from its store on a later submission.
     ///
     /// # Errors
     ///
@@ -1164,19 +1086,10 @@ mod tests {
     }
 
     fn spawn_server() -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
-        spawn_server_sharded(None)
-    }
-
-    fn spawn_server_sharded(
-        shard: Option<(usize, usize)>,
-    ) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
         let svc = PersistentService::new(2);
         let build: Arc<Builder> = Arc::new(|p, cfg, _tag| Machine::new(p, cfg));
         let tag_ok: Arc<TagCheck> = Arc::new(|tag| tag < 5);
-        let mut server = Server::bind("127.0.0.1:0", svc, build, tag_ok).unwrap();
-        if let Some((index, count)) = shard {
-            server.set_shard(index, count);
-        }
+        let server = Server::bind("127.0.0.1:0", svc, build, tag_ok).unwrap();
         let addr = server.local_addr().unwrap();
         let handle = std::thread::spawn(move || server.run().unwrap());
         (addr, handle)
@@ -1908,7 +1821,7 @@ mod tests {
 
     #[test]
     fn traced_submission_returns_enclosed_server_spans() {
-        let (addr, handle) = spawn_server_sharded(Some((1, 3)));
+        let (addr, handle) = spawn_server();
         let cfg = MachineConfig::default().with_fuel(1_000_000);
         let jobs: Vec<Job<u64>> =
             (0..40) // > 1 chunk
@@ -1932,15 +1845,13 @@ mod tests {
         let results: Vec<RunOutcome> = results.into_iter().map(Option::unwrap).collect();
         assert_eq!(results, expected, "tracing must not perturb results");
 
-        // One submit_exec root under the client's context, stamped with
-        // the shard index.
+        // One submit_exec root under the client's context.
         let exec: Vec<&SpanEvent> = spans.iter().filter(|s| s.kind == "submit_exec").collect();
         assert_eq!(exec.len(), 1, "{spans:?}");
         let exec = exec[0];
         assert_eq!(exec.trace, trace);
         assert_eq!(exec.parent, parent);
         assert_eq!(exec.field_u64("cells"), Some(40));
-        assert_eq!(exec.field_u64("shard_index"), Some(1));
 
         // Chunk spans parent under it, cover every cell exactly once, and
         // sit inside it (slack for µs wall-clock rounding).
@@ -2099,27 +2010,6 @@ mod tests {
             .sum();
         assert_eq!(execs, 50, "every flush landed exactly once");
         collector.shutdown().unwrap();
-        handle.join().unwrap();
-    }
-
-    #[test]
-    fn sharded_server_counts_owned_and_foreign_cells() {
-        let (addr, handle) = spawn_server_sharded(Some((0, 3)));
-        let cfg = MachineConfig::default().with_fuel(1_000_000);
-        // Enough distinct cells that both ownership classes occur.
-        let jobs: Vec<Job<u64>> = (0..24)
-            .map(|k| job(counting_program(5 + k), cfg.clone(), 0, 0))
-            .collect();
-        let mut client = Client::connect(addr).unwrap();
-        client.run_jobs(&jobs).unwrap();
-        assert_eq!(scrape(&mut client, "hbserve_shard_index"), 0);
-        assert_eq!(scrape(&mut client, "hbserve_shard_count"), 3);
-        let owned = scrape(&mut client, "hbserve_owned_cells");
-        let foreign = scrape(&mut client, "hbserve_foreign_cells");
-        assert_eq!(owned + foreign, 24);
-        assert!(owned > 0, "{owned} owned");
-        assert!(foreign > 0, "{foreign} foreign");
-        client.shutdown().unwrap();
         handle.join().unwrap();
     }
 }

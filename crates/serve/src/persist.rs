@@ -417,6 +417,12 @@ mod tests {
         std::env::temp_dir().join(format!("hb-persist-{}-{tag}.bin", std::process::id()))
     }
 
+    /// Removes a test log and the lock file its opens leave behind.
+    fn remove_log(path: &Path) {
+        let _ = std::fs::remove_file(path);
+        let _ = std::fs::remove_file(format!("{}.lock", path.display()));
+    }
+
     #[test]
     fn warm_batch_replays_from_the_store() {
         let jobs: Vec<Job<()>> = (0..8).map(|k| job(10 + k)).collect();
@@ -466,7 +472,7 @@ mod tests {
     #[test]
     fn reopened_log_appends_each_fresh_cell_once() {
         let path = temp_path("fresh-once");
-        let _ = std::fs::remove_file(&path);
+        remove_log(&path);
         let seeded: Vec<Job<()>> = (0..2).map(|k| job(10 + k)).collect();
         PersistentService::open(1, &path)
             .unwrap()
@@ -507,7 +513,7 @@ mod tests {
 
         let svc = PersistentService::open(1, &path).unwrap();
         assert_eq!(svc.stats().log.unwrap().loaded, 3);
-        let _ = std::fs::remove_file(&path);
+        remove_log(&path);
     }
 
     #[test]
@@ -535,7 +541,7 @@ mod tests {
     #[test]
     fn reopen_replays_without_reexecuting() {
         let path = temp_path("reopen");
-        let _ = std::fs::remove_file(&path);
+        remove_log(&path);
         let jobs: Vec<Job<()>> = (0..6).map(|k| job(10 + k)).collect();
 
         let mut svc = PersistentService::open(2, &path).unwrap();
@@ -557,13 +563,13 @@ mod tests {
             0,
             "replays append nothing to the log"
         );
-        let _ = std::fs::remove_file(&path);
+        remove_log(&path);
     }
 
     #[test]
     fn checkpoint_compacts_duplicate_appends() {
         let path = temp_path("checkpoint");
-        let _ = std::fs::remove_file(&path);
+        remove_log(&path);
         let jobs: Vec<Job<()>> = (0..4).map(|k| job(10 + k)).collect();
         let mut svc = PersistentService::open(1, &path).unwrap();
         svc.run_batch(&jobs, build);
@@ -579,7 +585,7 @@ mod tests {
 
         let svc = PersistentService::open(1, &path).unwrap();
         assert_eq!(svc.stats().log.unwrap().loaded, 4, "live entries survive");
-        let _ = std::fs::remove_file(&path);
+        remove_log(&path);
     }
 
     #[test]
@@ -596,7 +602,7 @@ mod tests {
     #[test]
     fn corrupt_log_recomputes_exactly_the_lost_cells() {
         let path = temp_path("recover");
-        let _ = std::fs::remove_file(&path);
+        remove_log(&path);
         let jobs: Vec<Job<()>> = (0..5).map(|k| job(10 + k)).collect();
         let mut svc = PersistentService::open(1, &path).unwrap();
         let cold = svc.run_batch(&jobs, build);
@@ -620,6 +626,6 @@ mod tests {
             1,
             "the recomputed cell is re-persisted"
         );
-        let _ = std::fs::remove_file(&path);
+        remove_log(&path);
     }
 }

@@ -24,16 +24,20 @@
 //!   temporary file next to the log (the log's file name plus `.tmp`)
 //!   and `rename`s it over — readers and crashes observe either the old
 //!   log or the new one, never a torn mix.
-//! * **Single writer.** A sibling lock file — the log's file name plus
-//!   `.lock`, so `store.bin` and `store.log` get distinct locks — holds
-//!   the holder's PID and guards the log: the first opener owns appends;
-//!   a concurrent opener **degrades to read-only** — it seeds from the
-//!   log but appends nothing, so overlapping processes share warm state
-//!   instead of appending at stale offsets and truncating each other's
-//!   live file.
-//!   A lock whose holder PID is dead (crash) is stolen.
+//! * **Single writer.** An OS advisory lock ([`File::try_lock`]) on a
+//!   sibling lock file — the log's file name plus `.lock`, so `store.bin`
+//!   and `store.log` get distinct locks — guards the log: the first opener
+//!   owns appends; a concurrent opener, in this process or another,
+//!   **degrades to read-only** — it seeds from the log but appends
+//!   nothing, so overlapping processes share warm state instead of
+//!   appending at stale offsets and truncating each other's live file.
+//!   The lock lasts as long as the owning handle's open lock file: the OS
+//!   releases it when the handle drops or its process exits, however it
+//!   exits, so a dead writer never blocks the next one. The lock file
+//!   itself stays on disk; unlinking it would let two openers lock two
+//!   different files.
 
-use std::fs::{File, OpenOptions};
+use std::fs::{File, OpenOptions, TryLockError};
 use std::io::{self, BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
@@ -84,7 +88,7 @@ pub struct StoreLogStats {
     pub flushes: u64,
     /// Rewrite-compactions performed.
     pub compactions: u64,
-    /// `1` when another live process holds the log's lock: this handle
+    /// `1` when another open handle holds the log's lock: this handle
     /// seeded from the file but appends/compactions are no-ops.
     pub read_only: u64,
 }
@@ -104,70 +108,35 @@ pub struct LoadedStore {
 #[derive(Debug)]
 pub struct StoreLog {
     path: PathBuf,
-    /// `None` when another live process holds the lock: reads seeded,
-    /// writes are no-ops.
+    /// `None` when another handle holds the lock: reads seeded, writes
+    /// are no-ops.
     writer: Option<BufWriter<File>>,
-    /// The lock file this handle owns (removed on drop), if any.
-    lock: Option<PathBuf>,
+    /// The locked lock file, held open while this handle owns the log.
+    lock: Option<File>,
     stats: StoreLogStats,
 }
 
-/// Tries to take the sibling lock file, writing this process's PID into
-/// it. `Ok(true)` on ownership; `Ok(false)` when another **live** process
-/// holds it. A lock whose recorded PID no longer exists (the holder
-/// crashed) is stolen; an unreadable lock is treated as stale too.
-fn acquire_lock(lock_path: &Path) -> io::Result<bool> {
-    for _ in 0..2 {
-        match OpenOptions::new()
-            .write(true)
-            .create_new(true)
-            .open(lock_path)
-        {
-            Ok(mut f) => {
-                let _ = write!(f, "{}", std::process::id());
-                return Ok(true);
-            }
-            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
-                let holder = std::fs::read_to_string(lock_path)
-                    .ok()
-                    .and_then(|s| s.trim().parse::<u32>().ok());
-                let alive = match holder {
-                    // PID liveness via /proc is Linux-only; elsewhere be
-                    // conservative and treat a recorded holder as live.
-                    Some(pid) if cfg!(target_os = "linux") => {
-                        Path::new(&format!("/proc/{pid}")).exists()
-                    }
-                    Some(_) => true,
-                    // No PID yet: most likely we raced the owner in the
-                    // microseconds between its `create_new` and its PID
-                    // write — deleting its lock here would let two live
-                    // writers loose on one log. Treat the lock as live
-                    // unless it has stayed unreadable for several
-                    // seconds (the owner crashed in that tiny window).
-                    None => std::fs::metadata(lock_path)
-                        .and_then(|m| m.modified())
-                        .ok()
-                        .and_then(|t| t.elapsed().ok())
-                        .is_none_or(|age| age < std::time::Duration::from_secs(10)),
-                };
-                if alive {
-                    return Ok(false);
-                }
-                // Stale: remove and retry once (a racing second stealer
-                // loses `create_new` and lands in the live check above).
-                let _ = std::fs::remove_file(lock_path);
-            }
-            Err(e) => return Err(e),
-        }
+/// Takes the advisory lock on `lock_path`, creating the file if needed:
+/// `Some` (the locked file, to hold for as long as the log is owned) or
+/// `None` when another open handle holds the lock.
+fn acquire_lock(lock_path: &Path) -> io::Result<Option<File>> {
+    let file = OpenOptions::new()
+        .write(true)
+        .create(true)
+        .truncate(false)
+        .open(lock_path)?;
+    match file.try_lock() {
+        Ok(()) => Ok(Some(file)),
+        Err(TryLockError::WouldBlock) => Ok(None),
+        Err(TryLockError::Error(e)) => Err(e),
     }
-    Ok(false)
 }
 
 impl StoreLog {
     /// Opens (or creates) the log at `path`, returning the handle and the
     /// surviving records. Corrupt tails are truncated in place;
     /// version-mismatched or foreign files cold-start (see module docs).
-    /// When another live process holds the log's lock the handle is
+    /// When another open handle holds the log's lock the handle is
     /// **read-only**: it seeds from the current file contents (without
     /// truncating anything out from under the owner) and every write is
     /// a counted no-op.
@@ -179,7 +148,7 @@ impl StoreLog {
     pub fn open(path: impl AsRef<Path>) -> io::Result<LoadedStore> {
         let path = path.as_ref().to_path_buf();
         let lock_path = sibling(&path, "lock");
-        let owns_lock = acquire_lock(&lock_path)?;
+        let lock = acquire_lock(&lock_path)?;
         let mut stats = StoreLogStats::default();
         let bytes = match std::fs::read(&path) {
             Ok(b) => b,
@@ -222,8 +191,8 @@ impl StoreLog {
             stats.cold_start = u64::from(!bytes.is_empty());
         }
 
-        if !owns_lock {
-            // Another live process owns appends: seed from what parsed
+        if lock.is_none() {
+            // Another handle owns appends: seed from what parsed
             // and leave the file strictly alone (its owner may be
             // mid-append past our snapshot).
             stats.read_only = 1;
@@ -253,7 +222,7 @@ impl StoreLog {
         let log = StoreLog {
             path,
             writer: Some(BufWriter::new(file)),
-            lock: Some(lock_path),
+            lock,
             stats,
         };
         Ok(LoadedStore { log, entries })
@@ -367,16 +336,6 @@ impl StoreLog {
     }
 }
 
-impl Drop for StoreLog {
-    /// Releases the lock file (owned handles only) so the next process
-    /// can take ownership without waiting for staleness detection.
-    fn drop(&mut self) {
-        if let Some(lock) = &self.lock {
-            let _ = std::fs::remove_file(lock);
-        }
-    }
-}
-
 /// `path` with `.{suffix}` appended to its full file name: `store.bin` →
 /// `store.bin.lock`. Replacing the extension instead would give
 /// `store.bin` and `store.log` one lock, and make a log named `x.lock`
@@ -473,10 +432,16 @@ mod tests {
         std::env::temp_dir().join(format!("hb-storelog-{}-{tag}.bin", std::process::id()))
     }
 
+    /// Removes a test log and the lock file its opens leave behind.
+    fn remove_log(path: &Path) {
+        let _ = std::fs::remove_file(path);
+        let _ = std::fs::remove_file(sibling(path, "lock"));
+    }
+
     #[test]
     fn append_flush_reload_round_trips() {
         let path = temp_path("roundtrip");
-        let _ = std::fs::remove_file(&path);
+        remove_log(&path);
         {
             let mut loaded = StoreLog::open(&path).unwrap();
             assert_eq!(loaded.entries.len(), 0);
@@ -493,13 +458,13 @@ mod tests {
             assert_eq!(*k, key(n as u64));
             assert_eq!(*out, outcome(n as i32));
         }
-        let _ = std::fs::remove_file(&path);
+        remove_log(&path);
     }
 
     #[test]
     fn corrupt_tail_is_truncated_not_fatal() {
         let path = temp_path("corrupt");
-        let _ = std::fs::remove_file(&path);
+        remove_log(&path);
         {
             let mut loaded = StoreLog::open(&path).unwrap();
             for n in 0..3 {
@@ -522,13 +487,13 @@ mod tests {
         let reloaded = StoreLog::open(&path).unwrap();
         assert_eq!(reloaded.entries.len(), 2);
         assert_eq!(reloaded.log.stats().dropped_bytes, 0);
-        let _ = std::fs::remove_file(&path);
+        remove_log(&path);
     }
 
     #[test]
     fn truncated_mid_record_recovers_the_prefix() {
         let path = temp_path("truncated");
-        let _ = std::fs::remove_file(&path);
+        remove_log(&path);
         {
             let mut loaded = StoreLog::open(&path).unwrap();
             for n in 0..3 {
@@ -540,13 +505,13 @@ mod tests {
         std::fs::write(&path, &bytes[..bytes.len() - 5]).unwrap();
         let loaded = StoreLog::open(&path).unwrap();
         assert_eq!(loaded.entries.len(), 2, "the torn record is lost, no more");
-        let _ = std::fs::remove_file(&path);
+        remove_log(&path);
     }
 
     #[test]
     fn version_mismatch_cold_starts() {
         let path = temp_path("version");
-        let _ = std::fs::remove_file(&path);
+        remove_log(&path);
         {
             let mut loaded = StoreLog::open(&path).unwrap();
             loaded.log.append(key(1), &outcome(1)).unwrap();
@@ -563,14 +528,13 @@ mod tests {
         drop(loaded);
         let reloaded = StoreLog::open(&path).unwrap();
         assert_eq!(reloaded.log.stats().cold_start, 0);
-        let _ = std::fs::remove_file(&path);
+        remove_log(&path);
     }
 
     #[test]
     fn concurrent_opener_degrades_to_read_only() {
         let path = temp_path("locked");
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(sibling(&path, "lock"));
+        remove_log(&path);
         let mut owner = StoreLog::open(&path).unwrap();
         assert!(owner.log.is_writable());
         owner.log.append(key(1), &outcome(1)).unwrap();
@@ -595,28 +559,27 @@ mod tests {
         owner.log.flush().unwrap();
         drop(second);
         drop(owner);
+        assert!(sibling(&path, "lock").exists(), "the lock file stays");
         let reopened = StoreLog::open(&path).unwrap();
         assert!(reopened.log.is_writable(), "released lock is re-acquired");
         assert_eq!(reopened.entries.len(), 2);
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(sibling(&path, "lock"));
+        remove_log(&path);
     }
 
     #[test]
-    fn stale_lock_from_a_dead_process_is_stolen() {
-        let path = temp_path("stale");
-        let _ = std::fs::remove_file(&path);
+    fn leftover_lock_file_does_not_block_a_writer() {
+        let path = temp_path("leftover");
         let lock = sibling(&path, "lock");
-        // A PID that cannot be a live process (PID_MAX_LIMIT is 2^22).
-        std::fs::write(&lock, "4194999").unwrap();
-        let loaded = StoreLog::open(&path).unwrap();
-        assert!(
-            loaded.log.is_writable(),
-            "a dead holder's lock must be stolen"
-        );
-        drop(loaded);
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&lock);
+        // Whatever a lock file holds — a dead writer's PID, this very
+        // process's PID, garbage, nothing — only a held lock counts.
+        let pid = std::process::id().to_string();
+        for contents in ["4194999", pid.as_str(), "garbage", ""] {
+            remove_log(&path);
+            std::fs::write(&lock, contents).unwrap();
+            let loaded = StoreLog::open(&path).unwrap();
+            assert!(loaded.log.is_writable(), "lock file holding {contents:?}");
+        }
+        remove_log(&path);
     }
 
     #[test]
@@ -624,7 +587,7 @@ mod tests {
         let bin = temp_path("stem");
         let log = bin.with_extension("log");
         for p in [&bin, &log] {
-            let _ = std::fs::remove_file(p);
+            remove_log(p);
         }
         let mut a = StoreLog::open(&bin).unwrap();
         let mut b = StoreLog::open(&log).unwrap();
@@ -642,7 +605,7 @@ mod tests {
             vec![(key(2), outcome(2))]
         );
         for p in [&bin, &log] {
-            let _ = std::fs::remove_file(p);
+            remove_log(p);
         }
     }
 
@@ -650,7 +613,7 @@ mod tests {
     fn a_log_named_like_its_lock_or_temp_file_survives_reopen() {
         for ext in ["lock", "tmp"] {
             let path = temp_path("named").with_extension(ext);
-            let _ = std::fs::remove_file(&path);
+            remove_log(&path);
             {
                 let mut loaded = StoreLog::open(&path).unwrap();
                 assert!(loaded.log.is_writable(), "{ext}");
@@ -673,14 +636,14 @@ mod tests {
                 "{ext}"
             );
             drop(reopened);
-            let _ = std::fs::remove_file(&path);
+            remove_log(&path);
         }
     }
 
     #[test]
     fn compaction_rewrites_atomically_and_appends_continue() {
         let path = temp_path("compact");
-        let _ = std::fs::remove_file(&path);
+        remove_log(&path);
         let mut loaded = StoreLog::open(&path).unwrap();
         for n in 0..10 {
             loaded.log.append(key(n % 2), &outcome(n as i32)).unwrap();
@@ -706,6 +669,6 @@ mod tests {
                 (key(7), outcome(7)),
             ]
         );
-        let _ = std::fs::remove_file(&path);
+        remove_log(&path);
     }
 }

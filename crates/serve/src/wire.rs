@@ -682,7 +682,7 @@ mod tests {
             dur_us: 250,
             fields: vec![
                 ("cells".into(), Field::U64(3)),
-                ("shard".into(), Field::Str("127.0.0.1:9".into())),
+                ("addr".into(), Field::Str("127.0.0.1:9".into())),
             ],
         };
         let mut w = Writer::new();

@@ -12,13 +12,12 @@
 //! * [`trace`] — [`TraceId`]/[`SpanId`]-stamped [`SpanEvent`]s written as
 //!   JSONL to the sink [`trace::install`] opens (the runtime installs it
 //!   for `HB_TRACE`). Trace context crosses the
-//!   `hbserve` wire so one grid submission yields a single merged trace
-//!   spanning client and every shard.
-//! * [`profile`] — cluster-mergeable per-basic-block hot-spot [`Profile`]s
-//!   (exec counts, attributed cycles, checks taken), rendered as
-//!   ranked-PC tables and folded-stack flamegraph text, shipped over the
-//!   `PROFILE` wire verb and summed client-side with exact count
-//!   conservation.
+//!   `hbserve` wire so one grid submission yields a single trace spanning
+//!   client and server.
+//! * [`profile`] — mergeable per-basic-block hot-spot [`Profile`]s
+//!   (exec counts, attributed cycles, checks taken), summed with exact
+//!   count conservation, rendered as ranked-PC tables and folded-stack
+//!   flamegraph text, and shipped over the `PROFILE` wire verb.
 //! * [`json`] — the tiny JSON emitter/parser backing the trace schema
 //!   (the build container has no serde).
 

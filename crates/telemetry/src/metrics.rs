@@ -147,7 +147,7 @@ impl HistogramSnapshot {
     }
 
     /// Adds another snapshot's counts into this one (e.g. merging the
-    /// per-shard histograms of a cluster into one distribution).
+    /// histograms of several processes into one distribution).
     pub fn merge(&mut self, other: &HistogramSnapshot) {
         for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
             *a += *b;

@@ -1,4 +1,4 @@
-//! Cluster-mergeable hot-spot profiles.
+//! Mergeable hot-spot profiles.
 //!
 //! The interpreter's profiler attributes retire work to the basic block
 //! it executed (see `core::Machine::set_profiling` and
@@ -7,10 +7,10 @@
 //! a map keyed by `(program fingerprint, function, entry index)`, which is
 //! stable across processes because the program fingerprint is the same
 //! pinned serialization the result store and wire protocol use. That
-//! stability is what makes profiles *mergeable*: every shard of a grid can
-//! ship its profile over the `PROFILE` wire verb and the client sums them
-//! key-by-key ([`Profile::merge`]) into one cluster-wide profile whose
-//! counts equal the per-shard counts exactly — no sampling, no loss.
+//! stability is what makes profiles *mergeable*: every run's flush sums
+//! into the process-wide accumulator key by key ([`Profile::merge`]),
+//! conserving counts exactly — no sampling, no loss — and an `hbserve`
+//! ships that accumulator over the `PROFILE` wire verb.
 //!
 //! Rendering comes in three forms: a ranked-PC table
 //! ([`Profile::render_table`]) for humans, folded-stack text
@@ -88,8 +88,8 @@ impl Profile {
     }
 
     /// Sums `other` into `self`, key by key. Counts are conserved
-    /// exactly: after merging N shard profiles, every block's counters
-    /// equal the sum of that block's per-shard counters.
+    /// exactly: after merging N profiles, every block's counters equal
+    /// the sum of that block's counters in the N.
     pub fn merge(&mut self, other: &Profile) {
         for (key, stat) in &other.blocks {
             self.blocks.entry(*key).or_default().add(stat);

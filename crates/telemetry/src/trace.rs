@@ -9,12 +9,12 @@
 //! inside one process. This crate reads no environment.
 //!
 //! Trace context (`trace` + parent span id) crosses the `hbserve` wire:
-//! the client stamps each submission, shards run their `submit_exec` and
-//! `chunk` spans under the client's ids and ship them back on the
+//! the client stamps each submission, the server runs its `submit_exec`
+//! and `chunk` spans under the client's ids and ships them back on the
 //! submitting connection ahead of `DONE`, and the client writes them into
-//! its own sink — one grid, one merged trace. A server span's `parent` is
-//! the client's `remote_rt` span; a `remote_rt` without an `err` field is
-//! an attempt that succeeded.
+//! its own sink — one grid, one trace. A server span's `parent` is the
+//! client's `remote_rt` span; a `remote_rt` without an `err` field is a
+//! round trip that succeeded.
 //!
 //! Every line is a flat JSON object with the fixed keys `trace`, `span`,
 //! `parent` (16-hex-digit ids; `parent` is all zeros for a root span),
@@ -75,7 +75,7 @@ pub fn fresh_id() -> u64 {
     // The finalizer must hash the *updated* counter, not the previous
     // value a fetch_update would hand back: on the first call the
     // previous value is the unseeded 0, which would make every process's
-    // first id the same constant — exactly the id a client and the shard
+    // first id the same constant — exactly the id a client and the server
     // serving it both mint first (pinned by `report/tests/trace_env_cli`).
     let mut cur = ID_STATE.load(Relaxed);
     let seed = loop {
@@ -148,7 +148,7 @@ pub struct SpanEvent {
     pub start_us: u64,
     /// Duration in µs (measured on a monotonic clock).
     pub dur_us: u64,
-    /// Free-form span fields (`shard`, `cells`, `err`, ...).
+    /// Free-form span fields (`addr`, `cells`, `err`, ...).
     pub fields: Vec<(String, Field)>,
 }
 
@@ -407,8 +407,8 @@ mod tests {
             start_us: now_us(),
             dur_us: 1234,
             fields: vec![
-                ("attempt".into(), Field::U64(7)),
-                ("shard".into(), Field::Str("127.0.0.1:4000".into())),
+                ("chunk".into(), Field::U64(7)),
+                ("addr".into(), Field::Str("127.0.0.1:4000".into())),
                 ("cells".into(), Field::U64(u64::MAX)),
             ],
         };

@@ -4,7 +4,7 @@
 //! trap the machine raised, and the named `setbound` site really is a
 //! `setbound` instruction in the program image. The same invariants are
 //! checked through `hardbound_runtime::violation_report` (the re-run path
-//! `hbrun` and traced cluster clients use), which must agree with the
+//! `hbrun` and traced remote clients use), which must agree with the
 //! report of the machine that actually trapped.
 
 use hardbound_compiler::Mode;

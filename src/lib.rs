@@ -35,7 +35,7 @@
 //!   chunks on the submitting connection).
 //! * [`telemetry`] — the metrics registry (counters, gauges, latency
 //!   histograms; Prometheus-style exposition) and `HB_TRACE` span
-//!   tracing with cross-shard trace propagation.
+//!   tracing, with trace context carried from client to `hbserve`.
 //! * [`bench`](mod@bench) — bench-harness support (`cargo bench` targets
 //!   regenerate the paper artefacts; `HB_SCALE=smoke` shrinks inputs for
 //!   CI).
