@@ -45,7 +45,6 @@ pub mod compat;
 mod program_id;
 mod run;
 pub mod service;
-mod slru;
 
 #[doc(hidden)]
 pub use compat::{BlockCacheStats, Engine, EngineStats, SharedBlockCache};

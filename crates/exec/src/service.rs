@@ -16,12 +16,11 @@
 //! and the benchmark harness share: the store, the [`Job`] cell and its
 //! [`StoreKey`].
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use hardbound_core::{stable_fingerprint, MachineConfig, RunOutcome};
 use hardbound_isa::Program;
 
-use crate::slru::SlruIndex;
 use crate::ProgramId;
 
 /// Fingerprint of everything *besides the program image* that determines a
@@ -67,22 +66,20 @@ pub struct ResultStoreStats {
 /// Residency is **bounded**: the store lives for the whole process inside
 /// a long-lived service, so unchecked growth across an open-ended corpus
 /// sweep would be a leak. Past [`ResultStore::DEFAULT_CAPACITY`] (or the
-/// explicit [`ResultStore::with_capacity`] bound) entries are evicted by
-/// **segmented LRU** (the crate's `slru` index): fresh results sit in a
-/// probationary segment and are promoted on their first replay, so a
-/// figure grid's re-used cells outlive an arbitrarily long one-shot sweep
-/// that a FIFO order would let wash them out.
+/// explicit [`ResultStore::with_capacity`] bound) the oldest insert is
+/// evicted first (**FIFO**); a replay does not reorder anything. No
+/// benchmarked workload comes near the default bound (figure replay holds
+/// 819 cells), so a recency policy would never get to act.
 ///
-/// For persistence (`hardbound-serve`), [`ResultStore::seed`] loads
-/// entries from disk without perturbing the counters.
+/// [`ResultStore::entries`] walks the live keys in insertion order, so a
+/// compaction writes the same log for the same history. For persistence
+/// (`hardbound-serve`), [`ResultStore::seed`] loads entries from disk
+/// without perturbing the counters.
 #[derive(Debug)]
 pub struct ResultStore {
-    /// Key → slab slot id.
-    map: HashMap<StoreKey, u32>,
-    /// Slab of live entries; freed slots recycle through `free`.
-    slots: Vec<Option<(StoreKey, RunOutcome)>>,
-    free: Vec<u32>,
-    recency: SlruIndex,
+    map: HashMap<StoreKey, RunOutcome>,
+    /// Each live key once, oldest first (the eviction order).
+    order: VecDeque<StoreKey>,
     capacity: usize,
     stats: ResultStoreStats,
 }
@@ -109,107 +106,61 @@ impl ResultStore {
         assert!(capacity > 0, "result store needs room for at least 1 entry");
         ResultStore {
             map: HashMap::new(),
-            slots: Vec::new(),
-            free: Vec::new(),
-            recency: SlruIndex::new(capacity),
+            order: VecDeque::new(),
             capacity,
             stats: ResultStoreStats::default(),
         }
     }
 
-    /// The stored outcome for `key`, if any; counts a hit or a miss and
-    /// touches the entry's recency (first replay promotes it to the
-    /// protected segment).
+    /// The stored outcome for `key`, if any; counts a hit or a miss.
     pub fn lookup(&mut self, key: StoreKey) -> Option<RunOutcome> {
-        match self.map.get(&key) {
-            Some(&id) => {
-                self.stats.hits += 1;
-                self.recency.touch(id);
-                let (_, out) = self.slots[id as usize].as_ref().expect("live slot");
-                Some(out.clone())
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
+        let found = self.map.get(&key).cloned();
+        if found.is_some() {
+            self.stats.hits += 1;
+        } else {
+            self.stats.misses += 1;
         }
-    }
-
-    /// Places `(key, outcome)` into the slab and the maps; the caller has
-    /// already ensured the key is absent.
-    fn place(&mut self, key: StoreKey, outcome: RunOutcome) {
-        let slot = Some((key, outcome));
-        let id = match self.free.pop() {
-            Some(id) => {
-                self.slots[id as usize] = slot;
-                id
-            }
-            None => {
-                self.slots.push(slot);
-                (self.slots.len() - 1) as u32
-            }
-        };
-        self.map.insert(key, id);
-        self.recency.insert(id);
-        while self.map.len() > self.capacity {
-            let victim = self.recency.victim().expect("store is non-empty");
-            self.drop_slot(victim);
-            self.stats.evicted += 1;
-        }
-    }
-
-    /// Removes slot `victim` from the slab, map and recency index.
-    fn drop_slot(&mut self, victim: u32) {
-        let (key, _) = self.slots[victim as usize].take().expect("live slot");
-        self.map.remove(&key);
-        self.recency.remove(victim);
-        self.free.push(victim);
+        found
     }
 
     /// Stores `outcome` under `key` (last write wins; identical keys can
-    /// only ever carry identical outcomes), evicting segmented-LRU
-    /// victims past capacity.
+    /// only ever carry identical outcomes), evicting the oldest inserts
+    /// past capacity. A key already present keeps its place in the order.
     pub fn insert(&mut self, key: StoreKey, outcome: RunOutcome) {
         self.stats.stored += 1;
-        if let Some(&id) = self.map.get(&key) {
-            self.slots[id as usize] = Some((key, outcome));
-            self.recency.touch(id);
-            return;
-        }
-        self.place(key, outcome);
+        self.seed(key, outcome);
     }
 
     /// Loads `(key, outcome)` from a persistent log: like
     /// [`ResultStore::insert`], but not counted as `stored` — seeded
     /// entries are already on disk.
     pub fn seed(&mut self, key: StoreKey, outcome: RunOutcome) {
-        if let Some(&id) = self.map.get(&key) {
-            self.slots[id as usize] = Some((key, outcome));
+        if self.map.insert(key, outcome).is_some() {
             return;
         }
-        self.place(key, outcome);
+        self.order.push_back(key);
+        while self.map.len() > self.capacity {
+            let oldest = self.order.pop_front().expect("store is non-empty");
+            self.map.remove(&oldest);
+            self.stats.evicted += 1;
+        }
     }
 
-    /// Iterates every live `(key, outcome)` (compaction snapshots).
+    /// Iterates every live `(key, outcome)`, oldest insert first
+    /// (compaction snapshots).
     pub fn entries(&self) -> impl Iterator<Item = (&StoreKey, &RunOutcome)> {
-        self.slots.iter().flatten().map(|(k, o)| (k, o))
+        self.order.iter().map(|k| (k, &self.map[k]))
     }
 
     /// Drops every entry of program `pid` — and nothing else — returning
     /// how many died.
     pub fn invalidate_program(&mut self, pid: ProgramId) -> usize {
-        let victims: Vec<u32> = (0..self.slots.len() as u32)
-            .filter(|&id| {
-                self.slots[id as usize]
-                    .as_ref()
-                    .is_some_and(|((p, _), _)| *p == pid)
-            })
-            .collect();
-        for &id in &victims {
-            self.drop_slot(id);
-        }
-        self.stats.invalidated += victims.len() as u64;
-        victims.len()
+        let before = self.map.len();
+        self.map.retain(|(p, _), _| *p != pid);
+        self.order.retain(|(p, _)| *p != pid);
+        let dropped = before - self.map.len();
+        self.stats.invalidated += dropped as u64;
+        dropped
     }
 
     /// Number of stored results.
@@ -294,6 +245,11 @@ mod tests {
         run_machine(&mut Machine::new(j.program, j.config))
     }
 
+    /// The store's live keys, oldest insert first.
+    fn order(store: &ResultStore) -> Vec<StoreKey> {
+        store.entries().map(|(k, _)| *k).collect()
+    }
+
     #[test]
     fn salt_splits_otherwise_identical_cells() {
         let a = job(10, 1_000_000);
@@ -309,58 +265,67 @@ mod tests {
         for (k, &key) in keys.iter().enumerate() {
             store.insert(key, out(10 + k as i32));
         }
-        // Never-replayed entries are all probationary, so eviction order
-        // degrades to insertion order: the oldest insert dies first.
         assert_eq!(store.len(), 2, "capacity bound holds");
         assert_eq!(store.stats().evicted, 1);
         assert!(store.lookup(keys[0]).is_none(), "oldest entry evicted");
         assert!(store.lookup(keys[1]).is_some());
         assert!(store.lookup(keys[2]).is_some());
-        // Re-insertion after invalidation enters probation: with keys[1]
-        // and keys[2] protected by their replays above, the fresh insert
-        // beyond capacity evicts the probationary re-insert, not them.
-        store.invalidate_program(keys[1].0);
-        store.insert(keys[0], out(10));
-        assert_eq!(store.len(), 2);
-        let fresh = job(99, 1_000_000).key();
-        store.insert(fresh, out(99));
-        assert_eq!(store.stats().evicted, 2);
-        assert!(
-            store.lookup(keys[2]).is_some(),
-            "replayed (protected) entry survives"
-        );
-        assert!(
-            store.lookup(keys[0]).is_none(),
-            "the probationary re-insert is the victim"
-        );
-        assert!(store.lookup(fresh).is_some());
     }
 
-    /// The segmented-LRU hit-rate regression test: a replayed (hot) cell
-    /// must survive an arbitrarily long one-shot sweep that exceeds the
-    /// store's capacity many times over — the exact pattern the old FIFO
-    /// order thrashed on (the hot cell aged to the front and died after
-    /// `capacity` fresh inserts, taking its warm replay with it).
     #[test]
-    fn replayed_cells_survive_a_one_shot_sweep() {
-        let mut store = ResultStore::with_capacity(8);
-        let hot = job(10, 1_000_000);
-        let hot_out = out(10);
-        store.insert(hot.key(), hot_out.clone());
-        assert_eq!(store.lookup(hot.key()), Some(hot_out.clone()), "promote");
-        for k in 0..64 {
-            // 8× capacity of never-replayed sweep cells.
-            store.insert(job(100 + k, 1_000_000).key(), hot_out.clone());
+    fn a_replay_does_not_save_the_oldest_insert() {
+        let mut store = ResultStore::with_capacity(2);
+        let keys: Vec<StoreKey> = (0..3).map(|k| job(10 + k, 1_000_000).key()).collect();
+        store.insert(keys[0], out(10));
+        store.insert(keys[1], out(11));
+        assert!(store.lookup(keys[0]).is_some(), "replay the oldest");
+        store.insert(keys[2], out(12));
+        assert!(store.lookup(keys[0]).is_none(), "replayed oldest evicted");
+        assert!(store.lookup(keys[1]).is_some());
+        assert!(store.lookup(keys[2]).is_some());
+        assert_eq!(store.len(), 2);
+        let s = store.stats();
+        assert_eq!((s.hits, s.misses, s.stored, s.evicted), (3, 1, 3, 1));
+    }
+
+    #[test]
+    fn reinserting_a_present_key_keeps_its_place() {
+        let mut store = ResultStore::with_capacity(3);
+        let keys: Vec<StoreKey> = (0..4).map(|k| job(10 + k, 1_000_000).key()).collect();
+        for (k, &key) in keys[..3].iter().enumerate() {
+            store.insert(key, out(10 + k as i32));
         }
+        store.insert(keys[0], out(10));
+        store.seed(keys[0], out(10));
         assert_eq!(
-            store.lookup(hot.key()),
-            Some(hot_out),
-            "hot cell must out-live the sweep: {:?}",
-            store.stats()
+            order(&store),
+            keys[..3],
+            "re-insert and re-seed keep the order"
         );
-        assert_eq!(store.len(), 8);
-        assert_eq!(store.stats().evicted, 64 - 7);
-        assert_eq!(store.stats().hits, 2, "both hot probes hit");
-        assert_eq!(store.stats().misses, 0, "a 100% hot-cell hit rate");
+        assert_eq!(store.len(), 3);
+        assert_eq!(store.stats().stored, 4, "a seed is not counted");
+        // keys[0] is still the oldest, so it is the one a fourth key evicts.
+        store.insert(keys[3], out(13));
+        assert_eq!(order(&store), keys[1..]);
+        assert_eq!(store.stats().evicted, 1);
+    }
+
+    #[test]
+    fn invalidated_then_reinserted_key_goes_to_the_back() {
+        let mut store = ResultStore::with_capacity(3);
+        let keys: Vec<StoreKey> = (0..4).map(|k| job(10 + k, 1_000_000).key()).collect();
+        for (k, &key) in keys[..3].iter().enumerate() {
+            store.insert(key, out(10 + k as i32));
+        }
+        assert_eq!(store.invalidate_program(keys[0].0), 1);
+        assert_eq!(store.len(), 2);
+        store.insert(keys[0], out(10));
+        assert_eq!(order(&store), [keys[1], keys[2], keys[0]]);
+        // Past capacity the oldest survivor goes, not the re-insert.
+        store.insert(keys[3], out(13));
+        assert_eq!(order(&store), [keys[2], keys[0], keys[3]]);
+        let s = store.stats();
+        assert_eq!((s.stored, s.invalidated, s.evicted), (5, 1, 1));
+        assert_eq!(store.len(), 3);
     }
 }

@@ -24,6 +24,12 @@ fn temp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("hbrun-persist-{}-{name}", std::process::id()))
 }
 
+/// Removes a test store and the lock file its opens leave behind.
+fn remove_store(store: &Path) {
+    let _ = std::fs::remove_file(store);
+    let _ = std::fs::remove_file(format!("{}.lock", store.display()));
+}
+
 fn hbrun(cb: &Path, store: &PathBuf) -> Output {
     Command::new(env!("CARGO_BIN_EXE_hbrun"))
         .arg(cb.to_str().unwrap())
@@ -38,7 +44,7 @@ fn warm_replay_survives_a_process_restart() {
     let cb = temp("prog.cb");
     let store = temp("store.bin");
     std::fs::write(&cb, SOURCE).expect("source writes");
-    let _ = std::fs::remove_file(&store);
+    remove_store(&store);
 
     let cold = hbrun(&cb, &store);
     assert!(cold.status.success(), "{cold:?}");
@@ -79,7 +85,7 @@ fn warm_replay_survives_a_process_restart() {
     assert_eq!(stat_lines(&cold_err), stat_lines(&warm_err));
 
     let _ = std::fs::remove_file(&cb);
-    let _ = std::fs::remove_file(&store);
+    remove_store(&store);
 }
 
 #[test]
@@ -87,7 +93,7 @@ fn corrupt_store_recovers_and_recomputes() {
     let cb = temp("recover.cb");
     let store = temp("recover-store.bin");
     std::fs::write(&cb, SOURCE).expect("source writes");
-    let _ = std::fs::remove_file(&store);
+    remove_store(&store);
 
     let cold = hbrun(&cb, &store);
     assert!(cold.status.success(), "{cold:?}");
@@ -119,5 +125,5 @@ fn corrupt_store_recovers_and_recomputes() {
     );
 
     let _ = std::fs::remove_file(&cb);
-    let _ = std::fs::remove_file(&store);
+    remove_store(&store);
 }

@@ -589,6 +589,35 @@ mod tests {
     }
 
     #[test]
+    fn store_order_survives_checkpoint_and_reopen() {
+        let path = temp_path("order");
+        remove_log(&path);
+        let jobs: Vec<Job<()>> = (0..6).map(|k| job(10 + k)).collect();
+        let mut svc = PersistentService::open(1, &path).unwrap();
+        svc.run_batch(&jobs[..4], build);
+        // Invalidate mid-fill: jobs[1]'s cell re-enters behind the rest.
+        assert_eq!(svc.invalidate_program(jobs[1].key().0), 1);
+        svc.run_batch(&jobs[4..], build);
+        svc.run_batch(&jobs[1..2], build);
+        let order = |svc: &PersistentService| -> Vec<StoreKey> {
+            svc.store.entries().map(|(k, _)| *k).collect()
+        };
+        let before = order(&svc);
+        let want: Vec<StoreKey> = [0, 2, 3, 4, 5, 1].map(|i| jobs[i].key()).into();
+        assert_eq!(before, want, "insertion order, re-insert last");
+        svc.checkpoint().unwrap();
+        let first = std::fs::read(&path).unwrap();
+        svc.checkpoint().unwrap();
+        let second = std::fs::read(&path).unwrap();
+        assert_eq!(first, second, "a checkpoint writes the same bytes");
+        drop(svc);
+
+        let svc = PersistentService::open(1, &path).unwrap();
+        assert_eq!(order(&svc), before, "reopen keeps the order");
+        remove_log(&path);
+    }
+
+    #[test]
     fn without_persistence_everything_still_works() {
         let jobs: Vec<Job<()>> = (0..3).map(|k| job(10 + k)).collect();
         let mut svc = PersistentService::new(2);

@@ -146,14 +146,6 @@ impl HistogramSnapshot {
         self.counts.iter().sum()
     }
 
-    /// Adds another snapshot's counts into this one (e.g. merging the
-    /// histograms of several processes into one distribution).
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += *b;
-        }
-    }
-
     /// Cumulative counts: `cumulative()[i]` = observations `<=`
     /// [`bucket_upper`]`(i)`. Non-decreasing by construction.
     pub fn cumulative(&self) -> [u64; HIST_BUCKETS] {

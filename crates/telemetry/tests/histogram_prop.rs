@@ -1,10 +1,9 @@
-//! Property suite for the power-of-two latency histogram: merging the
-//! per-shard histograms of a cluster must be indistinguishable from one
-//! histogram that observed the union of every shard's samples — bucket by
-//! bucket — and cumulative counts must be monotone. This is what makes
-//! cross-shard latency aggregation (summing `METRICS` scrapes) sound.
+//! Property suite for the power-of-two latency histogram: a snapshot
+//! counts every recorded sample exactly once, and its cumulative counts
+//! are monotone and end at that total — what a `METRICS` scrape's
+//! `_bucket` lines rely on.
 
-use hardbound_telemetry::{Histogram, HistogramSnapshot, HIST_BUCKETS};
+use hardbound_telemetry::{Histogram, HIST_BUCKETS};
 use proptest::prelude::*;
 
 fn sample() -> impl Strategy<Value = u64> {
@@ -22,34 +21,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn merging_shard_histograms_equals_histogram_of_union(
-        shards in prop::collection::vec(
-            prop::collection::vec(sample(), 0..50), 1..6),
+    fn snapshot_counts_every_sample_and_cumulates_monotonically(
+        samples in prop::collection::vec(sample(), 0..250),
     ) {
-        // One histogram per shard, plus one fed the union of all samples.
-        let union = Histogram::default();
-        let mut merged = HistogramSnapshot::default();
-        for shard_samples in &shards {
-            let shard = Histogram::default();
-            for &s in shard_samples {
-                shard.record(s);
-                union.record(s);
-            }
-            merged.merge(&shard.snapshot());
+        let hist = Histogram::default();
+        for &s in &samples {
+            hist.record(s);
         }
-        let union = union.snapshot();
-        prop_assert_eq!(&merged, &union);
-        prop_assert_eq!(
-            merged.count(),
-            shards.iter().map(|s| s.len() as u64).sum::<u64>()
-        );
+        let snap = hist.snapshot();
+        prop_assert_eq!(snap.count(), samples.len() as u64);
 
         // Cumulative counts are monotone non-decreasing and end at the
         // total observation count.
-        let cum = merged.cumulative();
+        let cum = snap.cumulative();
         for i in 1..HIST_BUCKETS {
             prop_assert!(cum[i] >= cum[i - 1], "bucket {} decreased", i);
         }
-        prop_assert_eq!(cum[HIST_BUCKETS - 1], merged.count());
+        prop_assert_eq!(cum[HIST_BUCKETS - 1], snap.count());
     }
 }
